@@ -15,9 +15,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import DomainError, IntegralityError, PrecisionError, TheoremViolation
 from .series import TSeries, vp, vp_factorial
+
+
+# largest field F_{p^a} a FieldContext presents; its elements are enumerated
+FIELD_LIMIT = 2**20
 
 
 def is_prime(n: int) -> bool:
@@ -126,7 +131,7 @@ class FieldContext:
     def __init__(self, p: int, a: int):
         if not is_prime(p):
             raise DomainError(f"p={p} is not prime")
-        if a < 1 or p**a > 2**20:
+        if a < 1 or p**a > FIELD_LIMIT:
             raise DomainError(f"unsupported field size p^a = {p}^{a}")
         self.p = p
         self.a = a
@@ -374,11 +379,15 @@ def binomial_guard(N: int, p: int) -> int:
     return vp_factorial(max(N - 1, 0), p)
 
 
-def one_plus_T_pow(t: int, p: int, M_out: int, N: int, t_prec: int) -> TSeries:
-    """(1+T)^t as sum binom(t,j) T^j for j < N, coefficients mod p^M_out.
+def binomial_sum(counts, p: int, M_out: int, N: int, t_prec: int) -> TSeries:
+    """sum of c * (1+T)^t over {t: c}, i.e. sum_j T^j sum_t c * binom(t,j) for
+    j < N, coefficients mod p^M_out.
 
-    t is a residue mod p^t_prec; binom(t,j) = t(t-1)...(t-j+1)/j! loses
+    Each t is a residue mod p^t_prec; binom(t,j) = t(t-1)...(t-j+1)/j! loses
     ord_p(j!) digits, so t_prec must cover M_out plus the worst-case loss.
+    The falling factorials, weighted by their counts, accumulate as plain
+    integers and each j divides by j! once; every falling factorial is still
+    checked to be divisible by the p-part of j! on its own.
     """
     need = M_out + binomial_guard(N, p)
     if t_prec < need:
@@ -387,18 +396,28 @@ def one_plus_T_pow(t: int, p: int, M_out: int, N: int, t_prec: int) -> TSeries:
         )
     big = p**t_prec
     out_mod = p**M_out
-    coeffs = {0: 1}
-    falling = 1
+    ts = list(counts)
+    cs = [counts[t] for t in ts]
+    falling = [1] * len(ts)
+    coeffs = {0: sum(cs)}
     fact_v, fact_unit = 0, 1
     for j in range(1, N):
-        falling = falling * (t - (j - 1)) % big
-        fact_v += vp(j, p) if j % p == 0 else 0
-        fact_unit = fact_unit * (j // p ** (vp(j, p) if j % p == 0 else 0)) % big
+        falling = [x * (t - (j - 1)) % big for x, t in zip(falling, ts)]
+        v = vp(j, p)
+        fact_v += v
+        fact_unit = fact_unit * (j // p**v) % out_mod
         pv = p**fact_v
-        if falling % pv:
+        if pv > 1 and any(x % pv for x in falling):
             raise IntegralityError(f"binom(t,{j}) not p-integral at working precision")
-        coeffs[j] = (falling // pv) * pow(fact_unit, -1, out_mod) % out_mod
+        total = sum(map(mul, cs, falling))
+        coeffs[j] = (total // pv) * pow(fact_unit, -1, out_mod) % out_mod
     return TSeries(p, M_out, N, coeffs)
+
+
+def one_plus_T_pow(t: int, p: int, M_out: int, N: int, t_prec: int) -> TSeries:
+    """(1+T)^t as sum binom(t,j) T^j for j < N, coefficients mod p^M_out:
+    the single-trace case of binomial_sum."""
+    return binomial_sum({t: 1}, p, M_out, N, t_prec)
 
 
 # ---------------------------------------------------------------------------

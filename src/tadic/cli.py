@@ -42,6 +42,7 @@ from .polytope import (
 )
 from .series import NewtonPolygon, SSeries, TSeries
 from .sums import (
+    SumJob,
     congruence_check,
     c_function,
     l_function,
@@ -484,7 +485,9 @@ def cmd_sum(cfg: RunConfig) -> dict:
         "sums": {},
         "specialized": {},
     }
-    for k in cfg.k_list or (1,):
+    ks = cfg.k_list or (1,)
+    SumJob(f, max(ks), cfg.prec_p, cfg.prec_t)  # the largest torus, before any work
+    for k in ks:
         S = s_f_T(f, k, cfg.prec_p, cfg.prec_t)
         doc["sums"][str(k)] = jtseries(S)
         for m in cfg.m_list:

@@ -10,15 +10,19 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import Optional
 
 from .arith import (
+    FIELD_LIMIT,
     CycContext,
     CycElement,
     FieldContext,
     binomial_guard,
+    binomial_sum,
     one_plus_T_pow,
     specialize_tseries,
     teichmuller_lift,
@@ -67,9 +71,19 @@ class SumJob:
             raise DomainError("sum job needs k, M, N >= 1")
         if self.m is not None and self.m < 1:
             raise DomainError("character level m must be >= 1")
-        q = self.f.ctx.q
-        if (q**self.k - 1) ** self.f.n > TORUS_LIMIT:
-            raise DomainError("torus too large to enumerate")
+        ctx = self.f.ctx
+        # q >= 2, so k past the limit's bit length is too large without
+        # computing q^k
+        if self.k >= FIELD_LIMIT.bit_length() or ctx.q**self.k > FIELD_LIMIT:
+            raise DomainError(
+                f"field too large: q^k = {ctx.p}^{ctx.a * self.k} exceeds "
+                f"the field-size limit p^(a*k) <= 2^{FIELD_LIMIT.bit_length() - 1}"
+            )
+        if (ctx.q**self.k - 1) ** self.f.n > TORUS_LIMIT:
+            raise DomainError(
+                f"torus too large to enumerate: (q^k - 1)^n exceeds "
+                f"the torus limit {TORUS_LIMIT}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -77,20 +91,58 @@ class SumJob:
 # ---------------------------------------------------------------------------
 
 
-def _trace_table(ctx: FieldContext, k: int, prec: int):
-    """Traces of the Teichmuller lifts of g^j for j = 0..q^k-2.
+def _trace_table(big: FieldContext, prec: int):
+    """Tr(teich(g)^j) mod p^prec for j = 0..q-2, g the generator of ``big``.
 
-    The lift is multiplicative, so successive zq-products of teich(g) stay
-    on the Teichmuller locus; one multiplication and one trace per unit.
+    These are the Newton power sums of chi(x) = prod_{i<d} (x - w^(p^i)),
+    the characteristic polynomial of w = teich(g) over Z_p (d = [F:F_p]).
+    s_1..s_d come from Newton's identities and every later entry from the
+    order-d recurrence chi(w) = 0: d multiply-adds per entry.
     """
-    big = ctx.ext(k)
-    g = teichmuller_lift(big, big.generator, prec)
-    cur = big.zq_from_field(big.one())
-    table = []
-    for _ in range(big.q - 1):
-        table.append(big.zq_trace(cur, prec))
-        cur = big.zq_mul(cur, g, prec)
-    return big, table
+    p, d = big.p, big.a
+    pm = p**prec
+    Q1 = big.q - 1
+    conj = teichmuller_lift(big, big.generator, prec)
+    chi = [big.one()]  # Z_q coefficients, lowest first
+    for i in range(d):
+        if i:
+            conj = big.zq_pow(conj, p, prec)
+        nxt = [big.zero()] + chi
+        for e, c in enumerate(chi):
+            wc = big.zq_mul(conj, c, prec)
+            nxt[e] = tuple((u - v) % pm for u, v in zip(nxt[e], wc))
+        chi = nxt
+    if any(any(c[1:]) for c in chi):
+        raise TheoremViolation("characteristic polynomial of teich(g) is not over Z_p")
+    c = [co[0] for co in chi[:d]]
+    s = [d % pm]
+    for k in range(1, min(d, Q1 - 1) + 1):
+        s.append(-(k * c[d - k] + sum(c[d - i] * s[k - i] for i in range(1, k))) % pm)
+    neg_c = [-ci for ci in c]
+    for k in range(len(s), Q1):
+        s.append(sum(map(mul, neg_c, s[k - d : k])) % pm)
+    return s
+
+
+def _coefficient_logs(f: LaurentPoly, big: FieldContext):
+    """dlog_g of each coefficient of f embedded in ``big``.
+
+    The coefficients lie in F_q^x, the subgroup generated by
+    h = g^((q^k-1)/(q-1)), so only q-1 powers of h are walked.
+    """
+    ctx = f.ctx
+    phi = ctx.embed_into(big)
+    step = (big.q - 1) // (ctx.q - 1)
+    h = big.pow(big.generator, step)
+    targets = {big.encode(phi(c)) for _, c in f.terms}
+    dlog = {}
+    cur = big.one()
+    for i in range(ctx.q - 1):
+        e = big.encode(cur)
+        if e in targets and e not in dlog:
+            dlog[e] = i * step
+        cur = big.mul(cur, h)
+    return [dlog[big.encode(phi(c))] for _, c in f.terms]
 
 
 def torus_trace_counts(f: LaurentPoly, k: int, prec: int) -> dict:
@@ -98,34 +150,42 @@ def torus_trace_counts(f: LaurentPoly, k: int, prec: int) -> dict:
     (q^k - 1)^n torus points of the k-th extension.
 
     Every monomial value lies in the unit group, so its Teichmuller lift is
-    teich(g)^dlog; the hot loop is pure modular index arithmetic against
-    the precomputed trace table.
+    teich(g)^dlog and its trace a table entry.  The walk fixes the first
+    n-1 coordinates of the dlog vector and takes the last one a whole row at
+    a time: each term's row is the table rotated to the term's offset and
+    read at stride u_n, and the rows add elementwise.  Unreduced sums are
+    counted and reduced mod p^prec once per distinct sum.
     """
-    ctx = f.ctx
-    big, table = _trace_table(ctx, k, prec)
-    phi = ctx.embed_into(big)
-    Q1 = big.q - 1
-    targets = {big.encode(phi(c)) for _, c in f.terms}
-    dlog = {}
-    cur = big.one()
-    for j in range(Q1):
-        e = big.encode(cur)
-        if e in targets and e not in dlog:
-            dlog[e] = j
-        cur = big.mul(cur, big.generator)
-    coeff_logs = [dlog[big.encode(phi(c))] for _, c in f.terms]
-    exps = [u for u, _ in f.terms]
-    pm = ctx.p**prec
+    big = f.ctx.ext(k)
+    table = _trace_table(big, prec)
+    Q1 = len(table)
+    pm = f.ctx.p**prec
+    terms = [(cl, u[:-1], u[-1] % Q1) for cl, (u, _) in zip(_coefficient_logs(f, big), f.terms)]
+    reads = {e: [e * j % Q1 for j in range(Q1)] for _, _, e in terms if e > 1}
+    raw = Counter()
+    for prefix in itertools.product(range(Q1), repeat=f.n - 1):
+        const = 0
+        rows = []
+        for cl, head, e in terms:
+            base = (cl + sum(map(mul, head, prefix))) % Q1
+            if e == 0:
+                const += table[base]
+                continue
+            row = table[base:] + table[:base]
+            rows.append(row if e == 1 else list(map(row.__getitem__, reads[e])))
+        if not rows:
+            raw[const] += Q1
+            continue
+        acc = rows[0]
+        for row in rows[1:]:
+            acc = map(add, acc, row)
+        if const:
+            acc = map(const.__add__, acc)
+        raw.update(acc)
     counts = {}
-    for jvec in itertools.product(range(Q1), repeat=f.n):
-        t = 0
-        for cl, u in zip(coeff_logs, exps):
-            idx = cl
-            for ui, ji in zip(u, jvec):
-                idx += ui * ji
-            t += table[idx % Q1]
+    for t, c in raw.items():
         t %= pm
-        counts[t] = counts.get(t, 0) + 1
+        counts[t] = counts.get(t, 0) + c
     return counts
 
 
@@ -135,10 +195,7 @@ def s_f_T(f: LaurentPoly, k: int, M: int, N: int) -> TSeries:
     SumJob(f, k, M, N)
     p = f.ctx.p
     prec_t = M + binomial_guard(N, p)
-    acc = TSeries.zero(p, M, N)
-    for t, c in sorted(torus_trace_counts(f, k, prec_t).items()):
-        acc = acc.add(one_plus_T_pow(t, p, M, N, prec_t).mul_int(c))
-    return acc
+    return binomial_sum(torus_trace_counts(f, k, prec_t), p, M, N, prec_t)
 
 
 def s_f_psi(f: LaurentPoly, k: int, m: int, M: int) -> CycElement:
@@ -164,7 +221,9 @@ def s_f_psi(f: LaurentPoly, k: int, m: int, M: int) -> CycElement:
 
 
 def power_sums_T(f: LaurentPoly, deg_s: int, M: int, N: int):
-    """S_f(k, T) for k = 1..deg_s."""
+    """S_f(k, T) for k = 1..deg_s; the largest torus is checked first."""
+    if deg_s >= 1:
+        SumJob(f, deg_s, M, N)
     return [s_f_T(f, k, M, N) for k in range(1, deg_s + 1)]
 
 

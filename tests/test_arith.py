@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from tadic.arith import (
     CycContext,
     FieldContext,
     binomial_guard,
+    binomial_sum,
     frob_power,
     is_prime,
     one_plus_T_pow,
@@ -158,6 +160,25 @@ class TestFrobenius:
         assert frob_power(ctx, g, 0) == g
         assert frob_power(ctx, g, ctx.a) == g
         assert frob_power(ctx, g, 1) == ctx.mul(g, g)
+
+
+class TestBinomialSum:
+    @given(st.dictionaries(st.integers(0, 5000), st.integers(1, 50), min_size=1, max_size=8))
+    @settings(deadline=None)
+    def test_matches_weighted_binomials(self, counts):
+        p, M, N = 2, 4, 9
+        tp = M + binomial_guard(N, p)
+        s = binomial_sum(counts, p, M, N, tp)
+        pm = p**M
+        want = [sum(c * math.comb(t, j) for t, c in counts.items()) % pm for j in range(N)]
+        assert [s.coeff(j) for j in range(N)] == want
+
+    def test_rejects_thin_exponent(self):
+        p, M, N = 3, 3, 10
+        need = M + binomial_guard(N, p)
+        binomial_sum({1: 2, 5: 1}, p, M, N, need)
+        with pytest.raises(PrecisionError):
+            binomial_sum({1: 2, 5: 1}, p, M, N, need - 1)
 
 
 class TestOnePlusTPow:

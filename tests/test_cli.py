@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tadic import cli
+from tadic import cli, sums
 from tadic.arith import FieldContext
 from tadic.cli import (
     RunConfig,
@@ -210,6 +210,20 @@ class TestExitCodes:
         # origin-only support never defines a sum
         code, doc = run_json(["np", "x1^0", "--p", "3"], capsys)
         assert code == 1
+
+    def test_size_limits_fail_before_any_torus(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("torus walked before the size check")
+
+        monkeypatch.setattr(sums, "torus_trace_counts", refuse)
+        for args, limit in (
+            (["congruence", "x1+x2+x1^-1*x2^-1", "--p", "3", "--m", "2"], "field-size"),
+            (["sum", "x1+x2", "--p", "3", "-k", "2,7"], "torus"),
+            (["sum", "x1", "--p", "2", "-k", "21"], "field-size"),
+        ):
+            code, doc = run_json(args, capsys)
+            assert code == 1 and doc["error"]["type"] == "DomainError"
+            assert f"{limit} limit" in doc["error"]["message"]
 
     def test_missing_poly(self, capsys):
         code, doc = run_json(["np", "--p", "3"], capsys)

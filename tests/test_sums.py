@@ -2,13 +2,15 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tadic import sums
 from tadic.arith import (
     CycContext,
     FieldContext,
     binomial_guard,
+    is_prime,
     one_plus_T_pow,
     teichmuller_lift,
 )
@@ -17,6 +19,7 @@ from tadic.polytope import LaurentPoly
 from tadic.series import SSeries, TSeries
 from tadic.sums import (
     SumJob,
+    _trace_table,
     c_function,
     closed_point_traces,
     congruence_check,
@@ -25,6 +28,7 @@ from tadic.sums import (
     l_function,
     l_function_euler,
     np_report,
+    power_sums_T,
     s_f_T,
     s_f_psi,
     specialize,
@@ -71,6 +75,65 @@ def oracle_s_f_T(f, k, M, N):
     return acc
 
 
+def direct_trace_table(big, prec):
+    """Tr(teich(g)^j) for j = 0..q-2 by a zq_mul/zq_trace walk."""
+    g = teichmuller_lift(big, big.generator, prec)
+    cur = big.zq_from_field(big.one())
+    table = []
+    for _ in range(big.q - 1):
+        table.append(big.zq_trace(cur, prec))
+        cur = big.zq_mul(cur, g, prec)
+    return table
+
+
+def small_fields(limit):
+    """Every (p, d) with p^d <= limit."""
+    for p in range(2, limit + 1):
+        if is_prime(p):
+            d = 1
+            while p**d <= limit:
+                yield p, d
+                d += 1
+
+
+# (p, a, n, k) shapes whose per-point oracle stays cheap
+ORACLE_SHAPES = [
+    (p, a, n, k)
+    for p in (2, 3, 5)
+    for a in (1, 2)
+    for n in (1, 2)
+    for k in (1, 2)
+    if (p ** (a * k) - 1) ** n <= 80
+]
+
+
+@st.composite
+def small_sum_jobs(draw):
+    p, a, n, k = draw(st.sampled_from(ORACLE_SHAPES))
+    ctx = FieldContext(p, a)
+    exps = draw(
+        st.lists(
+            st.tuples(*[st.integers(-2, 2)] * n).filter(any),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    logs = draw(st.lists(st.integers(0, ctx.q - 2), min_size=len(exps), max_size=len(exps)))
+    terms = {u: ctx.pow(ctx.generator, e) for u, e in zip(exps, logs)}
+    M = draw(st.integers(1, 3))
+    N = draw(st.integers(1, 6))
+    return LaurentPoly.make(n, terms, ctx), k, M, N
+
+
+class TestTraceTable:
+    def test_recurrence_matches_direct_walk(self):
+        # includes F_2 (a one-entry table, shorter than the recurrence order)
+        for p, d in small_fields(3000):
+            big = FieldContext(p, d)
+            assert _trace_table(big, 2) == direct_trace_table(big, 2), (p, d)
+
+
 class TestTorusSums:
     def test_single_point_field(self):
         # F_2 has one unit with trace 1
@@ -98,6 +161,15 @@ class TestTorusSums:
         f = poly(SPERBER, p=2)
         assert s_f_T(f, 2, 3, 5) == oracle_s_f_T(f, 2, 3, 5)
 
+    @settings(max_examples=40, deadline=None)
+    @given(small_sum_jobs())
+    @example((poly([(-1, 0), (2, -1), (1, 1)], p=3), 1, 2, 5))
+    @example((poly([(-2,), (1,)], p=2, a=2), 2, 3, 6))
+    @example((poly([(1, 0), (1, 1)], p=5), 1, 2, 4))
+    def test_matches_per_point_oracle_random_supports(self, job):
+        f, k, M, N = job
+        assert s_f_T(f, k, M, N) == oracle_s_f_T(f, k, M, N)
+
     def test_trace_count_total(self):
         f = poly(SPERBER, p=3)
         counts = torus_trace_counts(f, 1, 2)
@@ -110,8 +182,32 @@ class TestTorusSums:
         with pytest.raises(DomainError):
             SumJob(f, 1, 2, 4, m=0)
         big = poly([(1, 0), (0, 1)], p=3, a=4)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="torus limit"):
             SumJob(big, 2, 2, 4)
+
+    def test_job_field_limit(self):
+        # 2^21 - 1 points fit the torus limit but not the field-size limit
+        f = poly([(1,)], p=2)
+        SumJob(f, 20, 2, 4)
+        with pytest.raises(DomainError, match="field-size limit"):
+            SumJob(f, 21, 2, 4)
+        with pytest.raises(DomainError, match="field-size limit"):
+            SumJob(f, 10**9, 2, 4)
+
+    def test_preflight_before_any_torus(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("torus walked before the size check")
+
+        monkeypatch.setattr(sums, "torus_trace_counts", refuse)
+        f = poly(SPERBER, p=3)
+        for run in (
+            lambda: power_sums_T(f, 7, 2, 4),
+            lambda: l_function(f, 7, 2, 4),
+            lambda: c_function(f, 7, 2, 4),
+            lambda: congruence_check(f, 2, [28, 29], 2, 4),
+        ):
+            with pytest.raises(DomainError, match="limit"):
+                run()
 
     @settings(max_examples=25, deadline=None)
     @given(
