@@ -213,8 +213,9 @@ class RunConfig:
     """Resolved invocation: every knob a command may read.
 
     prec_t is the T-adic cap for sum-side series and doubles as the
-    pi-adic cap for the operator side; hodge_depth and basis resolve to
-    polytope-dependent defaults when left unset.
+    pi-adic cap for the operator side; left unset it resolves per command
+    (see _prec_t).  hodge_depth and basis resolve to polytope-dependent
+    defaults when left unset.
     """
 
     command: str
@@ -223,7 +224,7 @@ class RunConfig:
     a: int = 1
     m_list: tuple = ()
     prec_p: int = 4
-    prec_t: int = 16
+    prec_t: int | None = None
     deg_s: int = 2
     basis: int | None = None
     hodge_depth: int | None = None
@@ -450,10 +451,17 @@ def _resolve_basis(cfg: RunConfig, n_pi: int) -> int:
     return math.ceil(Fraction(n_pi, cfg.p - 1))
 
 
-def _operator_caps(cfg: RunConfig) -> int:
-    # the T-window flag doubles as the pi-window; default 16 is sized for
-    # sums and would be enormous operator-side, so clamp the default
-    return min(cfg.prec_t, 6)
+# default T-cap of the sums commands and pi-cap of the operator commands;
+# 16 pi-digits would make the operator basis enormous
+SUMS_PREC_T = 16
+OPERATOR_PREC_T = 6
+
+
+def _prec_t(cfg: RunConfig) -> int:
+    """An explicit --prec-t as given, else the command's default."""
+    if cfg.prec_t is not None:
+        return cfg.prec_t
+    return OPERATOR_PREC_T if cfg.command in ("dwork", "verify") else SUMS_PREC_T
 
 
 def cmd_hodge(cfg: RunConfig) -> dict:
@@ -486,9 +494,10 @@ def cmd_sum(cfg: RunConfig) -> dict:
         "specialized": {},
     }
     ks = cfg.k_list or (1,)
-    SumJob(f, max(ks), cfg.prec_p, cfg.prec_t)  # the largest torus, before any work
+    n_t = _prec_t(cfg)
+    SumJob(f, max(ks), cfg.prec_p, n_t)  # the largest torus, before any work
     for k in ks:
-        S = s_f_T(f, k, cfg.prec_p, cfg.prec_t)
+        S = s_f_T(f, k, cfg.prec_p, n_t)
         doc["sums"][str(k)] = jtseries(S)
         for m in cfg.m_list:
             doc["specialized"].setdefault(str(m), {})[str(k)] = jcyc(
@@ -499,7 +508,7 @@ def cmd_sum(cfg: RunConfig) -> dict:
 
 def cmd_lfun(cfg: RunConfig) -> dict:
     f = _parse_poly(cfg)
-    L = l_function(f, cfg.deg_s, cfg.prec_p, cfg.prec_t)
+    L = l_function(f, cfg.deg_s, cfg.prec_p, _prec_t(cfg))
     return {
         "command": "lfun",
         "p": cfg.p,
@@ -512,7 +521,7 @@ def cmd_lfun(cfg: RunConfig) -> dict:
 
 def cmd_cfun(cfg: RunConfig) -> dict:
     f = _parse_poly(cfg)
-    C = c_function(f, cfg.deg_s, cfg.prec_p, cfg.prec_t)
+    C = c_function(f, cfg.deg_s, cfg.prec_p, _prec_t(cfg))
     return {
         "command": "cfun",
         "p": cfg.p,
@@ -525,7 +534,7 @@ def cmd_cfun(cfg: RunConfig) -> dict:
 
 def cmd_np(cfg: RunConfig) -> dict:
     f = _parse_poly(cfg)
-    rep = np_report(f, cfg.m_list, cfg.deg_s, cfg.prec_p, cfg.prec_t)
+    rep = np_report(f, cfg.m_list, cfg.deg_s, cfg.prec_p, _prec_t(cfg))
     return {
         "command": "np",
         "p": rep.p,
@@ -544,7 +553,7 @@ def cmd_np(cfg: RunConfig) -> dict:
 
 def cmd_dwork(cfg: RunConfig) -> dict:
     f = _parse_poly(cfg)
-    n_pi = _operator_caps(cfg)
+    n_pi = _prec_t(cfg)
     B = _resolve_basis(cfg, n_pi)
     Mx = psi_a_matrix(f, B, cfg.prec_p, n_pi)
     C = char_series(Mx, min(cfg.deg_s, Mx.dim))
@@ -563,12 +572,13 @@ def cmd_dwork(cfg: RunConfig) -> dict:
 
 def cmd_verify(cfg: RunConfig) -> dict:
     f = _parse_poly(cfg)
-    n_pi = _operator_caps(cfg)
+    n_pi = _prec_t(cfg)
     B = _resolve_basis(cfg, n_pi)
+    Mx = psi_a_matrix(f, B, cfg.prec_p, n_pi)
     checks = []
     if cfg.what in ("trace", "all"):
         for k in cfg.k_list or (1,):
-            chk = verify_trace_formula(f, k, B, cfg.prec_p, n_pi)
+            chk = verify_trace_formula(f, k, B, cfg.prec_p, n_pi, matrix=Mx)
             checks.append(
                 {
                     "what": "trace",
@@ -578,7 +588,7 @@ def cmd_verify(cfg: RunConfig) -> dict:
                 }
             )
     if cfg.what in ("char", "all"):
-        cc = char_c_crosscheck(f, cfg.deg_s, B, cfg.prec_p, n_pi)
+        cc = char_c_crosscheck(f, cfg.deg_s, B, cfg.prec_p, n_pi, matrix=Mx)
         checks.append(
             {
                 "what": "char",
@@ -610,7 +620,7 @@ def cmd_congruence(cfg: RunConfig) -> dict:
         bound = dd.normalized_volume() * cfg.p ** (f.n * (m - 1))
         ks = cfg.k_list or (bound + 1, bound + 2)
         rep = congruence_check(
-            f, m, ks, cfg.prec_p, cfg.prec_t, cfg.override_nondegenerate
+            f, m, ks, cfg.prec_p, _prec_t(cfg), cfg.override_nondegenerate
         )
         reports[str(m)] = {
             "degree_bound": rep.degree_bound,
@@ -642,7 +652,7 @@ def cmd_survey(cfg: RunConfig) -> dict:
         cfg.seed,
         cfg.deg_s,
         cfg.prec_p,
-        cfg.prec_t,
+        _prec_t(cfg),
     )
     return {
         "command": "survey",

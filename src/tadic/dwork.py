@@ -257,11 +257,6 @@ class ZqPi:
     def mul_int(self, c: int) -> "ZqPi":
         return self._like({j: tuple(c * x % self.pm for x in t) for j, t in self.coeffs.items()})
 
-    def mul_zq(self, t) -> "ZqPi":
-        return self._like(
-            {j: self.ctx.zq_mul(s, t, self.prec) for j, s in self.coeffs.items()}
-        )
-
     def shift(self, k: int) -> "ZqPi":
         """Multiply by pi^(k/den); k < 0 is exact division and must not
         truncate away knowledge of a nonzero coefficient."""
@@ -335,6 +330,162 @@ def embed_int(ctx: FieldContext, c: int, prec: int):
     return (c % ctx.p**prec,) + (0,) * (ctx.a - 1)
 
 
+# ---------------------------------------------------------------------------
+# bare rings for the hot loops: no object per product
+# ---------------------------------------------------------------------------
+
+
+class _ZqScalars:
+    """Z_q mod p^prec as bare scalars: ints for a = 1, Z_q tuples otherwise.
+
+    The ring interface the determinant kernel uses is zero, one, mul, add,
+    neg and is_zero; zero absorbs products and vanishes from sums, so the
+    kernel may skip it.
+    """
+
+    def __init__(self, ctx: FieldContext, prec: int):
+        pm = ctx.p**prec
+        if ctx.a == 1:
+            self.zero, self.one = 0, 1
+            self.mul = lambda x, y: x * y % pm
+            self.add = lambda x, y: (x + y) % pm
+            self.neg = lambda x: -x % pm
+            self.is_zero = lambda x: not x
+            self.from_tuple = lambda t: t[0]
+            self.to_tuple = lambda x: (x,)
+        else:
+            zq_mul, zq_add = ctx.zq_mul, ctx.zq_add
+            self.zero = (0,) * ctx.a
+            self.one = embed_int(ctx, 1, prec)
+            self.mul = lambda x, y: zq_mul(x, y, prec)
+            self.add = lambda x, y: zq_add(x, y, prec)
+            self.neg = lambda x: tuple(-c % pm for c in x)
+            self.is_zero = lambda x: not any(x)
+            self.from_tuple = self.to_tuple = lambda t: t
+
+
+class _PiSeries:
+    """Truncated pi-series as bare (cap, {key: scalar}) pairs, every cap
+    clamped at K.
+
+    The rules are ZqPi's: a product's cap is min(capA + ordB, capB + ordA)
+    with a zero operand's cap standing in for its ord, a sum's cap is the
+    smaller one, and keys >= cap and zero coefficients are dropped.  Both
+    rules are monotone in the caps, so clamping every operand at K gives the
+    clamped ZqPi result exactly.  Only the zero of cap K absorbs products
+    and vanishes from sums; a zero with a smaller cap still lowers the caps
+    it meets, so is_zero is false for it.
+    """
+
+    def __init__(self, ctx: FieldContext, prec: int, den: int, K: int):
+        self.ctx, self.prec, self.den, self.K = ctx, prec, den, K
+        self.sc = sc = _ZqScalars(ctx, prec)
+        self.zero = (K, {})
+        self.one = (K, {0: sc.one})
+
+    def is_zero(self, x) -> bool:
+        return not x[1] and x[0] >= self.K
+
+    def mul(self, x, y):
+        (xc, xs), (yc, ys) = x, y
+        cap = min(xc + (min(ys) if ys else yc), yc + (min(xs) if xs else xc), self.K)
+        smul, sadd = self.sc.mul, self.sc.add
+        out = {}
+        for i, s in xs.items():
+            for j, t in ys.items():
+                k = i + j
+                if k < cap:
+                    v = smul(s, t)
+                    out[k] = sadd(out[k], v) if k in out else v
+        is_zero = self.sc.is_zero
+        return cap, {k: v for k, v in out.items() if not is_zero(v)}
+
+    def add(self, x, y):
+        (xc, xs), (yc, ys) = x, y
+        cap = min(xc, yc)
+        sadd, is_zero = self.sc.add, self.sc.is_zero
+        out = dict(xs)
+        for k, v in ys.items():
+            out[k] = sadd(out[k], v) if k in out else v
+        return cap, {k: v for k, v in out.items() if k < cap and not is_zero(v)}
+
+    def neg(self, x):
+        sneg = self.sc.neg
+        return x[0], {k: sneg(v) for k, v in x[1].items()}
+
+    def from_zqpi(self, z: ZqPi):
+        cap = min(z.cap, self.K)
+        ft = self.sc.from_tuple
+        return cap, {k: ft(t) for k, t in z.coeffs.items() if k < cap}
+
+    def to_zqpi(self, x) -> ZqPi:
+        tt = self.sc.to_tuple
+        return ZqPi(self.ctx, self.prec, x[0], {k: tt(v) for k, v in x[1].items()}, self.den)
+
+
+def _berkowitz(ring, rows, keep: int):
+    """Division-free det(1 - A*s) over `ring`, one row at a time.
+
+    Yields, after row r, the first min(r, keep) + 1 coefficients of
+    det(1 - A_r*s) for the leading r x r block A_r: that vector is the
+    previous one convolved with (1, -a_rr, -s_0, -s_1, ...), where s_j is
+    row*block^j*column.  Truncating every vector at keep + 1 terms is exact
+    because the convolution is lower triangular.  Products with the ring's
+    zero are skipped, and rows are walked through their nonzero entries.
+    """
+    mul, add, neg, is_zero = ring.mul, ring.add, ring.neg, ring.is_zero
+    zero, one = ring.zero, ring.one
+    sparse = [[(j, x) for j, x in enumerate(row) if not is_zero(x)] for row in rows]
+
+    def dot(entries, col, width):
+        acc = None
+        for j, x in entries:
+            if j >= width:
+                break
+            y = col[j]
+            if is_zero(y):
+                continue
+            t = mul(x, y)
+            acc = t if acc is None else add(acc, t)
+        return zero if acc is None else acc
+
+    cv = [one]
+    for r in range(1, len(rows) + 1):
+        w = r - 1
+        toep = [one, neg(rows[w][w])]
+        if w:
+            col = [rows[i][w] for i in range(w)]
+            for j in range(keep - 1):
+                toep.append(neg(dot(sparse[w], col, w)))
+                if j + 2 <= keep - 1:
+                    col = [dot(sparse[i], col, w) for i in range(w)]
+        new = []
+        for m in range(min(r, keep) + 1):
+            acc = None
+            for i in range(max(0, m - len(toep) + 1), min(m, len(cv) - 1) + 1):
+                t = cv[i]
+                if is_zero(t):
+                    continue
+                if i < m:
+                    y = toep[m - i]
+                    if is_zero(y):
+                        continue
+                    t = mul(t, y)
+                acc = t if acc is None else add(acc, t)
+            new.append(zero if acc is None else acc)
+        cv = new
+        yield cv
+
+
+def _leading_minors(sc: _ZqScalars, rows):
+    """det of every leading r x r block, r = 0..n, from one Berkowitz pass:
+    det(A_r) = (-1)^r [s^r] det(1 - A_r*s)."""
+    dets = [sc.one]
+    for r, cv in enumerate(_berkowitz(sc, rows, len(rows)), 1):
+        dets.append(sc.neg(cv[r]) if r % 2 else cv[r])
+    return dets
+
+
 def e_factor(ah: ArtinHasse, ctx: FieldContext, c, prec: int, cap: int) -> ZqPi:
     """E(pi*c) for a Z_q scalar c, as a pi-series on the integer grid."""
     if ah.cap < cap:
@@ -387,30 +538,52 @@ def _kernel_product(dd, ctx: FieldContext, factors, prec: int, cap: int):
     coefficient of x^v.  Every term of every factor carries at least as many
     powers of pi as its x-degree adds, so exponents reachable below the cap
     have polytope degree < cap and the state space stays finite.
+
+    The running coefficients are bare (cap, {key: scalar}) pairs under
+    ZqPi's rules: a piece pi^m-shifted from a cap-c series has cap c + m, and
+    a sum takes the smaller cap.  Keys at or above a cap and zero
+    coefficients are dropped once per factor; caps only shrink, so that
+    gives what dropping them after every addition would.
     """
+    sc = _ZqScalars(ctx, prec)
+    mul, add, is_zero = sc.mul, sc.add, sc.is_zero
     ah = artin_hasse(ctx.p, cap)
-    origin = (0,) * dd.rank
-    acc = {origin: ZqPi(ctx, prec, cap, {0: embed_int(ctx, 1, prec)}, den=1)}
+    acc = {(0,) * dd.rank: (cap, {0: sc.one})}
     for c, u in factors:
-        fac = e_factor(ah, ctx, c, prec, cap)
+        fac = sorted(e_factor(ah, ctx, c, prec, cap).coeffs.items())
+        fac = [(m, sc.from_tuple(t)) for m, t in fac]
         new = {}
-        for v, ser in acc.items():
-            lead = ser.ord_key()
-            if lead is None:
-                continue
-            for m, t in fac.coeffs.items():
+        for v, (scap, ser) in acc.items():
+            lead = min(ser)
+            for m, t in fac:
                 if lead + m >= cap:
+                    break
+                piece = {}
+                for j, s in ser.items():
+                    x = mul(s, t)
+                    if not is_zero(x):
+                        piece[j + m] = x
+                if not piece:
                     continue
                 v2 = tuple(x + m * y for x, y in zip(v, u))
-                piece = ser.shift(m).mul_zq(t)
-                if piece.is_zero():
+                held = new.get(v2)
+                if held is None:
+                    new[v2] = [scap + m, piece]
                     continue
-                if v2 in new:
-                    new[v2] = new[v2].add(piece)
-                else:
-                    new[v2] = piece
-        acc = {v: s for v, s in new.items() if not s.is_zero()}
-    return acc
+                held[0] = min(held[0], scap + m)
+                out = held[1]
+                for k, x in piece.items():
+                    out[k] = add(out[k], x) if k in out else x
+        acc = {}
+        for v, (vcap, ser) in new.items():
+            ser = {k: x for k, x in ser.items() if k < vcap and not is_zero(x)}
+            if ser:
+                acc[v] = (vcap, ser)
+    tt = sc.to_tuple
+    return {
+        v: ZqPi(ctx, prec, vcap, {k: tt(x) for k, x in ser.items()}, den=1)
+        for v, (vcap, ser) in acc.items()
+    }
 
 
 def _grid(x: Fraction, D: int) -> int:
@@ -501,6 +674,18 @@ class DworkMatrix:
         return min(self.N_pi * self.D, (self.p - 1) * (self.B * self.D + 1))
 
 
+# hard ceiling on the operator basis size; the determinant work grows like
+# dim^3 * deg_s
+DIM_LIMIT = 150
+
+
+def _dim_message(dim) -> str:
+    return (
+        f"operator basis too large: dimension {dim} exceeds the dimension "
+        f"limit {DIM_LIMIT}"
+    )
+
+
 def psi_a_matrix(f: LaurentPoly, B: int, M: int, N_pi: int) -> DworkMatrix:
     """Assemble the degree-B truncation of the transfer operator.
 
@@ -519,7 +704,14 @@ def psi_a_matrix(f: LaurentPoly, B: int, M: int, N_pi: int) -> DworkMatrix:
         )
     dd = newton_data(f)
     D = dd.D
+    # rank independent points of Delta have degree <= 1, so their sums of
+    # at most B terms are C(B + rank, rank) distinct basis points; checking
+    # that bound first keeps a huge B from enumerating a huge box
+    if B >= 0 and math.comb(B + dd.rank, dd.rank) > DIM_LIMIT:
+        raise DomainError(_dim_message(f"at least {math.comb(B + dd.rank, dd.rank)}"))
     pts = sorted(dd.cone_points_upto(B * D), key=lambda t: (t[1], t[0]))
+    if len(pts) > DIM_LIMIT:
+        raise DomainError(_dim_message(len(pts)))
     basis = tuple(ur for ur, _ in pts)
     degrees = tuple(d for _, d in pts)
     factors = []
@@ -528,13 +720,12 @@ def psi_a_matrix(f: LaurentPoly, B: int, M: int, N_pi: int) -> DworkMatrix:
     cap_raw = N_pi + B + 1
     raw = _kernel_product(dd, ctx, factors, M, cap_raw)
     zero_row = ZqPi(ctx, M, N_pi * D, {}, den=D)
+    grid = [_grid(d, D) for d in degrees]
     rows = []
-    for w, dw in zip(basis, degrees):
-        ew = _grid(dw, D)
+    for w, ew in zip(basis, grid):
         bound = (p - 1) * ew
         row = []
-        for u, du in zip(basis, degrees):
-            eu = _grid(du, D)
+        for u, eu in zip(basis, grid):
             v = tuple(q * x - y for x, y in zip(w, u))
             ser = raw.get(v)
             if ser is None:
@@ -547,8 +738,18 @@ def psi_a_matrix(f: LaurentPoly, B: int, M: int, N_pi: int) -> DworkMatrix:
                     f"{Fraction(lead_raw * D + eu - ew, D)} below the valuation "
                     f"pattern bound {Fraction(bound, D)}"
                 )
-            ent = ser.rescale_den(D).shift(eu - ew)
-            row.append(ent.with_cap(min(ent.cap, N_pi * D)))
+            # ser re-gridded to 1/D and shifted by pi^(deg u - deg w) in one
+            # construction; the bound above keeps every shifted key >= 0
+            shift = eu - ew
+            row.append(
+                ZqPi(
+                    ctx,
+                    M,
+                    min(ser.cap * D + shift, N_pi * D),
+                    {j * D + shift: t for j, t in ser.coeffs.items()},
+                    den=D,
+                )
+            )
         rows.append(tuple(row))
     return DworkMatrix(
         p=p,
@@ -570,52 +771,10 @@ def psi_a_matrix(f: LaurentPoly, B: int, M: int, N_pi: int) -> DworkMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _berkowitz_vector(entries, zero: ZqPi, one: ZqPi, keep: int):
-    """First keep+1 coefficients of det(1 - A*s) without any division.
-
-    Row by row, the characteristic vector of the leading r x r block is the
-    previous vector convolved with (1, -a_rr, -s_0, -s_1, ...), where s_j is
-    row*block^j*column; truncating every vector at keep+1 terms is exact
-    because the convolution is lower triangular.
-    """
-    cv = [one]
-    n = len(entries)
-    for r in range(1, n + 1):
-        a_rr = entries[r - 1][r - 1]
-        col = [entries[i][r - 1] for i in range(r - 1)]
-        toep = [one, a_rr.neg()]
-        for j in range(keep - 1):
-            if len(toep) > keep or not col:
-                break
-            s_j = None
-            for i in range(r - 1):
-                t = entries[r - 1][i].mul(col[i])
-                s_j = t if s_j is None else s_j.add(t)
-            toep.append(s_j.neg())
-            if j + 2 <= keep - 1:
-                col = [
-                    _dot_row(entries[i][: r - 1], col, zero) for i in range(r - 1)
-                ]
-        new_len = min(r, keep) + 1
-        new = []
-        for m in range(new_len):
-            acc = None
-            for i in range(max(0, m - len(toep) + 1), min(m, len(cv) - 1) + 1):
-                t = cv[i].mul(toep[m - i]) if m - i > 0 else cv[i]
-                acc = t if acc is None else acc.add(t)
-            new.append(acc if acc is not None else zero)
-        cv = new
-    while len(cv) < keep + 1:
-        cv.append(zero)
-    return cv
-
-
-def _dot_row(row, col, zero: ZqPi):
-    acc = None
-    for x, y in zip(row, col):
-        t = x.mul(y)
-        acc = t if acc is None else acc.add(t)
-    return acc if acc is not None else zero
+def _series_rows(Mx: DworkMatrix):
+    """The series ring at the spectral cap and Mx's entries in it."""
+    ring = _PiSeries(Mx.ctx, Mx.entries[0][0].prec, Mx.D, Mx.cert_cap())
+    return ring, [[ring.from_zqpi(e) for e in row] for row in Mx.entries]
 
 
 def char_series(Mx: DworkMatrix, deg_s: int) -> SSeries:
@@ -623,33 +782,39 @@ def char_series(Mx: DworkMatrix, deg_s: int) -> SSeries:
     spectral cap."""
     if deg_s > Mx.dim:
         raise DomainError(f"deg_s={deg_s} exceeds the matrix dimension {Mx.dim}")
-    zero = ZqPi(Mx.ctx, Mx.entries[0][0].prec, Mx.N_pi * Mx.D, {}, den=Mx.D)
-    one = zero.one_like()
-    cv = _berkowitz_vector(Mx.entries, zero, one, deg_s)
-    cap = Mx.cert_cap()
-    return SSeries([c.with_cap(min(c.cap, cap)) for c in cv])
-
-
-def _mat_mul(A, B, zero: ZqPi):
-    n = len(A)
-    return [
-        [_dot_row(A[i], [B[k][j] for k in range(n)], zero) for j in range(n)]
-        for i in range(n)
-    ]
+    ring, rows = _series_rows(Mx)
+    cv = [ring.one]
+    for cv in _berkowitz(ring, rows, deg_s):
+        pass
+    cv = cv + [ring.zero] * (deg_s + 1 - len(cv))
+    return SSeries([ring.to_zqpi(c) for c in cv])
 
 
 def operator_trace(Mx: DworkMatrix, k: int) -> ZqPi:
     """Trace of the k-th power, certified to the spectral cap."""
     if k < 1:
         raise DomainError("trace wants k >= 1")
-    zero = ZqPi(Mx.ctx, Mx.entries[0][0].prec, Mx.N_pi * Mx.D, {}, den=Mx.D)
-    power = [list(r) for r in Mx.entries]
+    ring, rows = _series_rows(Mx)
+    mul, add, is_zero = ring.mul, ring.add, ring.is_zero
+
+    def total(terms):
+        acc = ring.zero
+        for t in terms:
+            if not is_zero(t):
+                acc = add(acc, t)
+        return acc
+
+    cols = list(zip(*rows))
+    power = rows
     for _ in range(k - 1):
-        power = _mat_mul(power, [list(r) for r in Mx.entries], zero)
-    acc = zero
-    for i in range(Mx.dim):
-        acc = acc.add(power[i][i])
-    return acc.with_cap(min(acc.cap, Mx.cert_cap()))
+        power = [
+            [
+                total(mul(x, y) for x, y in zip(row, col) if not (is_zero(x) or is_zero(y)))
+                for col in cols
+            ]
+            for row in power
+        ]
+    return ring.to_zqpi(total(power[i][i] for i in range(Mx.dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -665,16 +830,20 @@ class TraceCheck:
     p_modulus: int
 
 
-def verify_trace_formula(f: LaurentPoly, k: int, B: int, M: int, N_pi: int) -> TraceCheck:
+def verify_trace_formula(
+    f: LaurentPoly, k: int, B: int, M: int, N_pi: int, matrix: DworkMatrix | None = None
+) -> TraceCheck:
     """Compare Tr(Mx^k) with the normalized torus sum of order k.
 
     The two sides come from unrelated computations: one is a matrix trace
     over Z_q, the other a sum of binomial characters over torus points,
-    pushed through the uniformizer change T = E(pi) - 1.
+    pushed through the uniformizer change T = E(pi) - 1.  A caller running
+    several checks on one operator passes psi_a_matrix(f, B, M, N_pi) as
+    `matrix` to build it once.
     """
     from .sums import s_f_T
 
-    Mx = psi_a_matrix(f, B, M, N_pi)
+    Mx = matrix if matrix is not None else psi_a_matrix(f, B, M, N_pi)
     lhs = operator_trace(Mx, k)
     cap_pi = Fraction(lhs.cap, Mx.D)
     n_t = math.ceil(cap_pi)
@@ -699,12 +868,15 @@ class CharCrossCheck:
     mismatches: tuple  # s-exponents where the routes disagree
 
 
-def char_c_crosscheck(f: LaurentPoly, deg_s: int, B: int, M: int, N_pi: int) -> CharCrossCheck:
+def char_c_crosscheck(
+    f: LaurentPoly, deg_s: int, B: int, M: int, N_pi: int, matrix: DworkMatrix | None = None
+) -> CharCrossCheck:
     """The central two-path check: det(1 - Mx*s) against the torus-sum C,
-    coefficient by coefficient after the uniformizer change."""
+    coefficient by coefficient after the uniformizer change.  `matrix` is
+    as in verify_trace_formula."""
     from .sums import c_function
 
-    Mx = psi_a_matrix(f, B, M, N_pi)
+    Mx = matrix if matrix is not None else psi_a_matrix(f, B, M, N_pi)
     det_side = char_series(Mx, deg_s)
     cap = Fraction(det_side.coeffs[0].cap, Mx.D)
     n_t = math.ceil(cap)
@@ -727,27 +899,6 @@ def char_c_crosscheck(f: LaurentPoly, deg_s: int, B: int, M: int, N_pi: int) -> 
 # ---------------------------------------------------------------------------
 # sharpness criteria: determinants mod pi^(1/D)
 # ---------------------------------------------------------------------------
-
-
-def _zq_unit(ctx: FieldContext, prec: int, t) -> ZqPi:
-    return ZqPi(ctx, prec, 1, {0: t}, den=1)
-
-
-def _det_zq(ctx: FieldContext, prec: int, grid):
-    """Determinant of a matrix of Z_q tuples mod p^prec, division-free.
-
-    Reuses the characteristic vector: det(A) = (-1)^r [s^r] det(1 - A*s).
-    """
-    r = len(grid)
-    if r == 0:
-        return embed_int(ctx, 1, prec)
-    zero = ZqPi(ctx, prec, 1, {}, den=1)
-    entries = [[_zq_unit(ctx, prec, t) for t in row] for row in grid]
-    cv = _berkowitz_vector(entries, zero, zero.one_like(), r)
-    det = cv[r].coeff(0)
-    if r % 2:
-        det = tuple(-c % ctx.p**prec for c in det)
-    return det
 
 
 def _carrier(dd, ur, deg: Fraction):
@@ -785,34 +936,53 @@ class OrdinarinessReport:
 
 
 def _criterion_data(f: LaurentPoly, dd, K: int, M: int):
-    """Points, degrees, and the reduced criterion matrix entries."""
+    """Points sorted by (degree, lex), the scalar ring, and the reduced
+    criterion matrix over it."""
     ctx = f.ctx
     pts = sorted(dd.cone_points_upto(K), key=lambda t: (t[1], t[0]))
     p = ctx.p
-    max_deg = 0
-    for (w, dw), (u, du) in itertools.product(pts, pts):
-        v = tuple(p * x - y for x, y in zip(w, u))
-        if dd.in_cone_reduced(v):
-            max_deg = max(max_deg, math.ceil(dd.degree_reduced(v)))
-    amap = _alpha_map(f, dd, max_deg * dd.D, M, 1)
-    zero = (0,) * ctx.a
-    mat = []
-    for w, dw in pts:
+    # (p*w - u, its degree) per cell, None off the cone
+    cells = []
+    for w, _ in pts:
         row = []
-        for u, du in pts:
+        for u, _ in pts:
             v = tuple(p * x - y for x, y in zip(w, u))
-            if not dd.in_cone_reduced(v):
+            row.append((v, dd.degree_reduced(v)) if dd.in_cone_reduced(v) else None)
+        cells.append(row)
+    max_deg = max((math.ceil(c[1]) for row in cells for c in row if c is not None), default=0)
+    amap = _alpha_map(f, dd, max_deg * dd.D, M, 1)
+    sc = _ZqScalars(ctx, M)
+    zero = sc.zero
+    mat = []
+    for (w, dw), cell_row in zip(pts, cells):
+        row = []
+        for (u, du), cell in zip(pts, cell_row):
+            if cell is None:
                 row.append(zero)
                 continue
-            defect = dd.degree_reduced(v) + du - p * dw
+            v, dv = cell
+            defect = dv + du - p * dw
             assert defect >= 0
             if defect > 0:
                 row.append(zero)
                 continue
             a0 = _alpha0(amap, dd, v)
-            row.append(a0 if a0 is not None else zero)
+            row.append(sc.from_tuple(a0) if a0 is not None else zero)
         mat.append(row)
-    return pts, mat
+    return pts, sc, mat
+
+
+def _report(dd, pts, sc: _ZqScalars, minors, K: int, M: int) -> OrdinarinessReport:
+    """Per-cutoff verdicts from the leading minors: the points of degree
+    <= k/D are a prefix of the (degree, lex) order."""
+    sizes = tuple(sum(1 for _, d in pts if d * dd.D <= k) for k in range(K + 1))
+    return OrdinarinessReport(
+        K=K,
+        D=dd.D,
+        M=M,
+        block_sizes=sizes,
+        verdicts=tuple(not sc.is_zero(minors[r]) for r in sizes),
+    )
 
 
 def ordinariness_determinants(f: LaurentPoly, K: int, M: int) -> OrdinarinessReport:
@@ -827,21 +997,8 @@ def ordinariness_determinants(f: LaurentPoly, K: int, M: int) -> OrdinarinessRep
     if K < 0:
         raise DomainError("cutoff must be >= 0")
     dd = newton_data(f)
-    ctx = f.ctx
-    pts, mat = _criterion_data(f, dd, K, M)
-    sizes = []
-    verdicts = []
-    cache = {}
-    for k in range(K + 1):
-        r = sum(1 for _, d in pts if d * dd.D <= k)
-        sizes.append(r)
-        if r not in cache:
-            sub = [row[:r] for row in mat[:r]]
-            cache[r] = any(_det_zq(ctx, M, sub))
-        verdicts.append(cache[r])
-    return OrdinarinessReport(
-        K=K, D=dd.D, M=M, block_sizes=tuple(sizes), verdicts=tuple(verdicts)
-    )
+    pts, sc, mat = _criterion_data(f, dd, K, M)
+    return _report(dd, pts, sc, _leading_minors(sc, mat), K, M)
 
 
 @dataclass(frozen=True)
@@ -867,10 +1024,12 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
     closed face's own criterion determinant against the matching product of
     open-cone blocks.  Any mismatch is a theorem violation, i.e. a bug.
     """
+    if K < 0:
+        raise DomainError("cutoff must be >= 0")
     dd = newton_data(f)
-    ctx = f.ctx
-    pts, mat = _criterion_data(f, dd, K, M)
-    whole = ordinariness_determinants(f, K, M)
+    pts, sc, mat = _criterion_data(f, dd, K, M)
+    minors = _leading_minors(sc, mat)
+    whole = _report(dd, pts, sc, minors, K, M)
 
     # open facial cone of each basis point: carrier facets + face dimension
     carriers = [_carrier(dd, ur, d) if d > 0 else None for ur, d in pts]
@@ -887,7 +1046,7 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
         ]
         dims[c] = _affine_rank(face_pts)
 
-    p = ctx.p
+    p = f.ctx.p
     for (i, (w, dw)), (j, (u, du)) in itertools.product(enumerate(pts), repeat=2):
         cw, cu = carriers[i], carriers[j]
         if cw is None or cu is None or cw == cu:
@@ -903,28 +1062,36 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
                 f"{dims[cw]} <= {dims[cu]} are co-facial across the operator step"
             )
 
-    pm = ctx.p**M
+    # each open cone's points, in basis order, so every degree cutoff takes
+    # a prefix of each block and one pass gives all the block minors
+    blocks = {}
+    for i, c in enumerate(carriers):
+        if c is not None:
+            blocks.setdefault(c, []).append(i)
+    block_minors = {
+        c: _leading_minors(sc, [[mat[i][j] for j in idx] for i in idx])
+        for c, idx in blocks.items()
+    }
 
-    def det_at(rows_cols):
-        sub = [[mat[i][j] for j in rows_cols] for i in rows_cols]
-        return _det_zq(ctx, M, sub)
-
-    def block_product(idx):
-        prod = embed_int(ctx, 1, M)
+    def block_product(t: Fraction, facet=None):
+        """Product of the block minors on points of degree <= t, over the
+        blocks whose carrier holds `facet` (all when None), and whether
+        every factor is nonzero."""
+        prod = sc.one
         all_nonzero = True
-        for c in sorted({carriers[i] for i in idx}, key=sorted):
-            block = [i for i in idx if carriers[i] == c]
-            dblk = det_at(block)
-            all_nonzero = all_nonzero and any(dblk)
-            prod = ctx.zq_mul(prod, dblk, M)
+        for c, idx in blocks.items():
+            r = sum(1 for i in idx if pts[i][1] <= t)
+            if r == 0 or (facet is not None and facet not in c):
+                continue
+            dblk = block_minors[c][r]
+            all_nonzero = all_nonzero and not sc.is_zero(dblk)
+            prod = sc.mul(prod, dblk)
         return prod, all_nonzero
 
     conjunction = []
     for k in range(K + 1):
-        idx = [i for i, (_, d) in enumerate(pts) if d * dd.D <= k]
-        whole_det = det_at(idx)
-        prod, blocks_ok = block_product([i for i in idx if carriers[i] is not None])
-        if any((x - y) % pm for x, y in zip(whole_det, prod)):
+        prod, blocks_ok = block_product(Fraction(k, dd.D))
+        if minors[whole.block_sizes[k]] != prod:
             raise TheoremViolation(
                 f"cutoff {k}: whole determinant differs from the product of "
                 "its facial blocks"
@@ -943,26 +1110,20 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
         f_face = restrict_to_face(f, dd, face)
         dd_face = newton_data(f_face)
         K_face = int(Fraction(K, dd.D) * dd_face.D)
-        rep = ordinariness_determinants(f_face, K_face, M)
+        pts_f, _, mat_f = _criterion_data(f_face, dd_face, K_face, M)
+        minors_f = _leading_minors(sc, mat_f)
+        rep = _report(dd_face, pts_f, sc, minors_f, K_face, M)
         facet_index = next(
             i
             for i, fc in enumerate(dd.facets_height)
             if (fc.normal, fc.offset) == face.cuts[0]
         )
-        pts_f, mat_f = _criterion_data(f_face, dd_face, K_face, M)
         for k_face in range(K_face + 1):
             t_deg = Fraction(k_face, dd_face.D)
             if (t_deg * dd.D).denominator != 1 or t_deg * dd.D > K:
                 continue
-            rf = sum(1 for _, d in pts_f if d <= t_deg)
-            det_f = _det_zq(ctx, M, [row[:rf] for row in mat_f[:rf]])
-            idx = [
-                i
-                for i, (_, d) in enumerate(pts)
-                if d <= t_deg and carriers[i] is not None and facet_index in carriers[i]
-            ]
-            prod, _ = block_product(idx)
-            if any((x - y) % pm for x, y in zip(det_f, prod)):
+            prod, _ = block_product(t_deg, facet_index)
+            if minors_f[rep.block_sizes[k_face]] != prod:
                 raise TheoremViolation(
                     f"face {face.cuts[0]}: criterion determinant at cutoff "
                     f"{k_face} (its grid) differs from the matching blocks "

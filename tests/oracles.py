@@ -3,7 +3,9 @@
 Everything here is deliberately independent of the package internals:
 convex-hull membership goes through Caratheodory subsets with a local
 Gaussian elimination, so polytope degrees and weights can be cross-checked
-against a second code path.
+against a second code path.  The determinant references either expand over
+permutations or run every ring operation through ZqPi objects, skipping
+nothing, where the library's kernel works on bare scalars and series.
 """
 
 from fractions import Fraction
@@ -78,3 +80,77 @@ def oracle_cone_count(delta_points, D, K, box):
         if d is not None:
             count += 1
     return count
+
+
+def oracle_berkowitz(entries, zero, one, keep):
+    """First keep+1 coefficients of det(1 - A*s) over ZqPi entries.
+
+    The reference for the library's bare-ring kernel: every product and
+    sum is a ZqPi operation, so caps follow ZqPi's rules with nothing
+    skipped.  Row by row, the vector of the leading r x r block is the
+    previous one convolved with (1, -a_rr, -s_0, -s_1, ...), where s_j is
+    row*block^j*column.
+    """
+    cv = [one]
+    n = len(entries)
+    for r in range(1, n + 1):
+        a_rr = entries[r - 1][r - 1]
+        col = [entries[i][r - 1] for i in range(r - 1)]
+        toep = [one, a_rr.neg()]
+        for j in range(keep - 1):
+            if not col:
+                break
+            toep.append(_oracle_dot(entries[r - 1][: r - 1], col, zero).neg())
+            if j + 2 <= keep - 1:
+                col = [_oracle_dot(entries[i][: r - 1], col, zero) for i in range(r - 1)]
+        new = []
+        for m in range(min(r, keep) + 1):
+            acc = None
+            for i in range(max(0, m - len(toep) + 1), min(m, len(cv) - 1) + 1):
+                t = cv[i].mul(toep[m - i]) if m - i > 0 else cv[i]
+                acc = t if acc is None else acc.add(t)
+            new.append(acc if acc is not None else zero)
+        cv = new
+    while len(cv) < keep + 1:
+        cv.append(zero)
+    return cv
+
+
+def _oracle_dot(row, col, zero):
+    acc = None
+    for x, y in zip(row, col):
+        t = x.mul(y)
+        acc = t if acc is None else acc.add(t)
+    return acc if acc is not None else zero
+
+
+def oracle_trace(entries, zero, k):
+    """Tr(A^k) over ZqPi entries by plain matrix powers."""
+    n = len(entries)
+    cols = [[entries[i][j] for i in range(n)] for j in range(n)]
+    power = [list(row) for row in entries]
+    for _ in range(k - 1):
+        power = [[_oracle_dot(row, col, zero) for col in cols] for row in power]
+    acc = zero
+    for i in range(n):
+        acc = acc.add(power[i][i])
+    return acc
+
+
+def oracle_det(ctx, prec, grid):
+    """Determinant of a matrix of Z_q tuples mod p^prec by the Leibniz
+    expansion over permutations (small matrices only)."""
+    from itertools import permutations
+
+    n = len(grid)
+    pm = ctx.p**prec
+    total = (0,) * ctx.a
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = (1,) + (0,) * (ctx.a - 1)
+        for i, j in enumerate(perm):
+            term = ctx.zq_mul(term, grid[i][j], prec)
+        if inversions % 2:
+            term = tuple(-c % pm for c in term)
+        total = ctx.zq_add(total, term, prec)
+    return total

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tadic import cli, sums
+from tadic import cli, dwork, sums
 from tadic.arith import FieldContext
 from tadic.cli import (
     RunConfig,
@@ -175,6 +175,22 @@ class TestCommands:
         assert doc["char_series"][0]["coeffs"] == {"0": ["1"]}
         assert doc["certified_modulus"].startswith("pi^")
 
+    def test_prec_t_default_resolves_per_command(self, capsys):
+        code, doc = run_json(["dwork", "x1^3", "--p", "3"], capsys)
+        assert code == 0 and doc["certified_modulus"] == "pi^6"
+        code, doc = run_json(["sum", "x1", "--p", "3"], capsys)
+        assert code == 0 and doc["sums"]["1"]["cap"] == "16"
+
+    def test_explicit_prec_t_is_honoured_by_operator_commands(self, capsys):
+        code, doc = run_json(["dwork", "x1^3", "--p", "3", "--prec-t", "16"], capsys)
+        assert code == 0 and doc["certified_modulus"] == "pi^16"
+        assert doc["basis_bound"] == 8
+        assert doc["char_series"][1]["cap"] == "48"  # pi^16 on the 1/3 grid
+        code, doc = run_json(
+            ["verify", "x1", "--p", "3", "--what", "trace", "--prec-t", "8"], capsys
+        )
+        assert code == 0 and doc["modulus"] == "pi^8, p^4"
+
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "doc.json"
         code = main(["hodge", "x1^2", "--p", "3", "--out", str(out)])
@@ -224,6 +240,21 @@ class TestExitCodes:
             code, doc = run_json(args, capsys)
             assert code == 1 and doc["error"]["type"] == "DomainError"
             assert f"{limit} limit" in doc["error"]["message"]
+
+    def test_operator_dimension_limit_fails_before_any_kernel(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("kernel expanded before the dimension check")
+
+        monkeypatch.setattr(dwork, "_kernel_product", refuse)
+        for basis in ("12", "1000000"):
+            code, doc = run_json(
+                ["dwork", "x1+x2+x1^-1*x2^-1", "--p", "3", "--basis", basis], capsys
+            )
+            assert code == 1 and doc["error"]["type"] == "DomainError"
+            assert "dimension limit 150" in doc["error"]["message"]
+        # counted, not bounded: x1^2 has 2B + 1 basis points of degree <= B
+        code, doc = run_json(["verify", "x1^2", "--p", "2", "--basis", "75"], capsys)
+        assert code == 1 and "dimension 151 exceeds" in doc["error"]["message"]
 
     def test_missing_poly(self, capsys):
         code, doc = run_json(["np", "--p", "3"], capsys)

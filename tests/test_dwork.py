@@ -12,7 +12,10 @@ from tadic.arith import (
     teichmuller_lift,
 )
 from tadic.dwork import (
+    DworkMatrix,
     ZqPi,
+    _leading_minors,
+    _ZqScalars,
     artin_hasse,
     char_c_crosscheck,
     char_series,
@@ -31,6 +34,8 @@ from tadic.errors import DomainError, IntegralityError, PrecisionError
 from tadic.polytope import LaurentPoly, newton_data, restrict_to_face
 from tadic.series import TSeries
 from tadic.sums import np_report
+
+from oracles import oracle_berkowitz, oracle_det, oracle_trace
 
 SPERBER = [(1, 0), (0, 1), (-1, -1)]
 
@@ -283,6 +288,91 @@ class TestTransferMatrix:
             large = char_series(psi_a_matrix(f, 3, 4, 2), 2)
             for a, b in zip(small.coeffs, large.coeffs):
                 assert a.agrees_with(b)
+
+
+CONTEXTS = {(p, a): FieldContext(p, a) for p in (2, 3) for a in (1, 2)}
+
+
+@st.composite
+def zq_tuples(draw, ctx, M):
+    # small multiples of p make zero divisors mod p^M, so products vanish
+    pm = ctx.p**M
+    pick = st.one_of(st.sampled_from([0, 1, ctx.p, pm - 1]), st.integers(0, pm - 1))
+    return tuple(draw(pick) for _ in range(ctx.a))
+
+
+@st.composite
+def sparse_operators(draw):
+    """A DworkMatrix with random sparse entries: den > 1, entry caps below,
+    at and above the spectral cap K, and zero entries of every cap."""
+    ctx = CONTEXTS[draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2]))]
+    M = 2
+    D = draw(st.sampled_from([2, 3]))
+    N_pi = draw(st.integers(1, 3))
+    B = draw(st.integers(0, 3))
+    n = draw(st.integers(1, 5))
+    top = N_pi * D + 2
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            cap = draw(st.integers(1, top))
+            coeffs = {}
+            if draw(st.booleans()):
+                keys = draw(st.lists(st.integers(0, top), max_size=3))
+                coeffs = {j: draw(zq_tuples(ctx, M)) for j in keys}
+            row.append(ZqPi(ctx, M, cap, coeffs, den=D))
+        rows.append(tuple(row))
+    points = tuple((i,) for i in range(n))  # only entries and caps matter
+    return DworkMatrix(
+        p=ctx.p,
+        a=ctx.a,
+        q=ctx.q,
+        B=B,
+        N_pi=N_pi,
+        D=D,
+        ctx=ctx,
+        basis=points,
+        exponents=points,
+        degrees=(Fraction(0),) * n,
+        entries=tuple(rows),
+    )
+
+
+def _bare(z):
+    return z.cap, z.prec, z.den, z.coeffs
+
+
+class TestBerkowitzKernel:
+    """The bare-ring kernel against the ZqPi reference, coefficients and caps."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_operators(), st.data())
+    def test_char_series_matches_zqpi_berkowitz(self, Mx, data):
+        keep = data.draw(st.integers(0, Mx.dim))
+        K = Mx.cert_cap()
+        zero = ZqPi(Mx.ctx, 2, Mx.N_pi * Mx.D, {}, den=Mx.D)
+        want = oracle_berkowitz(Mx.entries, zero, zero.one_like(), keep)
+        got = char_series(Mx, keep).coeffs
+        assert [_bare(c) for c in got] == [_bare(c.with_cap(min(c.cap, K))) for c in want]
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_operators(), st.integers(1, 3))
+    def test_operator_trace_matches_matrix_powers(self, Mx, k):
+        zero = ZqPi(Mx.ctx, 2, Mx.N_pi * Mx.D, {}, den=Mx.D)
+        want = oracle_trace(Mx.entries, zero, k)
+        assert _bare(operator_trace(Mx, k)) == _bare(want.with_cap(min(want.cap, Mx.cert_cap())))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(CONTEXTS)), st.integers(0, 5), st.data())
+    def test_leading_minors_match_prefix_determinants(self, key, n, data):
+        ctx = CONTEXTS[key]
+        M = 2
+        grid = [[data.draw(zq_tuples(ctx, M)) for _ in range(n)] for _ in range(n)]
+        sc = _ZqScalars(ctx, M)
+        minors = _leading_minors(sc, [[sc.from_tuple(t) for t in row] for row in grid])
+        want = [oracle_det(ctx, M, [row[:r] for row in grid[:r]]) for r in range(n + 1)]
+        assert [sc.to_tuple(d) for d in minors] == want
 
 
 class TestTwoPaths:
