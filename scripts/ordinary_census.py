@@ -12,19 +12,19 @@ import sys
 
 sys.path.insert(0, "src")
 
-from tadic.arith import FieldContext
+from tadic.arith import field_context
 from tadic.dwork import ordinariness_determinants
 from tadic.polytope import LaurentPoly
 from tadic.sums import np_report
 
 
 def diagonal(d: int, p: int) -> LaurentPoly:
-    ctx = FieldContext(p, 1)
+    ctx = field_context(p, 1)
     return LaurentPoly.make(1, {(d,): ctx.one()}, ctx)
 
 
 def simplex(p: int) -> LaurentPoly:
-    ctx = FieldContext(p, 1)
+    ctx = field_context(p, 1)
     return LaurentPoly.make(
         2, {(1, 0): ctx.one(), (0, 1): ctx.one(), (-1, -1): ctx.one()}, ctx
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 sys.path.insert(0, "src")
 
-from tadic.arith import FieldContext
+from tadic.arith import field_context
 from tadic.dwork import char_c_crosscheck, verify_trace_formula
 from tadic.polytope import LaurentPoly
 
@@ -44,7 +44,7 @@ GRID = (
 
 
 def build(inst: Instance) -> LaurentPoly:
-    ctx = FieldContext(inst.p, inst.a)
+    ctx = field_context(inst.p, inst.a)
     coeff = ctx.generator if inst.gen_coeff else ctx.one()
     return LaurentPoly.make(len(inst.exps[0]), {u: coeff for u in inst.exps}, ctx)
 

@@ -6,7 +6,7 @@ characteristic series (`dwork`).  They agree by theorem, and the test
 suite holds them to it.
 """
 
-from .arith import CycContext, FieldContext, teichmuller_lift
+from .arith import CycContext, FieldContext, field_context, teichmuller_lift
 from .dwork import (
     artin_hasse,
     char_c_crosscheck,
@@ -69,6 +69,7 @@ __all__ = [
     "congruence_check",
     "e_f_expansion",
     "facial_criterion",
+    "field_context",
     "hodge_polygon",
     "hodge_polygon_absolute",
     "is_nondegenerate",

@@ -140,7 +140,6 @@ class FieldContext:
         self._rows_fp = self._reduction_rows(p)
         self.generator = self._find_generator()
         self._zq_rows_cache = {}
-        self._ext_cache = {}
         self._embed_cache = {}
 
     def _find_poly(self):
@@ -254,9 +253,7 @@ class FieldContext:
         """The deterministic context for F_{q^k} = F_{p^(ak)}."""
         if k == 1:
             return self
-        if k not in self._ext_cache:
-            self._ext_cache[k] = FieldContext(self.p, self.a * k)
-        return self._ext_cache[k]
+        return field_context(self.p, self.a * k)
 
     def embed_into(self, big: "FieldContext"):
         """Field embedding F_q -> F_{p^(big.a)} as a function on tuples.
@@ -351,6 +348,18 @@ class FieldContext:
                         nxt[i] = nxt[i] + top * row[i]
                 cur = tuple(c % pm for c in nxt)
         return tr % pm
+
+
+@lru_cache(maxsize=256)
+def field_context(p: int, a: int) -> FieldContext:
+    """The shared FieldContext of F_{p^a}.
+
+    Contexts are deterministic functions of (p, a), so one instance per
+    field serves every caller in the process, and the embeddings and
+    reduction rows it caches are found once.  A rejected (p, a) is not
+    cached: it raises on every call.
+    """
+    return FieldContext(p, a)
 
 
 def teichmuller_lift(ctx: FieldContext, x, prec: int):

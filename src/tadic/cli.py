@@ -15,8 +15,9 @@ import re
 import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import lru_cache
 
-from .arith import CycElement, FieldContext
+from .arith import CycElement, FieldContext, field_context
 from .dwork import (
     DworkMatrix,
     ZqPi,
@@ -338,8 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # parsing does not mutate the parser, so every call shares one
+    return build_parser()
+
+
 def build_config(argv) -> RunConfig:
-    ns = build_parser().parse_args(argv)
+    ns = _parser().parse_args(argv)
     if not ns.command:
         raise _UsageError(f"choose a command: {', '.join(COMMANDS)}")
     cfg = RunConfig(command=ns.command)
@@ -442,7 +449,7 @@ def _pi_modulus_label(Mx: DworkMatrix) -> str:
 def _parse_poly(cfg: RunConfig) -> LaurentPoly:
     if not cfg.poly:
         raise _UsageError("this command needs a polynomial")
-    return parse_laurent(cfg.poly, FieldContext(cfg.p, cfg.a))
+    return parse_laurent(cfg.poly, field_context(cfg.p, cfg.a))
 
 
 def _resolve_basis(cfg: RunConfig, n_pi: int) -> int:

@@ -674,16 +674,33 @@ class DworkMatrix:
         return min(self.N_pi * self.D, (self.p - 1) * (self.B * self.D + 1))
 
 
-# hard ceiling on the operator basis size; the determinant work grows like
-# dim^3 * deg_s
+# hard ceilings on the operator basis size and on the criterion matrix;
+# the determinant work grows like dim^3 * deg_s for the first and like
+# dim^4 for the second's leading minors
 DIM_LIMIT = 150
+CRITERION_DIM_LIMIT = 64
 
 
-def _dim_message(dim) -> str:
-    return (
-        f"operator basis too large: dimension {dim} exceeds the dimension "
-        f"limit {DIM_LIMIT}"
-    )
+def _cone_prefix(dd, K: int, limit: int, what: str, limit_name: str):
+    """Cone points of degree <= K/D sorted by (degree, lex), refused with a
+    DomainError past ``limit`` points before any work on them.
+
+    rank independent points of Delta have degree <= 1, so their sums of at
+    most K/D terms are C(K//D + rank, rank) distinct cone points; checking
+    that bound first keeps a huge K from enumerating a huge box.
+    """
+
+    def refuse(dim):
+        return DomainError(f"{what} too large: dimension {dim} exceeds the {limit_name} {limit}")
+
+    if K >= 0:
+        least = math.comb(K // dd.D + dd.rank, dd.rank)
+        if least > limit:
+            raise refuse(f"at least {least}")
+    pts = sorted(dd.cone_points_upto(K), key=lambda t: (t[1], t[0]))
+    if len(pts) > limit:
+        raise refuse(len(pts))
+    return pts
 
 
 def psi_a_matrix(f: LaurentPoly, B: int, M: int, N_pi: int) -> DworkMatrix:
@@ -704,14 +721,7 @@ def psi_a_matrix(f: LaurentPoly, B: int, M: int, N_pi: int) -> DworkMatrix:
         )
     dd = newton_data(f)
     D = dd.D
-    # rank independent points of Delta have degree <= 1, so their sums of
-    # at most B terms are C(B + rank, rank) distinct basis points; checking
-    # that bound first keeps a huge B from enumerating a huge box
-    if B >= 0 and math.comb(B + dd.rank, dd.rank) > DIM_LIMIT:
-        raise DomainError(_dim_message(f"at least {math.comb(B + dd.rank, dd.rank)}"))
-    pts = sorted(dd.cone_points_upto(B * D), key=lambda t: (t[1], t[0]))
-    if len(pts) > DIM_LIMIT:
-        raise DomainError(_dim_message(len(pts)))
+    pts = _cone_prefix(dd, B * D, DIM_LIMIT, "operator basis", "dimension limit")
     basis = tuple(ur for ur, _ in pts)
     degrees = tuple(d for _, d in pts)
     factors = []
@@ -939,7 +949,7 @@ def _criterion_data(f: LaurentPoly, dd, K: int, M: int):
     """Points sorted by (degree, lex), the scalar ring, and the reduced
     criterion matrix over it."""
     ctx = f.ctx
-    pts = sorted(dd.cone_points_upto(K), key=lambda t: (t[1], t[0]))
+    pts = _cone_prefix(dd, K, CRITERION_DIM_LIMIT, "criterion matrix", "criterion dimension limit")
     p = ctx.p
     # (p*w - u, its degree) per cell, None off the cone
     cells = []

@@ -199,6 +199,11 @@ class Face:
     contains_origin: bool
 
 
+# hard ceiling on the lattice box cone_points_upto scans, checked before
+# the scan; each box point costs a few Fraction comparisons
+BOX_LIMIT = 2**18
+
+
 class DegreeData:
     """Polytope Delta = conv(0, exponents) with its weight function.
 
@@ -294,6 +299,12 @@ class DegreeData:
         ranges = [
             range(math.floor(lo), math.ceil(hi) + 1) for lo, hi in zip(los, his)
         ]
+        box = math.prod(map(len, ranges))
+        if box > BOX_LIMIT:
+            raise DomainError(
+                f"cone enumeration too large: the box scanned for degree <= {scale} "
+                f"holds {box} lattice points, past the box limit {BOX_LIMIT}"
+            )
         out = []
         for ur in itertools.product(*ranges):
             if not self.in_cone_reduced(ur):

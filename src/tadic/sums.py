@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
@@ -23,6 +23,7 @@ from .arith import (
     FieldContext,
     binomial_guard,
     binomial_sum,
+    field_context,
     one_plus_T_pow,
     specialize_tseries,
     teichmuller_lift,
@@ -91,11 +92,34 @@ class SumJob:
 # ---------------------------------------------------------------------------
 
 
-def _trace_table(big: FieldContext, prec: int):
+# trace tables kept across calls, least recently used first; the bound is
+# on their total entry count (2^15 entries of 30 p-adic digits are about
+# 1.5 MB), and a table past it alone is not kept
+TABLE_CACHE_ENTRIES = 1 << 15
+_TABLES: dict = {}
+
+
+def _trace_table(big: FieldContext, prec: int) -> tuple:
     """Tr(teich(g)^j) mod p^prec for j = 0..q-2, g the generator of ``big``.
 
-    These are the Newton power sums of chi(x) = prod_{i<d} (x - w^(p^i)),
-    the characteristic polynomial of w = teich(g) over Z_p (d = [F:F_p]).
+    Tables depend only on (p, [F:F_p], prec), so they are shared by every
+    caller in the process, as tuples no caller can alter; each one is
+    checked when it is built.
+    """
+    key = (big.p, big.a, prec)
+    table = _TABLES.pop(key, None)
+    if table is None:
+        table = _build_trace_table(big, prec)
+    _TABLES[key] = table
+    while _TABLES and sum(map(len, _TABLES.values())) > TABLE_CACHE_ENTRIES:
+        del _TABLES[next(iter(_TABLES))]
+    return table
+
+
+def _build_trace_table(big: FieldContext, prec: int) -> tuple:
+    """The power sums of chi(x) = prod_{i<d} (x - w^(p^i)), the
+    characteristic polynomial of w = teich(g) over Z_p (d = [F:F_p]).
+
     s_1..s_d come from Newton's identities and every later entry from the
     order-d recurrence chi(w) = 0: d multiply-adds per entry.
     """
@@ -121,7 +145,7 @@ def _trace_table(big: FieldContext, prec: int):
     neg_c = [-ci for ci in c]
     for k in range(len(s), Q1):
         s.append(sum(map(mul, neg_c, s[k - d : k])) % pm)
-    return s
+    return tuple(s)
 
 
 def _coefficient_logs(f: LaurentPoly, big: FieldContext):
@@ -145,6 +169,21 @@ def _coefficient_logs(f: LaurentPoly, big: FieldContext):
     return [dlog[big.encode(phi(c))] for _, c in f.terms]
 
 
+def _orbit_size(jvec, q: int, Q1: int) -> int:
+    """Size of the orbit of a dlog vector under j -> q*j mod Q1 (Frobenius
+    x -> x^q on the torus of F_{q^k}, Q1 = q^k - 1), or 0 unless ``jvec``
+    is the orbit's lex-smallest member."""
+    cur = jvec
+    size = 0
+    while True:
+        cur = tuple(j * q % Q1 for j in cur)
+        size += 1
+        if cur < jvec:
+            return 0
+        if cur == jvec:
+            return size
+
+
 def torus_trace_counts(f: LaurentPoly, k: int, prec: int) -> dict:
     """Multiset {trace mod p^prec: multiplicity} of Tr(f^(x)) over all
     (q^k - 1)^n torus points of the k-th extension.
@@ -153,17 +192,25 @@ def torus_trace_counts(f: LaurentPoly, k: int, prec: int) -> dict:
     teich(g)^dlog and its trace a table entry.  The walk fixes the first
     n-1 coordinates of the dlog vector and takes the last one a whole row at
     a time: each term's row is the table rotated to the term's offset and
-    read at stride u_n, and the rows add elementwise.  Unreduced sums are
+    read at stride u_n, and the rows add elementwise.  x -> x^q fixes the
+    coefficients of f, so the row of q*prefix is a permutation of the row
+    of prefix: only the lex-smallest prefix of each Frobenius orbit is
+    walked, its row counted once per orbit size.  Unreduced sums are
     counted and reduced mod p^prec once per distinct sum.
     """
     big = f.ctx.ext(k)
     table = _trace_table(big, prec)
     Q1 = len(table)
+    q = f.ctx.q
     pm = f.ctx.p**prec
     terms = [(cl, u[:-1], u[-1] % Q1) for cl, (u, _) in zip(_coefficient_logs(f, big), f.terms)]
     reads = {e: [e * j % Q1 for j in range(Q1)] for _, _, e in terms if e > 1}
-    raw = Counter()
+    by_size = defaultdict(Counter)  # orbit size -> unreduced row sums
     for prefix in itertools.product(range(Q1), repeat=f.n - 1):
+        size = _orbit_size(prefix, q, Q1)
+        if not size:
+            continue
+        raw = by_size[size]
         const = 0
         rows = []
         for cl, head, e in terms:
@@ -183,9 +230,10 @@ def torus_trace_counts(f: LaurentPoly, k: int, prec: int) -> dict:
             acc = map(const.__add__, acc)
         raw.update(acc)
     counts = {}
-    for t, c in raw.items():
-        t %= pm
-        counts[t] = counts.get(t, 0) + c
+    for size, raw in by_size.items():
+        for t, c in raw.items():
+            t %= pm
+            counts[t] = counts.get(t, 0) + c * size
     return counts
 
 
@@ -258,19 +306,6 @@ def c_function(f: LaurentPoly, deg_s: int, M: int, N: int) -> SSeries:
     return _exp_path(f, deg_s, M, N, normalized=True)
 
 
-def _canonical_orbit(jvec, q, Q1, d) -> bool:
-    # closed point of exact degree d <=> the orbit of the dlog vector under
-    # multiplication by q mod Q1 has size d; keep its lex-smallest member
-    cur = jvec
-    for t in range(1, d + 1):
-        cur = tuple(j * q % Q1 for j in cur)
-        if cur < jvec:
-            return False
-        if cur == jvec:
-            return t == d
-    return False
-
-
 def closed_point_traces(f: LaurentPoly, d: int, prec: int) -> dict:
     """trace -> count over closed torus points of exact degree d.
 
@@ -288,7 +323,9 @@ def closed_point_traces(f: LaurentPoly, d: int, prec: int) -> dict:
     Q1 = big.q - 1
     counts = {}
     for jvec in itertools.product(range(Q1), repeat=f.n):
-        if not _canonical_orbit(jvec, ctx.q, Q1, d):
+        # closed point of exact degree d <=> orbit of size d; keep its
+        # lex-smallest member
+        if _orbit_size(jvec, ctx.q, Q1) != d:
             continue
         acc = None
         for cb, u in zip(coeffs, exps):
@@ -656,7 +693,7 @@ def survey_family(
     if not exps:
         raise DomainError("empty support")
     n = len(exps[0])
-    ctx = FieldContext(p, a)
+    ctx = field_context(p, a)
     units = [x for x in ctx.elements() if x != ctx.zero()]
     rng = random.Random(seed)
     hist = {}

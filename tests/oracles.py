@@ -5,11 +5,13 @@ convex-hull membership goes through Caratheodory subsets with a local
 Gaussian elimination, so polytope degrees and weights can be cross-checked
 against a second code path.  The determinant references either expand over
 permutations or run every ring operation through ZqPi objects, skipping
-nothing, where the library's kernel works on bare scalars and series.
+nothing, where the library's kernel works on bare scalars and series.  The
+torus reference visits every point, with neither the library's row walk
+nor its Frobenius-orbit reduction.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 
 def _solve_unique(columns, target):
@@ -154,3 +156,35 @@ def oracle_det(ctx, prec, grid):
             term = tuple(-c % pm for c in term)
         total = ctx.zq_add(total, term, prec)
     return total
+
+
+def oracle_torus_trace_counts(f, k, prec):
+    """{Tr(f^(x)) mod p^prec: count} over every point of the torus of
+    F_{q^k}, one point at a time.
+
+    Traces of teich(g)^j come from a zq_mul/zq_trace walk and the
+    coefficients' discrete logs from a walk over all powers of g, so
+    nothing is shared with the library's trace table or its walk.
+    """
+    ctx = f.ctx
+    big = ctx.ext(k)
+    Q1 = big.q - 1
+    pm = ctx.p**prec
+    w = big.zq_from_field(big.generator)
+    for _ in range(prec + 2):  # Teichmuller lift: fixed point of t -> t^q
+        w = big.zq_pow(w, big.q, prec)
+    traces = []
+    dlog = {}
+    cur, g = big.zq_from_field(big.one()), big.one()
+    for j in range(Q1):
+        traces.append(big.zq_trace(cur, prec))
+        dlog[g] = j
+        cur = big.zq_mul(cur, w, prec)
+        g = big.mul(g, big.generator)
+    phi = ctx.embed_into(big)
+    terms = [(dlog[phi(c)], u) for u, c in f.terms]
+    counts = {}
+    for jvec in product(range(Q1), repeat=f.n):
+        t = sum(traces[(cl + sum(a * b for a, b in zip(u, jvec))) % Q1] for cl, u in terms)
+        counts[t % pm] = counts.get(t % pm, 0) + 1
+    return counts

@@ -10,6 +10,7 @@ from tadic.arith import (
     FieldContext,
     binomial_guard,
     binomial_sum,
+    field_context,
     frob_power,
     is_prime,
     one_plus_T_pow,
@@ -83,6 +84,22 @@ class TestFieldContext:
         ctx = FieldContext(3, 1)
         assert ctx.ext(2) is ctx.ext(2)
         assert ctx.ext(2).poly_low == FieldContext(3, 2).poly_low
+
+    def test_field_context_is_shared(self):
+        ctx = field_context(3, 2)
+        assert field_context(3, 2) is ctx
+        assert ctx.ext(2) is field_context(3, 4) is FieldContext(3, 1).ext(4)
+        fresh = FieldContext(3, 2)
+        assert (ctx.poly_low, ctx.generator) == (fresh.poly_low, fresh.generator)
+        # the embedding found once serves every later caller
+        assert field_context(3, 1).embed_into(ctx) is field_context(3, 1).embed_into(ctx)
+
+    def test_field_context_rejects_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(DomainError, match="not prime"):
+                field_context(6, 1)
+            with pytest.raises(DomainError, match="field size"):
+                field_context(2, 21)
 
 
 class TestZq:

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from tadic import cli, dwork, sums
-from tadic.arith import FieldContext
+from tadic import cli, dwork, polytope, sums
+from tadic.arith import FieldContext, field_context
 from tadic.cli import (
     RunConfig,
     build_config,
@@ -205,6 +205,20 @@ class TestCommands:
         main(args)
         assert capsys.readouterr().out == first
 
+    def test_jobs_sharing_caches_repeat_byte_identically(self, capsys, monkeypatch):
+        # A runs on cold caches, B shares its fields at another precision,
+        # and A runs again on what both left behind
+        monkeypatch.setattr(sums, "_TABLES", {})
+        field_context.cache_clear()
+        job_a = ["np", "x1+x2+g^1*x1^-1*x2^-1", "--p", "3", "--deg-s", "3", "--m", "1"]
+        job_b = ["lfun", "x1^2+x1^-1", "--p", "3", "--deg-s", "4", "--prec-t", "10"]
+        outs = []
+        for args in (job_a, job_b, job_a):
+            assert main(args) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[2] == outs[0] and outs[1] != outs[0]
+        assert len(sums._TABLES) > 3
+
 
 class TestExitCodes:
     def test_usage(self, capsys):
@@ -255,6 +269,29 @@ class TestExitCodes:
         # counted, not bounded: x1^2 has 2B + 1 basis points of degree <= B
         code, doc = run_json(["verify", "x1^2", "--p", "2", "--basis", "75"], capsys)
         assert code == 1 and "dimension 151 exceeds" in doc["error"]["message"]
+
+    def test_criterion_dimension_limit_fails_before_any_minor(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("criterion work started before the dimension check")
+
+        monkeypatch.setattr(dwork, "_kernel_product", refuse)
+        monkeypatch.setattr(dwork, "_leading_minors", refuse)
+        for depth, dim in (("7", "85"), ("8", "109"), ("100000000", "at least")):
+            code, doc = run_json(
+                ["faces", "x1+x2+x1^-1*x2^-1", "--p", "3", "--hodge-depth", depth], capsys
+            )
+            assert code == 1 and doc["error"]["type"] == "DomainError"
+            assert f"dimension {dim}" in doc["error"]["message"]
+            assert "criterion dimension limit 64" in doc["error"]["message"]
+
+    def test_unbounded_cone_box_fails_before_the_scan(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("cone box scanned before the size check")
+
+        monkeypatch.setattr(polytope.DegreeData, "in_cone_reduced", refuse)
+        code, doc = run_json(["hodge", "x1^100000*x2^100000+x2^-100000", "--p", "3"], capsys)
+        assert code == 1 and doc["error"]["type"] == "DomainError"
+        assert "box limit 262144" in doc["error"]["message"]
 
     def test_missing_poly(self, capsys):
         code, doc = run_json(["np", "--p", "3"], capsys)

@@ -1,8 +1,11 @@
-"""Byte-exact outputs of the operator route.
+"""Byte-exact outputs of the benchmark jobs.
 
-Runs pool entry 0 of every operator benchmark template in-process and
-checks its exit code and the sha256 of its JSON output against the
-recorded golden digests.  The benchmark files are only read.
+Runs pool entry 0 of every benchmark template in-process and checks its
+exit code and the sha256 of its JSON output against the recorded golden
+digests.  The sums-route templates run in template order in one process,
+so every job after the first meets field contexts and trace tables that
+earlier jobs left in the process-wide caches.  The benchmark files are
+only read.
 """
 
 import contextlib
@@ -27,15 +30,30 @@ def _load_jobs():
 
 
 JOBS = _load_jobs()
-GOLDENS = json.loads((PERFBENCH / "goldens.json").read_text())["workloads"]["operator"]
+ALL_GOLDENS = json.loads((PERFBENCH / "goldens.json").read_text())["workloads"]
+GOLDENS = ALL_GOLDENS["operator"]
+
+
+def _check_golden(line, want):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(JOBS.argv(line))
+    assert rc == want["rc"]
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == want["sha256"]
 
 
 @pytest.mark.parametrize("template", JOBS.OPERATOR)
 def test_operator_job_matches_golden(template):
     line = JOBS.instantiate(template, 0)
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        rc = main(JOBS.argv(line))
-    want = GOLDENS[line]
-    assert rc == want["rc"]
-    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == want["sha256"]
+    _check_golden(line, GOLDENS[line])
+
+
+SUMS_TEMPLATES = [(w, t) for w in ("families", "towers") for t in JOBS.WORKLOADS[w]]
+
+
+@pytest.mark.parametrize(
+    "workload, template", SUMS_TEMPLATES, ids=[f"{w}: {t}" for w, t in SUMS_TEMPLATES]
+)
+def test_sums_job_matches_golden(workload, template):
+    line = JOBS.instantiate(template, 0)
+    _check_golden(line, ALL_GOLDENS[workload][line])

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import in_convex_hull, oracle_degree
+from tadic import polytope
 from tadic.arith import FieldContext
 from tadic.errors import DomainError, NotInConeError
 from tadic.polytope import (
@@ -149,6 +150,15 @@ class TestDegreeData:
         assert dd.degree_of((2, 2)) == 2
         with pytest.raises(NotInConeError):
             dd.degree_of((1, 0))
+
+    def test_box_limit_is_checked_before_the_scan(self, monkeypatch):
+        dd = newton_data(poly(SPERBER))
+        # degree <= 2 on the Sperber triangle scans the box [-2, 2]^2
+        monkeypatch.setattr(polytope, "BOX_LIMIT", 25)
+        assert len(dd.cone_points_upto(2)) == 10
+        monkeypatch.setattr(polytope, "BOX_LIMIT", 24)
+        with pytest.raises(DomainError, match="holds 25 lattice points, past the box limit 24"):
+            dd.cone_points_upto(2)
 
     def test_weight_counts_interval(self):
         dd = DegreeData([(4,)], 1)

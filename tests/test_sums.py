@@ -5,11 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_torus_trace_counts
 from tadic import sums
 from tadic.arith import (
     CycContext,
     FieldContext,
     binomial_guard,
+    field_context,
     is_prime,
     one_plus_T_pow,
     teichmuller_lift,
@@ -83,7 +85,7 @@ def direct_trace_table(big, prec):
     for _ in range(big.q - 1):
         table.append(big.zq_trace(cur, prec))
         cur = big.zq_mul(cur, g, prec)
-    return table
+    return tuple(table)
 
 
 def small_fields(limit):
@@ -126,12 +128,84 @@ def small_sum_jobs(draw):
     return LaurentPoly.make(n, terms, ctx), k, M, N
 
 
+# (p, a, n, k) shapes whose every-point walk stays cheap; k = 2 and 3 give
+# Frobenius orbits of sizes 1, 2 and 3, over prefixes of up to 2 coordinates
+WALK_SHAPES = [
+    (p, a, n, k)
+    for p in (2, 3, 5)
+    for a in (1, 2)
+    for n in (1, 2, 3)
+    for k in (1, 2, 3)
+    if (p ** (a * k) - 1) ** n <= 700
+]
+
+
+@st.composite
+def small_walks(draw):
+    """A random polynomial with zero and negative exponents, an extension
+    degree and a trace precision."""
+    p, a, n, k = draw(st.sampled_from(WALK_SHAPES))
+    ctx = field_context(p, a)
+    exps = draw(
+        st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=4, unique=True)
+        .filter(lambda es: any(map(any, es)))
+    )
+    logs = draw(st.lists(st.integers(0, ctx.q - 2), min_size=len(exps), max_size=len(exps)))
+    terms = {u: ctx.pow(ctx.generator, e) for u, e in zip(exps, logs)}
+    return LaurentPoly.make(n, terms, ctx), k, draw(st.integers(1, 6))
+
+
 class TestTraceTable:
     def test_recurrence_matches_direct_walk(self):
         # includes F_2 (a one-entry table, shorter than the recurrence order)
         for p, d in small_fields(3000):
             big = FieldContext(p, d)
             assert _trace_table(big, 2) == direct_trace_table(big, 2), (p, d)
+
+    def test_cached_table_is_a_fresh_build_and_immutable(self):
+        first = _trace_table(FieldContext(3, 4), 3)
+        # keyed by the field, not the context object
+        assert _trace_table(field_context(3, 4), 3) is first
+        assert first == sums._build_trace_table(FieldContext(3, 4), 3)
+        assert first == direct_trace_table(FieldContext(3, 4), 3)
+        with pytest.raises(TypeError):
+            first[0] += 1
+
+    def test_cache_is_bounded_by_entries_least_recent_first(self, monkeypatch):
+        monkeypatch.setattr(sums, "_TABLES", {})
+        monkeypatch.setattr(sums, "TABLE_CACHE_ENTRIES", 100)
+        f9, f27, f81 = (FieldContext(3, d) for d in (2, 3, 4))
+        t9 = _trace_table(f9, 2)
+        _trace_table(f27, 2)
+        assert _trace_table(f9, 2) is t9  # now the most recent
+        _trace_table(f27, 3)  # 26 + 8 + 26 entries fit
+        _trace_table(FieldContext(7, 2), 2)  # 48 more: the least recent goes
+        assert list(sums._TABLES) == [(3, 2, 2), (3, 3, 3), (7, 2, 2)]
+        _trace_table(f81, 2)  # 80 more: all but it go
+        assert list(sums._TABLES) == [(3, 4, 2)]
+        # a table past the bound alone is returned but not kept
+        assert len(_trace_table(FieldContext(11, 2), 2)) == 120
+        assert sums._TABLES == {}
+
+
+class TestTorusWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(small_walks())
+    @example((poly(SPERBER, p=2), 3, 4))
+    @example((poly([(1, 0, -1), (0, 2, 1), (0, 0, 0), (-1, -1, 0)], p=2), 3, 3))
+    @example((poly([(2, 0), (-1, 3), (0, -2)], p=3), 2, 5))
+    @example((poly([(1, 1), (-1, 0)], p=2, a=2), 2, 2))
+    def test_orbit_walk_matches_every_point_walk(self, job):
+        f, k, prec = job
+        assert torus_trace_counts(f, k, prec) == oracle_torus_trace_counts(f, k, prec)
+
+    def test_orbit_sizes_partition_prefixes(self):
+        # lex-smallest members weighted by orbit size cover every prefix once
+        for q, k, n in ((2, 3, 2), (3, 2, 2), (2, 4, 1), (4, 2, 2)):
+            Q1 = q**k - 1
+            sizes = [sums._orbit_size(j, q, Q1) for j in itertools.product(range(Q1), repeat=n)]
+            assert sum(sizes) == Q1**n
+            assert all(k % s == 0 for s in sizes if s)
 
 
 class TestTorusSums:
