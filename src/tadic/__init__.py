@@ -32,6 +32,7 @@ from .polytope import (
     hodge_polygon_absolute,
     is_nondegenerate,
     newton_data,
+    parse_laurent,
     restrict_to_face,
 )
 from .series import NewtonPolygon, SSeries, TSeries, polygon_dominates, polygon_verdict
@@ -45,7 +46,6 @@ from .sums import (
     specialize,
     survey_family,
 )
-from .cli import parse_laurent
 
 __version__ = "0.1.0"
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import DomainError, IntegralityError, PrecisionError, TheoremViolation
-from .series import TSeries, vp, vp_factorial
+from .series import TSeries, power, vp, vp_factorial
 
 
 # largest field F_{p^a} a FieldContext presents; its elements are enumerated
@@ -59,34 +59,6 @@ def _poly_trim(f):
     return f
 
 
-def _poly_mulmod(A, B, f, p):
-    out = [0] * (len(A) + len(B) - 1)
-    for i, a in enumerate(A):
-        if a:
-            for j, b in enumerate(B):
-                out[i + j] = (out[i + j] + a * b) % p
-    d = len(f) - 1
-    for i in range(len(out) - 1, d - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(d):
-                out[i - d + j] = (out[i - d + j] - c * f[j]) % p
-    return _poly_trim(out[:d])
-
-
-def _poly_powmod_x(e: int, f, p):
-    """x^e mod f over F_p."""
-    result = [1]
-    base = [0, 1]
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, f, p)
-        base = _poly_mulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
 def _poly_gcd(A, B, p):
     A = _poly_trim(list(A))
     B = _poly_trim(list(B))
@@ -105,20 +77,61 @@ def _poly_gcd(A, B, p):
 def _is_irreducible(low, p):
     """Monic f = x^a + sum low[i] x^i irreducible over F_p."""
     a = len(low)
-    f = list(low) + [1]
     if a == 1:
         return True
+    rows = _reduction_rows(low, p)
+    x = (0, 1) + (0,) * (a - 2)
+
+    def x_pow(e):
+        return power(x, e, lambda u, v: _mulmod(u, v, rows, p), (1,) + (0,) * (a - 1))
+
     # x^(p^a) = x mod f, and x^(p^(a/l)) - x coprime to f for prime l | a
-    if _poly_trim(list(_poly_powmod_x(p**a, f, p))) != [0, 1]:
+    if x_pow(p**a) != x:
         return False
     for l in prime_factors(a):
-        g = list(_poly_powmod_x(p ** (a // l), f, p))
-        while len(g) < 2:
-            g.append(0)
+        g = list(x_pow(p ** (a // l)))
         g[1] = (g[1] - 1) % p
-        if len(_poly_gcd(g, f, p)) > 1:
+        if len(_poly_gcd(g, list(low) + [1], p)) > 1:
             return False
     return True
+
+
+# -- the quotient ring (Z/modulus)[x]/(g), g monic of degree d ----------------
+#
+# F_q, Z_q and Z_p[pi] are all this ring: elements are length-d coefficient
+# tuples, low degree first, and g is given by its d non-leading coefficients.
+
+
+def _reduction_rows(low, modulus):
+    """Row i = x^(d+i) mod g for i < d, coefficients mod ``modulus``."""
+    rows = []
+    cur = [(-c) % modulus for c in low]  # x^d
+    for _ in low:
+        rows.append(tuple(cur))
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            for j, c in enumerate(low):
+                cur[j] = (cur[j] - top * c) % modulus
+    return rows
+
+
+def _mulmod(x, y, rows, modulus):
+    """x * y mod (g, modulus), given g's reduction rows."""
+    d = len(rows)
+    conv = [0] * (2 * d - 1)
+    for i, u in enumerate(x):
+        if u:
+            for j, v in enumerate(y):
+                conv[i + j] += u * v
+    out = conv[:d]
+    for i in range(d, 2 * d - 1):
+        c = conv[i] % modulus
+        if c:
+            row = rows[i - d]
+            for j in range(d):
+                out[j] += c * row[j]
+    return tuple(c % modulus for c in out)
 
 
 class FieldContext:
@@ -137,7 +150,7 @@ class FieldContext:
         self.a = a
         self.q = p**a
         self.poly_low = self._find_poly()
-        self._rows_fp = self._reduction_rows(p)
+        self._rows_fp = _reduction_rows(self.poly_low, p)
         self.generator = self._find_generator()
         self._zq_rows_cache = {}
         self._embed_cache = {}
@@ -149,21 +162,6 @@ class FieldContext:
             if _is_irreducible(low, p):
                 return low
         raise TheoremViolation("no irreducible polynomial found")
-
-    def _reduction_rows(self, modulus):
-        """Row i = x^(a+i) mod f, coefficients mod ``modulus``."""
-        a = self.a
-        rows = []
-        cur = [(-c) % modulus for c in self.poly_low]  # x^a
-        for _ in range(a - 1):
-            rows.append(tuple(cur))
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                for j in range(a):
-                    cur[j] = (cur[j] - top * self.poly_low[j]) % modulus
-        rows.append(tuple(cur))
-        return rows  # rows[i] for i in 0..a-1 covers x^a .. x^(2a-2) (and one spare)
 
     def _find_generator(self):
         facs = prime_factors(self.q - 1) if self.q > 2 else []
@@ -208,34 +206,14 @@ class FieldContext:
         return tuple(-u % self.p for u in x)
 
     def mul(self, x, y):
-        a, p = self.a, self.p
-        conv = [0] * (2 * a - 1)
-        for i, u in enumerate(x):
-            if u:
-                for j, v in enumerate(y):
-                    conv[i + j] += u * v
-        out = conv[:a]
-        for i in range(a, 2 * a - 1):
-            c = conv[i]
-            if c:
-                row = self._rows_fp[i - a]
-                for j in range(a):
-                    out[j] += c * row[j]
-        return tuple(c % p for c in out)
+        return _mulmod(x, y, self._rows_fp, self.p)
 
     def pow(self, x, e: int):
         if e < 0:
             if x == self.zero():
                 raise ZeroDivisionError
             e %= self.q - 1
-        acc = self.one()
-        base = x
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
+        return power(x, e, self.mul, self.one())
 
     def inv(self, x):
         return self.pow(x, self.q - 2)
@@ -293,7 +271,7 @@ class FieldContext:
 
     def _zq_rows(self, prec: int):
         if prec not in self._zq_rows_cache:
-            self._zq_rows_cache[prec] = self._reduction_rows(self.p**prec)
+            self._zq_rows_cache[prec] = _reduction_rows(self.poly_low, self.p**prec)
         return self._zq_rows_cache[prec]
 
     def zq_from_field(self, x):
@@ -304,32 +282,11 @@ class FieldContext:
         return tuple((u + v) % pm for u, v in zip(x, y))
 
     def zq_mul(self, x, y, prec):
-        a = self.a
-        pm = self.p**prec
-        conv = [0] * (2 * a - 1)
-        for i, u in enumerate(x):
-            if u:
-                for j, v in enumerate(y):
-                    conv[i + j] += u * v
-        out = conv[:a]
-        rows = self._zq_rows(prec)
-        for i in range(a, 2 * a - 1):
-            c = conv[i] % pm
-            if c:
-                row = rows[i - a]
-                for j in range(a):
-                    out[j] += c * row[j]
-        return tuple(c % pm for c in out)
+        return _mulmod(x, y, self._zq_rows(prec), self.p**prec)
 
     def zq_pow(self, x, e: int, prec):
-        acc = (1,) + (0,) * (self.a - 1)
-        base = x
-        while e:
-            if e & 1:
-                acc = self.zq_mul(acc, base, prec)
-            base = self.zq_mul(base, base, prec)
-            e >>= 1
-        return acc
+        rows, pm = self._zq_rows(prec), self.p**prec
+        return power(x, e, lambda u, v: _mulmod(u, v, rows, pm), self.one())
 
     def zq_trace(self, x, prec) -> int:
         """Trace of multiplication-by-x in the power basis (= field trace)."""
@@ -470,22 +427,6 @@ class CycContext:
         self.mod_low = _cyc_modulus(p, m)
         self._rows_cache = {}
 
-    def _rows(self, prec: int):
-        if prec not in self._rows_cache:
-            pm = self.p**prec
-            e = self.e
-            rows = []
-            cur = [(-c) % pm for c in self.mod_low]  # pi^e
-            for _ in range(e):
-                rows.append(tuple(cur))
-                top = cur[-1]
-                cur = [0] + cur[:-1]
-                if top:
-                    for j in range(e):
-                        cur[j] = (cur[j] - top * self.mod_low[j]) % pm
-            self._rows_cache[prec] = rows
-        return self._rows_cache[prec]
-
     def zero(self, prec):
         return CycElement(self, prec, (0,) * self.e)
 
@@ -554,22 +495,11 @@ class CycElement:
 
     def mul(self, other):
         prec = self._common_prec(other)
-        e = self.ctx.e
-        pm = self.ctx.p**prec
-        conv = [0] * (2 * e - 1)
-        for i, u in enumerate(self.coeffs):
-            if u:
-                for j, v in enumerate(other.coeffs):
-                    conv[i + j] += u * v
-        out = conv[:e]
-        rows = self.ctx._rows(prec)
-        for i in range(e, 2 * e - 1):
-            c = conv[i] % pm
-            if c:
-                row = rows[i - e]
-                for j in range(e):
-                    out[j] += c * row[j]
-        return CycElement(self.ctx, prec, tuple(c % pm for c in out))
+        ctx = self.ctx
+        pm = ctx.p**prec
+        if prec not in ctx._rows_cache:
+            ctx._rows_cache[prec] = _reduction_rows(ctx.mod_low, pm)
+        return CycElement(ctx, prec, _mulmod(self.coeffs, other.coeffs, ctx._rows_cache[prec], pm))
 
     def mul_int(self, c: int):
         return CycElement(self.ctx, self.prec, tuple(v * c for v in self.coeffs))
@@ -598,14 +528,7 @@ class CycElement:
     def pow_int(self, e: int):
         if e < 0:
             raise DomainError("negative powers not supported in the pi-ring")
-        acc = self.one_like()
-        base = self
-        while e:
-            if e & 1:
-                acc = acc.mul(base)
-            base = base.mul(base) if e > 1 else base
-            e >>= 1
-        return acc
+        return power(self, e, CycElement.mul, self.one_like())
 
     def ord(self):
         """Exact pi-adic valuation (ord(pi) = 1), or None if >= cap e*prec."""

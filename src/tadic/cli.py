@@ -1,4 +1,4 @@
-"""Command line surface: polynomial parsing, configuration, JSON reports.
+"""Command line surface: configuration, commands, JSON reports.
 
 Everything emitted is exact and deterministic: rationals as numerator and
 denominator decimal strings, residues as decimal strings, dictionary keys
@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import CycElement, FieldContext, field_context
+from .arith import CycElement, field_context
 from .dwork import (
     DworkMatrix,
     ZqPi,
@@ -40,6 +39,7 @@ from .polytope import (
     hodge_polygon,
     hodge_polygon_absolute,
     newton_data,
+    parse_laurent,
 )
 from .series import NewtonPolygon, SSeries, TSeries
 from .sums import (
@@ -65,143 +65,7 @@ COMMANDS = (
     "survey",
     "faces",
 )
-
-
-# ---------------------------------------------------------------------------
-# Laurent polynomial parser
-# ---------------------------------------------------------------------------
-
-_WS = re.compile(r"\s*")
-_INT = re.compile(r"-?\d+")
-_UINT = re.compile(r"\d+")
-_VAR = re.compile(r"x(\d+)")
-
-
-class _Scanner:
-    __slots__ = ("text", "i")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.i = 0
-
-    def skip_ws(self):
-        self.i = _WS.match(self.text, self.i).end()
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.i] if self.i < len(self.text) else ""
-
-    def take(self, ch: str):
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.i)
-        self.i += 1
-
-    def match(self, pat):
-        self.skip_ws()
-        m = pat.match(self.text, self.i)
-        if m:
-            self.i = m.end()
-        return m
-
-
-def _parse_power(sc: _Scanner) -> int:
-    if sc.peek() == "^":
-        sc.i += 1
-        m = sc.match(_INT)
-        if not m:
-            raise ParseError("expected integer exponent after '^'", sc.i)
-        return int(m.group())
-    return 1
-
-
-def _parse_factor(sc: _Scanner, ctx: FieldContext, exps: dict):
-    """One '*'-joined factor: a variable power or (first position) a coefficient."""
-    m = sc.match(_VAR)
-    if not m:
-        raise ParseError("expected a variable like x1", sc.i)
-    idx = int(m.group(1))
-    if idx < 1:
-        raise ParseError("variable indices start at x1", sc.i)
-    exps[idx] = exps.get(idx, 0) + _parse_power(sc)
-
-
-def _parse_coeff(sc: _Scanner, ctx: FieldContext):
-    """Leading coefficient of a term, or None if the term starts with a variable."""
-    c = sc.peek()
-    if c == "g":
-        start = sc.i
-        sc.i += 1
-        if sc.peek() != "^":
-            raise ParseError("generator powers are written g^k", start)
-        sc.i += 1
-        m = sc.match(_INT)
-        if not m:
-            raise ParseError("expected integer exponent after 'g^'", sc.i)
-        return ctx.pow(ctx.generator, int(m.group()))
-    if c.isdigit() or c == "-":
-        start = sc.i
-        m = sc.match(_INT)
-        if not m:
-            raise ParseError("expected an integer coefficient", sc.i)
-        val = ctx.from_int(int(m.group()))
-        if val == ctx.zero():
-            raise ParseError(
-                f"coefficient {m.group()} reduces to zero mod {ctx.p}", start
-            )
-        return val
-    return None
-
-
-def parse_laurent(text: str, ctx: FieldContext) -> LaurentPoly:
-    """Parse `term (+|- term)*` where a term is an optional coefficient
-    (integer, or g^k in generator notation) times a product of variable
-    powers x1^e1*x2^e2...  The variable count is the largest index used."""
-    sc = _Scanner(text)
-    if sc.peek() == "":
-        raise ParseError("empty polynomial", 0)
-    raw = []
-    sign = 1
-    first = True
-    while True:
-        c = sc.peek()
-        if not first:
-            if c == "":
-                break
-            if c == "+":
-                sign = 1
-            elif c == "-":
-                sign = -1
-            else:
-                raise ParseError("expected '+' or '-' between terms", sc.i)
-            sc.i += 1
-        first = False
-        term_at = sc.i
-        coeff = _parse_coeff(sc, ctx)
-        exps: dict = {}
-        if coeff is None:
-            coeff = ctx.one()
-            _parse_factor(sc, ctx, exps)
-        while sc.peek() == "*":
-            sc.i += 1
-            _parse_factor(sc, ctx, exps)
-        if sign < 0:
-            coeff = ctx.neg(coeff)
-        raw.append((exps, coeff, term_at))
-    n = max((max(e) for e, _, _ in raw if e), default=0)
-    if n == 0:
-        raise ParseError("no variables: a constant has no exponential sum", 0)
-    merged: dict = {}
-    offsets: dict = {}
-    for e, coeff, at in raw:
-        key = tuple(e.get(i, 0) for i in range(1, n + 1))
-        if key in merged:
-            merged[key] = ctx.add(merged[key], coeff)
-            if merged[key] == ctx.zero():
-                raise ParseError("terms cancel to a zero coefficient", at)
-        else:
-            merged[key] = coeff
-            offsets[key] = at
-    return LaurentPoly.make(n, merged, ctx)
+VERIFY_TARGETS = ("trace", "char", "all")
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +101,6 @@ class RunConfig:
     out: str = ""
 
 
-_INT_KEYS = {"p", "a", "prec_p", "prec_t", "deg_s", "basis", "hodge_depth", "seed", "samples"}
-_LIST_KEYS = {"m_list": "m", "k_list": "k"}
-
-
 def _parse_int_list(text: str) -> tuple:
     try:
         return tuple(int(x) for x in str(text).split(",") if x.strip() != "")
@@ -263,24 +123,22 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-def _config_to_fields(raw: dict) -> dict:
-    """Map config-file strings onto RunConfig fields."""
-    known = {f.name for f in fields(RunConfig)}
-    alias = {"m": "m_list", "k": "k_list", "prec_p": "prec_p", "prec_t": "prec_t"}
-    out = {}
-    for key, val in raw.items():
-        name = alias.get(key, key)
-        if name not in known:
-            raise ParseError(f"unknown config key {key!r}", 0)
-        if name in ("m_list", "k_list"):
-            out[name] = _parse_int_list(val)
-        elif name in _INT_KEYS:
-            out[name] = int(val)
-        elif name == "override_nondegenerate":
-            out[name] = str(val).lower() in ("1", "true", "yes")
+def _config_argv(path: str) -> list:
+    """The file's entries spelled as command-line arguments, so the
+    command's own parser checks each value with the flag's type and
+    choices."""
+    argv, poly = [], []
+    for key, val in read_config_file(path).items():
+        if key == "poly":
+            poly = ["--", val]
+        elif key == "override_nondegenerate":
+            if val.lower() in ("1", "true", "yes"):
+                argv.append("--override-nondegenerate")
+            elif val.lower() not in ("0", "false", "no"):
+                raise ParseError(f"{path}: override-nondegenerate={val!r} is not a boolean", 0)
         else:
-            out[name] = val
-    return out
+            argv.append(f"--{key.replace('_', '-')}={val}")
+    return argv + poly
 
 
 class _UsageError(TadicError):
@@ -327,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("-k", "--k", dest="k", help="comma list of torus extension steps")
         cp.add_argument("--seed", type=int, help="survey RNG seed")
         cp.add_argument("--samples", type=int, help="survey sample count")
-        cp.add_argument("--what", choices=("trace", "char", "all"), help="verify target")
+        cp.add_argument("--what", choices=VERIFY_TARGETS, help="verify target")
         cp.add_argument(
             "--override-nondegenerate",
             action="store_true",
@@ -345,37 +203,37 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _given(ns: argparse.Namespace) -> dict:
+    """The RunConfig fields a parsed argument list sets."""
+    out = {}
+    for f in fields(RunConfig):
+        val = getattr(ns, f.name, None)
+        if f.name != "command" and val not in (None, ""):
+            out[f.name] = val
+    if ns.m is not None:
+        out["m_list"] = _parse_int_list(ns.m)
+    if ns.k is not None:
+        out["k_list"] = _parse_int_list(ns.k)
+    return out
+
+
 def build_config(argv) -> RunConfig:
     ns = _parser().parse_args(argv)
     if not ns.command:
         raise _UsageError(f"choose a command: {', '.join(COMMANDS)}")
-    cfg = RunConfig(command=ns.command)
+    given = {}
     if ns.config:
-        cfg = replace(cfg, **_config_to_fields(read_config_file(ns.config)))
-    updates = {}
-    for name in (
-        "poly",
-        "p",
-        "a",
-        "prec_p",
-        "prec_t",
-        "deg_s",
-        "basis",
-        "hodge_depth",
-        "seed",
-        "samples",
-        "what",
-        "override_nondegenerate",
-        "out",
-    ):
-        val = getattr(ns, name, None)
-        if val not in (None, ""):
-            updates[name] = val
-    if ns.m is not None:
-        updates["m_list"] = _parse_int_list(ns.m)
-    if ns.k is not None:
-        updates["k_list"] = _parse_int_list(ns.k)
-    return replace(cfg, **updates)
+        try:
+            file_ns, unknown = _parser().parse_known_args([ns.command, *_config_argv(ns.config)])
+        except _UsageError as err:
+            raise _UsageError(f"{ns.config}: {err}") from None
+        if file_ns.config:
+            unknown.append("config")
+        if unknown:
+            raise ParseError(f"unknown config key {unknown[0].lstrip('-').split('=')[0]!r}", 0)
+        given = _given(file_ns)
+    given.update(_given(ns))  # flags win
+    return RunConfig(command=ns.command, **given)
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +436,8 @@ def cmd_dwork(cfg: RunConfig) -> dict:
 
 
 def cmd_verify(cfg: RunConfig) -> dict:
+    if cfg.what not in VERIFY_TARGETS:
+        raise _UsageError(f"verify target {cfg.what!r} is not one of {', '.join(VERIFY_TARGETS)}")
     f = _parse_poly(cfg)
     n_pi = _prec_t(cfg)
     B = _resolve_basis(cfg, n_pi)

@@ -1,4 +1,4 @@
-"""Newton polytopes of Laurent polynomials and their combinatorics.
+"""Laurent polynomials, their text parser, and their Newton polytopes.
 
 Everything here is exact: integer lattice work uses unimodular column
 reduction, hyperplanes use primitive integer normals, and degrees are
@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .errors import DomainError, NotInConeError
+from .arith import FieldContext
+from .errors import DomainError, NotInConeError, ParseError
 from .series import NewtonPolygon
 
 
@@ -175,6 +177,135 @@ class LaurentPoly:
                 e2 = tuple(e - (1 if j == i else 0) for j, e in enumerate(exps))
                 out[e2] = tuple(c * ui % self.ctx.p for c in coeff)
         return out
+
+
+# ---------------------------------------------------------------------------
+# Laurent polynomial parser
+# ---------------------------------------------------------------------------
+
+_WS = re.compile(r"\s*")
+_INT = re.compile(r"-?\d+")
+_VAR = re.compile(r"x(\d+)")
+
+
+class _Scanner:
+    __slots__ = ("text", "i")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.i = 0
+
+    def skip_ws(self):
+        self.i = _WS.match(self.text, self.i).end()
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.i] if self.i < len(self.text) else ""
+
+    def match(self, pat):
+        self.skip_ws()
+        m = pat.match(self.text, self.i)
+        if m:
+            self.i = m.end()
+        return m
+
+
+def _parse_power(sc: _Scanner) -> int:
+    if sc.peek() == "^":
+        sc.i += 1
+        m = sc.match(_INT)
+        if not m:
+            raise ParseError("expected integer exponent after '^'", sc.i)
+        return int(m.group())
+    return 1
+
+
+def _parse_factor(sc: _Scanner, exps: dict):
+    """One '*'-joined variable power x_i^e, added into ``exps``."""
+    m = sc.match(_VAR)
+    if not m:
+        raise ParseError("expected a variable like x1", sc.i)
+    idx = int(m.group(1))
+    if idx < 1:
+        raise ParseError("variable indices start at x1", sc.i)
+    exps[idx] = exps.get(idx, 0) + _parse_power(sc)
+
+
+def _parse_coeff(sc: _Scanner, ctx: FieldContext):
+    """Leading coefficient of a term, or None if the term starts with a variable."""
+    c = sc.peek()
+    if c == "g":
+        start = sc.i
+        sc.i += 1
+        if sc.peek() != "^":
+            raise ParseError("generator powers are written g^k", start)
+        sc.i += 1
+        m = sc.match(_INT)
+        if not m:
+            raise ParseError("expected integer exponent after 'g^'", sc.i)
+        return ctx.pow(ctx.generator, int(m.group()))
+    if c.isdigit() or c == "-":
+        start = sc.i
+        m = sc.match(_INT)
+        if not m:
+            raise ParseError("expected an integer coefficient", sc.i)
+        val = ctx.from_int(int(m.group()))
+        if val == ctx.zero():
+            raise ParseError(
+                f"coefficient {m.group()} reduces to zero mod {ctx.p}", start
+            )
+        return val
+    return None
+
+
+def parse_laurent(text: str, ctx: FieldContext) -> LaurentPoly:
+    """Parse `term (+|- term)*` where a term is an optional coefficient
+    (integer, or g^k in generator notation) times a product of variable
+    powers x1^e1*x2^e2...  The variable count is the largest index used."""
+    sc = _Scanner(text)
+    if sc.peek() == "":
+        raise ParseError("empty polynomial", 0)
+    raw = []
+    sign = 1
+    first = True
+    while True:
+        c = sc.peek()
+        if not first:
+            if c == "":
+                break
+            if c == "+":
+                sign = 1
+            elif c == "-":
+                sign = -1
+            else:
+                raise ParseError("expected '+' or '-' between terms", sc.i)
+            sc.i += 1
+        first = False
+        term_at = sc.i
+        coeff = _parse_coeff(sc, ctx)
+        exps: dict = {}
+        if coeff is None:
+            coeff = ctx.one()
+            _parse_factor(sc, exps)
+        while sc.peek() == "*":
+            sc.i += 1
+            _parse_factor(sc, exps)
+        if sign < 0:
+            coeff = ctx.neg(coeff)
+        raw.append((exps, coeff, term_at))
+    n = max((max(e) for e, _, _ in raw if e), default=0)
+    if n == 0:
+        raise ParseError("no variables: a constant has no exponential sum", 0)
+    merged: dict = {}
+    for e, coeff, at in raw:
+        key = tuple(e.get(i, 0) for i in range(1, n + 1))
+        if key in merged:
+            merged[key] = ctx.add(merged[key], coeff)
+            if merged[key] == ctx.zero():
+                raise ParseError("terms cancel to a zero coefficient", at)
+        else:
+            merged[key] = coeff
+    return LaurentPoly.make(n, merged, ctx)
 
 
 # ---------------------------------------------------------------------------

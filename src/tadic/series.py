@@ -34,6 +34,19 @@ def vp(n: int, p: int) -> int:
     return v
 
 
+def power(x, e: int, mul, one):
+    """x^e for e >= 0 by square-and-multiply, with ``mul`` the ring product
+    and ``one`` its identity; the last, unused square is skipped."""
+    acc = one
+    while e:
+        if e & 1:
+            acc = mul(acc, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return acc
+
+
 def vp_factorial(n: int, p: int) -> int:
     """ord_p(n!) by Legendre's formula."""
     v = 0
@@ -186,14 +199,7 @@ class TSeries:
     def pow_int(self, e: int) -> "TSeries":
         if e < 0:
             return self.inverse().pow_int(-e)
-        acc = self.one_like()
-        base = self
-        while e:
-            if e & 1:
-                acc = acc.mul(base)
-            base = base.mul(base) if e > 1 else base
-            e >>= 1
-        return acc
+        return power(self, e, TSeries.mul, self.one_like())
 
     # -- structural operations --------------------------------------------
 
@@ -216,29 +222,6 @@ class TSeries:
             {j + units: c for j, c in self.coeffs.items()},
             self.den,
         )
-
-    def compose(self, inner: "TSeries") -> "TSeries":
-        """Substitute ``inner`` for the variable.  Requires integer exponents
-        on self and ord(inner) >= 1, so the result is certified mod
-        X^min(self.cap, inner.cap)."""
-        if self.den != 1:
-            raise DomainError("composition needs integer exponents on the outer series")
-        v, _ = inner.val_data()
-        if inner.coeffs and (v is None or v < 1):
-            raise DomainError("inner series must vanish to order >= 1")
-        prec = min(self.prec, inner.prec)
-        cap = min(self.cap, inner.cap)
-        out = TSeries.zero(inner.p, prec, cap, inner.den)
-        power = out.one_like()
-        for j in range(0, max(self.coeffs, default=-1) + 1):
-            if j:
-                power = power.mul(inner)
-                if power.is_zero():
-                    break
-            c = self.coeffs.get(j, 0)
-            if c:
-                out = out.add(power.mul_int(c))
-        return out
 
     # -- inspection ---------------------------------------------------------
 
@@ -320,14 +303,8 @@ class SSeries:
     def pow_int(self, e: int) -> "SSeries":
         if e < 0:
             return self.inverse().pow_int(-e)
-        acc = SSeries([self.coeffs[0].one_like()] + [c.zero_like() for c in self.coeffs[1:]])
-        base = self
-        while e:
-            if e & 1:
-                acc = acc.mul(base)
-            base = base.mul(base) if e > 1 else base
-            e >>= 1
-        return acc
+        one = SSeries([self.coeffs[0].one_like()] + [c.zero_like() for c in self.coeffs[1:]])
+        return power(self, e, SSeries.mul, one)
 
     def scale_s(self, factor_at) -> "SSeries":
         """Substitute c*s for s: coefficient k picks up factor_at(k)."""

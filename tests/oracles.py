@@ -7,7 +7,9 @@ against a second code path.  The determinant references either expand over
 permutations or run every ring operation through ZqPi objects, skipping
 nothing, where the library's kernel works on bare scalars and series.  The
 torus reference visits every point, with neither the library's row walk
-nor its Frobenius-orbit reduction.
+nor its Frobenius-orbit reduction.  The quotient-ring references multiply
+polynomials in full and long-divide by the modulus, where the library
+reduces through precomputed rows of x^(d+i).
 """
 
 from fractions import Fraction
@@ -188,3 +190,40 @@ def oracle_torus_trace_counts(f, k, prec):
         t = sum(traces[(cl + sum(a * b for a, b in zip(u, jvec))) % Q1] for cl, u in terms)
         counts[t % pm] = counts.get(t % pm, 0) + 1
     return counts
+
+
+def _oracle_remainder(f, g, modulus):
+    """f mod (g, modulus) by schoolbook long division; g is the full
+    coefficient list of a monic polynomial, low degree first."""
+    r = list(f)
+    d = len(g) - 1
+    for top in range(len(r) - 1, d - 1, -1):
+        c = r[top]
+        for i, gi in enumerate(g):
+            r[top - d + i] -= c * gi
+    return [c % modulus for c in r[:d]]
+
+
+def oracle_mulmod(x, y, low, modulus):
+    """x * y in (Z/modulus)[t]/(g), g = t^d + sum low[i] t^i: the full
+    product of the two polynomials, then long division by g."""
+    prod = [0] * (len(x) + len(y) - 1)
+    for i, u in enumerate(x):
+        for j, v in enumerate(y):
+            prod[i + j] += u * v
+    return tuple(_oracle_remainder(prod, list(low) + [1], modulus))
+
+
+def oracle_smallest_irreducible(p, a):
+    """Non-leading coefficients of the monic irreducible of degree a over
+    F_p whose encoding sum c_i p^i is smallest, found by trial division by
+    every monic polynomial of degree 1..a//2."""
+    divisors = [
+        list(low) + [1] for deg in range(1, a // 2 + 1) for low in product(range(p), repeat=deg)
+    ]
+    for enc in range(p**a):
+        low = tuple(enc // p**i % p for i in range(a))
+        f = list(low) + [1]
+        if all(any(_oracle_remainder(f, g, p)) for g in divisors):
+            return low
+    raise AssertionError(f"no irreducible of degree {a} over F_{p}")

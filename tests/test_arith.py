@@ -1,12 +1,15 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_mulmod, oracle_smallest_irreducible
 from tadic.arith import (
     CycContext,
+    CycElement,
     FieldContext,
     binomial_guard,
     binomial_sum,
@@ -19,7 +22,7 @@ from tadic.arith import (
     teichmuller_lift,
 )
 from tadic.errors import DomainError, IntegralityError, PrecisionError
-from tadic.series import TSeries
+from tadic.series import SSeries, TSeries
 
 
 class TestFieldContext:
@@ -100,6 +103,83 @@ class TestFieldContext:
                 field_context(6, 1)
             with pytest.raises(DomainError, match="field size"):
                 field_context(2, 21)
+
+
+# every F_{p^a} with p <= 7 and a <= 6, a = 1 included
+KERNEL_FIELDS = [(p, a) for p in (2, 3, 5, 7) for a in range(1, 7)]
+# every Z_p[zeta_{p^m}] of degree e <= 6, e = 1 (p = 2, m = 1) included
+KERNEL_CYCLOTOMIC = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]
+
+
+def _draw_coeffs(data, d, modulus):
+    return tuple(data.draw(st.lists(st.integers(0, modulus - 1), min_size=d, max_size=d)))
+
+
+def _repeated(mul, x, e, one):
+    acc = one
+    for _ in range(e):
+        acc = mul(acc, x)
+    return acc
+
+
+class TestQuotientKernel:
+    """F_q, Z_q and Z_p[pi] share one multiply and one square-and-multiply;
+    each is checked against a full product long-divided by the modulus."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.sampled_from(KERNEL_FIELDS), st.integers(1, 6), st.data())
+    def test_field_and_zq_mul_match_oracle(self, pa, prec, data):
+        ctx = field_context(*pa)
+        p, a = ctx.p, ctx.a
+        x, y = _draw_coeffs(data, a, p), _draw_coeffs(data, a, p)
+        assert ctx.mul(x, y) == oracle_mulmod(x, y, ctx.poly_low, p)
+        pm = p**prec
+        x, y = _draw_coeffs(data, a, pm), _draw_coeffs(data, a, pm)
+        assert ctx.zq_mul(x, y, prec) == oracle_mulmod(x, y, ctx.poly_low, pm)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.sampled_from(KERNEL_CYCLOTOMIC), st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_cyclotomic_mul_matches_oracle(self, pm, px, py, data):
+        cyc = CycContext(*pm)
+        x = _draw_coeffs(data, cyc.e, cyc.p**px)
+        y = _draw_coeffs(data, cyc.e, cyc.p**py)
+        got = CycElement(cyc, px, x).mul(CycElement(cyc, py, y))
+        prec = min(px, py)
+        assert got.prec == prec
+        assert got.coeffs == oracle_mulmod(x, y, cyc.mod_low, cyc.p**prec)
+
+    @pytest.mark.parametrize("e", [0, 1, 2, 3, 6, 13])
+    def test_power_matches_repeated_multiplication(self, e):
+        rng = random.Random(e)
+        for p, a in [(2, 1), (2, 6), (3, 4), (7, 2)]:
+            ctx = field_context(p, a)
+            x = ctx.decode(rng.randrange(1, ctx.q))
+            xe = _repeated(ctx.mul, x, e, ctx.one())
+            assert ctx.pow(x, e) == xe
+            assert ctx.mul(ctx.pow(x, -e), xe) == ctx.one()
+            z = tuple(rng.randrange(p**5) for _ in range(a))
+            zq_one = (1,) + (0,) * (a - 1)
+            want = _repeated(lambda u, v: ctx.zq_mul(u, v, 5), z, e, zq_one)
+            assert ctx.zq_pow(z, e, 5) == want
+        c = CycElement(CycContext(3, 2), 4, tuple(rng.randrange(81) for _ in range(6)))
+        assert c.pow_int(e) == _repeated(CycElement.mul, c, e, c.one_like())
+        t = TSeries(5, 3, 6, {j: rng.randrange(125) for j in range(6)})
+        assert t.pow_int(e) == _repeated(TSeries.mul, t, e, t.one_like())
+        S = SSeries([t.one_like(), TSeries(5, 3, 6, {1: rng.randrange(1, 125)}), t])
+        S_one = SSeries([t.one_like(), t.zero_like(), t.zero_like()])
+        assert S.pow_int(e).coeffs == _repeated(SSeries.mul, S, e, S_one).coeffs
+
+    def test_negative_power_of_zero_raises(self):
+        ctx = field_context(3, 2)
+        assert ctx.pow(ctx.zero(), 0) == ctx.one()
+        with pytest.raises(ZeroDivisionError):
+            ctx.pow(ctx.zero(), -1)
+
+    def test_poly_low_is_the_smallest_irreducible(self):
+        for p in (2, 3, 5, 7, 11, 13):
+            for a in range(1, 9):
+                if p**a <= 256:
+                    assert FieldContext(p, a).poly_low == oracle_smallest_irreducible(p, a), (p, a)
 
 
 class TestZq:

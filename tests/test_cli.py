@@ -85,6 +85,36 @@ class TestConfig:
             read_config_file(str(cfgfile))
             build_config(["sum", "x1", "--config", str(cfgfile)])
 
+    def test_config_values_are_parsed_like_flags(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("poly = -1*x1\nwhat = trace\nk = 1,2\noverride-nondegenerate = yes\n")
+        cfg = build_config(["verify", "--config", str(cfgfile)])
+        assert (cfg.poly, cfg.what, cfg.k_list) == ("-1*x1", "trace", (1, 2))
+        assert cfg.command == "verify" and cfg.override_nondegenerate is True
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "what = foo",
+            "p = abc",
+            "command = hodge",
+            "command = bogus",
+            "config = other.cfg",
+            "m_list = 1",
+            "override-nondegenerate = maybe",
+        ],
+    )
+    def test_config_escapes_end_in_json_error(self, line, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(line + "\n")
+        code, doc = run_json(["verify", "x1", "--p", "2", "--config", str(cfgfile)], capsys)
+        assert code == 1
+        assert set(doc) == {"error"}
+
+    def test_verify_refuses_an_unknown_target(self):
+        with pytest.raises(cli._UsageError, match="verify target"):
+            run(RunConfig(command="verify", poly="x1", p=2, what="foo"))
+
     def test_lists_parse(self):
         cfg = build_config(["np", "x1", "--m", "1,2", "-k", "2"])
         assert cfg.m_list == (1, 2) and cfg.k_list == (2,)

@@ -67,20 +67,6 @@ class TestTSeries:
         with pytest.raises(PrecisionError):
             a.divexact_int(3)
 
-    def test_compose_polynomial_oracle(self):
-        # (1 + X + X^2) at X = T + T^2, expanded by hand:
-        # 1 + T + 2T^2 + 2T^3 + T^4
-        outer = ts(7, 3, 5, {0: 1, 1: 1, 2: 1})
-        inner = ts(7, 3, 5, {1: 1, 2: 1})
-        got = outer.compose(inner)
-        assert got.sorted_items() == [(0, 1), (1, 1), (2, 2), (3, 2), (4, 1)]
-
-    def test_compose_requires_positive_order(self):
-        outer = ts(7, 3, 5, {0: 1, 1: 1})
-        inner = ts(7, 3, 5, {0: 1})
-        with pytest.raises(DomainError):
-            outer.compose(inner)
-
     def test_val_data_distinguishes_zero_from_unknown(self):
         a = ts(5, 2, 8, {}, den=2)
         assert a.val_data() == (None, Fraction(8, 2))
