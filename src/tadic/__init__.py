@@ -14,7 +14,6 @@ from .dwork import (
     e_f_expansion,
     facial_criterion,
     ordinariness_determinants,
-    pi_of_t,
     psi_a_matrix,
     verify_trace_formula,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "np_report",
     "ordinariness_determinants",
     "parse_laurent",
-    "pi_of_t",
     "polygon_dominates",
     "polygon_verdict",
     "psi_a_matrix",

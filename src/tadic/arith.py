@@ -566,8 +566,6 @@ class CycElement:
 def specialize_tseries(ts: TSeries, cyc: CycContext, prec_out: int) -> CycElement:
     """Substitute T = pi into a T-series: certified when the truncation tail
     T^cap lands below p^prec_out, i.e. cap >= e * prec_out."""
-    if ts.den != 1:
-        raise DomainError("can only specialize integer-exponent T-series")
     if ts.cap < cyc.e * prec_out:
         raise PrecisionError(
             f"T-truncation {ts.cap} too short: T=pi needs >= {cyc.e * prec_out}"

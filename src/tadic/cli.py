@@ -15,10 +15,10 @@ import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from .arith import CycElement, field_context
 from .dwork import (
-    DworkMatrix,
     ZqPi,
     char_c_crosscheck,
     char_series,
@@ -53,18 +53,6 @@ from .sums import (
     survey_family,
 )
 
-COMMANDS = (
-    "hodge",
-    "sum",
-    "lfun",
-    "cfun",
-    "np",
-    "dwork",
-    "verify",
-    "congruence",
-    "survey",
-    "faces",
-)
 VERIFY_TARGETS = ("trace", "char", "all")
 
 
@@ -157,19 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
         "polygons, and the operator-side cross checks.",
     )
     sub = ap.add_subparsers(dest="command", metavar="command")
-    for name, blurb in (
-        ("hodge", "combinatorial lower-bound polygon of the support"),
-        ("sum", "T-adic torus sums, optionally specialized to a character order"),
-        ("lfun", "L-function coefficients"),
-        ("cfun", "C-function coefficients"),
-        ("np", "certified Newton polygons and ordinariness flags"),
-        ("dwork", "transfer-operator characteristic series"),
-        ("verify", "cross-check the sum side against the operator side"),
-        ("congruence", "high-degree coefficient congruences of L"),
-        ("survey", "seeded random-coefficient survey over one support"),
-        ("faces", "per-face ordinariness determinants"),
-    ):
-        cp = sub.add_parser(name, help=blurb, description=blurb)
+    for name, cmd in COMMANDS.items():
+        cp = sub.add_parser(name, help=cmd.help, description=cmd.help)
         cp.add_argument("poly", nargs="?", default="", help="polynomial text, e.g. 'x1^3 + g^1*x2'")
         cp.add_argument("--config", default="", help="key=value file; flags win")
         cp.add_argument("--p", type=int, help="prime")
@@ -217,10 +194,14 @@ def _given(ns: argparse.Namespace) -> dict:
     return out
 
 
+def _choose() -> str:
+    return f"choose a command: {', '.join(COMMANDS)}"
+
+
 def build_config(argv) -> RunConfig:
     ns = _parser().parse_args(argv)
     if not ns.command:
-        raise _UsageError(f"choose a command: {', '.join(COMMANDS)}")
+        raise _UsageError(_choose())
     given = {}
     if ns.config:
         try:
@@ -256,7 +237,7 @@ def jpolygon(P: NewtonPolygon) -> dict:
 def jtseries(ts: TSeries) -> dict:
     return {
         "ring": "Z[[T]]",
-        "den": str(ts.den),
+        "den": "1",
         "prec_p": str(ts.prec),
         "cap": str(ts.cap),
         "coeffs": {str(j): str(c) for j, c in sorted(ts.coeffs.items())},
@@ -295,19 +276,9 @@ def jsseries(F: SSeries) -> list:
     return out
 
 
-def _pi_modulus_label(Mx: DworkMatrix) -> str:
-    return f"pi^{Fraction(Mx.cert_cap(), Mx.D)}"
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
-
-
-def _parse_poly(cfg: RunConfig) -> LaurentPoly:
-    if not cfg.poly:
-        raise _UsageError("this command needs a polynomial")
-    return parse_laurent(cfg.poly, field_context(cfg.p, cfg.a))
 
 
 def _resolve_basis(cfg: RunConfig, n_pi: int) -> int:
@@ -326,18 +297,14 @@ def _prec_t(cfg: RunConfig) -> int:
     """An explicit --prec-t as given, else the command's default."""
     if cfg.prec_t is not None:
         return cfg.prec_t
-    return OPERATOR_PREC_T if cfg.command in ("dwork", "verify") else SUMS_PREC_T
+    return COMMANDS[cfg.command].prec_t
 
 
-def cmd_hodge(cfg: RunConfig) -> dict:
-    f = _parse_poly(cfg)
+def cmd_hodge(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
     dd = newton_data(f)
     K = cfg.hodge_depth if cfg.hodge_depth is not None else dd.D - 1
     return {
-        "command": "hodge",
-        "p": cfg.p,
-        "a": cfg.a,
-        "poly": cfg.poly,
+        **doc,
         "rank": dd.rank,
         "denominator": dd.D,
         "depth": K,
@@ -348,63 +315,28 @@ def cmd_hodge(cfg: RunConfig) -> dict:
     }
 
 
-def cmd_sum(cfg: RunConfig) -> dict:
-    f = _parse_poly(cfg)
-    doc = {
-        "command": "sum",
-        "p": cfg.p,
-        "a": cfg.a,
-        "poly": cfg.poly,
-        "sums": {},
-        "specialized": {},
-    }
+def cmd_sum(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
+    sums, specialized = {}, {}
     ks = cfg.k_list or (1,)
     n_t = _prec_t(cfg)
     SumJob(f, max(ks), cfg.prec_p, n_t)  # the largest torus, before any work
     for k in ks:
-        S = s_f_T(f, k, cfg.prec_p, n_t)
-        doc["sums"][str(k)] = jtseries(S)
+        sums[str(k)] = jtseries(s_f_T(f, k, cfg.prec_p, n_t))
         for m in cfg.m_list:
-            doc["specialized"].setdefault(str(m), {})[str(k)] = jcyc(
-                s_f_psi(f, k, m, cfg.prec_p)
-            )
-    return doc
+            specialized.setdefault(str(m), {})[str(k)] = jcyc(s_f_psi(f, k, m, cfg.prec_p))
+    return {**doc, "sums": sums, "specialized": specialized}
 
 
-def cmd_lfun(cfg: RunConfig) -> dict:
-    f = _parse_poly(cfg)
-    L = l_function(f, cfg.deg_s, cfg.prec_p, _prec_t(cfg))
-    return {
-        "command": "lfun",
-        "p": cfg.p,
-        "a": cfg.a,
-        "poly": cfg.poly,
-        "deg_s": cfg.deg_s,
-        "coeffs": jsseries(L),
-    }
+def cmd_coeffs(series, cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
+    """The s-coefficients of series(f, deg_s, M, N): l_function or c_function."""
+    S = series(f, cfg.deg_s, cfg.prec_p, _prec_t(cfg))
+    return {**doc, "deg_s": cfg.deg_s, "coeffs": jsseries(S)}
 
 
-def cmd_cfun(cfg: RunConfig) -> dict:
-    f = _parse_poly(cfg)
-    C = c_function(f, cfg.deg_s, cfg.prec_p, _prec_t(cfg))
-    return {
-        "command": "cfun",
-        "p": cfg.p,
-        "a": cfg.a,
-        "poly": cfg.poly,
-        "deg_s": cfg.deg_s,
-        "coeffs": jsseries(C),
-    }
-
-
-def cmd_np(cfg: RunConfig) -> dict:
-    f = _parse_poly(cfg)
+def cmd_np(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
     rep = np_report(f, cfg.m_list, cfg.deg_s, cfg.prec_p, _prec_t(cfg))
     return {
-        "command": "np",
-        "p": rep.p,
-        "a": rep.a,
-        "poly": cfg.poly,
+        **doc,
         "deg_s": rep.deg_s,
         "np_t": jpolygon(rep.np_t),
         "np_pi": {str(m): jpolygon(P) for m, P in rep.np_pi.items()},
@@ -416,29 +348,24 @@ def cmd_np(cfg: RunConfig) -> dict:
     }
 
 
-def cmd_dwork(cfg: RunConfig) -> dict:
-    f = _parse_poly(cfg)
+def cmd_dwork(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
     n_pi = _prec_t(cfg)
     B = _resolve_basis(cfg, n_pi)
     Mx = psi_a_matrix(f, B, cfg.prec_p, n_pi)
-    C = char_series(Mx, min(cfg.deg_s, Mx.dim))
+    deg_s = min(cfg.deg_s, Mx.dim)
     return {
-        "command": "dwork",
-        "p": cfg.p,
-        "a": cfg.a,
-        "poly": cfg.poly,
+        **doc,
         "basis_bound": B,
         "dimension": Mx.dim,
-        "certified_modulus": _pi_modulus_label(Mx),
-        "deg_s": min(cfg.deg_s, Mx.dim),
-        "char_series": jsseries(C),
+        "certified_modulus": f"pi^{Fraction(Mx.cert_cap(), Mx.D)}",
+        "deg_s": deg_s,
+        "char_series": jsseries(char_series(Mx, deg_s)),
     }
 
 
-def cmd_verify(cfg: RunConfig) -> dict:
+def cmd_verify(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
     if cfg.what not in VERIFY_TARGETS:
         raise _UsageError(f"verify target {cfg.what!r} is not one of {', '.join(VERIFY_TARGETS)}")
-    f = _parse_poly(cfg)
     n_pi = _prec_t(cfg)
     B = _resolve_basis(cfg, n_pi)
     Mx = psi_a_matrix(f, B, cfg.prec_p, n_pi)
@@ -465,29 +392,17 @@ def cmd_verify(cfg: RunConfig) -> dict:
                 "mismatched_coefficients": list(cc.mismatches),
             }
         )
-    doc = {
-        "command": "verify",
-        "p": cfg.p,
-        "a": cfg.a,
-        "poly": cfg.poly,
-        "pass": all(c["pass"] for c in checks),
-        "checks": checks,
-    }
+    doc = {**doc, "pass": all(c["pass"] for c in checks), "checks": checks}
     if len(checks) == 1:
         doc["modulus"] = checks[0]["modulus"]
     return doc
 
 
-def cmd_congruence(cfg: RunConfig) -> dict:
-    f = _parse_poly(cfg)
-    dd = newton_data(f)
-    ms = cfg.m_list or (1,)
+def cmd_congruence(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
     reports = {}
-    for m in ms:
-        bound = dd.normalized_volume() * cfg.p ** (f.n * (m - 1))
-        ks = cfg.k_list or (bound + 1, bound + 2)
+    for m in cfg.m_list or (1,):
         rep = congruence_check(
-            f, m, ks, cfg.prec_p, _prec_t(cfg), cfg.override_nondegenerate
+            f, m, cfg.k_list or None, cfg.prec_p, _prec_t(cfg), cfg.override_nondegenerate
         )
         reports[str(m)] = {
             "degree_bound": rep.degree_bound,
@@ -500,17 +415,10 @@ def cmd_congruence(cfg: RunConfig) -> dict:
                 for c in rep.checks
             ],
         }
-    return {
-        "command": "congruence",
-        "p": cfg.p,
-        "a": cfg.a,
-        "poly": cfg.poly,
-        "reports": reports,
-    }
+    return {**doc, "reports": reports}
 
 
-def cmd_survey(cfg: RunConfig) -> dict:
-    f = _parse_poly(cfg)
+def cmd_survey(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
     rep = survey_family(
         [u for u, _ in f.terms],
         cfg.p,
@@ -521,10 +429,9 @@ def cmd_survey(cfg: RunConfig) -> dict:
         cfg.prec_p,
         _prec_t(cfg),
     )
+    del doc["poly"]  # the samples draw their own coefficients: echo the support
     return {
-        "command": "survey",
-        "p": rep.p,
-        "a": rep.a,
+        **doc,
         "support": [list(u) for u in rep.exponents],
         "sample_count": rep.sample_count,
         "seed": rep.seed,
@@ -543,16 +450,11 @@ def cmd_survey(cfg: RunConfig) -> dict:
     }
 
 
-def cmd_faces(cfg: RunConfig) -> dict:
-    f = _parse_poly(cfg)
-    dd = newton_data(f)
-    K = cfg.hodge_depth if cfg.hodge_depth is not None else dd.D
+def cmd_faces(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
+    K = cfg.hodge_depth if cfg.hodge_depth is not None else newton_data(f).D
     fr = facial_criterion(f, K, cfg.prec_p)
     return {
-        "command": "faces",
-        "p": cfg.p,
-        "a": cfg.a,
-        "poly": cfg.poly,
+        **doc,
         "depth": K,
         "denominator": fr.whole.D,
         "whole": list(fr.whole.verdicts),
@@ -570,17 +472,28 @@ def cmd_faces(cfg: RunConfig) -> dict:
     }
 
 
-_DISPATCH = {
-    "hodge": cmd_hodge,
-    "sum": cmd_sum,
-    "lfun": cmd_lfun,
-    "cfun": cmd_cfun,
-    "np": cmd_np,
-    "dwork": cmd_dwork,
-    "verify": cmd_verify,
-    "congruence": cmd_congruence,
-    "survey": cmd_survey,
-    "faces": cmd_faces,
+@dataclass(frozen=True)
+class Command:
+    """One row of the command table."""
+
+    handler: Callable  # (cfg, parsed polynomial, document header) -> document
+    help: str
+    prec_t: int  # --prec-t when it is not given
+
+
+# The lfun and cfun rows look l_function and c_function up when they run, so
+# a wrapper later bound to those names in this module (the tracer's) is seen.
+COMMANDS = {
+    "hodge": Command(cmd_hodge, "combinatorial lower-bound polygon of the support", SUMS_PREC_T),
+    "sum": Command(cmd_sum, "T-adic torus sums, optionally specialized to a character order", SUMS_PREC_T),
+    "lfun": Command(lambda *a: cmd_coeffs(l_function, *a), "L-function coefficients", SUMS_PREC_T),
+    "cfun": Command(lambda *a: cmd_coeffs(c_function, *a), "C-function coefficients", SUMS_PREC_T),
+    "np": Command(cmd_np, "certified Newton polygons and ordinariness flags", SUMS_PREC_T),
+    "dwork": Command(cmd_dwork, "transfer-operator characteristic series", OPERATOR_PREC_T),
+    "verify": Command(cmd_verify, "cross-check the sum side against the operator side", OPERATOR_PREC_T),
+    "congruence": Command(cmd_congruence, "high-degree coefficient congruences of L", SUMS_PREC_T),
+    "survey": Command(cmd_survey, "seeded random-coefficient survey over one support", SUMS_PREC_T),
+    "faces": Command(cmd_faces, "per-face ordinariness determinants", SUMS_PREC_T),
 }
 
 
@@ -599,7 +512,14 @@ def _emit(doc: dict, out_path: str):
 
 
 def run(cfg: RunConfig) -> dict:
-    return _DISPATCH[cfg.command](cfg)
+    cmd = COMMANDS.get(cfg.command)
+    if cmd is None:
+        raise _UsageError(f"unknown command {cfg.command!r}; {_choose()}")
+    if not cfg.poly:
+        raise _UsageError("this command needs a polynomial")
+    f = parse_laurent(cfg.poly, field_context(cfg.p, cfg.a))
+    header = {"command": cfg.command, "p": cfg.p, "a": cfg.a, "poly": cfg.poly}
+    return cmd.handler(cfg, f, header)
 
 
 def main(argv=None) -> int:

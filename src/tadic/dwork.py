@@ -24,29 +24,13 @@ from fractions import Fraction
 
 from .arith import FieldContext, teichmuller_lift
 from .errors import DomainError, IntegralityError, PrecisionError, TheoremViolation
-from .polytope import LaurentPoly, newton_data, restrict_to_face
+from .polytope import LaurentPoly, newton_data, restrict_to_face, saturated_span_basis
 from .series import SSeries, TSeries
 
 
 # ---------------------------------------------------------------------------
-# exact scalar series: the splitting kernel and the change of uniformizer
+# the splitting kernel, exact rationals
 # ---------------------------------------------------------------------------
-
-
-def _exp_fractions(g, N: int):
-    """exp of sum_j g[j] X^j (g[0] = 0) to order N, exact rationals.
-
-    Uses the derivative recurrence k*e_k = sum_j j*g_j*e_{k-j}; the only
-    divisions are by k, which Fraction absorbs exactly.
-    """
-    e = [Fraction(1)] + [Fraction(0)] * (N - 1)
-    for k in range(1, N):
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            if g[j]:
-                acc += j * g[j] * e[k - j]
-        e[k] = acc / k
-    return e
 
 
 @dataclass(frozen=True)
@@ -63,80 +47,18 @@ class ArtinHasse:
 
 
 def artin_hasse(p: int, N: int) -> ArtinHasse:
+    """The coefficients from E'(pi) = E(pi) * sum_i pi^(p^i - 1), that is
+    k*e_k = sum_{p^i <= k} e_{k - p^i}; Fraction absorbs the division by k."""
     if N < 1:
         raise DomainError("need at least one kernel coefficient")
-    g = [Fraction(0)] * N
-    q = 1
-    while q < N:
-        g[q] = Fraction(1, q)
-        q *= p
-    e = _exp_fractions(g, N)
+    powers = [p**i for i in range(N.bit_length()) if p**i < N]
+    e = [Fraction(1)]
+    for k in range(1, N):
+        e.append(sum(e[k - q] for q in powers if q <= k) / k)
     for j, c in enumerate(e):
         if c.denominator % p == 0:
             raise IntegralityError(f"kernel coefficient {j} has denominator {c.denominator}")
     return ArtinHasse(p=p, cap=N, coeffs=tuple(e))
-
-
-@dataclass(frozen=True)
-class PiOfT:
-    """The inverse uniformizer change: pi as a series in T with pi(0) = 0,
-    leading coefficient 1, defined by E(pi(T)) = 1 + T."""
-
-    p: int
-    cap: int
-    coeffs: tuple  # exact rationals, coeffs[j] multiplies T^j
-
-
-def _compose_fractions(outer, inner, N: int):
-    """outer(inner(X)) mod X^N for rational coefficient lists, inner[0] = 0."""
-    res = [Fraction(0)] * N
-    for c in reversed(outer[:N]):
-        # res = res*inner + c
-        new = [Fraction(0)] * N
-        for i, ri in enumerate(res):
-            if ri:
-                for j, bj in enumerate(inner[: N - i]):
-                    if bj:
-                        new[i + j] += ri * bj
-        new[0] += c
-        res = new
-    return res
-
-
-def pi_of_t(p: int, M: int, N: int) -> PiOfT:
-    """Revert E(pi) - 1 = T coefficient by coefficient.
-
-    b_k is determined linearly once b_1..b_{k-1} are known, because the
-    kernel has leading coefficient 1.  The full round trip is re-checked at
-    the end; a failure means the reversion or the kernel is wrong, so it
-    raises rather than returns.
-    """
-    if N < 2:
-        raise DomainError("reversion needs at least the linear term")
-    E = artin_hasse(p, N).coeffs
-    b = [Fraction(0)] * N
-    b[1] = Fraction(1)
-    # pw[m][t] = coefficient of T^t in (pi(T))^m, filled in step order
-    pw = [[Fraction(0)] * N for _ in range(N)]
-    pw[0][0] = Fraction(1)
-    pw[1][1] = Fraction(1)
-    for t in range(2, N):
-        for m in range(2, t + 1):
-            acc = Fraction(0)
-            for j in range(1, t - m + 2):
-                if b[j] and pw[m - 1][t - j]:
-                    acc += b[j] * pw[m - 1][t - j]
-            pw[m][t] = acc
-        b[t] = -sum(E[m] * pw[m][t] for m in range(2, t + 1))
-        pw[1][t] = b[t]
-    for j, c in enumerate(b):
-        if c.denominator % p == 0:
-            raise IntegralityError(f"reversion coefficient {j} has denominator {c.denominator}")
-    check = _compose_fractions(list(E), b, N)
-    want = [Fraction(1), Fraction(1)] + [Fraction(0)] * (N - 2)
-    if check != want:
-        raise TheoremViolation("uniformizer round trip failed")
-    return PiOfT(p=p, cap=N, coeffs=tuple(b))
 
 
 def _frac_mod(fr: Fraction, p: int, prec: int) -> int:
@@ -506,8 +428,6 @@ def t_to_pi(ts: TSeries, ah: ArtinHasse, ctx: FieldContext, den: int = 1) -> ZqP
     The substitution sends O(T^N) to O(pi^N), so the T-cap carries over as
     the pi-cap unchanged.
     """
-    if ts.den != 1:
-        raise DomainError("substitution expects a plain T-series")
     cap = min(ts.cap, ah.cap)
     prec = ts.prec
     e_minus_1 = ZqPi(
@@ -1054,7 +974,9 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
                 for i in c
             )
         ]
-        dims[c] = _affine_rank(face_pts)
+        # affine dimension: the rank of the (distinct, so nonzero) differences
+        diffs = [tuple(x - y for x, y in zip(q, face_pts[0])) for q in face_pts[1:]]
+        dims[c] = len(saturated_span_basis(diffs, dd.rank)) if face_pts else -1
 
     p = f.ctx.p
     for (i, (w, dw)), (j, (u, du)) in itertools.product(enumerate(pts), repeat=2):
@@ -1147,30 +1069,3 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
             )
         )
     return FacialReport(whole=whole, faces=tuple(faces), conjunction=tuple(conjunction))
-
-
-def _affine_rank(points) -> int:
-    if not points:
-        return -1
-    base = points[0]
-    vecs = [tuple(a - b for a, b in zip(q, base)) for q in points[1:]]
-    rank = 0
-    rows = [list(map(Fraction, v)) for v in vecs]
-    cols = len(base)
-    lead = 0
-    for c in range(cols):
-        piv = next((r for r in range(lead, len(rows)) if rows[r][c]), None)
-        if piv is None:
-            continue
-        rows[lead], rows[piv] = rows[piv], rows[lead]
-        for r in range(len(rows)):
-            if r != lead and rows[r][c]:
-                fmul = rows[r][c] / rows[lead][c]
-                rows[r] = [x - fmul * y for x, y in zip(rows[r], rows[lead])]
-        lead += 1
-        rank += 1
-        if lead == len(rows):
-            break
-    return rank
-
-

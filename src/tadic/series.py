@@ -58,16 +58,16 @@ def vp_factorial(n: int, p: int) -> int:
 
 
 class TSeries:
-    """sum_j c_j X^(j/den) truncated below exponent cap/den, with c_j mod p^prec.
+    """sum_j c_j X^j truncated below X^cap, with c_j mod p^prec.
 
-    Exponent keys are integers in units of 1/den; only nonzero residues are
-    stored.  Operations take the minimum of the operands' p-precision and
-    exponent caps, so results are always certified to their stated moduli.
+    Only nonzero residues are stored.  Operations take the minimum of the
+    operands' p-precision and exponent caps, so results are always certified
+    to their stated moduli.
     """
 
-    __slots__ = ("p", "prec", "cap", "den", "coeffs", "pm")
+    __slots__ = ("p", "prec", "cap", "coeffs", "pm")
 
-    def __init__(self, p: int, prec: int, cap: int, coeffs=None, den: int = 1):
+    def __init__(self, p: int, prec: int, cap: int, coeffs=None):
         if prec <= 0:
             raise PrecisionError(f"no certified p-digits left (prec={prec})")
         if cap <= 0:
@@ -75,7 +75,6 @@ class TSeries:
         self.p = p
         self.prec = prec
         self.cap = cap
-        self.den = den
         self.pm = p**prec
         clean = {}
         if coeffs:
@@ -89,20 +88,20 @@ class TSeries:
         self.coeffs = clean
 
     @classmethod
-    def const(cls, p, prec, cap, value, den=1):
-        return cls(p, prec, cap, {0: value}, den)
+    def const(cls, p, prec, cap, value):
+        return cls(p, prec, cap, {0: value})
 
     @classmethod
-    def zero(cls, p, prec, cap, den=1):
-        return cls(p, prec, cap, {}, den)
+    def zero(cls, p, prec, cap):
+        return cls(p, prec, cap, {})
 
     # -- protocol helpers ------------------------------------------------
 
     def zero_like(self):
-        return TSeries(self.p, self.prec, self.cap, {}, self.den)
+        return TSeries(self.p, self.prec, self.cap, {})
 
     def one_like(self):
-        return TSeries(self.p, self.prec, self.cap, {0: 1}, self.den)
+        return TSeries(self.p, self.prec, self.cap, {0: 1})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -111,14 +110,14 @@ class TSeries:
         return self.coeffs == {0: 1}
 
     def val_data(self):
-        """(valuation, cap) in exponent units of 1/den; valuation None if no
-        nonzero residue survives (i.e. only '>= cap' is known)."""
+        """(valuation, cap); valuation None if no nonzero residue survives
+        (i.e. only '>= cap' is known)."""
         if self.coeffs:
-            return Fraction(min(self.coeffs), self.den), Fraction(self.cap, self.den)
-        return None, Fraction(self.cap, self.den)
+            return Fraction(min(self.coeffs)), Fraction(self.cap)
+        return None, Fraction(self.cap)
 
     def _common(self, other):
-        if self.p != other.p or self.den != other.den:
+        if self.p != other.p:
             raise DomainError("series live in different rings")
         return min(self.prec, other.prec), min(self.cap, other.cap)
 
@@ -129,15 +128,13 @@ class TSeries:
         out = dict(self.coeffs)
         for j, c in other.coeffs.items():
             out[j] = out.get(j, 0) + c
-        return TSeries(self.p, prec, cap, out, self.den)
+        return TSeries(self.p, prec, cap, out)
 
     def sub(self, other: "TSeries") -> "TSeries":
         return self.add(other.neg())
 
     def neg(self) -> "TSeries":
-        return TSeries(
-            self.p, self.prec, self.cap, {j: self.pm - c for j, c in self.coeffs.items()}, self.den
-        )
+        return TSeries(self.p, self.prec, self.cap, {j: self.pm - c for j, c in self.coeffs.items()})
 
     def mul(self, other: "TSeries") -> "TSeries":
         prec, cap = self._common(other)
@@ -148,12 +145,10 @@ class TSeries:
                 e = j + k
                 if e < cap:
                     out[e] = out.get(e, 0) + c * d
-        return TSeries(self.p, prec, cap, out, self.den)
+        return TSeries(self.p, prec, cap, out)
 
     def mul_int(self, c: int) -> "TSeries":
-        return TSeries(
-            self.p, self.prec, self.cap, {j: v * c for j, v in self.coeffs.items()}, self.den
-        )
+        return TSeries(self.p, self.prec, self.cap, {j: v * c for j, v in self.coeffs.items()})
 
     def divexact_int(self, k: int) -> "TSeries":
         """Divide by a nonzero integer, asserting exact divisibility of every
@@ -174,10 +169,10 @@ class TSeries:
         for j, c in self.coeffs.items():
             if c % pv:
                 raise IntegralityError(
-                    f"residue at exponent {j}/{self.den} not divisible by {self.p}^{v}"
+                    f"residue at exponent {j} not divisible by {self.p}^{v}"
                 )
             out[j] = (c // pv) * inv * sign
-        return TSeries(self.p, new_prec, self.cap, out, self.den)
+        return TSeries(self.p, new_prec, self.cap, out)
 
     def inverse(self) -> "TSeries":
         c0 = self.coeffs.get(0, 0)
@@ -194,7 +189,7 @@ class TSeries:
                         acc += a * b
             if acc:
                 out[j] = (-inv0 * acc) % self.pm
-        return TSeries(self.p, self.prec, self.cap, out, self.den)
+        return TSeries(self.p, self.prec, self.cap, out)
 
     def pow_int(self, e: int) -> "TSeries":
         if e < 0:
@@ -204,15 +199,15 @@ class TSeries:
     # -- structural operations --------------------------------------------
 
     def truncate(self, cap: int) -> "TSeries":
-        return TSeries(self.p, self.prec, min(cap, self.cap), self.coeffs, self.den)
+        return TSeries(self.p, self.prec, min(cap, self.cap), self.coeffs)
 
     def with_prec(self, prec: int) -> "TSeries":
         if prec > self.prec:
             raise PrecisionError("cannot invent p-digits")
-        return TSeries(self.p, prec, self.cap, self.coeffs, self.den)
+        return TSeries(self.p, prec, self.cap, self.coeffs)
 
     def shift(self, units: int) -> "TSeries":
-        """Multiply by X^(units/den); truncation cap moves with the shift."""
+        """Multiply by X^units; truncation cap moves with the shift."""
         if units < 0 and any(j + units < 0 for j in self.coeffs):
             raise DomainError("shift would create negative exponents")
         return TSeries(
@@ -220,7 +215,6 @@ class TSeries:
             self.prec,
             self.cap + units,
             {j + units: c for j, c in self.coeffs.items()},
-            self.den,
         )
 
     # -- inspection ---------------------------------------------------------
@@ -241,8 +235,8 @@ class TSeries:
         return True
 
     def __repr__(self):
-        terms = ", ".join(f"{j}/{self.den}: {c}" for j, c in self.sorted_items())
-        return f"TSeries(p={self.p}, prec={self.prec}, cap={self.cap}/{self.den}, {{{terms}}})"
+        terms = ", ".join(f"{j}: {c}" for j, c in self.sorted_items())
+        return f"TSeries(p={self.p}, prec={self.prec}, cap={self.cap}, {{{terms}}})"
 
     def __eq__(self, other):
         if not isinstance(other, TSeries):
@@ -251,12 +245,11 @@ class TSeries:
             self.p == other.p
             and self.prec == other.prec
             and self.cap == other.cap
-            and self.den == other.den
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.p, self.prec, self.cap, self.den, tuple(self.sorted_items())))
+        return hash((self.p, self.prec, self.cap, tuple(self.sorted_items())))
 
 
 class SSeries:

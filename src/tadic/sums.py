@@ -276,6 +276,8 @@ def power_sums_T(f: LaurentPoly, deg_s: int, M: int, N: int):
 
 
 def _exp_path(f: LaurentPoly, deg_s: int, M: int, N: int, normalized: bool) -> SSeries:
+    if deg_s < 0:
+        raise DomainError("need deg_s >= 0")
     # exp's recurrence divides by k <= deg_s, so work with guard digits and
     # renormalize down; divexact_int still asserts integrality on the way
     p = f.ctx.p
@@ -604,26 +606,31 @@ def congruence_check(
     f: LaurentPoly, m: int, k_range, M: int, N: int, override_nondegenerate: bool = False
 ) -> CongruenceReport:
     """Divisibility of the s^k coefficients of L^(+-1) by ((1+T)^(p^m)-1)/T
-    for k past the degree bound n! * Vol * p^(n(m-1)).
+    for k past the degree bound n! * Vol * p^(n(m-1)); a k_range of None
+    checks the two k just past the bound.
 
     The head is reduced by exact polynomial division; the unseen T-tail is
     bounded by _tail_ord_floor, so every verdict names the power of p it is
     proven at.  The nondegeneracy hypothesis is checked, or attested via
     the override and recorded.
     """
+    if m < 1:
+        raise DomainError("character level m must be >= 1")
+    dd = newton_data(f)
+    p, n = f.ctx.p, f.n
+    bound = dd.normalized_volume() * p ** (n * (m - 1))
     nd = _verdict_label(is_nondegenerate(f))
     if nd != "nondegenerate" and not override_nondegenerate:
         raise DomainError(
             "nondegeneracy is not certified; pass override_nondegenerate to attest it"
         )
+    if k_range is None:
+        k_range = (bound + 1, bound + 2)
     ks = sorted({int(k) for k in k_range})
     if not ks or ks[0] < 1:
         raise DomainError("k range must be positive")
-    dd = newton_data(f)
     if dd.rank < f.n:
         raise DomainError("degree bound needs full-dimensional support")
-    p, n = f.ctx.p, f.n
-    bound = dd.normalized_volume() * p ** (n * (m - 1))
     g = congruence_modulus(p, m)
     applicable = [k for k in ks if k > bound]
     tail = 0
@@ -692,6 +699,8 @@ def survey_family(
     exps = tuple(tuple(int(e) for e in u) for u in exponents)
     if not exps:
         raise DomainError("empty support")
+    if sample_count < 0:
+        raise DomainError("need sample_count >= 0")
     n = len(exps[0])
     ctx = field_context(p, a)
     units = [x for x in ctx.elements() if x != ctx.zero()]

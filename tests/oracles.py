@@ -9,11 +9,18 @@ nothing, where the library's kernel works on bare scalars and series.  The
 torus reference visits every point, with neither the library's row walk
 nor its Frobenius-orbit reduction.  The quotient-ring references multiply
 polynomials in full and long-divide by the modulus, where the library
-reduces through precomputed rows of x^(d+i).
+reduces through precomputed rows of x^(d+i).  The splitting-kernel
+references exponentiate a general log series by the full derivative
+recurrence and revert E(pi) - 1 = T in exact rationals, where the library
+uses the Artin-Hasse shortcut and substitutes T = E(pi) - 1 the other way.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+
+from tadic.dwork import artin_hasse
+from tadic.errors import DomainError, IntegralityError, TheoremViolation
 
 
 def _solve_unique(columns, target):
@@ -227,3 +234,74 @@ def oracle_smallest_irreducible(p, a):
         if all(any(_oracle_remainder(f, g, p)) for g in divisors):
             return low
     raise AssertionError(f"no irreducible of degree {a} over F_{p}")
+
+
+def oracle_exp_fractions(g, N):
+    """exp of sum_j g[j] X^j (g[0] = 0) to order N, exact rationals, by
+    k*e_k = sum_j j*g_j*e_{k-j} over every j."""
+    e = [Fraction(1)] + [Fraction(0)] * (N - 1)
+    for k in range(1, N):
+        e[k] = sum(j * g[j] * e[k - j] for j in range(1, k + 1)) / k
+    return e
+
+
+@dataclass(frozen=True)
+class PiOfT:
+    """The inverse uniformizer change: pi as a series in T with pi(0) = 0,
+    leading coefficient 1, defined by E(pi(T)) = 1 + T."""
+
+    p: int
+    cap: int
+    coeffs: tuple  # exact rationals, coeffs[j] multiplies T^j
+
+
+def _compose_fractions(outer, inner, N: int):
+    """outer(inner(X)) mod X^N for rational coefficient lists, inner[0] = 0."""
+    res = [Fraction(0)] * N
+    for c in reversed(outer[:N]):
+        # res = res*inner + c
+        new = [Fraction(0)] * N
+        for i, ri in enumerate(res):
+            if ri:
+                for j, bj in enumerate(inner[: N - i]):
+                    if bj:
+                        new[i + j] += ri * bj
+        new[0] += c
+        res = new
+    return res
+
+
+def pi_of_t(p: int, M: int, N: int) -> PiOfT:
+    """Revert E(pi) - 1 = T coefficient by coefficient.
+
+    b_k is determined linearly once b_1..b_{k-1} are known, because the
+    kernel has leading coefficient 1.  The full round trip is re-checked at
+    the end; a failure means the reversion or the kernel is wrong, so it
+    raises rather than returns.
+    """
+    if N < 2:
+        raise DomainError("reversion needs at least the linear term")
+    E = artin_hasse(p, N).coeffs
+    b = [Fraction(0)] * N
+    b[1] = Fraction(1)
+    # pw[m][t] = coefficient of T^t in (pi(T))^m, filled in step order
+    pw = [[Fraction(0)] * N for _ in range(N)]
+    pw[0][0] = Fraction(1)
+    pw[1][1] = Fraction(1)
+    for t in range(2, N):
+        for m in range(2, t + 1):
+            acc = Fraction(0)
+            for j in range(1, t - m + 2):
+                if b[j] and pw[m - 1][t - j]:
+                    acc += b[j] * pw[m - 1][t - j]
+            pw[m][t] = acc
+        b[t] = -sum(E[m] * pw[m][t] for m in range(2, t + 1))
+        pw[1][t] = b[t]
+    for j, c in enumerate(b):
+        if c.denominator % p == 0:
+            raise IntegralityError(f"reversion coefficient {j} has denominator {c.denominator}")
+    check = _compose_fractions(list(E), b, N)
+    want = [Fraction(1), Fraction(1)] + [Fraction(0)] * (N - 2)
+    if check != want:
+        raise TheoremViolation("uniformizer round trip failed")
+    return PiOfT(p=p, cap=N, coeffs=tuple(b))

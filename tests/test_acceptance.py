@@ -19,7 +19,6 @@ from tadic.dwork import (
     artin_hasse,
     char_c_crosscheck,
     facial_criterion,
-    pi_of_t,
     verify_trace_formula,
 )
 from tadic.polytope import LaurentPoly
@@ -43,6 +42,8 @@ from tadic.sums import (
     s_f_psi,
     specialize,
 )
+
+from oracles import pi_of_t
 
 SPERBER = [(1, 0), (0, 1), (-1, -1)]
 

@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -329,10 +332,10 @@ class TestExitCodes:
 
     def test_internal_invariant_failure(self, capsys, monkeypatch):
         # exit 3 is reserved for bugs; force one through the dispatch table
-        def boom(cfg):
+        def boom(cfg, f, doc):
             raise TheoremViolation("forced")
 
-        monkeypatch.setitem(cli._DISPATCH, "hodge", boom)
+        monkeypatch.setitem(cli.COMMANDS, "hodge", dataclasses.replace(cli.COMMANDS["hodge"], handler=boom))
         code, doc = run_json(["hodge", "x1", "--p", "2"], capsys)
         assert code == 3 and doc["error"]["type"] == "TheoremViolation"
 
@@ -342,3 +345,46 @@ class TestExitCodes:
             ["np", "x1", "--p", "5", "--m", "2", "--prec-t", "8"], capsys
         )
         assert code == 2 and doc["error"]["type"] == "PrecisionError"
+
+
+CORPUS = json.loads((Path(__file__).resolve().parent / "cli_corpus.json").read_text())
+CORPUS_IDS = [
+    (" ".join(e["argv"]) or "no command") + (f" [{e['config']}]" if "config" in e else "") for e in CORPUS
+]
+
+
+class TestErrorCorpus:
+    """Byte-exact stdout and exit codes of recorded invocations: each size
+    limit, config escape and bad precision, k = 0, three variables, a
+    missing polynomial or command, and a few successful hodge runs.  An
+    entry with a `before_fix` field records what the invocation did before
+    its library-level refusal was added."""
+
+    @pytest.mark.parametrize("entry", CORPUS, ids=CORPUS_IDS)
+    def test_invocation_is_unchanged(self, entry, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        if "config" in entry:
+            (tmp_path / "run.cfg").write_text(entry["config"] + "\n")
+        assert main(list(entry["argv"])) == entry["exit"]
+        assert capsys.readouterr().out == entry["stdout"]
+
+
+class TestCommandTable:
+    def test_readme_lists_exactly_the_commands(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("| command      | what it prints |", 1)[1].split("\n\n", 1)[0]
+        assert re.findall(r"^\| `(\w+)`", section, re.M) == list(cli.COMMANDS)
+
+    def test_run_refuses_an_unknown_command(self):
+        with pytest.raises(cli._UsageError, match="unknown command 'bogus'"):
+            run(RunConfig(command="bogus"))
+
+    @pytest.mark.parametrize("command, name", [("lfun", "l_function"), ("cfun", "c_function")])
+    def test_series_rows_call_the_module_binding(self, command, name, monkeypatch):
+        # a wrapper installed on the cli module (as the benchmark tracer does)
+        # must see every lfun and cfun job
+        seen = []
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args: seen.append(args[1:]) or real(*args))
+        doc = run(RunConfig(command=command, poly="x1", p=3, deg_s=1, prec_t=6))
+        assert seen == [(1, 4, 6)] and doc["command"] == command and len(doc["coeffs"]) == 2

@@ -25,17 +25,15 @@ from tadic.dwork import (
     facial_criterion,
     operator_trace,
     ordinariness_determinants,
-    pi_of_t,
     psi_a_matrix,
     t_to_pi,
     verify_trace_formula,
 )
 from tadic.errors import DomainError, IntegralityError, PrecisionError
 from tadic.polytope import LaurentPoly, newton_data, restrict_to_face
-from tadic.series import TSeries
 from tadic.sums import np_report
 
-from oracles import oracle_berkowitz, oracle_det, oracle_trace
+from oracles import oracle_berkowitz, oracle_det, oracle_exp_fractions, oracle_trace, pi_of_t
 
 SPERBER = [(1, 0), (0, 1), (-1, -1)]
 
@@ -85,6 +83,18 @@ class TestSplittingKernel:
         for p in (2, 3, 5):
             ah = artin_hasse(p, 41)
             assert all(c.denominator % p for c in ah.coeffs)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_kernel_matches_exp_of_the_log_series(self, p):
+        # E = exp(sum_i X^(p^i)/p^i), by the general exp recurrence
+        N = 60
+        g = [Fraction(0)] * N
+        q = 1
+        while q < N:
+            g[q] = Fraction(1, q)
+            q *= p
+        assert list(artin_hasse(p, N).coeffs) == oracle_exp_fractions(g, N)
+        assert artin_hasse(p, 1).coeffs == (Fraction(1),)
 
     def test_uniformizer_p2_prefix(self):
         pi = pi_of_t(2, 6, 8)
@@ -464,11 +474,6 @@ class TestAdditiveSplitting:
                     rhs = fac if rhs is None else rhs.mul(fac)
             assert lhs.agrees_with(rhs)
             x = big.mul(x, big.generator)
-
-    def test_substitution_requires_plain_series(self):
-        ah = artin_hasse(3, 4)
-        with pytest.raises(DomainError):
-            t_to_pi(TSeries(3, 3, 4, {1: 1}, den=2), ah, CTX3)
 
 
 class TestOrdinarinessCriterion:

@@ -26,8 +26,8 @@ from tadic.series import (
 )
 
 
-def ts(p, prec, cap, coeffs, den=1):
-    return TSeries(p, prec, cap, coeffs, den)
+def ts(p, prec, cap, coeffs):
+    return TSeries(p, prec, cap, coeffs)
 
 
 class TestTSeries:
@@ -68,16 +68,10 @@ class TestTSeries:
             a.divexact_int(3)
 
     def test_val_data_distinguishes_zero_from_unknown(self):
-        a = ts(5, 2, 8, {}, den=2)
-        assert a.val_data() == (None, Fraction(8, 2))
-        b = ts(5, 2, 8, {3: 5}, den=2)
-        assert b.val_data() == (Fraction(3, 2), Fraction(4))
-
-    def test_fractional_exponents_multiply(self):
-        # X^(1/2) * X^(3/2) = X^2
-        a = ts(5, 3, 9, {1: 2}, den=2)
-        b = ts(5, 3, 9, {3: 3}, den=2)
-        assert a.mul(b).sorted_items() == [(4, 6)]
+        a = ts(5, 2, 8, {})
+        assert a.val_data() == (None, Fraction(8))
+        b = ts(5, 2, 8, {3: 5})
+        assert b.val_data() == (Fraction(3), Fraction(8))
 
     @given(
         st.integers(min_value=0, max_value=3).flatmap(

@@ -354,6 +354,13 @@ class TestLCFunctions:
         assert C.coeffs[2].coeff(0) % 27 == 0
         assert C.coeffs[3].coeff(0) % 27 == 0
 
+    @pytest.mark.parametrize("series", [l_function, c_function])
+    def test_negative_s_degree_refused(self, series):
+        f = poly([(1,)], p=3)
+        with pytest.raises(DomainError, match="deg_s >= 0"):
+            series(f, -3, 3, 6)
+        assert len(series(f, 0, 3, 6).coeffs) == 1
+
     def test_n1_l_equals_c_ratio(self):
         f = poly([(3,)], p=2)
         q = 2
@@ -542,6 +549,20 @@ class TestCongruence:
         assert rep.override is True
         assert rep.nondegenerate == "degenerate"
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_level_below_one_refused(self, m):
+        f = poly([(2,), (-1,)], p=3)
+        with pytest.raises(DomainError, match="m must be >= 1"):
+            congruence_check(f, m, [3], 3, 12)
+        with pytest.raises(DomainError, match="m must be >= 1"):
+            congruence_check(f, m, None, 3, 12)
+
+    def test_default_window_is_just_past_the_bound(self):
+        f = poly([(2,)], p=3)
+        rep = congruence_check(f, 1, None, 3, 12)
+        assert [c.k for c in rep.checks] == [rep.degree_bound + 1, rep.degree_bound + 2]
+        assert rep == congruence_check(f, 1, [3, 4], 3, 12)
+
     def test_tail_floor_grows_with_cap(self):
         from tadic.sums import _tail_ord_floor
 
@@ -567,6 +588,10 @@ class TestSurvey:
         rep = survey_family([(1,)], 2, 1, 0, seed=0, deg_s=1, M=2, N=4)
         assert rep.sample_count == 0
         assert rep.histogram == ()
+
+    def test_negative_count_refused(self):
+        with pytest.raises(DomainError, match="sample_count >= 0"):
+            survey_family([(1,)], 2, 1, -1, seed=0, deg_s=1, M=2, N=4)
 
     def test_histogram_counts_sum(self):
         rep = survey_family([(2,), (1,)], 3, 1, 6, seed=3, deg_s=2, M=3, N=8)
