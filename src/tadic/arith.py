@@ -349,11 +349,16 @@ def binomial_sum(counts, p: int, M_out: int, N: int, t_prec: int) -> TSeries:
     """sum of c * (1+T)^t over {t: c}, i.e. sum_j T^j sum_t c * binom(t,j) for
     j < N, coefficients mod p^M_out.
 
-    Each t is a residue mod p^t_prec; binom(t,j) = t(t-1)...(t-j+1)/j! loses
+    Each t is read mod p^t_prec; binom(t,j) = t(t-1)...(t-j+1)/j! loses
     ord_p(j!) digits, so t_prec must cover M_out plus the worst-case loss.
-    The falling factorials, weighted by their counts, accumulate as plain
-    integers and each j divides by j! once; every falling factorial is still
-    checked to be divisible by the p-part of j! on its own.
+    The weighted power moments m_i = sum_t c * t^i mod p^t_prec (i < N) take
+    one pass over the traces each; the signed Stirling numbers of the first
+    kind turn them into the weighted falling factorials,
+    sum_t c * t(t-1)...(t-j+1) = sum_i s(j,i) m_i, and each j divides by j!
+    once.  For every integer t the falling factorial is j! times an integer
+    binomial, and t_prec >= ord_p(j!), so each aggregate mod p^t_prec is
+    divisible by the p-part of j!; that exact division is checked once per
+    j, on the aggregate.
     """
     need = M_out + binomial_guard(N, p)
     if t_prec < need:
@@ -363,21 +368,36 @@ def binomial_sum(counts, p: int, M_out: int, N: int, t_prec: int) -> TSeries:
     big = p**t_prec
     out_mod = p**M_out
     ts = list(counts)
-    cs = [counts[t] for t in ts]
-    falling = [1] * len(ts)
-    coeffs = {0: sum(cs)}
+    w = [counts[t] for t in ts]
+    moments = [sum(w)]
+    for _ in range(1, N):
+        w = [x * t % big for x, t in zip(w, ts)]
+        moments.append(sum(w))
+    coeffs = {}
     fact_v, fact_unit = 0, 1
-    for j in range(1, N):
-        falling = [x * (t - (j - 1)) % big for x, t in zip(falling, ts)]
-        v = vp(j, p)
-        fact_v += v
-        fact_unit = fact_unit * (j // p**v) % out_mod
+    for j, row in enumerate(_stirling_rows(N)):
+        if j:
+            v = vp(j, p)
+            fact_v += v
+            fact_unit = fact_unit * (j // p**v) % out_mod
         pv = p**fact_v
-        if pv > 1 and any(x % pv for x in falling):
-            raise IntegralityError(f"binom(t,{j}) not p-integral at working precision")
-        total = sum(map(mul, cs, falling))
+        total = sum(map(mul, row, moments))
+        if total % pv:
+            raise IntegralityError(f"sum of binom(t,{j}) not p-integral at working precision")
         coeffs[j] = (total // pv) * pow(fact_unit, -1, out_mod) % out_mod
     return TSeries(p, M_out, N, coeffs)
+
+
+@lru_cache(maxsize=None)
+def _stirling_rows(N: int):
+    """Signed Stirling numbers of the first kind s(j, i) for j < N: row j
+    holds the coefficients of t(t-1)...(t-j+1) in the powers t^i, i <= j."""
+    rows = [(1,)]
+    for j in range(1, N):
+        # t(t-1)...(t-j+1) = t(t-1)...(t-j+2) * (t - (j-1))
+        prev = rows[-1] + (0,)
+        rows.append(tuple(a - (j - 1) * b for a, b in zip((0,) + prev[:-1], prev)))
+    return tuple(rows[:N])
 
 
 def one_plus_T_pow(t: int, p: int, M_out: int, N: int, t_prec: int) -> TSeries:

@@ -630,6 +630,8 @@ def psi_a_matrix(f: LaurentPoly, B: int, M: int, N_pi: int) -> DworkMatrix:
     once; the entry at (row w, column u) is the coefficient of x^(q*w - u)
     in g times pi^(deg(u) - deg(w)).
     """
+    if B < 0 or M < 1 or N_pi < 1:
+        raise DomainError("operator job needs B >= 0 and M, N_pi >= 1")
     ctx = f.ctx
     p, a, q = ctx.p, ctx.a, ctx.q
     if a not in (1, 2):
@@ -926,6 +928,8 @@ def ordinariness_determinants(f: LaurentPoly, K: int, M: int) -> OrdinarinessRep
     """
     if K < 0:
         raise DomainError("cutoff must be >= 0")
+    if M < 1:
+        raise DomainError("criterion job needs M >= 1")
     dd = newton_data(f)
     pts, sc, mat = _criterion_data(f, dd, K, M)
     return _report(dd, pts, sc, _leading_minors(sc, mat), K, M)
@@ -956,6 +960,8 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
     """
     if K < 0:
         raise DomainError("cutoff must be >= 0")
+    if M < 1:
+        raise DomainError("criterion job needs M >= 1")
     dd = newton_data(f)
     pts, sc, mat = _criterion_data(f, dd, K, M)
     minors = _leading_minors(sc, mat)

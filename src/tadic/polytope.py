@@ -567,6 +567,8 @@ def newton_data(f: LaurentPoly) -> DegreeData:
 
 def hodge_polygon(dd: DegreeData, p: int, a: int, K: int) -> NewtonPolygon:
     """q-normalized combinatorial polygon: width W(k), slope a(p-1)k/D."""
+    if K < 0:
+        raise DomainError("cutoff must be >= 0")
     W = dd.weight_counts(K)
     verts = [(Fraction(0), Fraction(0))]
     x = y = Fraction(0)
@@ -581,6 +583,8 @@ def hodge_polygon(dd: DegreeData, p: int, a: int, K: int) -> NewtonPolygon:
 
 def hodge_polygon_absolute(dd: DegreeData, K: int) -> NewtonPolygon:
     """Absolute variant with slope k/D of width W(k); q-variant = a(p-1) times this."""
+    if K < 0:
+        raise DomainError("cutoff must be >= 0")
     W = dd.weight_counts(K)
     verts = [(Fraction(0), Fraction(0))]
     x = y = Fraction(0)

@@ -278,6 +278,8 @@ def power_sums_T(f: LaurentPoly, deg_s: int, M: int, N: int):
 def _exp_path(f: LaurentPoly, deg_s: int, M: int, N: int, normalized: bool) -> SSeries:
     if deg_s < 0:
         raise DomainError("need deg_s >= 0")
+    if M < 1:  # checked before the guard digits below could lift it to 1
+        raise DomainError("sum job needs k, M, N >= 1")
     # exp's recurrence divides by k <= deg_s, so work with guard digits and
     # renormalize down; divexact_int still asserts integrality on the way
     p = f.ctx.p

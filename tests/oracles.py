@@ -7,7 +7,9 @@ against a second code path.  The determinant references either expand over
 permutations or run every ring operation through ZqPi objects, skipping
 nothing, where the library's kernel works on bare scalars and series.  The
 torus reference visits every point, with neither the library's row walk
-nor its Frobenius-orbit reduction.  The quotient-ring references multiply
+nor its Frobenius-orbit reduction.  The binomial reference builds every
+falling factorial trace by trace, where the library goes through power
+moments and Stirling numbers.  The quotient-ring references multiply
 polynomials in full and long-divide by the modulus, where the library
 reduces through precomputed rows of x^(d+i).  The splitting-kernel
 references exponentiate a general log series by the full derivative
@@ -18,9 +20,11 @@ uses the Artin-Hasse shortcut and substitutes T = E(pi) - 1 the other way.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
 from tadic.dwork import artin_hasse
 from tadic.errors import DomainError, IntegralityError, TheoremViolation
+from tadic.series import TSeries, vp
 
 
 def _solve_unique(columns, target):
@@ -197,6 +201,30 @@ def oracle_torus_trace_counts(f, k, prec):
         t = sum(traces[(cl + sum(a * b for a, b in zip(u, jvec))) % Q1] for cl, u in terms)
         counts[t % pm] = counts.get(t % pm, 0) + 1
     return counts
+
+
+def oracle_binomial_sum(counts, p, M_out, N, t_prec):
+    """sum of c * (1+T)^t over {t: c} mod (p^M_out, T^N), one falling
+    factorial t(t-1)...(t-j+1) mod p^t_prec per trace and per j, each
+    checked on its own to be divisible by the p-part of j!."""
+    big = p**t_prec
+    out_mod = p**M_out
+    ts = list(counts)
+    cs = [counts[t] for t in ts]
+    falling = [1] * len(ts)
+    coeffs = {0: sum(cs)}
+    fact_v, fact_unit = 0, 1
+    for j in range(1, N):
+        falling = [x * (t - (j - 1)) % big for x, t in zip(falling, ts)]
+        v = vp(j, p)
+        fact_v += v
+        fact_unit = fact_unit * (j // p**v) % out_mod
+        pv = p**fact_v
+        if pv > 1 and any(x % pv for x in falling):
+            raise IntegralityError(f"binom(t,{j}) not p-integral at working precision")
+        total = sum(map(mul, cs, falling))
+        coeffs[j] = (total // pv) * pow(fact_unit, -1, out_mod) % out_mod
+    return TSeries(p, M_out, N, coeffs)
 
 
 def _oracle_remainder(f, g, modulus):

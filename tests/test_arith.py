@@ -3,10 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_mulmod, oracle_smallest_irreducible
+from oracles import oracle_binomial_sum, oracle_mulmod, oracle_smallest_irreducible
+from tadic import arith
 from tadic.arith import (
     CycContext,
     CycElement,
@@ -259,16 +260,60 @@ class TestFrobenius:
         assert frob_power(ctx, g, 1) == ctx.mul(g, g)
 
 
+def _binom(t, j):
+    """binom(t, j) = t(t-1)...(t-j+1)/j! for any integer t."""
+    return math.comb(t, j) if t >= 0 else (-1) ** j * math.comb(j - t - 1, j)
+
+
+@st.composite
+def _binomial_cases(draw):
+    """(p, M, N, t_prec, counts) with keys negative, zero, inside and past
+    [0, p^t_prec)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    N = draw(st.integers(1, 20))
+    M = draw(st.integers(1, 4))
+    tp = M + binomial_guard(N, p) + draw(st.integers(0, 1))
+    big = p**tp
+    key = st.one_of(
+        st.integers(-3 * big, -1), st.just(0), st.integers(1, big - 1), st.integers(big, 3 * big)
+    )
+    counts = draw(st.dictionaries(key, st.integers(1, 50), min_size=1, max_size=8))
+    return p, M, N, tp, counts
+
+
 class TestBinomialSum:
-    @given(st.dictionaries(st.integers(0, 5000), st.integers(1, 50), min_size=1, max_size=8))
+    # v_7(19!) = 2 and v_2(19!) = 16: every j! past 13 loses two 7-digits
+    @example((7, 3, 20, 5, {-1: 3, 0: 1, 7**5 + 4: 2, 16: 7}))
+    @example((2, 2, 20, 18, {-(2**18) - 3: 1, 0: 5, 2**18: 2, 12345: 9}))
+    @given(_binomial_cases())
     @settings(deadline=None)
-    def test_matches_weighted_binomials(self, counts):
-        p, M, N = 2, 4, 9
-        tp = M + binomial_guard(N, p)
+    def test_matches_weighted_binomials(self, case):
+        p, M, N, tp, counts = case
         s = binomial_sum(counts, p, M, N, tp)
         pm = p**M
-        want = [sum(c * math.comb(t, j) for t, c in counts.items()) % pm for j in range(N)]
+        want = [sum(c * _binom(t, j) for t, c in counts.items()) % pm for j in range(N)]
         assert [s.coeff(j) for j in range(N)] == want
+        assert s == oracle_binomial_sum(counts, p, M, N, tp)
+
+    def test_stirling_rows_give_falling_factorials(self):
+        rows = arith._stirling_rows(40)
+        assert len(rows) == 40
+        for t in range(-5, 31):
+            falling = 1
+            for j, row in enumerate(rows):
+                assert sum(s * t**i for i, s in enumerate(row)) == falling
+                falling *= t - j
+
+    def test_aggregate_check_catches_a_bad_stirling_row(self, monkeypatch):
+        p, M, N = 3, 2, 7
+        tp = M + binomial_guard(N, p)
+        binomial_sum({5: 1}, p, M, N, tp)
+        rows = list(arith._stirling_rows(N))
+        # s(3,0) + 1 adds m_0 = 1 to the j = 3 aggregate 5*4*3, which 3 then fails to divide
+        rows[3] = (rows[3][0] + 1,) + rows[3][1:]
+        monkeypatch.setattr(arith, "_stirling_rows", lambda n: tuple(rows))
+        with pytest.raises(IntegralityError, match="binom"):
+            binomial_sum({5: 1}, p, M, N, tp)
 
     def test_rejects_thin_exponent(self):
         p, M, N = 3, 3, 10

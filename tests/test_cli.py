@@ -317,6 +317,28 @@ class TestExitCodes:
             assert f"dimension {dim}" in doc["error"]["message"]
             assert "criterion dimension limit 64" in doc["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["faces", "x1", "--p", "3", "--prec-p", "0"],
+            ["faces", "x1", "--p", "3", "--prec-p", "-1"],
+            ["dwork", "x1", "--p", "3", "--basis", "-1"],
+            ["dwork", "x1", "--p", "3", "--prec-p", "0"],
+            ["verify", "x1", "--p", "3", "--prec-t", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_operator_inputs_fail_before_any_kernel(self, args, capsys, monkeypatch):
+        # out of range is a domain error (exit 1), as `sum --prec-p 0` is;
+        # exit 2 stays for a read past certified precision
+        def refuse(*args):
+            raise AssertionError("kernel expanded before the range check")
+
+        monkeypatch.setattr(dwork, "_kernel_product", refuse)
+        code, doc = run_json(args, capsys)
+        assert code == 1 and doc["error"]["type"] == "DomainError"
+        assert "job needs" in doc["error"]["message"]
+
     def test_unbounded_cone_box_fails_before_the_scan(self, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("cone box scanned before the size check")

@@ -267,6 +267,11 @@ class TestTransferMatrix:
         with pytest.raises(PrecisionError):
             psi_a_matrix(f, 2, 5, 8)
 
+    @pytest.mark.parametrize("B, M, N_pi", [(-1, 4, 2), (3, 0, 2), (3, 4, 0)])
+    def test_out_of_range_inputs_refused(self, B, M, N_pi):
+        with pytest.raises(DomainError, match="operator job needs"):
+            psi_a_matrix(poly([(1,)], p=2), B, M, N_pi)
+
     def test_unsupported_extension_degree(self):
         f = poly([(1,)], p=2, a=3)
         with pytest.raises(DomainError):
@@ -517,6 +522,11 @@ class TestOrdinarinessCriterion:
 
 
 class TestFacialCriterion:
+    @pytest.mark.parametrize("criterion", [ordinariness_determinants, facial_criterion])
+    def test_no_p_digits_refused(self, criterion):
+        with pytest.raises(DomainError, match="criterion job needs M >= 1"):
+            criterion(poly(SPERBER, p=3), 3, 0)
+
     def test_sperber_faces(self):
         fr = facial_criterion(poly(SPERBER, p=3), 3, 4)
         assert all(fr.whole.verdicts) and all(fr.conjunction)

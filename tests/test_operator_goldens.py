@@ -1,7 +1,9 @@
 """Byte-exact outputs of the benchmark jobs.
 
-Runs pool entry 0 of every benchmark template in-process and checks its
-exit code and the sha256 of its JSON output against the recorded golden
+Runs pool entry 0 of every benchmark template, and every pool entry of the
+towers templates whose --prec-t makes ord_p(j!) >= 2 for some j (so the
+binomial sums divide exactly by p^2 or more), in-process and checks the
+exit code and the sha256 of the JSON output against the recorded golden
 digests.  The sums-route templates run in template order in one process,
 so every job after the first meets field contexts and trace tables that
 earlier jobs left in the process-wide caches.  The benchmark files are
@@ -57,3 +59,18 @@ SUMS_TEMPLATES = [(w, t) for w in ("families", "towers") for t in JOBS.WORKLOADS
 def test_sums_job_matches_golden(workload, template):
     line = JOBS.instantiate(template, 0)
     _check_golden(line, ALL_GOLDENS[workload][line])
+
+
+# --prec-t 24 and 36 carry the binomial series to T^23 and T^35, where
+# ord_p(j!) reaches 2 or more for every p of these templates
+EXACT_DIVISION_LINES = [
+    line
+    for t in JOBS.TOWERS
+    if "--prec-t 24" in t or "--prec-t 36" in t
+    for line in JOBS.variants(t)
+]
+
+
+@pytest.mark.parametrize("line", EXACT_DIVISION_LINES)
+def test_exact_division_job_matches_golden(line):
+    _check_golden(line, ALL_GOLDENS["towers"][line])

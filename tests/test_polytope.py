@@ -202,6 +202,13 @@ class TestHodge:
         P = hodge_polygon(dd, p=7, a=1, K=0)
         assert P.vertices == ((0, 0), (1, 0))
 
+    def test_negative_depth_refused(self):
+        dd = DegreeData([(3,)], 1)
+        with pytest.raises(DomainError, match="cutoff must be >= 0"):
+            hodge_polygon(dd, p=7, a=1, K=-1)
+        with pytest.raises(DomainError, match="cutoff must be >= 0"):
+            hodge_polygon_absolute(dd, -2)
+
     def test_absolute_times_scale_is_q_variant(self):
         dd = DegreeData(SPERBER, 2)
         p, a, K = 3, 2, 4

@@ -361,6 +361,13 @@ class TestLCFunctions:
             series(f, -3, 3, 6)
         assert len(series(f, 0, 3, 6).coeffs) == 1
 
+    @pytest.mark.parametrize("series", [l_function, c_function])
+    def test_no_p_digits_refused(self, series):
+        # ord_3(3!) = 1 guard digit would otherwise carry M = 0 past the sum
+        # job's check and fail later as a precision error
+        with pytest.raises(DomainError, match="M, N >= 1"):
+            series(poly([(1,)], p=3), 3, 0, 6)
+
     def test_n1_l_equals_c_ratio(self):
         f = poly([(3,)], p=2)
         q = 2
