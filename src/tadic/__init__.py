@@ -11,7 +11,6 @@ from .dwork import (
     artin_hasse,
     char_c_crosscheck,
     char_series,
-    e_f_expansion,
     facial_criterion,
     ordinariness_determinants,
     psi_a_matrix,
@@ -66,7 +65,6 @@ __all__ = [
     "char_c_crosscheck",
     "char_series",
     "congruence_check",
-    "e_f_expansion",
     "facial_criterion",
     "field_context",
     "hodge_polygon",

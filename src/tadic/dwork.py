@@ -455,9 +455,16 @@ def _kernel_product(dd, ctx: FieldContext, factors, prec: int, cap: int):
     """Expand prod E(pi * c * x^u) over the given (c, u_reduced) factors.
 
     Returns {reduced exponent v: ZqPi on the integer pi-grid} holding the
-    coefficient of x^v.  Every term of every factor carries at least as many
-    powers of pi as its x-degree adds, so exponents reachable below the cap
-    have polytope degree < cap and the state space stays finite.
+    coefficient of x^v.  A factor term pi^m x^(m*u) adds at most m*deg(u) to
+    the x-degree, and deg(u) <= p^i for the factors of f^(sigma^i)(x^(p^i)),
+    so exponents reachable below the cap have polytope degree below
+    p^(a-1)*cap and the state space stays finite.
+
+    For the factors of f itself (i = 0) the x-degree grows by at most the
+    pi-exponent, so j - deg(v) never decreases along the product; that is
+    the invariant _pi0_layer prunes by.  An x^p factor adds p*m to the
+    degree per pi^m and breaks it, so the transfer matrix, whose a = 2
+    product has such factors, keeps this cap-only expansion.
 
     The running coefficients are bare (cap, {key: scalar}) pairs under
     ZqPi's rules: a piece pi^m-shifted from a cap-c series has cap c + m, and
@@ -527,34 +534,50 @@ def _lifted_factors(f: LaurentPoly, dd, prec: int, power_of_p: int = 0):
     return out
 
 
-def _alpha_map(f: LaurentPoly, dd, B_grid: int, M: int, N_pi: int):
-    """alpha coefficients on the cone prefix deg(u) <= B_grid/D, reduced keys.
+def _pi0_layer(dd, ctx: FieldContext, factors, prec: int, top: int):
+    """The pi^0 layer of the alphas of prod E(pi * c * x^u) over factors of f
+    itself: {v: coefficient of pi^(g(v)/D) x^v} for the v with
+    g(v) <= top, where g = D*deg is the grid degree; scalars as in
+    _ZqScalars(ctx, prec).
 
-    alpha_u is the coefficient of x^u in the kernel product divided by
-    pi^deg(u) exactly; inexact division means the degree function and the
-    expansion disagree, which is a bug worth crashing on.
+    A factor term pi^m x^(m*u) has g(m*u) <= m*D and g is subadditive, so
+    j*D - g(v) never decreases along the product (see _kernel_product).  A
+    term with j*D > g(v) can never reach the layer and is dropped, with the
+    rest of its factor's terms; a term with j*D < g(v) means the expansion
+    and the degree function disagree, a bug worth crashing on.  Each kept v
+    thus holds one scalar, the coefficient at j = g(v)/D.
     """
     D = dd.D
-    cap_raw = N_pi + math.ceil(Fraction(B_grid, D)) + 1
-    raw = _kernel_product(dd, f.ctx, _lifted_factors(f, dd, M), M, cap_raw)
-    out = {}
-    for ur, deg in dd.cone_points_upto(B_grid):
-        e = _grid(deg, D)
-        ser = raw.get(ur)
-        if ser is None:
-            out[ur] = ZqPi(f.ctx, M, N_pi * D, {}, den=D)
-            continue
-        alpha = ser.rescale_den(D).shift(-e)
-        cap = min(alpha.cap, N_pi * D)
-        out[ur] = alpha.with_cap(cap)
-    return out
-
-
-def e_f_expansion(f: LaurentPoly, B_needed: int, M: int, N_pi: int):
-    """Public alpha map keyed by ambient exponent tuples, deg(u) <= B_needed."""
-    dd = newton_data(f)
-    amap = _alpha_map(f, dd, B_needed * dd.D, M, N_pi)
-    return {dd.from_reduced(ur): al for ur, al in amap.items()}
+    sc = _ZqScalars(ctx, prec)
+    mul, add, is_zero = sc.mul, sc.add, sc.is_zero
+    grid = {}
+    ah = artin_hasse(ctx.p, top // D + 1)
+    acc = {(0,) * dd.rank: (0, sc.one)}  # v -> (g(v), coefficient)
+    for c, u in factors:
+        terms = sorted(e_factor(ah, ctx, c, prec, ah.cap).coeffs.items())
+        terms = [(m, sc.from_tuple(t)) for m, t in terms]
+        new = {}
+        for v, (g, s) in acc.items():
+            for m, t in terms:
+                jD = g + m * D
+                if jD > top:
+                    break
+                v2 = tuple(x + m * y for x, y in zip(v, u))
+                g2 = grid.get(v2)
+                if g2 is None:
+                    g2 = grid[v2] = dd.grid_degree(v2)
+                if jD < g2:
+                    raise IntegralityError(
+                        f"kernel term pi^{Fraction(jD, D)} x^{v2} lies below "
+                        f"its degree {Fraction(g2, D)}"
+                    )
+                if jD > g2:
+                    break
+                x = mul(s, t)
+                held = new.get(v2)
+                new[v2] = (g2, x if held is None else add(held[1], x))
+        acc = {v: gs for v, gs in new.items() if not is_zero(gs[1])}
+    return {v: x for v, (_, x) in acc.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -736,17 +759,17 @@ def operator_trace(Mx: DworkMatrix, k: int) -> ZqPi:
                 acc = add(acc, t)
         return acc
 
+    def dot(row, col):
+        return total(mul(x, y) for x, y in zip(row, col) if not (is_zero(x) or is_zero(y)))
+
+    if k == 1:
+        return ring.to_zqpi(total(rows[i][i] for i in range(Mx.dim)))
+    # Mx^(k-1) in full, then only the diagonal of its product with Mx
     cols = list(zip(*rows))
     power = rows
-    for _ in range(k - 1):
-        power = [
-            [
-                total(mul(x, y) for x, y in zip(row, col) if not (is_zero(x) or is_zero(y)))
-                for col in cols
-            ]
-            for row in power
-        ]
-    return ring.to_zqpi(total(power[i][i] for i in range(Mx.dim)))
+    for _ in range(k - 2):
+        power = [[dot(row, col) for col in cols] for row in power]
+    return ring.to_zqpi(total(dot(row, col) for row, col in zip(power, cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -833,21 +856,11 @@ def char_c_crosscheck(
 # ---------------------------------------------------------------------------
 
 
-def _carrier(dd, ur, deg: Fraction):
-    """Indices of the height facets attaining deg(u); empty only at 0."""
-    out = []
-    for i, fc in enumerate(dd.facets_height):
-        if Fraction(sum(a * b for a, b in zip(fc.normal, ur)), fc.offset) == deg:
-            out.append(i)
-    return frozenset(out)
-
-
-def _alpha0(amap, dd, v):
-    """alpha_v mod pi^(1/D) as a Z_q tuple, zero when v escapes the map."""
-    al = amap.get(v)
-    if al is None:
-        return None
-    return al.coeff(0) if 0 < al.cap else None
+def _carrier(dd, ur, g: int):
+    """Indices of the height facets attaining the grid degree g > 0 of ur."""
+    return frozenset(
+        i for i, n in enumerate(dd.grid_normals) if sum(a * b for a, b in zip(n, ur)) == g
+    )
 
 
 @dataclass(frozen=True)
@@ -867,53 +880,68 @@ class OrdinarinessReport:
     verdicts: tuple
 
 
-def _criterion_data(f: LaurentPoly, dd, K: int, M: int):
-    """Points sorted by (degree, lex), the scalar ring, and the reduced
-    criterion matrix over it."""
+@dataclass(frozen=True)
+class _Criterion:
+    """The criterion matrix on cone points sorted by (degree, lex), with the
+    grid data it was read from: grid[i] = D*deg(pts[i]), and defects[i][j]
+    = g(p*w - u) + g(u) - p*g(w) for w = pts[i], u = pts[j] (None off the
+    cone), where g = D*deg."""
+
+    pts: tuple
+    grid: tuple
+    defects: tuple
+    sc: _ZqScalars
+    mat: list
+
+
+def _criterion_data(f: LaurentPoly, dd, K: int, M: int) -> _Criterion:
+    """The reduced criterion matrix on the points of degree <= K/D.
+
+    The entry at (w, u) is alpha_(p*w - u) mod pi^(1/D) on the cofacial
+    cells (defect 0) and zero elsewhere; those alphas are the pi^0 layer of
+    the kernel product, expanded only up to the largest grid degree the
+    cofacial cells need.
+    """
     ctx = f.ctx
-    pts = _cone_prefix(dd, K, CRITERION_DIM_LIMIT, "criterion matrix", "criterion dimension limit")
-    p = ctx.p
-    # (p*w - u, its degree) per cell, None off the cone
-    cells = []
-    for w, _ in pts:
+    p, D = ctx.p, dd.D
+    cone = _cone_prefix(dd, K, CRITERION_DIM_LIMIT, "criterion matrix", "criterion dimension limit")
+    pts = tuple(ur for ur, _ in cone)
+    grid = tuple(_grid(d, D) for _, d in cone)
+    defects = []
+    cells = []  # (row, column, p*w - u) of the cofacial cells
+    for i, (w, gw) in enumerate(zip(pts, grid)):
         row = []
-        for u, _ in pts:
+        for j, (u, gu) in enumerate(zip(pts, grid)):
             v = tuple(p * x - y for x, y in zip(w, u))
-            row.append((v, dd.degree_reduced(v)) if dd.in_cone_reduced(v) else None)
-        cells.append(row)
-    max_deg = max((math.ceil(c[1]) for row in cells for c in row if c is not None), default=0)
-    amap = _alpha_map(f, dd, max_deg * dd.D, M, 1)
-    sc = _ZqScalars(ctx, M)
-    zero = sc.zero
-    mat = []
-    for (w, dw), cell_row in zip(pts, cells):
-        row = []
-        for (u, du), cell in zip(pts, cell_row):
-            if cell is None:
-                row.append(zero)
+            if not dd.in_cone_reduced(v):
+                row.append(None)
                 continue
-            v, dv = cell
-            defect = dv + du - p * dw
+            defect = dd.grid_degree(v) + gu - p * gw
             assert defect >= 0
-            if defect > 0:
-                row.append(zero)
-                continue
-            a0 = _alpha0(amap, dd, v)
-            row.append(sc.from_tuple(a0) if a0 is not None else zero)
-        mat.append(row)
-    return pts, sc, mat
+            row.append(defect)
+            if defect == 0:
+                cells.append((i, j, v))
+        defects.append(tuple(row))
+    # the cell (0, 0) is cofacial, so the max is over a nonempty set
+    top = max(p * grid[i] - grid[j] for i, j, _ in cells)
+    layer = _pi0_layer(dd, ctx, _lifted_factors(f, dd, M), M, top)
+    sc = _ZqScalars(ctx, M)
+    mat = [[sc.zero] * len(pts) for _ in pts]
+    for i, j, v in cells:
+        mat[i][j] = layer.get(v, sc.zero)
+    return _Criterion(pts=pts, grid=grid, defects=tuple(defects), sc=sc, mat=mat)
 
 
-def _report(dd, pts, sc: _ZqScalars, minors, K: int, M: int) -> OrdinarinessReport:
+def _report(dd, crit: _Criterion, minors, K: int, M: int) -> OrdinarinessReport:
     """Per-cutoff verdicts from the leading minors: the points of degree
     <= k/D are a prefix of the (degree, lex) order."""
-    sizes = tuple(sum(1 for _, d in pts if d * dd.D <= k) for k in range(K + 1))
+    sizes = tuple(sum(1 for g in crit.grid if g <= k) for k in range(K + 1))
     return OrdinarinessReport(
         K=K,
         D=dd.D,
         M=M,
         block_sizes=sizes,
-        verdicts=tuple(not sc.is_zero(minors[r]) for r in sizes),
+        verdicts=tuple(not crit.sc.is_zero(minors[r]) for r in sizes),
     )
 
 
@@ -931,8 +959,8 @@ def ordinariness_determinants(f: LaurentPoly, K: int, M: int) -> OrdinarinessRep
     if M < 1:
         raise DomainError("criterion job needs M >= 1")
     dd = newton_data(f)
-    pts, sc, mat = _criterion_data(f, dd, K, M)
-    return _report(dd, pts, sc, _leading_minors(sc, mat), K, M)
+    crit = _criterion_data(f, dd, K, M)
+    return _report(dd, crit, _leading_minors(crit.sc, crit.mat), K, M)
 
 
 @dataclass(frozen=True)
@@ -963,12 +991,13 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
     if M < 1:
         raise DomainError("criterion job needs M >= 1")
     dd = newton_data(f)
-    pts, sc, mat = _criterion_data(f, dd, K, M)
+    crit = _criterion_data(f, dd, K, M)
+    pts, grid, sc, mat = crit.pts, crit.grid, crit.sc, crit.mat
     minors = _leading_minors(sc, mat)
-    whole = _report(dd, pts, sc, minors, K, M)
+    whole = _report(dd, crit, minors, K, M)
 
     # open facial cone of each basis point: carrier facets + face dimension
-    carriers = [_carrier(dd, ur, d) if d > 0 else None for ur, d in pts]
+    carriers = [_carrier(dd, ur, g) if g > 0 else None for ur, g in zip(pts, grid)]
     dims = {}
     for c in set(c for c in carriers if c is not None):
         face_pts = [
@@ -984,19 +1013,14 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
         diffs = [tuple(x - y for x, y in zip(q, face_pts[0])) for q in face_pts[1:]]
         dims[c] = len(saturated_span_basis(diffs, dd.rank)) if face_pts else -1
 
-    p = f.ctx.p
-    for (i, (w, dw)), (j, (u, du)) in itertools.product(enumerate(pts), repeat=2):
-        cw, cu = carriers[i], carriers[j]
+    for (i, cw), (j, cu) in itertools.product(enumerate(carriers), repeat=2):
         if cw is None or cu is None or cw == cu:
             continue
         if dims[cw] > dims[cu]:
             continue
-        v = tuple(p * x - y for x, y in zip(w, u))
-        if not dd.in_cone_reduced(v):
-            continue
-        if dd.degree_reduced(v) + du - p * dw == 0:
+        if crit.defects[i][j] == 0:
             raise TheoremViolation(
-                f"points {w} and {u} in distinct facial cones of dimensions "
+                f"points {pts[i]} and {pts[j]} in distinct facial cones of dimensions "
                 f"{dims[cw]} <= {dims[cu]} are co-facial across the operator step"
             )
 
@@ -1011,14 +1035,14 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
         for c, idx in blocks.items()
     }
 
-    def block_product(t: Fraction, facet=None):
-        """Product of the block minors on points of degree <= t, over the
+    def block_product(k: int, facet=None):
+        """Product of the block minors on points of degree <= k/D, over the
         blocks whose carrier holds `facet` (all when None), and whether
         every factor is nonzero."""
         prod = sc.one
         all_nonzero = True
         for c, idx in blocks.items():
-            r = sum(1 for i in idx if pts[i][1] <= t)
+            r = sum(1 for i in idx if grid[i] <= k)
             if r == 0 or (facet is not None and facet not in c):
                 continue
             dblk = block_minors[c][r]
@@ -1028,7 +1052,7 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
 
     conjunction = []
     for k in range(K + 1):
-        prod, blocks_ok = block_product(Fraction(k, dd.D))
+        prod, blocks_ok = block_product(k)
         if minors[whole.block_sizes[k]] != prod:
             raise TheoremViolation(
                 f"cutoff {k}: whole determinant differs from the product of "
@@ -1048,19 +1072,20 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
         f_face = restrict_to_face(f, dd, face)
         dd_face = newton_data(f_face)
         K_face = int(Fraction(K, dd.D) * dd_face.D)
-        pts_f, _, mat_f = _criterion_data(f_face, dd_face, K_face, M)
-        minors_f = _leading_minors(sc, mat_f)
-        rep = _report(dd_face, pts_f, sc, minors_f, K_face, M)
+        crit_f = _criterion_data(f_face, dd_face, K_face, M)
+        minors_f = _leading_minors(sc, crit_f.mat)
+        rep = _report(dd_face, crit_f, minors_f, K_face, M)
         facet_index = next(
             i
             for i, fc in enumerate(dd.facets_height)
             if (fc.normal, fc.offset) == face.cuts[0]
         )
         for k_face in range(K_face + 1):
-            t_deg = Fraction(k_face, dd_face.D)
-            if (t_deg * dd.D).denominator != 1 or t_deg * dd.D > K:
+            # the face's cutoff k_face/D_face on the whole polytope's grid
+            k, off_grid = divmod(k_face * dd.D, dd_face.D)
+            if off_grid or k > K:
                 continue
-            prod, _ = block_product(t_deg, facet_index)
+            prod, _ = block_product(k, facet_index)
             if minors_f[rep.block_sizes[k_face]] != prod:
                 raise TheoremViolation(
                     f"face {face.cuts[0]}: criterion determinant at cutoff "

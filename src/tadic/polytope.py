@@ -363,6 +363,11 @@ class DegreeData:
         if not self.facets_height:
             raise DomainError("polytope has no facet away from the origin")
         self.D = lcm(*[f.offset for f in self.facets_height])
+        # each height facet's normal times D/offset: <normal, u>/offset is
+        # <grid normal, u>/D, so degrees are integers on the 1/D grid
+        self.grid_normals = tuple(
+            tuple(c * (self.D // f.offset) for c in f.normal) for f in self.facets_height
+        )
 
     # -- coordinates --------------------------------------------------------
 
@@ -396,15 +401,14 @@ class DegreeData:
             sum(a * b for a, b in zip(f.normal, ur)) <= 0 for f in self.facets_origin
         )
 
+    def grid_degree(self, ur) -> int:
+        """D*deg(ur) for a reduced point of the cone (not checked)."""
+        return max(0, *(sum(a * b for a, b in zip(g, ur)) for g in self.grid_normals))
+
     def degree_reduced(self, ur) -> Fraction:
         if not self.in_cone_reduced(ur):
             raise NotInConeError(f"{ur} violates a through-origin facet")
-        best = Fraction(0)
-        for f in self.facets_height:
-            val = Fraction(sum(a * b for a, b in zip(f.normal, ur)), f.offset)
-            if val > best:
-                best = val
-        return best
+        return Fraction(self.grid_degree(ur), self.D)
 
     def degree_of(self, u) -> Fraction:
         ur = self.to_reduced(u)

@@ -15,6 +15,10 @@ reduces through precomputed rows of x^(d+i).  The splitting-kernel
 references exponentiate a general log series by the full derivative
 recurrence and revert E(pi) - 1 = T in exact rationals, where the library
 uses the Artin-Hasse shortcut and substitutes T = E(pi) - 1 the other way.
+The criterion reference expands the whole kernel product to a pi-cap past
+the largest cell degree and divides every cone point's coefficient by
+pi^deg(u) as a ZqPi over Fraction degrees, where the library expands only
+the exact-degree terms on the integer degree grid.
 """
 
 from dataclasses import dataclass
@@ -22,8 +26,20 @@ from fractions import Fraction
 from itertools import combinations, product
 from operator import mul
 
-from tadic.dwork import artin_hasse
+import math
+
+from tadic.dwork import (
+    CRITERION_DIM_LIMIT,
+    ZqPi,
+    _cone_prefix,
+    _grid,
+    _kernel_product,
+    _lifted_factors,
+    _ZqScalars,
+    artin_hasse,
+)
 from tadic.errors import DomainError, IntegralityError, TheoremViolation
+from tadic.polytope import newton_data
 from tadic.series import TSeries, vp
 
 
@@ -333,3 +349,77 @@ def pi_of_t(p: int, M: int, N: int) -> PiOfT:
     if check != want:
         raise TheoremViolation("uniformizer round trip failed")
     return PiOfT(p=p, cap=N, coeffs=tuple(b))
+
+
+def _alpha_map(f, dd, B_grid: int, M: int, N_pi: int):
+    """alpha coefficients on the cone prefix deg(u) <= B_grid/D, reduced keys.
+
+    alpha_u is the coefficient of x^u in the kernel product divided by
+    pi^deg(u) exactly; inexact division means the degree function and the
+    expansion disagree, which raises IntegralityError.
+    """
+    D = dd.D
+    cap_raw = N_pi + math.ceil(Fraction(B_grid, D)) + 1
+    raw = _kernel_product(dd, f.ctx, _lifted_factors(f, dd, M), M, cap_raw)
+    out = {}
+    for ur, deg in dd.cone_points_upto(B_grid):
+        e = _grid(deg, D)
+        ser = raw.get(ur)
+        if ser is None:
+            out[ur] = ZqPi(f.ctx, M, N_pi * D, {}, den=D)
+            continue
+        alpha = ser.rescale_den(D).shift(-e)
+        cap = min(alpha.cap, N_pi * D)
+        out[ur] = alpha.with_cap(cap)
+    return out
+
+
+def e_f_expansion(f, B_needed: int, M: int, N_pi: int):
+    """The alpha map keyed by ambient exponent tuples, deg(u) <= B_needed."""
+    dd = newton_data(f)
+    amap = _alpha_map(f, dd, B_needed * dd.D, M, N_pi)
+    return {dd.from_reduced(ur): al for ur, al in amap.items()}
+
+
+def _alpha0(amap, v):
+    """alpha_v mod pi^(1/D) as a Z_q tuple, None when v escapes the map."""
+    al = amap.get(v)
+    if al is None:
+        return None
+    return al.coeff(0) if 0 < al.cap else None
+
+
+def criterion_matrix(f, dd, K: int, M: int):
+    """(points with Fraction degrees, scalar ring, criterion matrix) from
+    the full alpha map: the entry at (w, u) is alpha_(p*w - u) mod
+    pi^(1/D) when deg(p*w - u) + deg(u) = p*deg(w), zero otherwise."""
+    ctx = f.ctx
+    pts = _cone_prefix(dd, K, CRITERION_DIM_LIMIT, "criterion matrix", "criterion dimension limit")
+    p = ctx.p
+    cells = []
+    for w, _ in pts:
+        row = []
+        for u, _ in pts:
+            v = tuple(p * x - y for x, y in zip(w, u))
+            row.append((v, dd.degree_reduced(v)) if dd.in_cone_reduced(v) else None)
+        cells.append(row)
+    max_deg = max((math.ceil(c[1]) for row in cells for c in row if c is not None), default=0)
+    amap = _alpha_map(f, dd, max_deg * dd.D, M, 1)
+    sc = _ZqScalars(ctx, M)
+    mat = []
+    for (w, dw), cell_row in zip(pts, cells):
+        row = []
+        for (u, du), cell in zip(pts, cell_row):
+            if cell is None:
+                row.append(sc.zero)
+                continue
+            v, dv = cell
+            defect = dv + du - p * dw
+            assert defect >= 0
+            if defect > 0:
+                row.append(sc.zero)
+                continue
+            a0 = _alpha0(amap, v)
+            row.append(sc.from_tuple(a0) if a0 is not None else sc.zero)
+        mat.append(row)
+    return pts, sc, mat

@@ -308,6 +308,7 @@ class TestExitCodes:
             raise AssertionError("criterion work started before the dimension check")
 
         monkeypatch.setattr(dwork, "_kernel_product", refuse)
+        monkeypatch.setattr(dwork, "_pi0_layer", refuse)
         monkeypatch.setattr(dwork, "_leading_minors", refuse)
         for depth, dim in (("7", "85"), ("8", "109"), ("100000000", "at least")):
             code, doc = run_json(
@@ -335,6 +336,7 @@ class TestExitCodes:
             raise AssertionError("kernel expanded before the range check")
 
         monkeypatch.setattr(dwork, "_kernel_product", refuse)
+        monkeypatch.setattr(dwork, "_pi0_layer", refuse)
         code, doc = run_json(args, capsys)
         assert code == 1 and doc["error"]["type"] == "DomainError"
         assert "job needs" in doc["error"]["message"]

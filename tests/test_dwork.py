@@ -2,24 +2,27 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tadic import dwork
 from tadic.arith import (
     FieldContext,
     binomial_guard,
+    field_context,
     one_plus_T_pow,
     teichmuller_lift,
 )
 from tadic.dwork import (
     DworkMatrix,
+    OrdinarinessReport,
     ZqPi,
+    _criterion_data,
     _leading_minors,
     _ZqScalars,
     artin_hasse,
     char_c_crosscheck,
     char_series,
-    e_f_expansion,
     e_factor,
     embed_int,
     facial_criterion,
@@ -33,7 +36,15 @@ from tadic.errors import DomainError, IntegralityError, PrecisionError
 from tadic.polytope import LaurentPoly, newton_data, restrict_to_face
 from tadic.sums import np_report
 
-from oracles import oracle_berkowitz, oracle_det, oracle_exp_fractions, oracle_trace, pi_of_t
+from oracles import (
+    criterion_matrix,
+    e_f_expansion,
+    oracle_berkowitz,
+    oracle_det,
+    oracle_exp_fractions,
+    oracle_trace,
+    pi_of_t,
+)
 
 SPERBER = [(1, 0), (0, 1), (-1, -1)]
 
@@ -519,6 +530,104 @@ class TestOrdinarinessCriterion:
             od = ordinariness_determinants(f, 4, 4)
             assert all(od.verdicts) is ordinary
             assert rep.flags["t_ordinary"] == ("true" if ordinary else "false")
+
+
+@st.composite
+def criterion_jobs(draw):
+    """(f, K, M) on a random support: p <= 5, a <= 2, n <= 2, up to three
+    exponents in [-3, 3]^n (most such supports have D > 1), K <= 3*D."""
+    ctx = field_context(draw(st.sampled_from([2, 3, 5])), draw(st.sampled_from([1, 2])))
+    n = draw(st.integers(1, 2))
+    exps = draw(
+        st.lists(
+            st.tuples(*[st.integers(-3, 3)] * n).filter(any), min_size=1, max_size=3, unique=True
+        )
+    )
+    term_map = {e: ctx.decode(draw(st.integers(1, ctx.q - 1))) for e in exps}
+    f = LaurentPoly.make(n, term_map, ctx)
+    return f, draw(st.integers(0, 3 * newton_data(f).D)), draw(st.integers(1, 3))
+
+
+def _oracle_report(f, K, M):
+    """The criterion report from the full alpha map and Fraction degrees,
+    plus the points, ring and matrix it came from."""
+    dd = newton_data(f)
+    pts, sc, mat = criterion_matrix(f, dd, K, M)
+    minors = _leading_minors(sc, mat)
+    sizes = tuple(sum(1 for _, d in pts if d * dd.D <= k) for k in range(K + 1))
+    verdicts = tuple(not sc.is_zero(minors[r]) for r in sizes)
+    rep = OrdinarinessReport(K=K, D=dd.D, M=M, block_sizes=sizes, verdicts=verdicts)
+    return rep, pts, sc, mat
+
+
+def _oracle_conjunction(f, K, pts, sc, mat):
+    """Per cutoff, whether every open facial cone's block minor is nonzero,
+    with carriers read from Fraction degrees."""
+    dd = newton_data(f)
+    blocks = {}
+    for i, (ur, d) in enumerate(pts):
+        if d > 0:
+            carrier = frozenset(
+                k
+                for k, fc in enumerate(dd.facets_height)
+                if Fraction(sum(a * b for a, b in zip(fc.normal, ur)), fc.offset) == d
+            )
+            blocks.setdefault(carrier, []).append(i)
+    minors = {
+        c: _leading_minors(sc, [[mat[i][j] for j in idx] for i in idx]) for c, idx in blocks.items()
+    }
+    return tuple(
+        all(
+            not sc.is_zero(minors[c][sum(1 for i in idx if pts[i][1] * dd.D <= k)])
+            for c, idx in blocks.items()
+        )
+        for k in range(K + 1)
+    )
+
+
+class TestCriterionLayer:
+    """The exact-degree expansion against the full alpha map."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(criterion_jobs())
+    @example((poly([(2,), (-1,)], p=3), 6, 2))
+    @example((poly([(2, 0), (0, 1), (-1, -1)], p=5), 5, 3))
+    @example((poly([(3, 1), (-1, -2)], p=2, a=2), 15, 2))
+    def test_matches_full_alpha_map(self, job):
+        f, K, M = job
+        dd = newton_data(f)
+        try:
+            whole, pts, sc, mat = _oracle_report(f, K, M)
+        except DomainError:  # past the criterion dimension limit
+            with pytest.raises(DomainError):
+                _criterion_data(f, dd, K, M)
+            return
+        crit = _criterion_data(f, dd, K, M)
+        assert crit.pts == tuple(ur for ur, _ in pts)
+        assert crit.mat == mat
+        assert ordinariness_determinants(f, K, M) == whole
+        fr = facial_criterion(f, K, M)
+        assert fr.whole == whole
+        assert fr.conjunction == _oracle_conjunction(f, K, pts, sc, mat)
+        faces = dd.codim1_faces_no_origin()
+        assert len(fr.faces) == len(faces)
+        for fv, face in zip(fr.faces, faces):
+            f_face = restrict_to_face(f, dd, face)
+            K_face = int(Fraction(K, dd.D) * newton_data(f_face).D)
+            assert fv.report == _oracle_report(f_face, K_face, M)[0]
+
+    @pytest.mark.parametrize("criterion", [ordinariness_determinants, facial_criterion])
+    def test_term_below_its_degree_raises(self, criterion, monkeypatch):
+        # doubling a vertex exponent u puts pi^1 on x^(2u), of degree 2
+        lifted = dwork._lifted_factors
+
+        def doubled(*args):
+            (c, u), *rest = lifted(*args)
+            return [(c, tuple(2 * x for x in u)), *rest]
+
+        monkeypatch.setattr(dwork, "_lifted_factors", doubled)
+        with pytest.raises(IntegralityError, match="below its degree"):
+            criterion(poly(SPERBER, p=3), 3, 4)
 
 
 class TestFacialCriterion:

@@ -1,8 +1,9 @@
 """Byte-exact outputs of the benchmark jobs.
 
-Runs pool entry 0 of every benchmark template, and every pool entry of the
-towers templates whose --prec-t makes ord_p(j!) >= 2 for some j (so the
-binomial sums divide exactly by p^2 or more), in-process and checks the
+Runs pool entry 0 of every benchmark template, every pool entry of the
+`faces` templates, and every pool entry of the towers templates whose
+--prec-t makes ord_p(j!) >= 2 for some j (so the binomial sums divide
+exactly by p^2 or more), in-process and checks the
 exit code and the sha256 of the JSON output against the recorded golden
 digests.  The sums-route templates run in template order in one process,
 so every job after the first meets field contexts and trace tables that
@@ -47,6 +48,14 @@ def _check_golden(line, want):
 @pytest.mark.parametrize("template", JOBS.OPERATOR)
 def test_operator_job_matches_golden(template):
     line = JOBS.instantiate(template, 0)
+    _check_golden(line, GOLDENS[line])
+
+
+FACES_LINES = [line for t in JOBS.OPERATOR if t.startswith("faces") for line in JOBS.variants(t)]
+
+
+@pytest.mark.parametrize("line", FACES_LINES)
+def test_faces_job_matches_golden(line):
     _check_golden(line, GOLDENS[line])
 
 
