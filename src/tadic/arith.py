@@ -18,7 +18,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import DomainError, IntegralityError, PrecisionError, TheoremViolation
-from .series import TSeries, power, vp, vp_factorial
+from .series import TSeries, divexact, power, vp, vp_factorial
 
 
 # largest field F_{p^a} a FieldContext presents; its elements are enumerated
@@ -525,25 +525,8 @@ class CycElement:
         return CycElement(self.ctx, self.prec, tuple(v * c for v in self.coeffs))
 
     def divexact_int(self, k: int):
-        if k == 0:
-            raise ZeroDivisionError
-        sign = -1 if k < 0 else 1
-        k = abs(k)
-        p = self.ctx.p
-        v = vp(k, p) if k % p == 0 else 0
-        unit = k // p**v
-        new_prec = self.prec - v
-        if new_prec <= 0:
-            raise PrecisionError(f"division by {sign * k} exhausts p-precision {self.prec}")
-        pv = p**v
-        pm = p**new_prec
-        inv = pow(unit, -1, pm)
-        out = []
-        for c in self.coeffs:
-            if c % pv:
-                raise IntegralityError(f"cyclotomic coefficient not divisible by {p}^{v}")
-            out.append((c // pv) * inv * sign)
-        return CycElement(self.ctx, new_prec, tuple(out))
+        prec, out = divexact(self.coeffs, k, self.ctx.p, self.prec)
+        return CycElement(self.ctx, prec, out)
 
     def pow_int(self, e: int):
         if e < 0:

@@ -41,7 +41,7 @@ from .polytope import (
     newton_data,
     parse_laurent,
 )
-from .series import NewtonPolygon, SSeries, TSeries
+from .series import NewtonPolygon, SSeries
 from .sums import (
     SumJob,
     congruence_check,
@@ -234,23 +234,15 @@ def jpolygon(P: NewtonPolygon) -> dict:
     }
 
 
-def jtseries(ts: TSeries) -> dict:
+def jseries(z) -> dict:
+    """A TSeries or a ZqPi: the certified window and the stored residues."""
+    tuples = isinstance(z, ZqPi)
     return {
-        "ring": "Z[[T]]",
-        "den": "1",
-        "prec_p": str(ts.prec),
-        "cap": str(ts.cap),
-        "coeffs": {str(j): str(c) for j, c in sorted(ts.coeffs.items())},
-    }
-
-
-def jzqpi(z: ZqPi) -> dict:
-    return {
-        "ring": "Zq[[pi]]",
+        "ring": "Zq[[pi]]" if tuples else "Z[[T]]",
         "den": str(z.den),
         "prec_p": str(z.prec),
         "cap": str(z.cap),
-        "coeffs": {str(j): [str(c) for c in t] for j, t in sorted(z.coeffs.items())},
+        "coeffs": {str(j): [str(x) for x in c] if tuples else str(c) for j, c in z.sorted_items()},
     }
 
 
@@ -265,15 +257,7 @@ def jcyc(c: CycElement) -> dict:
 
 
 def jsseries(F: SSeries) -> list:
-    out = []
-    for c in F.coeffs:
-        if isinstance(c, TSeries):
-            out.append(jtseries(c))
-        elif isinstance(c, ZqPi):
-            out.append(jzqpi(c))
-        else:
-            out.append(jcyc(c))
-    return out
+    return [jcyc(c) if isinstance(c, CycElement) else jseries(c) for c in F.coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +305,7 @@ def cmd_sum(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
     n_t = _prec_t(cfg)
     SumJob(f, max(ks), cfg.prec_p, n_t)  # the largest torus, before any work
     for k in ks:
-        sums[str(k)] = jtseries(s_f_T(f, k, cfg.prec_p, n_t))
+        sums[str(k)] = jseries(s_f_T(f, k, cfg.prec_p, n_t))
         for m in cfg.m_list:
             specialized.setdefault(str(m), {})[str(k)] = jcyc(s_f_psi(f, k, m, cfg.prec_p))
     return {**doc, "sums": sums, "specialized": specialized}

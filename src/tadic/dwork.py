@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import FieldContext, teichmuller_lift
 from .errors import DomainError, IntegralityError, PrecisionError, TheoremViolation
 from .polytope import LaurentPoly, newton_data, restrict_to_face, saturated_span_basis
-from .series import SSeries, TSeries
+from .series import SSeries, TSeries, _SparseSeries
 
 
 # ---------------------------------------------------------------------------
@@ -73,90 +74,58 @@ def _frac_mod(fr: Fraction, p: int, prec: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class ZqPi:
+class ZqPi(_SparseSeries):
     """sum_j c_j pi^(j/den) with c_j in Z_q mod p^prec, truncated below
     pi^(cap/den).
 
     Coefficients are the tuple representation of FieldContext's Z_q layer;
-    exponent keys are nonnegative integers in units of 1/den.  Operations
-    reduce precision and cap to what both operands certify, mirroring the
-    TSeries conventions.  Implements the coefficient protocol of SSeries.
+    exponent keys are nonnegative integers in units of 1/den.  The store
+    and window rules are _SparseSeries'; the product's cap is sharper than
+    TSeries' (see mul).  Implements the coefficient protocol of SSeries.
     """
 
-    __slots__ = ("ctx", "prec", "cap", "den", "coeffs", "pm")
+    __slots__ = ("ctx", "den")
+    _units = "pi-digits"
 
     def __init__(self, ctx: FieldContext, prec: int, cap: int, coeffs=None, den: int = 1):
-        if prec <= 0:
-            raise PrecisionError(f"no certified p-digits left (prec={prec})")
-        if cap <= 0:
-            raise PrecisionError(f"no certified pi-digits left (cap={cap})")
         self.ctx = ctx
-        self.prec = prec
-        self.cap = cap
         self.den = den
-        self.pm = ctx.p**prec
-        store = {}
-        for j, t in (coeffs or {}).items():
-            if j < 0:
-                raise DomainError(f"negative pi-exponent {j}")
-            if j >= cap:
-                continue
-            red = tuple(c % self.pm for c in t)
-            if any(red):
-                store[j] = red
-        self.coeffs = store
+        super().__init__(ctx.p, prec, cap, coeffs)
 
-    # -- constructors ---------------------------------------------------------
+    @staticmethod
+    def _reduce(t, pm: int):
+        red = tuple(c % pm for c in t)
+        return red if any(red) else None
 
-    def _like(self, coeffs, prec=None, cap=None) -> "ZqPi":
-        return ZqPi(self.ctx, prec or self.prec, cap or self.cap, coeffs, self.den)
+    @staticmethod
+    def _add_scalars(s, t):
+        return tuple(map(operator.add, s, t))
 
-    def zero_like(self) -> "ZqPi":
-        return self._like({})
+    @staticmethod
+    def _scale(t, k: int):
+        return tuple(c * k for c in t)
 
-    def one_like(self) -> "ZqPi":
-        return self._like({0: self._one_tuple()})
+    def _zero(self):
+        return (0,) * self.ctx.a
 
-    def _one_tuple(self):
-        return (1,) + (0,) * (self.ctx.a - 1)
+    def _one(self):
+        return embed_int(self.ctx, 1, self.prec)
 
-    # -- predicates -----------------------------------------------------------
+    def _same_ring(self, other) -> bool:
+        return self.ctx is other.ctx and self.den == other.den
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_one(self) -> bool:
-        return set(self.coeffs) == {0} and self.coeffs[0] == self._one_tuple()
-
-    def _align(self, other: "ZqPi"):
-        if self.ctx is not other.ctx or self.den != other.den:
-            raise DomainError("pi-series live over different rings")
-        return min(self.prec, other.prec), min(self.cap, other.cap)
-
-    # -- ring operations --------------------------------------------------------
-
-    def add(self, other: "ZqPi") -> "ZqPi":
-        prec, cap = self._align(other)
-        out = dict(self.coeffs)
-        for j, t in other.coeffs.items():
-            if j in out:
-                out[j] = self.ctx.zq_add(out[j], t, prec)
-            else:
-                out[j] = t
-        return ZqPi(self.ctx, prec, cap, out, self.den)
-
-    def neg(self) -> "ZqPi":
-        return self._like({j: tuple(-c % self.pm for c in t) for j, t in self.coeffs.items()})
-
-    def sub(self, other: "ZqPi") -> "ZqPi":
-        return self.add(other.neg())
+    def _like(self, coeffs, prec: int, cap: int) -> "ZqPi":
+        return ZqPi(self.ctx, prec, cap, coeffs, self.den)
 
     def ord_key(self):
         """Smallest stored exponent key, or None for (visible) zero."""
         return min(self.coeffs) if self.coeffs else None
 
     def mul(self, other: "ZqPi") -> "ZqPi":
-        prec, _ = self._align(other)
+        """The cap is min(capA + ordB, capB + ordA), with a zero operand's
+        cap standing in for its ord: the unknown tail of one factor only
+        meets the other from its leading term on."""
+        prec, _ = self._window(other)
         so = self.ord_key()
         oo = other.ord_key()
         cap = min(
@@ -176,32 +145,6 @@ class ZqPi:
                     out[k] = v
         return ZqPi(self.ctx, prec, cap, out, self.den)
 
-    def mul_int(self, c: int) -> "ZqPi":
-        return self._like({j: tuple(c * x % self.pm for x in t) for j, t in self.coeffs.items()})
-
-    def shift(self, k: int) -> "ZqPi":
-        """Multiply by pi^(k/den); k < 0 is exact division and must not
-        truncate away knowledge of a nonzero coefficient."""
-        if k < 0 and any(j + k < 0 for j in self.coeffs):
-            raise IntegralityError(f"pi-division by {-k} is not exact")
-        return ZqPi(
-            self.ctx,
-            self.prec,
-            self.cap + k,
-            {j + k: t for j, t in self.coeffs.items()},
-            self.den,
-        )
-
-    def with_cap(self, cap: int) -> "ZqPi":
-        if cap > self.cap:
-            raise PrecisionError("cannot certify beyond the computed cap")
-        return ZqPi(self.ctx, self.prec, cap, self.coeffs, self.den)
-
-    def with_prec(self, prec: int) -> "ZqPi":
-        if prec > self.prec:
-            raise PrecisionError("cannot certify beyond the computed precision")
-        return ZqPi(self.ctx, prec, self.cap, self.coeffs, self.den)
-
     def rescale_den(self, den: int) -> "ZqPi":
         """Re-grid from units 1/self.den to the finer 1/den."""
         if den % self.den:
@@ -214,37 +157,6 @@ class ZqPi:
             {j * f: t for j, t in self.coeffs.items()},
             den,
         )
-
-    # -- inspection ---------------------------------------------------------------
-
-    def coeff(self, j: int):
-        if j >= self.cap:
-            raise PrecisionError(f"pi-exponent {j}/{self.den} beyond cap")
-        return self.coeffs.get(j, (0,) * self.ctx.a)
-
-    def ord(self):
-        k = self.ord_key()
-        return None if k is None else Fraction(k, self.den)
-
-    def val_data(self):
-        return self.ord(), Fraction(self.cap, self.den)
-
-    def agrees_with(self, other: "ZqPi") -> bool:
-        """Equality on the intersection of the certified windows."""
-        prec, cap = self._align(other)
-        pm = self.ctx.p**prec
-        for j in set(self.coeffs) | set(other.coeffs):
-            if j >= cap:
-                continue
-            s = self.coeffs.get(j, (0,) * self.ctx.a)
-            t = other.coeffs.get(j, (0,) * self.ctx.a)
-            if any((x - y) % pm for x, y in zip(s, t)):
-                return False
-        return True
-
-    def __repr__(self):
-        terms = ", ".join(f"{j}/{self.den}:{t}" for j, t in sorted(self.coeffs.items())[:4])
-        return f"ZqPi<{terms}{'...' if len(self.coeffs) > 4 else ''} mod (p^{self.prec}, pi^{self.cap}/{self.den})>"
 
 
 def embed_int(ctx: FieldContext, c: int, prec: int):
@@ -352,7 +264,9 @@ def _berkowitz(ring, rows, keep: int):
     det(1 - A_r*s) for the leading r x r block A_r: that vector is the
     previous one convolved with (1, -a_rr, -s_0, -s_1, ...), where s_j is
     row*block^j*column.  Truncating every vector at keep + 1 terms is exact
-    because the convolution is lower triangular.  Products with the ring's
+    because the convolution is lower triangular, and the step for row r
+    reads the Toeplitz entries only up to index min(r, keep), so it forms
+    min(r, keep) - 1 of the s_j.  Products with the ring's
     zero are skipped, and rows are walked through their nonzero entries.
     """
     mul, add, neg, is_zero = ring.mul, ring.add, ring.neg, ring.is_zero
@@ -374,15 +288,16 @@ def _berkowitz(ring, rows, keep: int):
     cv = [one]
     for r in range(1, len(rows) + 1):
         w = r - 1
+        top = min(r, keep)
         toep = [one, neg(rows[w][w])]
         if w:
             col = [rows[i][w] for i in range(w)]
-            for j in range(keep - 1):
+            for j in range(top - 1):
                 toep.append(neg(dot(sparse[w], col, w)))
-                if j + 2 <= keep - 1:
+                if j + 2 < top:
                     col = [dot(sparse[i], col, w) for i in range(w)]
         new = []
-        for m in range(min(r, keep) + 1):
+        for m in range(top + 1):
             acc = None
             for i in range(max(0, m - len(toep) + 1), min(m, len(cv) - 1) + 1):
                 t = cv[i]

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .arith import FieldContext
 from .errors import DomainError, NotInConeError, ParseError
-from .series import NewtonPolygon
+from .series import NewtonPolygon, polygon_rescale
 
 
 # ---------------------------------------------------------------------------
@@ -571,18 +571,7 @@ def newton_data(f: LaurentPoly) -> DegreeData:
 
 def hodge_polygon(dd: DegreeData, p: int, a: int, K: int) -> NewtonPolygon:
     """q-normalized combinatorial polygon: width W(k), slope a(p-1)k/D."""
-    if K < 0:
-        raise DomainError("cutoff must be >= 0")
-    W = dd.weight_counts(K)
-    verts = [(Fraction(0), Fraction(0))]
-    x = y = Fraction(0)
-    scale = Fraction(a * (p - 1), dd.D)
-    for k, w in enumerate(W):
-        if w:
-            x += w
-            y += w * scale * k
-            verts.append((x, y))
-    return NewtonPolygon(vertices=tuple(verts), certified_upto=x)
+    return polygon_rescale(hodge_polygon_absolute(dd, K), a * (p - 1))
 
 
 def hodge_polygon_absolute(dd: DegreeData, K: int) -> NewtonPolygon:
@@ -642,24 +631,8 @@ def _face_poly_verdict(f: LaurentPoly, dd: DegreeData, face: Face, r_max: int):
     """(status, witness) for one face: 'pass' (definitive), 'degenerate',
     or 'open' (bounded search found nothing)."""
     ctx = f.ctx
-    kept = [(e, c) for e, c in f.terms if dd.face_contains(face, e)]
-    partials = []
-    for i in range(f.n):
-        d = {}
-        for exps, coeff in kept:
-            ui = exps[i] % ctx.p
-            if ui:
-                e2 = tuple(e - (1 if j == i else 0) for j, e in enumerate(exps))
-                c2 = tuple(c * ui % ctx.p for c in coeff)
-                if e2 in d:
-                    s = ctx.add(d[e2], c2)
-                    if s == ctx.zero():
-                        del d[e2]
-                    else:
-                        d[e2] = s
-                else:
-                    d[e2] = c2
-        partials.append(d)
+    g = restrict_to_face(f, dd, face)
+    partials = [g.partial(i) for i in range(f.n)]
     if all(not d for d in partials):
         # every gradient component vanishes identically: all of the torus
         return "degenerate", ("all-ones", 1)

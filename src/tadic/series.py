@@ -1,11 +1,12 @@
 """Truncated power series with residue coefficients, and exact Newton polygons.
 
-Two series layers live here.  TSeries is a truncated series in one inner
-variable (T throughout the package, but pi-adic expansions with exponents in
-(1/D)*Z reuse the class through the ``den`` field) whose coefficients are
-integers mod p^prec.  SSeries is a polynomial in an outer variable s whose
-coefficients are ring elements implementing a small shared protocol
-(add/sub/mul/neg/mul_int/divexact_int/is_zero/val_data).
+Two series layers live here.  _SparseSeries is one sparse truncated series
+in an inner variable, with exponent keys in units of 1/den and residue
+scalars mod p^prec; TSeries (integer scalars, T throughout the package) and
+dwork.ZqPi (Z_q tuples, pi-exponents in (1/D)*Z) name their scalars on top
+of it and keep their own products.  SSeries is a polynomial in an outer
+variable s whose coefficients are ring elements implementing a small shared
+protocol (add/sub/mul/neg/mul_int/divexact_int/is_zero/val_data).
 
 Polygon geometry is exact: vertices are pairs of Fractions, never floats.
 A polygon carries the largest x-coordinate up to which its shape is proven
@@ -14,7 +15,7 @@ correct given the truncation caps of the data it was built from.
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -57,35 +58,163 @@ def vp_factorial(n: int, p: int) -> int:
     return v
 
 
-class TSeries:
-    """sum_j c_j X^j truncated below X^cap, with c_j mod p^prec.
+def divexact(values, k: int, p: int, prec: int):
+    """Divide residues mod p^prec by a nonzero integer k, asserting that the
+    p-part p^v of k divides every one of them exactly.
 
-    Only nonzero residues are stored.  Operations take the minimum of the
-    operands' p-precision and exponent caps, so results are always certified
-    to their stated moduli.
+    Returns (prec - v, quotients): the division costs v digits of
+    p-precision, and the quotients are left for the caller to reduce."""
+    if k == 0:
+        raise ZeroDivisionError
+    v = vp(k, p)
+    new_prec = prec - v
+    if new_prec <= 0:
+        raise PrecisionError(f"division by {k} exhausts p-precision {prec}")
+    pv = p**v
+    inv = pow(k // pv, -1, p**new_prec)
+    out = []
+    for c in values:
+        if c % pv:
+            raise IntegralityError(f"residue {c} not divisible by {p}^{v}")
+        out.append(c // pv * inv)
+    return new_prec, out
+
+
+class _SparseSeries:
+    """sum_j c_j X^(j/den) truncated below X^(cap/den), scalars mod p^prec.
+
+    The store and window rules TSeries and ZqPi share.  Only nonzero
+    residues are stored.  A sum or a comparison takes the smaller
+    p-precision and the smaller cap of its operands, so results are
+    certified to their stated moduli, and reading a coefficient at or past
+    the cap raises PrecisionError.  A subclass names its scalars (_reduce,
+    _add_scalars, _scale, _zero, _one), its ring (_same_ring), how to build
+    a sibling (_like) and its own product, whose cap rule is its own.
     """
 
     __slots__ = ("p", "prec", "cap", "coeffs", "pm")
+    den = 1  # exponent keys count units of 1/den
+    _units = "exponents"  # what the cap counts, for the error text
 
     def __init__(self, p: int, prec: int, cap: int, coeffs=None):
         if prec <= 0:
             raise PrecisionError(f"no certified p-digits left (prec={prec})")
         if cap <= 0:
-            raise PrecisionError(f"no certified exponents left (cap={cap})")
-        self.p = p
-        self.prec = prec
-        self.cap = cap
-        self.pm = p**prec
-        clean = {}
+            raise PrecisionError(f"no certified {self._units} left (cap={cap})")
+        self.p, self.prec, self.cap = p, prec, cap
+        self.pm = pm = p**prec
+        reduce = self._reduce
+        store = {}
         if coeffs:
             for j, c in coeffs.items():
-                if 0 <= j < cap:
-                    c %= self.pm
-                    if c:
-                        clean[j] = c
-                elif j < 0:
-                    raise DomainError("negative exponent in truncated series")
-        self.coeffs = clean
+                if j < 0:
+                    raise DomainError(f"negative exponent {j} in a truncated series")
+                if j < cap:
+                    c = reduce(c, pm)
+                    if c is not None:
+                        store[j] = c
+        self.coeffs = store
+
+    def _window(self, other):
+        if type(other) is not type(self) or not self._same_ring(other):
+            raise DomainError("series live in different rings")
+        return min(self.prec, other.prec), min(self.cap, other.cap)
+
+    def zero_like(self):
+        return self._like({}, self.prec, self.cap)
+
+    def one_like(self):
+        return self._like({0: self._one()}, self.prec, self.cap)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def is_one(self) -> bool:
+        return self.coeffs == {0: self._one()}
+
+    def add(self, other):
+        prec, cap = self._window(other)
+        add = self._add_scalars
+        out = dict(self.coeffs)
+        for j, c in other.coeffs.items():
+            out[j] = add(out[j], c) if j in out else c
+        return self._like(out, prec, cap)
+
+    def sub(self, other):
+        return self.add(other.neg())
+
+    def neg(self):
+        return self.mul_int(-1)
+
+    def mul_int(self, k: int):
+        scale = self._scale
+        return self._like({j: scale(c, k) for j, c in self.coeffs.items()}, self.prec, self.cap)
+
+    def with_prec(self, prec: int):
+        if prec > self.prec:
+            raise PrecisionError("cannot invent p-digits")
+        return self._like(self.coeffs, prec, self.cap)
+
+    def coeff(self, j: int):
+        if j >= self.cap:
+            raise PrecisionError(f"exponent {j}/{self.den} not below the cap {self.cap}/{self.den}")
+        return self.coeffs.get(j, self._zero())
+
+    def sorted_items(self):
+        return sorted(self.coeffs.items())
+
+    def ord(self) -> Optional[Fraction]:
+        """Smallest exponent with a nonzero residue, or None (only '>= cap'
+        is known)."""
+        return Fraction(min(self.coeffs), self.den) if self.coeffs else None
+
+    def val_data(self):
+        """(valuation, cap); valuation None if no nonzero residue survives."""
+        return self.ord(), Fraction(self.cap, self.den)
+
+    def agrees_with(self, other) -> bool:
+        """Equality on the intersection of the certified windows."""
+        prec, cap = self._window(other)
+        pm = self.p**prec
+        zero, add, scale, reduce = self._zero(), self._add_scalars, self._scale, self._reduce
+        mine, theirs = self.coeffs, other.coeffs
+        for j in mine.keys() | theirs.keys():
+            if j < cap and reduce(add(mine.get(j, zero), scale(theirs.get(j, zero), -1)), pm):
+                return False
+        return True
+
+    def __repr__(self):
+        terms = ", ".join(f"{j}: {c}" for j, c in self.sorted_items())
+        window = f"p={self.p}, prec={self.prec}, cap={self.cap}/{self.den}"
+        return f"{type(self).__name__}({window}, {{{terms}}})"
+
+
+def _reduce_int(c: int, pm: int):
+    return c % pm or None
+
+
+class TSeries(_SparseSeries):
+    """sum_j c_j T^j truncated below T^cap, with integer residues c_j mod
+    p^prec.  A product is cut at the smaller of the two caps."""
+
+    __slots__ = ()
+    _reduce = staticmethod(_reduce_int)
+    _add_scalars = staticmethod(operator.add)
+    _scale = staticmethod(operator.mul)
+
+    @staticmethod
+    def _zero():
+        return 0
+
+    @staticmethod
+    def _one():
+        return 1
+
+    def _same_ring(self, other) -> bool:
+        return self.p == other.p
+
+    def _like(self, coeffs, prec: int, cap: int) -> "TSeries":
+        return TSeries(self.p, prec, cap, coeffs)
 
     @classmethod
     def const(cls, p, prec, cap, value):
@@ -95,49 +224,8 @@ class TSeries:
     def zero(cls, p, prec, cap):
         return cls(p, prec, cap, {})
 
-    # -- protocol helpers ------------------------------------------------
-
-    def zero_like(self):
-        return TSeries(self.p, self.prec, self.cap, {})
-
-    def one_like(self):
-        return TSeries(self.p, self.prec, self.cap, {0: 1})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_one(self) -> bool:
-        return self.coeffs == {0: 1}
-
-    def val_data(self):
-        """(valuation, cap); valuation None if no nonzero residue survives
-        (i.e. only '>= cap' is known)."""
-        if self.coeffs:
-            return Fraction(min(self.coeffs)), Fraction(self.cap)
-        return None, Fraction(self.cap)
-
-    def _common(self, other):
-        if self.p != other.p:
-            raise DomainError("series live in different rings")
-        return min(self.prec, other.prec), min(self.cap, other.cap)
-
-    # -- ring operations -------------------------------------------------
-
-    def add(self, other: "TSeries") -> "TSeries":
-        prec, cap = self._common(other)
-        out = dict(self.coeffs)
-        for j, c in other.coeffs.items():
-            out[j] = out.get(j, 0) + c
-        return TSeries(self.p, prec, cap, out)
-
-    def sub(self, other: "TSeries") -> "TSeries":
-        return self.add(other.neg())
-
-    def neg(self) -> "TSeries":
-        return TSeries(self.p, self.prec, self.cap, {j: self.pm - c for j, c in self.coeffs.items()})
-
     def mul(self, other: "TSeries") -> "TSeries":
-        prec, cap = self._common(other)
+        prec, cap = self._window(other)
         out = {}
         bi = other.coeffs.items()
         for j, c in self.coeffs.items():
@@ -147,32 +235,10 @@ class TSeries:
                     out[e] = out.get(e, 0) + c * d
         return TSeries(self.p, prec, cap, out)
 
-    def mul_int(self, c: int) -> "TSeries":
-        return TSeries(self.p, self.prec, self.cap, {j: v * c for j, v in self.coeffs.items()})
-
     def divexact_int(self, k: int) -> "TSeries":
-        """Divide by a nonzero integer, asserting exact divisibility of every
-        residue by the p-part of k.  Costs vp(k) digits of p-precision."""
-        if k == 0:
-            raise ZeroDivisionError
-        sign = -1 if k < 0 else 1
-        k = abs(k)
-        v = vp(k, self.p) if k % self.p == 0 else 0
-        unit = k // self.p**v
-        new_prec = self.prec - v
-        if new_prec <= 0:
-            raise PrecisionError(f"division by {sign * k} exhausts p-precision {self.prec}")
-        pv = self.p**v
-        pm = self.p**new_prec
-        inv = pow(unit, -1, pm)
-        out = {}
-        for j, c in self.coeffs.items():
-            if c % pv:
-                raise IntegralityError(
-                    f"residue at exponent {j} not divisible by {self.p}^{v}"
-                )
-            out[j] = (c // pv) * inv * sign
-        return TSeries(self.p, new_prec, self.cap, out)
+        """Divide by a nonzero integer; costs vp(k) digits of p-precision."""
+        prec, out = divexact(self.coeffs.values(), k, self.p, self.prec)
+        return TSeries(self.p, prec, self.cap, dict(zip(self.coeffs, out)))
 
     def inverse(self) -> "TSeries":
         c0 = self.coeffs.get(0, 0)
@@ -196,57 +262,11 @@ class TSeries:
             return self.inverse().pow_int(-e)
         return power(self, e, TSeries.mul, self.one_like())
 
-    # -- structural operations --------------------------------------------
-
-    def truncate(self, cap: int) -> "TSeries":
-        return TSeries(self.p, self.prec, min(cap, self.cap), self.coeffs)
-
-    def with_prec(self, prec: int) -> "TSeries":
-        if prec > self.prec:
-            raise PrecisionError("cannot invent p-digits")
-        return TSeries(self.p, prec, self.cap, self.coeffs)
-
-    def shift(self, units: int) -> "TSeries":
-        """Multiply by X^units; truncation cap moves with the shift."""
-        if units < 0 and any(j + units < 0 for j in self.coeffs):
-            raise DomainError("shift would create negative exponents")
-        return TSeries(
-            self.p,
-            self.prec,
-            self.cap + units,
-            {j + units: c for j, c in self.coeffs.items()},
-        )
-
-    # -- inspection ---------------------------------------------------------
-
-    def coeff(self, j: int) -> int:
-        return self.coeffs.get(j, 0)
-
-    def sorted_items(self):
-        return sorted(self.coeffs.items())
-
-    def agrees_with(self, other: "TSeries", cap_units: Optional[int] = None, prec: Optional[int] = None) -> bool:
-        prec = min(self.prec, other.prec) if prec is None else prec
-        cap = min(self.cap, other.cap) if cap_units is None else cap_units
-        pm = self.p**prec
-        for j in range(cap):
-            if (self.coeffs.get(j, 0) - other.coeffs.get(j, 0)) % pm:
-                return False
-        return True
-
-    def __repr__(self):
-        terms = ", ".join(f"{j}: {c}" for j, c in self.sorted_items())
-        return f"TSeries(p={self.p}, prec={self.prec}, cap={self.cap}, {{{terms}}})"
-
     def __eq__(self, other):
         if not isinstance(other, TSeries):
             return NotImplemented
-        return (
-            self.p == other.p
-            and self.prec == other.prec
-            and self.cap == other.cap
-            and self.coeffs == other.coeffs
-        )
+        mine, theirs = (self.prec, self.cap, self.coeffs), (other.prec, other.cap, other.coeffs)
+        return self.p == other.p and mine == theirs
 
     def __hash__(self):
         return hash((self.p, self.prec, self.cap, tuple(self.sorted_items())))
@@ -269,42 +289,34 @@ class SSeries:
     def deg(self) -> int:
         return len(self.coeffs) - 1
 
+    def one_like(self) -> "SSeries":
+        """1 with this series' coefficient rings and length."""
+        return SSeries([self.coeffs[0].one_like()] + [c.zero_like() for c in self.coeffs[1:]])
+
     def mul(self, other: "SSeries") -> "SSeries":
+        a, b = self.coeffs, other.coeffs
         d = min(self.deg(), other.deg())
-        out = []
-        for m in range(d + 1):
-            acc = None
-            for j in range(m + 1):
-                t = self.coeffs[j].mul(other.coeffs[m - j])
-                acc = t if acc is None else acc.add(t)
-            out.append(acc)
-        return SSeries(out)
+        return SSeries(
+            [_sum_of_products((a[j], b[m - j]) for j in range(m + 1)) for m in range(d + 1)]
+        )
 
     def inverse(self) -> "SSeries":
         if not self.coeffs[0].is_one():
             raise DomainError("s-series inverse requires constant coefficient 1")
-        one = self.coeffs[0]
-        out = [one]
-        for m in range(1, len(self.coeffs)):
-            acc = None
-            for j in range(1, m + 1):
-                t = self.coeffs[j].mul(out[m - j])
-                acc = t if acc is None else acc.add(t)
-            out.append(acc.neg() if acc is not None else one.zero_like())
+        a = self.coeffs
+        out = [a[0]]
+        for m in range(1, len(a)):
+            out.append(_sum_of_products((a[j], out[m - j]) for j in range(1, m + 1)).neg())
         return SSeries(out)
 
     def pow_int(self, e: int) -> "SSeries":
         if e < 0:
             return self.inverse().pow_int(-e)
-        one = SSeries([self.coeffs[0].one_like()] + [c.zero_like() for c in self.coeffs[1:]])
-        return power(self, e, SSeries.mul, one)
+        return power(self, e, SSeries.mul, self.one_like())
 
     def scale_s(self, factor_at) -> "SSeries":
         """Substitute c*s for s: coefficient k picks up factor_at(k)."""
         return SSeries([c.mul_int(factor_at(k)) for k, c in enumerate(self.coeffs)])
-
-    def truncate(self, deg: int) -> "SSeries":
-        return SSeries(self.coeffs[: deg + 1])
 
 
 def exp_generating(weighted, one) -> SSeries:
@@ -317,28 +329,19 @@ def exp_generating(weighted, one) -> SSeries:
     """
     out = [one]
     for m in range(1, len(weighted) + 1):
-        acc = None
-        for j in range(1, m + 1):
-            t = weighted[j - 1].mul(out[m - j])
-            acc = t if acc is None else acc.add(t)
+        acc = _sum_of_products((weighted[j - 1], out[m - j]) for j in range(1, m + 1))
         out.append(acc.divexact_int(m))
     return SSeries(out)
 
 
-def log_generating(F: SSeries):
-    """Inverse of exp_generating: returns the weighted list w_k = k*g_k.
-
-    Division-free:  w_m = m*a_m - sum_{j<m} w_j a_{m-j}  (a_0 = 1 required).
-    """
-    if not F.coeffs[0].is_one():
-        raise DomainError("log requires constant coefficient 1")
-    w = []
-    for m in range(1, len(F.coeffs)):
-        acc = F.coeffs[m].mul_int(m)
-        for j in range(1, m):
-            acc = acc.sub(w[j - 1].mul(F.coeffs[m - j]))
-        w.append(acc)
-    return w
+def _sum_of_products(pairs):
+    """x1*y1 + x2*y2 + ... over a nonempty iterable of ring-element pairs,
+    multiplied and added in order."""
+    acc = None
+    for x, y in pairs:
+        t = x.mul(y)
+        acc = t if acc is None else acc.add(t)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +402,6 @@ class NewtonPolygon:
         for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:]):
             out.append(((y1 - y0) / (x1 - x0), x1 - x0))
         return out
-
-    def unit_slopes(self, upto: int):
-        """Slope over each unit interval [i, i+1) for i < upto."""
-        if upto > self.last_x:
-            raise DomainError("polygon too short for requested slopes")
-        return [self.value_at(i + 1) - self.value_at(i) for i in range(upto)]
 
 
 def _hull_value(vs, x: Fraction) -> Fraction:
@@ -651,75 +648,3 @@ def polygon_verdict(P: NewtonPolygon, Q: NewtonPolygon, upto=None) -> str:
     ):
         return "true"
     return "uncertified"
-
-
-# ---------------------------------------------------------------------------
-# Slope multisets
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SlopeSeries:
-    """Finite multiset of slopes with multiplicities, sorted ascending.
-
-    ``cap`` is the bound below which the multiset is complete (None for a
-    finite, fully known multiset such as the slopes of a polynomial).
-    """
-
-    items: tuple
-    cap: Optional[Fraction] = None
-
-    @classmethod
-    def from_polygon(cls, P: NewtonPolygon, upto: int) -> "SlopeSeries":
-        if Fraction(upto) > P.certified_upto:
-            raise DomainError("cannot read slopes beyond the certified prefix")
-        counts = {}
-        for s in P.unit_slopes(upto):
-            counts[s] = counts.get(s, 0) + 1
-        top = max(counts) if counts else Fraction(0)
-        return cls(items=tuple(sorted(counts.items())), cap=top + 1)
-
-    def to_polygon(self) -> NewtonPolygon:
-        verts = [(Fraction(0), Fraction(0))]
-        x, y = Fraction(0), Fraction(0)
-        for s, m in self.items:
-            x, y = x + m, y + s * m
-            verts.append((x, y))
-        return NewtonPolygon(vertices=tuple(verts), certified_upto=x)
-
-    def prefix(self, count: int):
-        """First ``count`` slopes with multiplicity, flattened."""
-        out = []
-        for s, m in self.items:
-            for _ in range(m):
-                out.append(s)
-                if len(out) == count:
-                    return out
-        return out
-
-
-def slope_series_mul(A: SlopeSeries, B: SlopeSeries, slope_cap) -> SlopeSeries:
-    """Multiset convolution {a+b}, truncated to slopes < slope_cap.
-
-    The factors must be complete below the relevant ranges: slopes of A+B
-    below slope_cap only need a-slopes and b-slopes below slope_cap minus
-    the other factor's minimum, which the caller guarantees by generating
-    both inputs at least that far.
-    """
-    cap = Fraction(slope_cap)
-    for S in (A, B):
-        if S.cap is not None and S.cap < cap:
-            raise DomainError("slope factor not complete below requested cap")
-    counts = {}
-    for sa, ma in A.items:
-        for sb, mb in B.items:
-            s = sa + sb
-            if s < cap:
-                counts[s] = counts.get(s, 0) + ma * mb
-    return SlopeSeries(items=tuple(sorted(counts.items())), cap=cap)
-
-
-def geometric_slopes(n: int, slope_cap: int) -> SlopeSeries:
-    """Slope multiset of 1/(1-t)^n: slope j with multiplicity C(n+j-1, j)."""
-    items = tuple((Fraction(j), math.comb(n + j - 1, j)) for j in range(slope_cap))
-    return SlopeSeries(items=items, cap=Fraction(slope_cap))

@@ -24,7 +24,6 @@ from .arith import (
     binomial_guard,
     binomial_sum,
     field_context,
-    one_plus_T_pow,
     specialize_tseries,
     teichmuller_lift,
 )
@@ -310,64 +309,8 @@ def c_function(f: LaurentPoly, deg_s: int, M: int, N: int) -> SSeries:
     return _exp_path(f, deg_s, M, N, normalized=True)
 
 
-def closed_point_traces(f: LaurentPoly, d: int, prec: int) -> dict:
-    """trace -> count over closed torus points of exact degree d.
-
-    Traces are evaluated through fresh Teichmuller lifts per point rather
-    than the shared power table, so this path exercises the arithmetic
-    independently of torus_trace_counts.
-    """
-    ctx = f.ctx
-    big = ctx.ext(d)
-    if (big.q - 1) ** f.n > TORUS_LIMIT:
-        raise DomainError("torus too large to enumerate")
-    phi = ctx.embed_into(big)
-    coeffs = [phi(c) for _, c in f.terms]
-    exps = [u for u, _ in f.terms]
-    Q1 = big.q - 1
-    counts = {}
-    for jvec in itertools.product(range(Q1), repeat=f.n):
-        # closed point of exact degree d <=> orbit of size d; keep its
-        # lex-smallest member
-        if _orbit_size(jvec, ctx.q, Q1) != d:
-            continue
-        acc = None
-        for cb, u in zip(coeffs, exps):
-            val = cb
-            for ji, ui in zip(jvec, u):
-                if ui:
-                    val = big.mul(val, big.pow(big.generator, ji * ui % Q1))
-            lift = teichmuller_lift(big, val, prec)
-            acc = lift if acc is None else big.zq_add(acc, lift, prec)
-        t = big.zq_trace(acc, prec)
-        counts[t] = counts.get(t, 0) + 1
-    return counts
-
-
-def l_function_euler(f: LaurentPoly, deg_s: int, M: int, N: int) -> SSeries:
-    """L as the Euler product over closed points of degree <= deg_s:
-    prod (1 - (1+T)^Tr s^deg)^(-1), an independent recomputation of
-    l_function used for cross-assertion."""
-    p = f.ctx.p
-    prec_t = M + binomial_guard(N, p)
-    one = TSeries.const(p, M, N, 1)
-    zero = TSeries.zero(p, M, N)
-    out = SSeries([one] + [zero] * deg_s)
-    for d in range(1, deg_s + 1):
-        for t, c in sorted(closed_point_traces(f, d, prec_t).items()):
-            u = one_plus_T_pow(t, p, M, N, prec_t)
-            local = [one] + [zero] * deg_s
-            local[d] = u.neg()
-            out = out.mul(SSeries(local).pow_int(-c))
-    return out
-
-
 def _sign(k: int) -> int:
     return -1 if k % 2 else 1
-
-
-def _ones_like(F: SSeries) -> SSeries:
-    return SSeries([F.coeffs[0].one_like()] + [c.zero_like() for c in F.coeffs[1:]])
 
 
 def convert_l_to_c(F: SSeries, n: int, q: int, direction: str) -> SSeries:
@@ -382,14 +325,14 @@ def convert_l_to_c(F: SSeries, n: int, q: int, direction: str) -> SSeries:
     if q != p**a or q < 2:
         raise DomainError("q must be a power of the coefficient prime")
     if direction == "c_to_l":
-        out = _ones_like(F)
+        out = F.one_like()
         for i in range(n + 1):
             e = _sign(n - i - 1) * math.comb(n, i)
             out = out.mul(F.scale_s(lambda k, qi=q**i: qi**k).pow_int(e))
         return out
     if direction == "l_to_c":
         M = min(c.prec for c in F.coeffs)
-        acc = _ones_like(F)
+        acc = F.one_like()
         for j in range(-(-M // a)):
             e = math.comb(n + j - 1, j)
             acc = acc.mul(F.scale_s(lambda k, qj=q**j: qj**k).pow_int(e))

@@ -19,15 +19,23 @@ The criterion reference expands the whole kernel product to a pi-cap past
 the largest cell degree and divides every cone point's coefficient by
 pi^deg(u) as a ZqPi over Fraction degrees, where the library expands only
 the exact-degree terms on the integer degree grid.
+
+The rest are library code the package itself never calls, kept here as
+references: pi-shifts and cap cuts of a ZqPi, the L-function as an Euler
+product over closed points (traces through fresh Teichmuller lifts per
+point), the division-free inverse of the exp recurrence, and slope
+multisets with their convolution.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from operator import mul
+from typing import Optional
 
 import math
 
+from tadic.arith import binomial_guard, one_plus_T_pow, teichmuller_lift
 from tadic.dwork import (
     CRITERION_DIM_LIMIT,
     ZqPi,
@@ -38,9 +46,10 @@ from tadic.dwork import (
     _ZqScalars,
     artin_hasse,
 )
-from tadic.errors import DomainError, IntegralityError, TheoremViolation
-from tadic.polytope import newton_data
-from tadic.series import TSeries, vp
+from tadic.errors import DomainError, IntegralityError, PrecisionError, TheoremViolation
+from tadic.polytope import LaurentPoly, newton_data
+from tadic.series import NewtonPolygon, SSeries, TSeries, vp
+from tadic.sums import TORUS_LIMIT, _orbit_size
 
 
 def _solve_unique(columns, target):
@@ -368,9 +377,8 @@ def _alpha_map(f, dd, B_grid: int, M: int, N_pi: int):
         if ser is None:
             out[ur] = ZqPi(f.ctx, M, N_pi * D, {}, den=D)
             continue
-        alpha = ser.rescale_den(D).shift(-e)
-        cap = min(alpha.cap, N_pi * D)
-        out[ur] = alpha.with_cap(cap)
+        alpha = shift(ser.rescale_den(D), -e)
+        out[ur] = with_cap(alpha, min(alpha.cap, N_pi * D))
     return out
 
 
@@ -423,3 +431,166 @@ def criterion_matrix(f, dd, K: int, M: int):
             row.append(sc.from_tuple(a0) if a0 is not None else sc.zero)
         mat.append(row)
     return pts, sc, mat
+
+
+# ---------------------------------------------------------------------------
+# references the package itself never calls: pi-shifts and cap cuts, the
+# Euler product, the inverse exp recurrence, slope multisets
+# ---------------------------------------------------------------------------
+
+
+def shift(z: ZqPi, k: int) -> ZqPi:
+    """z * pi^(k/den); the cap moves with the shift.  k < 0 is exact
+    division and must not truncate away knowledge of a nonzero coefficient."""
+    if k < 0 and any(j + k < 0 for j in z.coeffs):
+        raise IntegralityError(f"pi-division by {-k} is not exact")
+    return ZqPi(z.ctx, z.prec, z.cap + k, {j + k: t for j, t in z.coeffs.items()}, z.den)
+
+
+def with_cap(z, cap: int):
+    """The same series certified only below the smaller cap."""
+    if cap > z.cap:
+        raise PrecisionError("cannot certify beyond the computed cap")
+    return z._like(z.coeffs, z.prec, cap)
+
+
+def closed_point_traces(f: LaurentPoly, d: int, prec: int) -> dict:
+    """trace -> count over closed torus points of exact degree d.
+
+    Traces are evaluated through fresh Teichmuller lifts per point rather
+    than the shared power table, so this path exercises the arithmetic
+    independently of torus_trace_counts.
+    """
+    ctx = f.ctx
+    big = ctx.ext(d)
+    if (big.q - 1) ** f.n > TORUS_LIMIT:
+        raise DomainError("torus too large to enumerate")
+    phi = ctx.embed_into(big)
+    coeffs = [phi(c) for _, c in f.terms]
+    exps = [u for u, _ in f.terms]
+    Q1 = big.q - 1
+    counts = {}
+    for jvec in product(range(Q1), repeat=f.n):
+        # closed point of exact degree d <=> orbit of size d; keep its
+        # lex-smallest member
+        if _orbit_size(jvec, ctx.q, Q1) != d:
+            continue
+        acc = None
+        for cb, u in zip(coeffs, exps):
+            val = cb
+            for ji, ui in zip(jvec, u):
+                if ui:
+                    val = big.mul(val, big.pow(big.generator, ji * ui % Q1))
+            lift = teichmuller_lift(big, val, prec)
+            acc = lift if acc is None else big.zq_add(acc, lift, prec)
+        t = big.zq_trace(acc, prec)
+        counts[t] = counts.get(t, 0) + 1
+    return counts
+
+
+def l_function_euler(f: LaurentPoly, deg_s: int, M: int, N: int) -> SSeries:
+    """L as the Euler product over closed points of degree <= deg_s:
+    prod (1 - (1+T)^Tr s^deg)^(-1), an independent recomputation of
+    l_function used for cross-assertion."""
+    p = f.ctx.p
+    prec_t = M + binomial_guard(N, p)
+    one = TSeries.const(p, M, N, 1)
+    zero = TSeries.zero(p, M, N)
+    out = SSeries([one] + [zero] * deg_s)
+    for d in range(1, deg_s + 1):
+        for t, c in sorted(closed_point_traces(f, d, prec_t).items()):
+            u = one_plus_T_pow(t, p, M, N, prec_t)
+            local = [one] + [zero] * deg_s
+            local[d] = u.neg()
+            out = out.mul(SSeries(local).pow_int(-c))
+    return out
+
+
+def log_generating(F: SSeries):
+    """Inverse of exp_generating: returns the weighted list w_k = k*g_k.
+
+    Division-free:  w_m = m*a_m - sum_{j<m} w_j a_{m-j}  (a_0 = 1 required).
+    """
+    if not F.coeffs[0].is_one():
+        raise DomainError("log requires constant coefficient 1")
+    w = []
+    for m in range(1, len(F.coeffs)):
+        acc = F.coeffs[m].mul_int(m)
+        for j in range(1, m):
+            acc = acc.sub(w[j - 1].mul(F.coeffs[m - j]))
+        w.append(acc)
+    return w
+
+
+def unit_slopes(P: NewtonPolygon, upto: int):
+    """Slope of P over each unit interval [i, i+1) for i < upto."""
+    if upto > P.last_x:
+        raise DomainError("polygon too short for requested slopes")
+    return [P.value_at(i + 1) - P.value_at(i) for i in range(upto)]
+
+
+@dataclass(frozen=True)
+class SlopeSeries:
+    """Finite multiset of slopes with multiplicities, sorted ascending.
+
+    ``cap`` is the bound below which the multiset is complete (None for a
+    finite, fully known multiset such as the slopes of a polynomial).
+    """
+
+    items: tuple
+    cap: Optional[Fraction] = None
+
+    @classmethod
+    def from_polygon(cls, P: NewtonPolygon, upto: int) -> "SlopeSeries":
+        if Fraction(upto) > P.certified_upto:
+            raise DomainError("cannot read slopes beyond the certified prefix")
+        counts = {}
+        for s in unit_slopes(P, upto):
+            counts[s] = counts.get(s, 0) + 1
+        top = max(counts) if counts else Fraction(0)
+        return cls(items=tuple(sorted(counts.items())), cap=top + 1)
+
+    def to_polygon(self) -> NewtonPolygon:
+        verts = [(Fraction(0), Fraction(0))]
+        x, y = Fraction(0), Fraction(0)
+        for s, m in self.items:
+            x, y = x + m, y + s * m
+            verts.append((x, y))
+        return NewtonPolygon(vertices=tuple(verts), certified_upto=x)
+
+    def prefix(self, count: int):
+        """First ``count`` slopes with multiplicity, flattened."""
+        out = []
+        for s, m in self.items:
+            for _ in range(m):
+                out.append(s)
+                if len(out) == count:
+                    return out
+        return out
+
+
+def slope_series_mul(A: SlopeSeries, B: SlopeSeries, slope_cap) -> SlopeSeries:
+    """Multiset convolution {a+b}, truncated to slopes < slope_cap.
+
+    The factors must be complete below the relevant ranges: slopes of A+B
+    below slope_cap only need a-slopes and b-slopes below slope_cap minus
+    the other factor's minimum, which the caller guarantees by generating
+    both inputs at least that far.
+    """
+    cap = Fraction(slope_cap)
+    for S in (A, B):
+        if S.cap is not None and S.cap < cap:
+            raise DomainError("slope factor not complete below requested cap")
+    counts = {}
+    for sa, ma in A.items:
+        for sb, mb in B.items:
+            s = sa + sb
+            if s < cap:
+                counts[s] = counts.get(s, 0) + ma * mb
+    return SlopeSeries(items=tuple(sorted(counts.items())), cap=cap)
+
+
+def geometric_slopes(n: int, slope_cap: int) -> SlopeSeries:
+    """Slope multiset of 1/(1-t)^n: slope j with multiplicity C(n+j-1, j)."""
+    items = tuple((Fraction(j), math.comb(n + j - 1, j)) for j in range(slope_cap))
+    return SlopeSeries(items=items, cap=Fraction(slope_cap))

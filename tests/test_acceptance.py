@@ -23,14 +23,11 @@ from tadic.dwork import (
 )
 from tadic.polytope import LaurentPoly
 from tadic.series import (
-    SlopeSeries,
     SSeries,
-    geometric_slopes,
     polygon_dominates,
     polygon_from_sseries,
     polygon_rescale,
     polygons_equal_on,
-    slope_series_mul,
 )
 from tadic.sums import (
     c_function,
@@ -43,7 +40,7 @@ from tadic.sums import (
     specialize,
 )
 
-from oracles import pi_of_t
+from oracles import SlopeSeries, geometric_slopes, pi_of_t, slope_series_mul
 
 SPERBER = [(1, 0), (0, 1), (-1, -1)]
 

@@ -1,14 +1,16 @@
-"""Byte-exact outputs of the benchmark jobs.
+"""Byte-exact outputs of the benchmark jobs: every line of
+perfbench/goldens.json, 196 jobs over the three workloads.
 
-Runs pool entry 0 of every benchmark template, every pool entry of the
-`faces` templates, and every pool entry of the towers templates whose
---prec-t makes ord_p(j!) >= 2 for some j (so the binomial sums divide
-exactly by p^2 or more), in-process and checks the
-exit code and the sha256 of the JSON output against the recorded golden
-digests.  The sums-route templates run in template order in one process,
-so every job after the first meets field contexts and trace tables that
-earlier jobs left in the process-wide caches.  The benchmark files are
-only read.
+The named parametrizations come first: pool entry 0 of every benchmark
+template, every pool entry of the `faces` templates, and every pool entry
+of the towers templates whose --prec-t makes ord_p(j!) >= 2 for some j (so
+the binomial sums divide exactly by p^2 or more).  The last one takes every
+golden line none of them ran, so each line runs exactly once.  Everything
+runs in-process and checks the exit code and the sha256 of the JSON output
+against the recorded digest.  The sums-route templates run in template
+order in one process, so every job after the first meets field contexts
+and trace tables that earlier jobs left in the process-wide caches.  The
+benchmark files are only read.
 """
 
 import contextlib
@@ -83,3 +85,14 @@ EXACT_DIVISION_LINES = [
 @pytest.mark.parametrize("line", EXACT_DIVISION_LINES)
 def test_exact_division_job_matches_golden(line):
     _check_golden(line, ALL_GOLDENS["towers"][line])
+
+
+NAMED_LINES = {
+    JOBS.instantiate(t, 0) for w in ("operator", "families", "towers") for t in JOBS.WORKLOADS[w]
+} | set(FACES_LINES) | set(EXACT_DIVISION_LINES)
+REST = [(w, line) for w, lines in ALL_GOLDENS.items() for line in lines if line not in NAMED_LINES]
+
+
+@pytest.mark.parametrize("workload, line", REST, ids=[f"{w}: {line}" for w, line in REST])
+def test_every_other_job_matches_golden(workload, line):
+    _check_golden(line, ALL_GOLDENS[workload][line])

@@ -8,22 +8,20 @@ from hypothesis import strategies as st
 from tadic.errors import DomainError, IntegralityError, PrecisionError
 from tadic.series import (
     NewtonPolygon,
-    SlopeSeries,
     SSeries,
     TSeries,
     certified_polygon,
     exp_generating,
-    geometric_slopes,
-    log_generating,
     lower_hull,
     polygon_dominates,
     polygon_from_sseries,
     polygon_rescale,
     polygons_equal_on,
-    slope_series_mul,
     vp,
     vp_factorial,
 )
+
+from oracles import SlopeSeries, geometric_slopes, log_generating, slope_series_mul
 
 
 def ts(p, prec, cap, coeffs):

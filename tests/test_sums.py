@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_torus_trace_counts
+from oracles import closed_point_traces, l_function_euler, oracle_torus_trace_counts
 from tadic import sums
 from tadic.arith import (
     CycContext,
@@ -23,12 +23,10 @@ from tadic.sums import (
     SumJob,
     _trace_table,
     c_function,
-    closed_point_traces,
     congruence_check,
     congruence_modulus,
     convert_l_to_c,
     l_function,
-    l_function_euler,
     np_report,
     power_sums_T,
     s_f_T,
