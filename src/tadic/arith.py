@@ -13,6 +13,7 @@ the smallest element of full multiplicative order.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -79,11 +80,10 @@ def _is_irreducible(low, p):
     a = len(low)
     if a == 1:
         return True
-    rows = _reduction_rows(low, p)
     x = (0, 1) + (0,) * (a - 2)
 
     def x_pow(e):
-        return power(x, e, lambda u, v: _mulmod(u, v, rows, p), (1,) + (0,) * (a - 1))
+        return power(x, e, lambda u, v: _mulmod(u, v, low, p), (1,) + (0,) * (a - 1))
 
     # x^(p^a) = x mod f, and x^(p^(a/l)) - x coprime to f for prime l | a
     if x_pow(p**a) != x:
@@ -98,26 +98,47 @@ def _is_irreducible(low, p):
 
 # -- the quotient ring (Z/modulus)[x]/(g), g monic of degree d ----------------
 #
-# F_q, Z_q and Z_p[pi] are all this ring: elements are length-d coefficient
-# tuples, low degree first, and g is given by its d non-leading coefficients.
+# F_q, Z_q and Z_p[pi] are all this ring, and the congruence check reduces
+# in it too: elements are length-d coefficient tuples, low degree first, and
+# g is given by its d non-leading coefficients ``low``.
 
 
+def _times_x(v, low):
+    """x * v mod g for v of degree < d, in exact integers: the top
+    coefficient spills into x^d = -low.  Callers reduce mod their modulus."""
+    top = v[-1]
+    out = [0, *v[:-1]]
+    if top:
+        for j, c in enumerate(low):
+            out[j] -= top * c
+    return out
+
+
+def _reduce_mod(coeffs, low, modulus):
+    """sum_j coeffs[j] x^j mod (g, modulus) by Horner's rule, one x-step per
+    coefficient."""
+    acc = [0] * len(low)
+    for c in reversed(coeffs):
+        acc = _times_x(acc, low)
+        acc[0] += c
+        acc = [u % modulus for u in acc]
+    return tuple(acc)
+
+
+@lru_cache(maxsize=256)
 def _reduction_rows(low, modulus):
-    """Row i = x^(d+i) mod g for i < d, coefficients mod ``modulus``."""
+    """Row i = x^(d+i) mod (g, modulus) for i < d, kept per (g, modulus)."""
     rows = []
-    cur = [(-c) % modulus for c in low]  # x^d
+    cur = (0,) * (len(low) - 1) + (1,)  # x^(d-1)
     for _ in low:
-        rows.append(tuple(cur))
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            for j, c in enumerate(low):
-                cur[j] = (cur[j] - top * c) % modulus
-    return rows
+        cur = tuple([c % modulus for c in _times_x(cur, low)])
+        rows.append(cur)
+    return tuple(rows)
 
 
-def _mulmod(x, y, rows, modulus):
-    """x * y mod (g, modulus), given g's reduction rows."""
+def _mulmod(x, y, low, modulus):
+    """x * y mod (g, modulus)."""
+    rows = _reduction_rows(low, modulus)
     d = len(rows)
     conv = [0] * (2 * d - 1)
     for i, u in enumerate(x):
@@ -150,9 +171,7 @@ class FieldContext:
         self.a = a
         self.q = p**a
         self.poly_low = self._find_poly()
-        self._rows_fp = _reduction_rows(self.poly_low, p)
         self.generator = self._find_generator()
-        self._zq_rows_cache = {}
         self._embed_cache = {}
 
     def _find_poly(self):
@@ -206,7 +225,7 @@ class FieldContext:
         return tuple(-u % self.p for u in x)
 
     def mul(self, x, y):
-        return _mulmod(x, y, self._rows_fp, self.p)
+        return _mulmod(x, y, self.poly_low, self.p)
 
     def pow(self, x, e: int):
         if e < 0:
@@ -269,11 +288,6 @@ class FieldContext:
 
     # -- Z_q arithmetic at precision M ---------------------------------------
 
-    def _zq_rows(self, prec: int):
-        if prec not in self._zq_rows_cache:
-            self._zq_rows_cache[prec] = _reduction_rows(self.poly_low, self.p**prec)
-        return self._zq_rows_cache[prec]
-
     def zq_from_field(self, x):
         return tuple(x)
 
@@ -282,28 +296,20 @@ class FieldContext:
         return tuple((u + v) % pm for u, v in zip(x, y))
 
     def zq_mul(self, x, y, prec):
-        return _mulmod(x, y, self._zq_rows(prec), self.p**prec)
+        return _mulmod(x, y, self.poly_low, self.p**prec)
 
     def zq_pow(self, x, e: int, prec):
-        rows, pm = self._zq_rows(prec), self.p**prec
-        return power(x, e, lambda u, v: _mulmod(u, v, rows, pm), self.one())
+        low, pm = self.poly_low, self.p**prec
+        return power(x, e, lambda u, v: _mulmod(u, v, low, pm), self.one())
 
     def zq_trace(self, x, prec) -> int:
-        """Trace of multiplication-by-x in the power basis (= field trace)."""
+        """Trace of multiplication-by-x in the power basis (= field trace):
+        the sum of the j-th coefficients of x * y^j."""
         pm = self.p**prec
-        rows = self._zq_rows(prec)
-        cur = x  # x * y^0
-        tr = 0
-        for j in range(self.a):
+        cur, tr = x, x[0]
+        for j in range(1, self.a):
+            cur = [c % pm for c in _times_x(cur, self.poly_low)]
             tr += cur[j]
-            if j + 1 < self.a:
-                top = cur[-1]
-                nxt = [0] + list(cur[:-1])
-                if top:
-                    row = rows[0]
-                    for i in range(self.a):
-                        nxt[i] = nxt[i] + top * row[i]
-                cur = tuple(c % pm for c in nxt)
         return tr % pm
 
 
@@ -333,11 +339,6 @@ def teichmuller_lift(ctx: FieldContext, x, prec: int):
             return t
         t = t2
     raise TheoremViolation("Teichmuller iteration did not converge")
-
-
-def frob_power(ctx: FieldContext, c, i: int):
-    """c^(p^i); on Teichmuller coefficients this realizes the i-th Frobenius."""
-    return ctx.pow(c, ctx.p**i)
 
 
 def binomial_guard(N: int, p: int) -> int:
@@ -414,25 +415,11 @@ def one_plus_T_pow(t: int, p: int, M_out: int, N: int, t_prec: int) -> TSeries:
 @lru_cache(maxsize=None)
 def _cyc_modulus(p: int, m: int):
     """Non-leading coefficients of Phi_{p^m}(1+x), a monic Eisenstein
-    polynomial of degree e = p^(m-1)(p-1) with constant term p."""
-    e = p ** (m - 1) * (p - 1)
-    # Phi_{p^m}(y) = sum_{i<p} y^(i p^(m-1)); substitute y = 1+x
-    coeffs = [0] * (e + 1)
-    pot = [1]  # (1+x)^0
-    k = 0
-    for i in range(p):
-        target = i * p ** (m - 1)
-        while k < target:
-            nxt = [0] * (len(pot) + 1)
-            for d, c in enumerate(pot):
-                nxt[d] += c
-                nxt[d + 1] += c
-            pot = nxt
-            k += 1
-        for d, c in enumerate(pot):
-            coeffs[d] += c
-    assert coeffs[e] == 1 and coeffs[0] == p
-    return tuple(coeffs[:e])
+    polynomial of degree e = p^(m-1)(p-1) with constant term p: since
+    Phi_{p^m}(y) = sum_{i<p} y^(i p^(m-1)), the x^d coefficient is
+    sum_{i<p} binom(i p^(m-1), d)."""
+    r = p ** (m - 1)
+    return tuple(sum(math.comb(i * r, d) for i in range(p)) for d in range(r * (p - 1)))
 
 
 class CycContext:
@@ -445,7 +432,6 @@ class CycContext:
         self.m = m
         self.e = p ** (m - 1) * (p - 1)
         self.mod_low = _cyc_modulus(p, m)
-        self._rows_cache = {}
 
     def zero(self, prec):
         return CycElement(self, prec, (0,) * self.e)
@@ -457,10 +443,8 @@ class CycContext:
         return CycElement(self, prec, (c % self.p**prec,) + (0,) * (self.e - 1))
 
     def pi(self, prec):
-        if self.e == 1:
-            # p=2, m=1: pi = -2 since zeta_2 = -1
-            return CycElement(self, prec, (-2 % 2**prec,))
-        return CycElement(self, prec, (0, 1) + (0,) * (self.e - 2))
+        """x mod Phi_{p^m}(1+x); at e = 1 (p = 2, m = 1) that is -2."""
+        return CycElement(self, prec, _times_x(self.one(prec).coeffs, self.mod_low))
 
     def zeta(self, prec):
         return self.one(prec).add(self.pi(prec))
@@ -516,10 +500,7 @@ class CycElement:
     def mul(self, other):
         prec = self._common_prec(other)
         ctx = self.ctx
-        pm = ctx.p**prec
-        if prec not in ctx._rows_cache:
-            ctx._rows_cache[prec] = _reduction_rows(ctx.mod_low, pm)
-        return CycElement(ctx, prec, _mulmod(self.coeffs, other.coeffs, ctx._rows_cache[prec], pm))
+        return CycElement(ctx, prec, _mulmod(self.coeffs, other.coeffs, ctx.mod_low, ctx.p**prec))
 
     def mul_int(self, c: int):
         return CycElement(self.ctx, self.prec, tuple(v * c for v in self.coeffs))
@@ -568,15 +549,12 @@ class CycElement:
 
 def specialize_tseries(ts: TSeries, cyc: CycContext, prec_out: int) -> CycElement:
     """Substitute T = pi into a T-series: certified when the truncation tail
-    T^cap lands below p^prec_out, i.e. cap >= e * prec_out."""
+    T^cap lands below p^prec_out, i.e. cap >= e * prec_out.  The known head
+    is reduced modulo Phi_{p^m}(1+x) in one Horner pass."""
     if ts.cap < cyc.e * prec_out:
         raise PrecisionError(
             f"T-truncation {ts.cap} too short: T=pi needs >= {cyc.e * prec_out}"
         )
     prec = min(ts.prec, prec_out)
-    acc = cyc.zero(prec)
-    piv = cyc.pi(prec)
-    for j in range(ts.cap - 1, 0, -1):
-        acc = acc.add(cyc.from_int(ts.coeff(j), prec))
-        acc = acc.mul(piv)
-    return acc.add(cyc.from_int(ts.coeff(0), prec))
+    head = [ts.coeff(j) for j in range(ts.cap)]
+    return CycElement(cyc, prec, _reduce_mod(head, cyc.mod_low, cyc.p**prec))

@@ -410,15 +410,6 @@ class DegreeData:
             raise NotInConeError(f"{ur} violates a through-origin facet")
         return Fraction(self.grid_degree(ur), self.D)
 
-    def degree_of(self, u) -> Fraction:
-        ur = self.to_reduced(u)
-        if ur is None:
-            raise NotInConeError(f"{tuple(u)} is outside the span of the polytope")
-        return self.degree_reduced(ur)
-
-    def cofacial_defect(self, u, v) -> Fraction:
-        return self.degree_of(u) + self.degree_of(v) - self.degree_of(tuple(a + b for a, b in zip(u, v)))
-
     # -- lattice point enumeration --------------------------------------------
 
     def cone_points_upto(self, K: int):
@@ -687,37 +678,3 @@ def is_nondegenerate(f: LaurentPoly, r_max: int = 2):
         if status == "open":
             all_pass = False
     return "nondegenerate" if all_pass else "unknown"
-
-
-# ---------------------------------------------------------------------------
-# the exponent of the degree monoid
-# ---------------------------------------------------------------------------
-
-
-def exponent_I(dd: DegreeData, search_bound: int):
-    """Smallest d <= search_bound with d*M(Delta) inside the monoid generated
-    by degree-1 lattice points, checked on the finite generating region of
-    degree <= rank (monoid generators all live there); '>= bound' as a string
-    when no d works."""
-    gens = [ur for ur, d in dd.cone_points_upto(dd.D) if d == 1]
-    if not gens:
-        return f">= {search_bound}"
-    region = [ur for ur, d in dd.cone_points_upto(dd.rank * dd.D) if d > 0]
-    for d in range(1, search_bound + 1):
-        cap = Fraction(d * dd.rank + 2)
-        members = {(0,) * dd.rank}
-        frontier = [(0,) * dd.rank]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = tuple(a + b for a, b in zip(x, g))
-                    if y in members:
-                        continue
-                    if dd.degree_reduced(y) <= cap:
-                        members.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        if all(tuple(d * c for c in ur) in members for ur in region):
-            return d
-    return f">= {search_bound}"

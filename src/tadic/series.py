@@ -396,13 +396,6 @@ class NewtonPolygon:
     def value_at(self, x) -> Fraction:
         return _hull_value(self.vertices, Fraction(x))
 
-    def edges(self):
-        """(slope, width) per edge, slopes nondecreasing."""
-        out = []
-        for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:]):
-            out.append(((y1 - y0) / (x1 - x0), x1 - x0))
-        return out
-
 
 def _hull_value(vs, x: Fraction) -> Fraction:
     if x < vs[0][0] or x > vs[-1][0]:
@@ -600,11 +593,6 @@ def polygon_dominates(P: NewtonPolygon, Q: NewtonPolygon, upto=None) -> bool:
         if 0 <= x <= hi:
             xs.add(x)
     return all(P.value_at(x) >= Q.value_at(x) for x in sorted(xs))
-
-
-def polygons_equal_on(P: NewtonPolygon, Q: NewtonPolygon, upto=None) -> bool:
-    hi = _common_range(P, Q, upto)
-    return polygon_dominates(P, Q, hi) and polygon_dominates(Q, P, hi)
 
 
 def polygon_verdict(P: NewtonPolygon, Q: NewtonPolygon, upto=None) -> str:

@@ -21,6 +21,8 @@ from .arith import (
     CycContext,
     CycElement,
     FieldContext,
+    _reduce_mod,
+    _times_x,
     binomial_guard,
     binomial_sum,
     field_context,
@@ -439,8 +441,7 @@ def np_report(f: LaurentPoly, m_list, deg_s: int, M: int, N: int) -> NPReport:
         prec_out = min(M, N // cyc.e)
         if prec_out < 1:
             raise PrecisionError(f"T-cap {N} below one pi-digit (e={cyc.e}) at m={m}")
-        Cm = SSeries([specialize_tseries(c, cyc, prec_out) for c in C.coeffs])
-        P = polygon_from_sseries(Cm, ray=ray, lower=hp_floor)
+        P = polygon_from_sseries(specialize(C, m, prec_out), ray=ray, lower=hp_floor)
         np_pi[m] = P
         per_m[m] = {"rigid": _flag_equal(P, np_t), "ordinary": _flag_equal(P, hp)}
     flags = {
@@ -484,49 +485,26 @@ def congruence_modulus(p: int, m: int):
     return [math.comb(pm, j + 1) for j in range(pm)]
 
 
-def _mul_T_mod(red, g):
-    top = red[-1]
-    out = [0] + list(red[:-1])
-    if top:
-        for i in range(len(out)):
-            out[i] -= top * g[i]
-    return out
-
-
 def _tail_ord_floor(g, start: int, p: int) -> int:
     """Lower bound on ord_p(T^j mod g), uniform over all j >= start.
 
     T^(p^m) mod g is p times an integral polynomial, so each step of p^m in
-    j gains at least one factor of p; the minimum over one window of length
-    p^m therefore bounds the entire tail.
+    j gains at least one factor of p; the minimum over the window
+    T^(start-1) .. T^(start+deg-1), of length p^m, therefore bounds the
+    entire tail.  The powers are exact integers, stepped by x-steps mod g.
     """
     deg = len(g) - 1
     if start <= deg:
         return 0
-    red = [-c for c in g[:deg]]  # T^deg mod g
-    for _ in range(start - deg - 1):
-        red = _mul_T_mod(red, g)
-    floor = None
+    low = g[:deg]
+    red = [0] * (deg - 1) + [1]  # T^(deg-1)
+    for _ in range(start - deg):
+        red = _times_x(red, low)
+    floors = []
     for _ in range(deg + 1):
-        here = min(vp(c, p) for c in red if c)
-        floor = here if floor is None else min(floor, here)
-        red = _mul_T_mod(red, g)
-    return floor
-
-
-def _poly_remainder(ts: TSeries, g, p: int, M: int):
-    """Remainder of the known head of a T-series modulo monic integer g,
-    coefficients mod p^M."""
-    pm = p**M
-    deg = len(g) - 1
-    x = [ts.coeff(j) % pm for j in range(ts.cap)]
-    for i in range(len(x) - 1, deg - 1, -1):
-        c = x[i]
-        if c:
-            x[i] = 0
-            for t in range(deg):
-                x[i - deg + t] = (x[i - deg + t] - c * g[t]) % pm
-    return x[:deg]
+        floors.append(min(vp(c, p) for c in red if c))
+        red = _times_x(red, low)
+    return min(floors)
 
 
 @dataclass(frozen=True)
@@ -554,7 +532,7 @@ def congruence_check(
     for k past the degree bound n! * Vol * p^(n(m-1)); a k_range of None
     checks the two k just past the bound.
 
-    The head is reduced by exact polynomial division; the unseen T-tail is
+    The head is reduced modulo (g, p^M) by Horner's rule; the unseen T-tail is
     bounded by _tail_ord_floor, so every verdict names the power of p it is
     proven at.  The nondegeneracy hypothesis is checked, or attested via
     the override and recorded.
@@ -591,10 +569,11 @@ def congruence_check(
                 checks.append(CongruenceCheck(k, "skipped", 0))
             elif eff == 0:
                 checks.append(CongruenceCheck(k, "inconclusive", 0))
-            elif all(c % pm_eff == 0 for c in _poly_remainder(P.coeffs[k], g, p, M)):
-                checks.append(CongruenceCheck(k, "pass", eff))
             else:
-                checks.append(CongruenceCheck(k, "fail", eff))
+                ts = P.coeffs[k]
+                rem = _reduce_mod([ts.coeff(j) for j in range(ts.cap)], g[:-1], p**M)
+                status = "pass" if all(c % pm_eff == 0 for c in rem) else "fail"
+                checks.append(CongruenceCheck(k, status, eff))
     else:
         checks = [CongruenceCheck(k, "skipped", 0) for k in ks]
     return CongruenceReport(

@@ -11,10 +11,14 @@ nor its Frobenius-orbit reduction.  The binomial reference builds every
 falling factorial trace by trace, where the library goes through power
 moments and Stirling numbers.  The quotient-ring references multiply
 polynomials in full and long-divide by the modulus, where the library
-reduces through precomputed rows of x^(d+i).  The splitting-kernel
-references exponentiate a general log series by the full derivative
-recurrence and revert E(pi) - 1 = T in exact rationals, where the library
-uses the Artin-Hasse shortcut and substitutes T = E(pi) - 1 the other way.
+reduces through precomputed rows of x^(d+i); the reduction references
+long-divide a T-series head by a monic integer polynomial mod p^M, or
+substitute T = pi by Horner's rule with a full CycElement product per
+step, where the library reduces a coefficient list by one x-step per
+coefficient.  The splitting-kernel references exponentiate a general log
+series by the full derivative recurrence and revert E(pi) - 1 = T in exact
+rationals, where the library uses the Artin-Hasse shortcut and substitutes
+T = E(pi) - 1 the other way.
 The criterion reference expands the whole kernel product to a pi-cap past
 the largest cell degree and divides every cone point's coefficient by
 pi^deg(u) as a ZqPi over Fraction degrees, where the library expands only
@@ -23,8 +27,10 @@ the exact-degree terms on the integer degree grid.
 The rest are library code the package itself never calls, kept here as
 references: pi-shifts and cap cuts of a ZqPi, the L-function as an Euler
 product over closed points (traces through fresh Teichmuller lifts per
-point), the division-free inverse of the exp recurrence, and slope
-multisets with their convolution.
+point), the division-free inverse of the exp recurrence, slope multisets
+with their convolution, Frobenius powers, polygon edges and two-sided
+polygon equality, polytope degrees of unreduced points with the cofacial
+defect, and the exponent of the degree monoid.
 """
 
 from dataclasses import dataclass
@@ -35,7 +41,7 @@ from typing import Optional
 
 import math
 
-from tadic.arith import binomial_guard, one_plus_T_pow, teichmuller_lift
+from tadic.arith import CycElement, binomial_guard, one_plus_T_pow, teichmuller_lift
 from tadic.dwork import (
     CRITERION_DIM_LIMIT,
     ZqPi,
@@ -46,9 +52,15 @@ from tadic.dwork import (
     _ZqScalars,
     artin_hasse,
 )
-from tadic.errors import DomainError, IntegralityError, PrecisionError, TheoremViolation
-from tadic.polytope import LaurentPoly, newton_data
-from tadic.series import NewtonPolygon, SSeries, TSeries, vp
+from tadic.errors import (
+    DomainError,
+    IntegralityError,
+    NotInConeError,
+    PrecisionError,
+    TheoremViolation,
+)
+from tadic.polytope import DegreeData, LaurentPoly, newton_data
+from tadic.series import NewtonPolygon, SSeries, TSeries, _common_range, polygon_dominates, vp
 from tadic.sums import TORUS_LIMIT, _orbit_size
 
 
@@ -274,6 +286,33 @@ def oracle_mulmod(x, y, low, modulus):
     return tuple(_oracle_remainder(prod, list(low) + [1], modulus))
 
 
+def poly_remainder(ts: TSeries, g, p: int, M: int):
+    """Remainder of the known head of a T-series modulo monic integer g,
+    coefficients mod p^M, by long division; shorter than deg g when the
+    head is."""
+    pm = p**M
+    deg = len(g) - 1
+    x = [ts.coeff(j) % pm for j in range(ts.cap)]
+    for i in range(len(x) - 1, deg - 1, -1):
+        c = x[i]
+        if c:
+            x[i] = 0
+            for t in range(deg):
+                x[i - deg + t] = (x[i - deg + t] - c * g[t]) % pm
+    return x[:deg]
+
+
+def cyc_horner(ts: TSeries, cyc, prec: int):
+    """The head of a T-series at T = pi by Horner's rule over CycElements,
+    one full product per coefficient; pi = -2 when e = 1 (zeta_2 = -1)."""
+    pi = CycElement(cyc, prec, (0, 1) + (0,) * (cyc.e - 2) if cyc.e > 1 else (-2,))
+    acc = cyc.zero(prec)
+    for j in range(ts.cap - 1, 0, -1):
+        acc = acc.add(cyc.from_int(ts.coeff(j), prec))
+        acc = acc.mul(pi)
+    return acc.add(cyc.from_int(ts.coeff(0), prec))
+
+
 def oracle_smallest_irreducible(p, a):
     """Non-leading coefficients of the monic irreducible of degree a over
     F_p whose encoding sum c_i p^i is smallest, found by trial division by
@@ -435,7 +474,8 @@ def criterion_matrix(f, dd, K: int, M: int):
 
 # ---------------------------------------------------------------------------
 # references the package itself never calls: pi-shifts and cap cuts, the
-# Euler product, the inverse exp recurrence, slope multisets
+# Euler product, the inverse exp recurrence, slope multisets, Frobenius
+# powers, polygon edges and equality, point degrees, the monoid exponent
 # ---------------------------------------------------------------------------
 
 
@@ -594,3 +634,61 @@ def geometric_slopes(n: int, slope_cap: int) -> SlopeSeries:
     """Slope multiset of 1/(1-t)^n: slope j with multiplicity C(n+j-1, j)."""
     items = tuple((Fraction(j), math.comb(n + j - 1, j)) for j in range(slope_cap))
     return SlopeSeries(items=items, cap=Fraction(slope_cap))
+
+
+def frob_power(ctx, c, i: int):
+    """c^(p^i); on Teichmuller coefficients this realizes the i-th Frobenius."""
+    return ctx.pow(c, ctx.p**i)
+
+
+def edges(P: NewtonPolygon):
+    """(slope, width) per edge, slopes nondecreasing."""
+    out = []
+    for (x0, y0), (x1, y1) in zip(P.vertices, P.vertices[1:]):
+        out.append(((y1 - y0) / (x1 - x0), x1 - x0))
+    return out
+
+
+def polygons_equal_on(P: NewtonPolygon, Q: NewtonPolygon, upto=None) -> bool:
+    hi = _common_range(P, Q, upto)
+    return polygon_dominates(P, Q, hi) and polygon_dominates(Q, P, hi)
+
+
+def degree_of(dd: DegreeData, u) -> Fraction:
+    ur = dd.to_reduced(u)
+    if ur is None:
+        raise NotInConeError(f"{tuple(u)} is outside the span of the polytope")
+    return dd.degree_reduced(ur)
+
+
+def cofacial_defect(dd: DegreeData, u, v) -> Fraction:
+    return degree_of(dd, u) + degree_of(dd, v) - degree_of(dd, tuple(a + b for a, b in zip(u, v)))
+
+
+def exponent_I(dd: DegreeData, search_bound: int):
+    """Smallest d <= search_bound with d*M(Delta) inside the monoid generated
+    by degree-1 lattice points, checked on the finite generating region of
+    degree <= rank (monoid generators all live there); '>= bound' as a string
+    when no d works."""
+    gens = [ur for ur, d in dd.cone_points_upto(dd.D) if d == 1]
+    if not gens:
+        return f">= {search_bound}"
+    region = [ur for ur, d in dd.cone_points_upto(dd.rank * dd.D) if d > 0]
+    for d in range(1, search_bound + 1):
+        cap = Fraction(d * dd.rank + 2)
+        members = {(0,) * dd.rank}
+        frontier = [(0,) * dd.rank]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g in gens:
+                    y = tuple(a + b for a, b in zip(x, g))
+                    if y in members:
+                        continue
+                    if dd.degree_reduced(y) <= cap:
+                        members.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        if all(tuple(d * c for c in ur) in members for ur in region):
+            return d
+    return f">= {search_bound}"

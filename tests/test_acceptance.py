@@ -27,7 +27,6 @@ from tadic.series import (
     polygon_dominates,
     polygon_from_sseries,
     polygon_rescale,
-    polygons_equal_on,
 )
 from tadic.sums import (
     c_function,
@@ -40,7 +39,7 @@ from tadic.sums import (
     specialize,
 )
 
-from oracles import SlopeSeries, geometric_slopes, pi_of_t, slope_series_mul
+from oracles import SlopeSeries, geometric_slopes, pi_of_t, polygons_equal_on, slope_series_mul
 
 SPERBER = [(1, 0), (0, 1), (-1, -1)]
 

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_binomial_sum, oracle_mulmod, oracle_smallest_irreducible
+from oracles import (
+    cyc_horner,
+    frob_power,
+    oracle_binomial_sum,
+    oracle_mulmod,
+    oracle_smallest_irreducible,
+    poly_remainder,
+)
 from tadic import arith
 from tadic.arith import (
     CycContext,
@@ -15,7 +22,6 @@ from tadic.arith import (
     binomial_guard,
     binomial_sum,
     field_context,
-    frob_power,
     is_prime,
     one_plus_T_pow,
     prime_factors,
@@ -24,6 +30,7 @@ from tadic.arith import (
 )
 from tadic.errors import DomainError, IntegralityError, PrecisionError
 from tadic.series import SSeries, TSeries
+from tadic.sums import congruence_modulus
 
 
 class TestFieldContext:
@@ -251,6 +258,56 @@ class TestTeichmuller:
         assert cur == (1, 0)
 
 
+# (p, m) of the reduction property; e = 1 (p = 2, m = 1) up to e = 20 (p = 5, m = 2)
+REDUCTION_LEVELS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]
+
+
+def _poly_product(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+class TestReduction:
+    """The one Horner reduction mod (g, N) against the long division of a
+    T-series head and the CycElement Horner loop at T = pi."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.sampled_from(REDUCTION_LEVELS),
+        st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=39),
+        st.integers(1, 5),
+    )
+    @example((2, 1), [3, -1, 5, 7], 4)  # e = 1: pi = -2
+    @example((3, 2), [1, 2, 3], 3)  # cap below deg g for both moduli
+    @example((5, 1), list(range(1, 12)), 2)  # cap past 2 * deg g for both moduli
+    @example((2, 3), [1] * 39, 5)
+    def test_matches_long_division_and_cyclotomic_horner(self, level, head, prec):
+        p, m = level
+        cyc = CycContext(p, m)
+        ts = TSeries(p, prec, len(head), dict(enumerate(head)))
+        head = [ts.coeff(j) for j in range(ts.cap)]
+        got = arith._reduce_mod(head, cyc.mod_low, p**prec)
+        assert got == cyc_horner(ts, cyc, prec).coeffs
+        if ts.cap >= cyc.e * prec:
+            assert specialize_tseries(ts, cyc, prec).coeffs == got
+        for g in (list(cyc.mod_low) + [1], congruence_modulus(p, m)):
+            d = len(g) - 1
+            rem = poly_remainder(ts, g, p, prec)
+            assert arith._reduce_mod(head, g[:-1], p**prec) == tuple(rem + [0] * (d - len(rem)))
+
+    @pytest.mark.parametrize("level", REDUCTION_LEVELS)
+    def test_congruence_modulus_is_the_cyclotomic_product(self, level):
+        # ((1+x)^(p^m) - 1)/x = prod_{j <= m} Phi_{p^j}(1+x)
+        p, m = level
+        prod = [1]
+        for j in range(1, m + 1):
+            prod = _poly_product(prod, list(arith._cyc_modulus(p, j)) + [1])
+        assert prod == congruence_modulus(p, m)
+
+
 class TestFrobenius:
     def test_identity_and_order(self):
         ctx = FieldContext(2, 2)
@@ -373,6 +430,9 @@ class TestCyclotomic:
         cyc = CycContext(3, 2)
         x = cyc.pi(4)
         assert x.val_data()[0] == 1
+        assert x.coeffs == (0, 1, 0, 0, 0, 0)
+        # e = 1: zeta_2 = -1, so pi = -2
+        assert CycContext(2, 1).pi(5).coeffs == (-2 % 2**5,)
 
     def test_p_has_valuation_e(self):
         for p, m in [(3, 1), (5, 1), (3, 2)]:

@@ -380,9 +380,10 @@ CORPUS_IDS = [
 class TestErrorCorpus:
     """Byte-exact stdout and exit codes of recorded invocations: each size
     limit, config escape and bad precision, k = 0, three variables, a
-    missing polynomial or command, and a few successful hodge runs.  An
-    entry with a `before_fix` field records what the invocation did before
-    its library-level refusal was added."""
+    missing polynomial or command, a few successful hodge runs, and
+    successful congruence, np and sum runs that reduce and specialize at
+    p = 2 and p = 3.  An entry with a `before_fix` field records what the
+    invocation did before its library-level refusal was added."""
 
     @pytest.mark.parametrize("entry", CORPUS, ids=CORPUS_IDS)
     def test_invocation_is_unchanged(self, entry, tmp_path, capsys, monkeypatch):

@@ -16,12 +16,17 @@ from tadic.series import (
     polygon_dominates,
     polygon_from_sseries,
     polygon_rescale,
-    polygons_equal_on,
     vp,
     vp_factorial,
 )
 
-from oracles import SlopeSeries, geometric_slopes, log_generating, slope_series_mul
+from oracles import (
+    SlopeSeries,
+    geometric_slopes,
+    log_generating,
+    polygons_equal_on,
+    slope_series_mul,
+)
 
 
 def ts(p, prec, cap, coeffs):

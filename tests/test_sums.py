@@ -546,6 +546,22 @@ class TestCongruence:
         assert rep.degree_bound == 2
         assert all(c.status == "pass" for c in rep.checks)
 
+    def test_perturbed_coefficient_fails(self, monkeypatch):
+        # a unit at T^1, the top remainder coefficient mod a degree-2
+        # modulus, turns that check, and only it, into a fail
+        f = poly([(2,)], p=3)
+        real = sums.l_function
+
+        def perturbed(*args):
+            L = real(*args)
+            c = L.coeffs[3]
+            bump = TSeries(3, c.prec, c.cap, {1: 1})
+            return SSeries([x.add(bump) if k == 3 else x for k, x in enumerate(L.coeffs)])
+
+        monkeypatch.setattr(sums, "l_function", perturbed)
+        rep = congruence_check(f, 1, [3, 4], 3, 12)
+        assert [(c.status, c.proven_mod_exponent) for c in rep.checks] == [("fail", 3), ("pass", 3)]
+
     def test_degenerate_needs_override(self):
         f = poly([(3,), (1,)], p=3)
         with pytest.raises(DomainError):
@@ -571,10 +587,19 @@ class TestCongruence:
     def test_tail_floor_grows_with_cap(self):
         from tadic.sums import _tail_ord_floor
 
-        g = congruence_modulus(3, 1)
-        floors = [_tail_ord_floor(g, N, 3) for N in (3, 6, 12, 24)]
-        assert floors == sorted(floors)
-        assert floors[-1] > floors[0]
+        # (p, m, T-caps, exact floors)
+        cases = [
+            (3, 1, (3, 6, 12, 24), [1, 2, 5, 11]),
+            (5, 2, (24, 36), [0, 1]),
+            (2, 2, (4, 8, 16), [1, 3, 7]),
+            (2, 1, (2, 16), [1, 15]),
+        ]
+        for p, m, caps, want in cases:
+            g = congruence_modulus(p, m)
+            floors = [_tail_ord_floor(g, N, p) for N in caps]
+            assert floors == sorted(floors)
+            assert floors[-1] > floors[0]
+            assert floors == want
 
 
 class TestSurvey:
