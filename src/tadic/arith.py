@@ -81,9 +81,11 @@ def _is_irreducible(low, p):
     if a == 1:
         return True
     x = (0, 1) + (0,) * (a - 2)
+    # a rejected candidate's rows are built here once and never cached
+    rows = _reduction_rows.__wrapped__(low, p)
 
     def x_pow(e):
-        return power(x, e, lambda u, v: _mulmod(u, v, low, p), (1,) + (0,) * (a - 1))
+        return power(x, e, lambda u, v: _mul_rows(u, v, rows, p), (1,) + (0,) * (a - 1))
 
     # x^(p^a) = x mod f, and x^(p^(a/l)) - x coprime to f for prime l | a
     if x_pow(p**a) != x:
@@ -138,7 +140,11 @@ def _reduction_rows(low, modulus):
 
 def _mulmod(x, y, low, modulus):
     """x * y mod (g, modulus)."""
-    rows = _reduction_rows(low, modulus)
+    return _mul_rows(x, y, _reduction_rows(low, modulus), modulus)
+
+
+def _mul_rows(x, y, rows, modulus):
+    """x * y mod (g, modulus), given g's reduction rows."""
     d = len(rows)
     conv = [0] * (2 * d - 1)
     for i, u in enumerate(x):

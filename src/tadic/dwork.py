@@ -184,17 +184,30 @@ class _ZqScalars:
             self.mul = lambda x, y: x * y % pm
             self.add = lambda x, y: (x + y) % pm
             self.neg = lambda x: -x % pm
-            self.is_zero = lambda x: not x
+            self.is_zero = operator.not_
             self.from_tuple = lambda t: t[0]
             self.to_tuple = lambda x: (x,)
         else:
-            zq_mul, zq_add = ctx.zq_mul, ctx.zq_add
             self.zero = (0,) * ctx.a
             self.one = embed_int(ctx, 1, prec)
-            self.mul = lambda x, y: zq_mul(x, y, prec)
-            self.add = lambda x, y: zq_add(x, y, prec)
+            if ctx.a == 2:
+                # x^2 = -l1*x - l0 mod the defining polynomial, inline
+                l0, l1 = ctx.poly_low
+
+                def mul(x, y):
+                    (x0, x1), (y0, y1) = x, y
+                    c2 = x1 * y1
+                    return (x0 * y0 - c2 * l0) % pm, (x0 * y1 + x1 * y0 - c2 * l1) % pm
+
+                self.mul = mul
+                self.add = lambda x, y: ((x[0] + y[0]) % pm, (x[1] + y[1]) % pm)
+            else:
+                zq_mul, zq_add = ctx.zq_mul, ctx.zq_add
+                self.mul = lambda x, y: zq_mul(x, y, prec)
+                self.add = lambda x, y: zq_add(x, y, prec)
             self.neg = lambda x: tuple(-c % pm for c in x)
-            self.is_zero = lambda x: not any(x)
+            # every scalar is reduced, so zero is the one all-zero tuple
+            self.is_zero = self.zero.__eq__
             self.from_tuple = self.to_tuple = lambda t: t
 
 
@@ -366,65 +379,93 @@ def t_to_pi(ts: TSeries, ah: ArtinHasse, ctx: FieldContext, den: int = 1) -> ZqP
 # ---------------------------------------------------------------------------
 
 
-def _kernel_product(dd, ctx: FieldContext, factors, prec: int, cap: int):
-    """Expand prod E(pi * c * x^u) over the given (c, u_reduced) factors.
+def _kernel_product(dd, ctx: FieldContext, factors, prec: int, budget: dict):
+    """The coefficient of x^v mod pi^budget[v] in prod E(pi * c * x^u) over
+    the given (c, u_reduced) factors, for each reduced exponent v of
+    `budget`.
 
-    Returns {reduced exponent v: ZqPi on the integer pi-grid} holding the
-    coefficient of x^v.  A factor term pi^m x^(m*u) adds at most m*deg(u) to
-    the x-degree, and deg(u) <= p^i for the factors of f^(sigma^i)(x^(p^i)),
-    so exponents reachable below the cap have polytope degree below
-    p^(a-1)*cap and the state space stays finite.
+    Returns {v: ZqPi on the integer pi-grid with cap budget[v]}, leaving
+    out the v whose coefficient vanishes mod pi^budget[v].  Every factor is
+    known mod pi^C for C the largest budget, and so is every coefficient of
+    the product; the budgets only say which of its digits are wanted.
 
-    For the factors of f itself (i = 0) the x-degree grows by at most the
-    pi-exponent, so j - deg(v) never decreases along the product; that is
-    the invariant _pi0_layer prunes by.  An x^p factor adds p*m to the
-    degree per pi^m and breaks it, so the transfer matrix, whose a = 2
-    product has such factors, keeps this cap-only expansion.
-
-    The running coefficients are bare (cap, {key: scalar}) pairs under
-    ZqPi's rules: a piece pi^m-shifted from a cap-c series has cap c + m, and
-    a sum takes the smaller cap.  Keys at or above a cap and zero
-    coefficients are dropped once per factor; caps only shrink, so that
-    gives what dropping them after every addition would.
+    A factor term pi^m x^(m*u) moves a coefficient of x^v at pi^j to x^(v +
+    m*u) at pi^(j + m), so a key j at state v after factor i can only reach
+    a wanted digit if j < budget_i(v) = max over the next factor's terms m
+    of budget_(i+1)(v + m*u) - m (and budget_n = `budget`).  An
+    arithmetic-free forward pass finds the states each prefix of the
+    product reaches, with their least pi-exponent; a backward pass gives
+    each of them its budget and the terms that lead somewhere; the
+    arithmetic pass multiplies only the keys below those budgets.  Every
+    key it drops has all its descendants at or past their budgets, so the
+    wanted digits come out as the full expansion's.  The budgets need no
+    degree invariant, so the x^p factors of the a = 2 product, which break
+    _pi0_layer's, are pruned as well as the factors of f.
     """
+    if not budget:
+        return {}
+    cap = max(budget.values())
     sc = _ZqScalars(ctx, prec)
     mul, add, is_zero = sc.mul, sc.add, sc.is_zero
     ah = artin_hasse(ctx.p, cap)
-    acc = {(0,) * dd.rank: (cap, {0: sc.one})}
-    for c, u in factors:
-        fac = sorted(e_factor(ah, ctx, c, prec, cap).coeffs.items())
-        fac = [(m, sc.from_tuple(t)) for m, t in fac]
-        new = {}
-        for v, (scap, ser) in acc.items():
-            lead = min(ser)
+    terms = [
+        [(m, sc.from_tuple(t)) for m, t in sorted(e_factor(ah, ctx, c, prec, cap).coeffs.items())]
+        for c, _ in factors
+    ]
+    # forward: the least pi-exponent of each state before each factor
+    origin = (0,) * dd.rank
+    leads = [{origin: 0}]
+    for (_, u), fac in zip(factors[:-1], terms):
+        nxt = {}
+        for v, lead in leads[-1].items():
+            for m, _ in fac:
+                j = lead + m
+                if j >= cap:
+                    break
+                v2 = tuple(x + m * y for x, y in zip(v, u))
+                if nxt.get(v2, cap) > j:
+                    nxt[v2] = j
+        leads.append(nxt)
+    # backward: per state, the terms (target, m, key bound, scalar) that
+    # reach a wanted digit; its budget is the largest key bound
+    plans = []
+    bud = budget
+    for (_, u), fac, states in zip(reversed(factors), reversed(terms), reversed(leads)):
+        plan, prev = {}, {}
+        for v, lead in states.items():
+            edges = []
             for m, t in fac:
                 if lead + m >= cap:
                     break
-                piece = {}
-                for j, s in ser.items():
-                    x = mul(s, t)
-                    if not is_zero(x):
-                        piece[j + m] = x
-                if not piece:
-                    continue
                 v2 = tuple(x + m * y for x, y in zip(v, u))
-                held = new.get(v2)
-                if held is None:
-                    new[v2] = [scap + m, piece]
-                    continue
-                held[0] = min(held[0], scap + m)
-                out = held[1]
-                for k, x in piece.items():
-                    out[k] = add(out[k], x) if k in out else x
+                b = bud.get(v2)
+                if b is not None and lead + m < b:
+                    edges.append((v2, m, b - m, t))
+            if edges:
+                plan[v] = edges
+                prev[v] = max(e[2] for e in edges)
+        plans.append(plan)
+        bud = prev
+    acc = {origin: {0: sc.one}}
+    for plan in reversed(plans):
+        new = {}
+        for v, ser in acc.items():
+            for v2, m, top, t in plan.get(v, ()):
+                out = new.setdefault(v2, {})
+                for j, s in ser.items():
+                    if j < top:
+                        x = mul(s, t)
+                        k = j + m
+                        out[k] = add(out[k], x) if k in out else x
         acc = {}
-        for v, (vcap, ser) in new.items():
-            ser = {k: x for k, x in ser.items() if k < vcap and not is_zero(x)}
+        for v, ser in new.items():
+            ser = {k: x for k, x in ser.items() if not is_zero(x)}
             if ser:
-                acc[v] = (vcap, ser)
+                acc[v] = ser
     tt = sc.to_tuple
     return {
-        v: ZqPi(ctx, prec, vcap, {k: tt(x) for k, x in ser.items()}, den=1)
-        for v, (vcap, ser) in acc.items()
+        v: ZqPi(ctx, prec, budget[v], {k: tt(x) for k, x in ser.items()}, den=1)
+        for v, ser in acc.items()
     }
 
 
@@ -456,11 +497,13 @@ def _pi0_layer(dd, ctx: FieldContext, factors, prec: int, top: int):
     _ZqScalars(ctx, prec).
 
     A factor term pi^m x^(m*u) has g(m*u) <= m*D and g is subadditive, so
-    j*D - g(v) never decreases along the product (see _kernel_product).  A
-    term with j*D > g(v) can never reach the layer and is dropped, with the
-    rest of its factor's terms; a term with j*D < g(v) means the expansion
-    and the degree function disagree, a bug worth crashing on.  Each kept v
-    thus holds one scalar, the coefficient at j = g(v)/D.
+    j*D - g(v) never decreases along the product.  A term with j*D > g(v)
+    can never reach the layer and is dropped, with the rest of its factor's
+    terms; a term with j*D < g(v) means the expansion and the degree
+    function disagree, a bug worth crashing on.  Each kept v thus holds one
+    scalar, the coefficient at j = g(v)/D.  The x^p factors of the transfer
+    matrix's a = 2 product add up to p*m*D to g per pi^m and break the
+    invariant; _kernel_product prunes by digit budgets instead.
     """
     D = dd.D
     sc = _ZqScalars(ctx, prec)
@@ -565,8 +608,8 @@ def psi_a_matrix(f: LaurentPoly, B: int, M: int, N_pi: int) -> DworkMatrix:
     """Assemble the degree-B truncation of the transfer operator.
 
     The kernel product g = prod_{i<a} E_{f^(sigma^i)}(x^(p^i)) is expanded
-    once; the entry at (row w, column u) is the coefficient of x^(q*w - u)
-    in g times pi^(deg(u) - deg(w)).
+    once, to the pi-digits the cells read; the entry at (row w, column u)
+    is the coefficient of x^(q*w - u) in g times pi^(deg(u) - deg(w)).
     """
     if B < 0 or M < 1 or N_pi < 1:
         raise DomainError("operator job needs B >= 0 and M, N_pi >= 1")
@@ -587,16 +630,29 @@ def psi_a_matrix(f: LaurentPoly, B: int, M: int, N_pi: int) -> DworkMatrix:
     factors = []
     for i in range(a):
         factors.extend(_lifted_factors(f, dd, M, power_of_p=i))
-    cap_raw = N_pi + B + 1
-    raw = _kernel_product(dd, ctx, factors, M, cap_raw)
-    zero_row = ZqPi(ctx, M, N_pi * D, {}, den=D)
     grid = [_grid(d, D) for d in degrees]
+    cells = []  # cells[w][u] = q*w - u
+    for w in basis:
+        qw = tuple(q * x for x in w)
+        cells.append([tuple(map(operator.sub, qw, u)) for u in basis])
+    # the raw keys j each cell reads: j*D + e_u - e_w < N_pi*D survives into
+    # the entry, and j*D + e_u - e_w < p*e_w is what the valuation check
+    # below looks at; the raw product is never wanted past pi^(N_pi + B + 1)
+    cap_raw = N_pi + B + 1
+    budget = {}
+    for row_cells, ew in zip(cells, grid):
+        need = max(N_pi * D + ew, p * ew)
+        for v, eu in zip(row_cells, grid):
+            top = min(cap_raw, -((eu - need) // D))
+            if top > budget.get(v, 0):
+                budget[v] = top
+    raw = _kernel_product(dd, ctx, factors, M, budget)
+    zero_row = ZqPi(ctx, M, N_pi * D, {}, den=D)
     rows = []
-    for w, ew in zip(basis, grid):
+    for w, ew, row_cells in zip(basis, grid, cells):
         bound = (p - 1) * ew
         row = []
-        for u, eu in zip(basis, grid):
-            v = tuple(q * x - y for x, y in zip(w, u))
+        for u, eu, v in zip(basis, grid, row_cells):
             ser = raw.get(v)
             if ser is None:
                 row.append(zero_row)

@@ -19,10 +19,13 @@ coefficient.  The splitting-kernel references exponentiate a general log
 series by the full derivative recurrence and revert E(pi) - 1 = T in exact
 rationals, where the library uses the Artin-Hasse shortcut and substitutes
 T = E(pi) - 1 the other way.
-The criterion reference expands the whole kernel product to a pi-cap past
-the largest cell degree and divides every cone point's coefficient by
+The criterion reference expands the kernel product on every cone point to
+a pi-cap past the largest cell degree and divides each coefficient by
 pi^deg(u) as a ZqPi over Fraction degrees, where the library expands only
-the exact-degree terms on the integer degree grid.
+the exact-degree terms on the integer degree grid.  The kernel reference
+expands every monomial to the global pi-cap and the transfer-matrix
+reference reads its entries from that, where the library expands only the
+pi-digits each matrix cell reads.
 
 The rest are library code the package itself never calls, kept here as
 references: pi-shifts and cap cuts of a ZqPi, the L-function as an Euler
@@ -41,9 +44,11 @@ from typing import Optional
 
 import math
 
+from tadic import dwork
 from tadic.arith import CycElement, binomial_guard, one_plus_T_pow, teichmuller_lift
 from tadic.dwork import (
     CRITERION_DIM_LIMIT,
+    DIM_LIMIT,
     ZqPi,
     _cone_prefix,
     _grid,
@@ -51,6 +56,7 @@ from tadic.dwork import (
     _lifted_factors,
     _ZqScalars,
     artin_hasse,
+    e_factor,
 )
 from tadic.errors import (
     DomainError,
@@ -399,6 +405,91 @@ def pi_of_t(p: int, M: int, N: int) -> PiOfT:
     return PiOfT(p=p, cap=N, coeffs=tuple(b))
 
 
+def full_kernel_product(dd, ctx, factors, prec: int, cap: int):
+    """prod E(pi * c * x^u) over the (c, u_reduced) factors, every monomial
+    and every pi-exponent below the cap: {v: ZqPi on the integer pi-grid}.
+
+    The running coefficients are bare (cap, {key: scalar}) pairs under
+    ZqPi's rules: a piece pi^m-shifted from a cap-c series has cap c + m,
+    and a sum takes the smaller cap.  Keys at or above a cap and zero
+    coefficients are dropped once per factor.  The library's kernel
+    expands only the digits its caller asks for.
+    """
+    sc = _ZqScalars(ctx, prec)
+    mul, add, is_zero = sc.mul, sc.add, sc.is_zero
+    ah = artin_hasse(ctx.p, cap)
+    acc = {(0,) * dd.rank: (cap, {0: sc.one})}
+    for c, u in factors:
+        fac = sorted(e_factor(ah, ctx, c, prec, cap).coeffs.items())
+        fac = [(m, sc.from_tuple(t)) for m, t in fac]
+        new = {}
+        for v, (scap, ser) in acc.items():
+            lead = min(ser)
+            for m, t in fac:
+                if lead + m >= cap:
+                    break
+                piece = {}
+                for j, s in ser.items():
+                    x = mul(s, t)
+                    if not is_zero(x):
+                        piece[j + m] = x
+                if not piece:
+                    continue
+                v2 = tuple(x + m * y for x, y in zip(v, u))
+                held = new.get(v2)
+                if held is None:
+                    new[v2] = [scap + m, piece]
+                    continue
+                held[0] = min(held[0], scap + m)
+                out = held[1]
+                for k, x in piece.items():
+                    out[k] = add(out[k], x) if k in out else x
+        acc = {}
+        for v, (vcap, ser) in new.items():
+            ser = {k: x for k, x in ser.items() if k < vcap and not is_zero(x)}
+            if ser:
+                acc[v] = (vcap, ser)
+    tt = sc.to_tuple
+    return {
+        v: ZqPi(ctx, prec, vcap, {k: tt(x) for k, x in ser.items()}, den=1)
+        for v, (vcap, ser) in acc.items()
+    }
+
+
+def oracle_transfer_entries(f, B: int, M: int, N_pi: int):
+    """The entries of psi_a_matrix(f, B, M, N_pi) from the full kernel
+    product to pi^(N_pi + B + 1): the entry at (w, u) is the coefficient of
+    x^(q*w - u) times pi^(deg(u) - deg(w)), cut at pi^N_pi, after checking
+    that its ord is at least (p - 1)*deg(w).  The factors come from
+    dwork._lifted_factors at call time, so a test that patches them
+    patches both sides."""
+    ctx = f.ctx
+    p, a, q = ctx.p, ctx.a, ctx.q
+    dd = newton_data(f)
+    D = dd.D
+    pts = _cone_prefix(dd, B * D, DIM_LIMIT, "operator basis", "dimension limit")
+    factors = []
+    for i in range(a):
+        factors.extend(dwork._lifted_factors(f, dd, M, power_of_p=i))
+    raw = full_kernel_product(dd, ctx, factors, M, N_pi + B + 1)
+    rows = []
+    for w, dw in pts:
+        ew = _grid(dw, D)
+        row = []
+        for u, du in pts:
+            eu = _grid(du, D)
+            ser = raw.get(tuple(q * x - y for x, y in zip(w, u)))
+            if ser is None:
+                row.append(ZqPi(ctx, M, N_pi * D, {}, den=D))
+                continue
+            if ser.ord_key() is not None and ser.ord_key() * D + eu - ew < (p - 1) * ew:
+                raise TheoremViolation(f"entry at row {w}, column {u} below the valuation bound")
+            alpha = shift(ser.rescale_den(D), eu - ew)
+            row.append(with_cap(alpha, min(alpha.cap, N_pi * D)))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def _alpha_map(f, dd, B_grid: int, M: int, N_pi: int):
     """alpha coefficients on the cone prefix deg(u) <= B_grid/D, reduced keys.
 
@@ -408,9 +499,12 @@ def _alpha_map(f, dd, B_grid: int, M: int, N_pi: int):
     """
     D = dd.D
     cap_raw = N_pi + math.ceil(Fraction(B_grid, D)) + 1
-    raw = _kernel_product(dd, f.ctx, _lifted_factors(f, dd, M), M, cap_raw)
+    pts = dd.cone_points_upto(B_grid)
+    raw = _kernel_product(
+        dd, f.ctx, _lifted_factors(f, dd, M), M, {ur: cap_raw for ur, _ in pts}
+    )
     out = {}
-    for ur, deg in dd.cone_points_upto(B_grid):
+    for ur, deg in pts:
         e = _grid(deg, D)
         ser = raw.get(ur)
         if ser is None:

@@ -183,6 +183,16 @@ class TestQuotientKernel:
         with pytest.raises(ZeroDivisionError):
             ctx.pow(ctx.zero(), -1)
 
+    def test_rejected_candidates_stay_out_of_the_rows_cache(self):
+        # the search for F_{3^9} tests candidates that fail; the cache keeps
+        # only the chosen polynomial's rows, which every later product reads
+        arith._reduction_rows.cache_clear()
+        ctx = FieldContext(3, 9)
+        assert arith._reduction_rows.cache_info().currsize == 1
+        hits = arith._reduction_rows.cache_info().hits
+        arith._reduction_rows(ctx.poly_low, 3)
+        assert arith._reduction_rows.cache_info().hits == hits + 1
+
     def test_poly_low_is_the_smallest_irreducible(self):
         for p in (2, 3, 5, 7, 11, 13):
             for a in range(1, 9):

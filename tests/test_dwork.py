@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,17 +33,19 @@ from tadic.dwork import (
     t_to_pi,
     verify_trace_formula,
 )
-from tadic.errors import DomainError, IntegralityError, PrecisionError
+from tadic.errors import DomainError, IntegralityError, PrecisionError, TheoremViolation
 from tadic.polytope import LaurentPoly, newton_data, restrict_to_face
 from tadic.sums import np_report
 
 from oracles import (
     criterion_matrix,
     e_f_expansion,
+    full_kernel_product,
     oracle_berkowitz,
     oracle_det,
     oracle_exp_fractions,
     oracle_trace,
+    oracle_transfer_entries,
     pi_of_t,
     shift,
     with_cap,
@@ -401,6 +404,91 @@ class TestBerkowitzKernel:
         minors = _leading_minors(sc, [[sc.from_tuple(t) for t in row] for row in grid])
         want = [oracle_det(ctx, M, [row[:r] for row in grid[:r]]) for r in range(n + 1)]
         assert [sc.to_tuple(d) for d in minors] == want
+
+
+@st.composite
+def operator_jobs(draw):
+    """(f, B, M, N_pi) on a random support: p <= 5, a <= 2, n <= 2, up to
+    three exponents in [-2, 2]^n, N_pi <= 3 and B from N_pi/(p - 1) to two
+    past it."""
+    ctx = field_context(draw(st.sampled_from([2, 3, 5])), draw(st.sampled_from([1, 2])))
+    n = draw(st.integers(1, 2))
+    exps = draw(
+        st.lists(
+            st.tuples(*[st.integers(-2, 2)] * n).filter(any), min_size=1, max_size=3, unique=True
+        )
+    )
+    term_map = {e: ctx.decode(draw(st.integers(1, ctx.q - 1))) for e in exps}
+    f = LaurentPoly.make(n, term_map, ctx)
+    N_pi = draw(st.integers(1, 3))
+    B = -(-N_pi // (ctx.p - 1)) + draw(st.integers(0, 2))
+    return f, B, draw(st.integers(1, 3)), N_pi
+
+
+def _doubled_first_factor(lifted):
+    """_lifted_factors with the first exponent doubled: pi^1 then meets
+    x^(2u), of degree 2, and entries fall below the valuation bound."""
+
+    def doubled(*args, **kwargs):
+        (c, u), *rest = lifted(*args, **kwargs)
+        return [(c, tuple(2 * x for x in u)), *rest]
+
+    return doubled
+
+
+def _outcome(build):
+    """The entries build() returns, as bare tuples, or the type of the
+    error it raised."""
+    try:
+        return [[_bare(e) for e in row] for row in build()]
+    except (TheoremViolation, DomainError) as exc:
+        return type(exc)
+
+
+class TestPrunedKernel:
+    """The demand-driven kernel product against the full expansion."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(operator_jobs(), st.booleans())
+    @example((poly(SPERBER, p=3, a=2), 2, 2, 2), False)
+    @example((poly(SPERBER, p=3), 2, 4, 3), True)
+    @example((poly([(1,)], p=2, a=2), 3, 3, 3), False)
+    @example((poly([(-2,), (1,)], p=2, a=2), 5, 2, 3), False)
+    @example((poly([(-2,)], p=5), 1, 1, 1), True)
+    def test_transfer_matrix_matches_full_expansion(self, job, doubled):
+        # every entry's cap and coefficients, or the same error on both sides:
+        # TheoremViolation for the doubled factor, DomainError past DIM_LIMIT
+        f, B, M, N_pi = job
+        lifted = dwork._lifted_factors
+        if doubled:
+            lifted = _doubled_first_factor(lifted)
+        with mock.patch.object(dwork, "_lifted_factors", lifted):
+            got = _outcome(lambda: psi_a_matrix(f, B, M, N_pi).entries)
+            want = _outcome(lambda: oracle_transfer_entries(f, B, M, N_pi))
+        assert got == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(operator_jobs(), st.data())
+    def test_kernel_digits_match_full_expansion(self, job, data):
+        # any budget map: each wanted coefficient mod pi^budget, zeros left out
+        f, B, M, N_pi = job
+        dd = newton_data(f)
+        factors = [
+            fac for i in range(f.ctx.a) for fac in dwork._lifted_factors(f, dd, M, power_of_p=i)
+        ]
+        cap = N_pi + B + 1
+        full = full_kernel_product(dd, f.ctx, factors, M, cap)
+        keys = sorted(full) + [(7,) * dd.rank]  # and one the product may miss
+        picked = data.draw(st.lists(st.sampled_from(keys), max_size=12, unique=True))
+        budget = {v: data.draw(st.integers(1, cap)) for v in picked}
+        want = {}
+        for v, b in budget.items():
+            if v in full:
+                z = with_cap(full[v], b)
+                if z.coeffs:
+                    want[v] = _bare(z)
+        got = dwork._kernel_product(dd, f.ctx, factors, M, budget)
+        assert {v: _bare(z) for v, z in got.items()} == want
 
 
 class TestTwoPaths:
