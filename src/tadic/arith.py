@@ -80,6 +80,14 @@ def _is_irreducible(low, p):
     a = len(low)
     if a == 1:
         return True
+    # a root in F_p is a linear factor, found by Horner before any power
+    f = list(low) + [1]
+    for r in range(p):
+        acc = 0
+        for c in reversed(f):
+            acc = (acc * r + c) % p
+        if not acc:
+            return False
     x = (0, 1) + (0,) * (a - 2)
     # a rejected candidate's rows are built here once and never cached
     rows = _reduction_rows.__wrapped__(low, p)
@@ -189,12 +197,19 @@ class FieldContext:
         raise TheoremViolation("no irreducible polynomial found")
 
     def _find_generator(self):
-        facs = prime_factors(self.q - 1) if self.q > 2 else []
-        for enc in range(1, self.q):
+        """The smallest-encoded element of multiplicative order q - 1: the
+        first unit whose (q-1)/l-th power is not one for any prime l | q-1.
+
+        Every unit of a field has g^(q-1) = 1, so that is checked once, on
+        the generator found, as an invariant of the defining polynomial.
+        """
+        q, one = self.q, self.one()
+        facs = prime_factors(q - 1) if q > 2 else []
+        for enc in range(1, q):
             g = self.decode(enc)
-            if self.pow(g, self.q - 1) != self.one():
-                continue
-            if all(self.pow(g, (self.q - 1) // l) != self.one() for l in facs):
+            if all(self.pow(g, (q - 1) // l) != one for l in facs):
+                if self.pow(g, q - 1) != one:
+                    raise TheoremViolation(f"generator {g} of F_{q} has g^(q-1) != 1")
                 return g
         raise TheoremViolation("no multiplicative generator found")
 
@@ -263,7 +278,11 @@ class FieldContext:
 
         Sends the power-basis root to the smallest-encoded root of our
         defining polynomial in the big field; any root works, the choice
-        only pins determinism.
+        only pins determinism.  The roots lie in the copy of F_q inside the
+        big field, zero and the q - 1 powers of h = g^((Q-1)/(q-1)), so the
+        walk never leaves it: it stops at the first root r among those, and
+        the roots are the conjugates r^(p^i), i < a, of which the
+        smallest-encoded is taken.  Zero is a root only of y itself (a = 1).
         """
         key = big.a
         if key in self._embed_cache:
@@ -271,13 +290,20 @@ class FieldContext:
         if big.a % self.a:
             raise DomainError("no embedding: degree does not divide")
         defining = list(self.poly_low) + [1]
-        root = None
-        for y in big.elements():
-            if big.eval_int_poly(defining, y) == big.zero():
-                root = y
-                break
-        if root is None:
-            raise TheoremViolation("embedding root not found")
+        root = big.zero()
+        if any(self.poly_low):
+            h = big.pow(big.generator, (big.q - 1) // (self.q - 1))
+            root = big.one()
+            for _ in range(self.q - 1):
+                if big.eval_int_poly(defining, root) == big.zero():
+                    break
+                root = big.mul(root, h)
+            else:
+                raise TheoremViolation("embedding root not found")
+            conj = [root]
+            for _ in range(self.a - 1):
+                conj.append(big.pow(conj[-1], self.p))
+            root = min(conj, key=big.encode)
         powers = [big.one()]
         for _ in range(self.a - 1):
             powers.append(big.mul(powers[-1], root))
@@ -348,8 +374,19 @@ def teichmuller_lift(ctx: FieldContext, x, prec: int):
 
 
 def binomial_guard(N: int, p: int) -> int:
-    """Extra p-digits the binomial series needs on its exponent: ord_p((N-1)!)."""
+    """Extra p-digits binomial_sum works with on its exponent: ord_p((N-1)!)."""
     return vp_factorial(max(N - 1, 0), p)
+
+
+def binomial_period(N: int, p: int) -> int:
+    """L = floor(log_p(N-1)), 0 when N <= 2: binom(t, j) mod p^M for all
+    j < N depends only on t mod p^(M+L) (see sums.s_f_T).  For N >= 2 no
+    smaller power of p will do: binom(p^(M+L-1), p^L) has p-valuation M - 1."""
+    L, pl = 0, p
+    while pl <= N - 1:
+        L += 1
+        pl *= p
+    return L
 
 
 def binomial_sum(counts, p: int, M_out: int, N: int, t_prec: int) -> TSeries:
@@ -366,6 +403,12 @@ def binomial_sum(counts, p: int, M_out: int, N: int, t_prec: int) -> TSeries:
     binomial, and t_prec >= ord_p(j!), so each aggregate mod p^t_prec is
     divisible by the p-part of j!; that exact division is checked once per
     j, on the aggregate.
+
+    Keys are integers, so the result depends on each t only through
+    binom(t, j) mod p^M_out, that is through t mod p^(M_out + L) with
+    L = binomial_period(N, p) <= binomial_guard(N, p): callers may hand in
+    keys reduced that far, and fewer distinct keys make a shorter moments
+    pass.
     """
     need = M_out + binomial_guard(N, p)
     if t_prec < need:

@@ -51,6 +51,7 @@ from .sums import (
     s_f_T,
     s_f_psi,
     survey_family,
+    torus_walks,
 )
 
 VERIFY_TARGETS = ("trace", "char", "all")
@@ -353,10 +354,16 @@ def cmd_verify(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
     n_pi = _prec_t(cfg)
     B = _resolve_basis(cfg, n_pi)
     Mx = psi_a_matrix(f, B, cfg.prec_p, n_pi)
+    ks = cfg.k_list or (1,)
+    walks = None
+    # tori both checks read are walked once; past the matrix dimension the
+    # char check refuses before it walks, and its guard digits are unbounded
+    if cfg.what == "all" and cfg.deg_s <= Mx.dim:
+        walks = torus_walks(f, ks, cfg.deg_s, cfg.prec_p, Mx.torus_cap())
     checks = []
     if cfg.what in ("trace", "all"):
-        for k in cfg.k_list or (1,):
-            chk = verify_trace_formula(f, k, B, cfg.prec_p, n_pi, matrix=Mx)
+        for k in ks:
+            chk = verify_trace_formula(f, k, B, cfg.prec_p, n_pi, matrix=Mx, walks=walks)
             checks.append(
                 {
                     "what": "trace",
@@ -366,7 +373,7 @@ def cmd_verify(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
                 }
             )
     if cfg.what in ("char", "all"):
-        cc = char_c_crosscheck(f, cfg.deg_s, B, cfg.prec_p, n_pi, matrix=Mx)
+        cc = char_c_crosscheck(f, cfg.deg_s, B, cfg.prec_p, n_pi, matrix=Mx, walks=walks)
         checks.append(
             {
                 "what": "char",

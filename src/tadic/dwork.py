@@ -574,6 +574,11 @@ class DworkMatrix:
         points beyond degree B only touch terms above (p-1)(B + 1/D)."""
         return min(self.N_pi * self.D, (self.p - 1) * (self.B * self.D + 1))
 
+    def torus_cap(self) -> int:
+        """ceil(cert_cap / D): no cross-check against this matrix reads its
+        torus sums past T^torus_cap, since no spectral cap exceeds cert_cap."""
+        return -(-self.cert_cap() // self.D)
+
 
 # hard ceilings on the operator basis size and on the criterion matrix;
 # the determinant work grows like dim^3 * deg_s for the first and like
@@ -700,7 +705,10 @@ def psi_a_matrix(f: LaurentPoly, B: int, M: int, N_pi: int) -> DworkMatrix:
 def _series_rows(Mx: DworkMatrix):
     """The series ring at the spectral cap and Mx's entries in it."""
     ring = _PiSeries(Mx.ctx, Mx.entries[0][0].prec, Mx.D, Mx.cert_cap())
-    return ring, [[ring.from_zqpi(e) for e in row] for row in Mx.entries]
+    # most cells hold the one shared zero entry: convert each object once
+    distinct = {id(e): e for row in Mx.entries for e in row}
+    conv = {key: ring.from_zqpi(e) for key, e in distinct.items()}
+    return ring, [[conv[id(e)] for e in row] for row in Mx.entries]
 
 
 def char_series(Mx: DworkMatrix, deg_s: int) -> SSeries:
@@ -757,7 +765,13 @@ class TraceCheck:
 
 
 def verify_trace_formula(
-    f: LaurentPoly, k: int, B: int, M: int, N_pi: int, matrix: DworkMatrix | None = None
+    f: LaurentPoly,
+    k: int,
+    B: int,
+    M: int,
+    N_pi: int,
+    matrix: DworkMatrix | None = None,
+    walks=None,
 ) -> TraceCheck:
     """Compare Tr(Mx^k) with the normalized torus sum of order k.
 
@@ -765,7 +779,8 @@ def verify_trace_formula(
     over Z_q, the other a sum of binomial characters over torus points,
     pushed through the uniformizer change T = E(pi) - 1.  A caller running
     several checks on one operator passes psi_a_matrix(f, B, M, N_pi) as
-    `matrix` to build it once.
+    `matrix` to build it once, and sums.torus_walks(f, ks, deg_s, M,
+    Mx.torus_cap()) as `walks` to walk each torus once.
     """
     from .sums import s_f_T
 
@@ -773,7 +788,7 @@ def verify_trace_formula(
     lhs = operator_trace(Mx, k)
     cap_pi = Fraction(lhs.cap, Mx.D)
     n_t = math.ceil(cap_pi)
-    S = s_f_T(f, k, M, n_t)
+    S = s_f_T(f, k, M, n_t, walks)
     pm = f.ctx.p**M
     inv = pow((f.ctx.q**k - 1) % pm, -1, pm)
     rhs_t = S.mul_int(pow(inv, f.n, pm))
@@ -795,18 +810,24 @@ class CharCrossCheck:
 
 
 def char_c_crosscheck(
-    f: LaurentPoly, deg_s: int, B: int, M: int, N_pi: int, matrix: DworkMatrix | None = None
+    f: LaurentPoly,
+    deg_s: int,
+    B: int,
+    M: int,
+    N_pi: int,
+    matrix: DworkMatrix | None = None,
+    walks=None,
 ) -> CharCrossCheck:
     """The central two-path check: det(1 - Mx*s) against the torus-sum C,
-    coefficient by coefficient after the uniformizer change.  `matrix` is
-    as in verify_trace_formula."""
+    coefficient by coefficient after the uniformizer change.  `matrix` and
+    `walks` are as in verify_trace_formula."""
     from .sums import c_function
 
     Mx = matrix if matrix is not None else psi_a_matrix(f, B, M, N_pi)
     det_side = char_series(Mx, deg_s)
     cap = Fraction(det_side.coeffs[0].cap, Mx.D)
     n_t = math.ceil(cap)
-    C = c_function(f, deg_s, M, n_t)
+    C = c_function(f, deg_s, M, n_t, walks)
     ah = artin_hasse(f.ctx.p, n_t + 1)
     bad = []
     prec = M

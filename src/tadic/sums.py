@@ -24,6 +24,7 @@ from .arith import (
     _reduce_mod,
     _times_x,
     binomial_guard,
+    binomial_period,
     binomial_sum,
     field_context,
     specialize_tseries,
@@ -238,13 +239,30 @@ def torus_trace_counts(f: LaurentPoly, k: int, prec: int) -> dict:
     return counts
 
 
-def s_f_T(f: LaurentPoly, k: int, M: int, N: int) -> TSeries:
+def s_f_T(f: LaurentPoly, k: int, M: int, N: int, walks=None) -> TSeries:
     """Sum of (1+T)^Tr(f^(x)) over the k-th extension's torus points,
-    exact mod (p^M, T^N)."""
+    exact mod (p^M, T^N).
+
+    The traces are walked mod p^(M+L), L = binomial_period(N, p) =
+    floor(log_p(N-1)), below binomial_sum's working precision M +
+    ord_p((N-1)!).  That loses nothing: for 1 <= i <= j < N, ord_p(i) <= L
+    and ord_p binom(p^r u, i) >= r - ord_p(i) (the prime-power period of
+    binomials; Granville, "Arithmetic properties of binomial coefficients
+    I", 1997), so by Vandermonde
+    binom(t + p^(M+L) u, j) = sum_i binom(t, j-i) binom(p^(M+L) u, i)
+    = binom(t, j) mod p^M.  The keys are integers in [0, p^(M+L)), so every
+    aggregate binomial_sum divides by j! is still an exact multiple of it.
+
+    ``walks`` (see torus_walks) may keep this torus walked at a higher
+    precision; the multiset is then read off that walk.
+    """
     SumJob(f, k, M, N)
     p = f.ctx.p
-    prec_t = M + binomial_guard(N, p)
-    return binomial_sum(torus_trace_counts(f, k, prec_t), p, M, N, prec_t)
+    prec = M + binomial_period(N, p)
+    counts = walks.counts(k, prec) if walks is not None else None
+    if counts is None:
+        counts = torus_trace_counts(f, k, prec)
+    return binomial_sum(counts, p, M, N, M + binomial_guard(N, p))
 
 
 def s_f_psi(f: LaurentPoly, k: int, m: int, M: int) -> CycElement:
@@ -269,24 +287,65 @@ def s_f_psi(f: LaurentPoly, k: int, m: int, M: int) -> CycElement:
 # ---------------------------------------------------------------------------
 
 
-def power_sums_T(f: LaurentPoly, deg_s: int, M: int, N: int):
-    """S_f(k, T) for k = 1..deg_s; the largest torus is checked first."""
+def power_sums_T(f: LaurentPoly, deg_s: int, M: int, N: int, walks=None):
+    """S_f(k, T) for k = 1..deg_s; the largest torus is checked first.
+    ``walks`` is as in s_f_T."""
     if deg_s >= 1:
         SumJob(f, deg_s, M, N)
-    return [s_f_T(f, k, M, N) for k in range(1, deg_s + 1)]
+    return [s_f_T(f, k, M, N, walks) for k in range(1, deg_s + 1)]
 
 
-def _exp_path(f: LaurentPoly, deg_s: int, M: int, N: int, normalized: bool) -> SSeries:
+class TorusWalks:
+    """Trace multisets of some of f's tori at one precision, each walked
+    on first use and kept: every sum reading one of them walks it once."""
+
+    def __init__(self, f: LaurentPoly, ks, prec: int):
+        self.f, self.ks, self.prec = f, frozenset(ks), prec
+        self._walked = {}
+
+    def counts(self, k: int, prec: int):
+        """torus_trace_counts(f, k, prec) for a kept torus, else None: the
+        kept walk's keys reduced mod p^prec, which is exactly that walk."""
+        if k not in self.ks:
+            return None
+        if prec > self.prec:
+            raise PrecisionError(f"traces walked mod p^{self.prec} but the sum needs p^{prec}")
+        raw = self._walked.get(k)
+        if raw is None:
+            raw = self._walked[k] = torus_trace_counts(self.f, k, self.prec)
+        pm = self.f.ctx.p**prec
+        out = {}
+        for t, c in raw.items():
+            t %= pm
+            out[t] = out.get(t, 0) + c
+        return out
+
+
+def torus_walks(f: LaurentPoly, ks, deg_s: int, M: int, N: int) -> TorusWalks:
+    """The tori k <= deg_s in ks, kept at the precision c_function(f,
+    deg_s, M, N) walks them at, which also covers s_f_T(f, k, M, N') for
+    N' <= N: a caller comparing both against one operator walks each of
+    them once.  Each walk happens where the first sum reading it would
+    have walked, after that sum's size checks."""
+    p = f.ctx.p
+    prec = M + vp_factorial(deg_s, p) + binomial_period(N, p)
+    return TorusWalks(f, [k for k in ks if 1 <= k <= deg_s], prec)
+
+
+def _exp_path(
+    f: LaurentPoly, deg_s: int, M: int, N: int, normalized: bool, walks=None
+) -> SSeries:
     if deg_s < 0:
         raise DomainError("need deg_s >= 0")
     if M < 1:  # checked before the guard digits below could lift it to 1
         raise DomainError("sum job needs k, M, N >= 1")
     # exp's recurrence divides by k <= deg_s, so work with guard digits and
     # renormalize down; divexact_int still asserts integrality on the way
+    # (torus_walks adds the same guard)
     p = f.ctx.p
     guard = vp_factorial(deg_s, p)
     Mw = M + guard
-    weighted = power_sums_T(f, deg_s, Mw, N)
+    weighted = power_sums_T(f, deg_s, Mw, N, walks)
     if normalized:
         q, n = f.ctx.q, f.n
         pm = p**Mw
@@ -305,10 +364,11 @@ def l_function(f: LaurentPoly, deg_s: int, M: int, N: int) -> SSeries:
     return _exp_path(f, deg_s, M, N, normalized=False)
 
 
-def c_function(f: LaurentPoly, deg_s: int, M: int, N: int) -> SSeries:
+def c_function(f: LaurentPoly, deg_s: int, M: int, N: int, walks=None) -> SSeries:
     """C(s) = exp(-sum_k (q^k-1)^(-n) S_f(k,T) s^k / k): the torus-volume
-    normalized variant whose Newton polygon the reports read."""
-    return _exp_path(f, deg_s, M, N, normalized=True)
+    normalized variant whose Newton polygon the reports read.  ``walks`` is
+    as in power_sums_T."""
+    return _exp_path(f, deg_s, M, N, normalized=True, walks=walks)
 
 
 def _sign(k: int) -> int:

@@ -25,7 +25,11 @@ pi^deg(u) as a ZqPi over Fraction degrees, where the library expands only
 the exact-degree terms on the integer degree grid.  The kernel reference
 expands every monomial to the global pi-cap and the transfer-matrix
 reference reads its entries from that, where the library expands only the
-pi-digits each matrix cell reads.
+pi-digits each matrix cell reads.  The field-search references run the
+x^(p^a) irreducibility test on every candidate, test g^(q-1) = 1 on every
+candidate generator and look for an embedding root at every element of the
+big field, where the library drops candidates with a root in F_p first,
+checks g^(q-1) = 1 once, and looks only inside the copy of the small field.
 
 The rest are library code the package itself never calls, kept here as
 references: pi-shifts and cap cuts of a ZqPi, the L-function as an Euler
@@ -45,7 +49,16 @@ from typing import Optional
 import math
 
 from tadic import dwork
-from tadic.arith import CycElement, binomial_guard, one_plus_T_pow, teichmuller_lift
+from tadic.arith import (
+    CycElement,
+    _mul_rows,
+    _poly_gcd,
+    _reduction_rows,
+    binomial_guard,
+    one_plus_T_pow,
+    prime_factors,
+    teichmuller_lift,
+)
 from tadic.dwork import (
     CRITERION_DIM_LIMIT,
     DIM_LIMIT,
@@ -66,7 +79,15 @@ from tadic.errors import (
     TheoremViolation,
 )
 from tadic.polytope import DegreeData, LaurentPoly, newton_data
-from tadic.series import NewtonPolygon, SSeries, TSeries, _common_range, polygon_dominates, vp
+from tadic.series import (
+    NewtonPolygon,
+    SSeries,
+    TSeries,
+    _common_range,
+    polygon_dominates,
+    power,
+    vp,
+)
 from tadic.sums import TORUS_LIMIT, _orbit_size
 
 
@@ -332,6 +353,62 @@ def oracle_smallest_irreducible(p, a):
         if all(any(_oracle_remainder(f, g, p)) for g in divisors):
             return low
     raise AssertionError(f"no irreducible of degree {a} over F_{p}")
+
+
+def oracle_is_irreducible(low, p):
+    """Monic x^a + sum low[i] x^i irreducible over F_p, by x^(p^a) = x mod f
+    and gcd(x^(p^(a/l)) - x, f) = 1 for every prime l | a, with no
+    linear-factor shortcut in front."""
+    a = len(low)
+    if a == 1:
+        return True
+    x = (0, 1) + (0,) * (a - 2)
+    rows = _reduction_rows.__wrapped__(low, p)
+
+    def x_pow(e):
+        return power(x, e, lambda u, v: _mul_rows(u, v, rows, p), (1,) + (0,) * (a - 1))
+
+    if x_pow(p**a) != x:
+        return False
+    for l in prime_factors(a):
+        g = list(x_pow(p ** (a // l)))
+        g[1] = (g[1] - 1) % p
+        if len(_poly_gcd(g, list(low) + [1], p)) > 1:
+            return False
+    return True
+
+
+def oracle_find_poly(p, a):
+    """The first candidate, in encoding order, oracle_is_irreducible keeps."""
+    for enc in range(p**a):
+        low = tuple(enc // p**i % p for i in range(a))
+        if oracle_is_irreducible(low, p):
+            return low
+    raise AssertionError(f"no irreducible of degree {a} over F_{p}")
+
+
+def oracle_generator(ctx):
+    """The smallest-encoded element g with g^(q-1) = 1 and no g^((q-1)/l)
+    = 1 for a prime l | q-1, both tested on every candidate."""
+    q = ctx.q
+    facs = prime_factors(q - 1) if q > 2 else []
+    for enc in range(1, q):
+        g = ctx.decode(enc)
+        if ctx.pow(g, q - 1) != ctx.one():
+            continue
+        if all(ctx.pow(g, (q - 1) // l) != ctx.one() for l in facs):
+            return g
+    raise AssertionError(f"no generator of F_{q}")
+
+
+def oracle_embedding_root(sub, big):
+    """The smallest-encoded root of sub's defining polynomial in ``big``,
+    found by evaluating it at every element of the big field in order."""
+    defining = list(sub.poly_low) + [1]
+    for y in big.elements():
+        if big.eval_int_poly(defining, y) == big.zero():
+            return y
+    raise AssertionError("embedding root not found")
 
 
 def oracle_exp_fractions(g, N):

@@ -10,6 +10,9 @@ from oracles import (
     cyc_horner,
     frob_power,
     oracle_binomial_sum,
+    oracle_embedding_root,
+    oracle_find_poly,
+    oracle_generator,
     oracle_mulmod,
     oracle_smallest_irreducible,
     poly_remainder,
@@ -20,6 +23,7 @@ from tadic.arith import (
     CycElement,
     FieldContext,
     binomial_guard,
+    binomial_period,
     binomial_sum,
     field_context,
     is_prime,
@@ -28,7 +32,7 @@ from tadic.arith import (
     specialize_tseries,
     teichmuller_lift,
 )
-from tadic.errors import DomainError, IntegralityError, PrecisionError
+from tadic.errors import DomainError, IntegralityError, PrecisionError, TheoremViolation
 from tadic.series import SSeries, TSeries
 from tadic.sums import congruence_modulus
 
@@ -104,6 +108,33 @@ class TestFieldContext:
         assert (ctx.poly_low, ctx.generator) == (fresh.poly_low, fresh.generator)
         # the embedding found once serves every later caller
         assert field_context(3, 1).embed_into(ctx) is field_context(3, 1).embed_into(ctx)
+
+    def test_searches_match_the_exhaustive_oracles(self):
+        # every field with p^a <= 4096: the defining polynomial, the
+        # generator and the root each embedding y -> root picks agree with
+        # searches that enumerate candidates, elements and the big field
+        fields = [(p, a) for p in range(2, 4097) if is_prime(p) for a in range(1, 13)]
+        ctxs = {(p, a): FieldContext(p, a) for p, a in fields if p**a <= 4096}
+        for (p, a), ctx in ctxs.items():
+            assert ctx.poly_low == oracle_find_poly(p, a), (p, a)
+            assert ctx.generator == oracle_generator(ctx), (p, a)
+        pairs = 0
+        for (p, a), sub in ctxs.items():
+            # at a = 1 the defining polynomial is y, whose only root is zero
+            for b in range(a, 13, a) if a > 1 else ():
+                if (p, b) in ctxs:
+                    big = ctxs[p, b]
+                    phi = sub.embed_into(big)
+                    assert phi(sub.decode(p)) == oracle_embedding_root(sub, big), (p, a, b)
+                    pairs += 1
+        assert pairs == 57
+
+    def test_generator_invariant_catches_a_non_field(self, monkeypatch):
+        # in F_2[y]/(y^2) the first unit passing the order test is y, and
+        # y^3 = 0: g^(q-1) = 1 is what tells the ring is no field
+        monkeypatch.setattr(FieldContext, "_find_poly", lambda self: (0, 0))
+        with pytest.raises(TheoremViolation, match=r"g\^\(q-1\) != 1"):
+            FieldContext(2, 2)
 
     def test_field_context_rejects_on_every_call(self):
         for _ in range(3):
@@ -361,6 +392,43 @@ class TestBinomialSum:
         want = [sum(c * _binom(t, j) for t, c in counts.items()) % pm for j in range(N)]
         assert [s.coeff(j) for j in range(N)] == want
         assert s == oracle_binomial_sum(counts, p, M, N, tp)
+
+    @example((7, 1, 2, {0: 1, 7: 1}))
+    @example((3, 2, 28, {5: 1, 5 + 3**5: 2, 5 + 3**4: 1}))
+    @given(
+        st.sampled_from([2, 3, 5, 7]).flatmap(
+            lambda p: st.tuples(
+                st.just(p),
+                st.integers(1, 4),
+                st.integers(1, 40),
+                st.dictionaries(st.integers(0, p**12), st.integers(1, 50), min_size=1, max_size=8),
+            )
+        )
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_keys_reduce_mod_the_binomial_period(self, case):
+        p, M, N, counts = case
+        tp = M + binomial_guard(N, p)
+        pl = p ** (M + binomial_period(N, p))
+        reduced = {}
+        for t, c in counts.items():
+            reduced[t % pl] = reduced.get(t % pl, 0) + c
+        assert binomial_sum(reduced, p, M, N, tp) == binomial_sum(counts, p, M, N, tp)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_binomial_period_is_tight(self, p):
+        # at N = p^L + 1, binom(p^(M+L-1), p^L) has valuation M - 1: the
+        # T^(p^L) coefficient tells t = p^(M+L-1) from t = 0, and nothing
+        # below T^N tells t = p^(M+L) from it
+        M = 2
+        for L in range(3):
+            N = p**L + 1
+            assert binomial_period(N, p) == L
+            tp = M + binomial_guard(N, p)
+            zero = binomial_sum({0: 1}, p, M, N, tp)
+            assert binomial_sum({p ** (M + L): 1}, p, M, N, tp) == zero
+            assert binomial_sum({p ** (M + L - 1): 1}, p, M, N, tp) != zero
+        assert binomial_period(1, p) == 0
 
     def test_stirling_rows_give_falling_factorials(self):
         rows = arith._stirling_rows(40)

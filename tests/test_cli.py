@@ -154,6 +154,37 @@ class TestCommands:
         )
         assert code == 0 and doc["pass"] is True
 
+    def test_verify_all_walks_each_torus_once(self, capsys, monkeypatch):
+        # the trace and char checks both read the k = 1 and k = 2 tori
+        walked = []
+        walk = sums.torus_trace_counts
+        monkeypatch.setattr(
+            sums, "torus_trace_counts", lambda f, k, prec: walked.append(k) or walk(f, k, prec)
+        )
+        args = ["verify", "x1+x2+x1^-1*x2^-1", "--p", "3", "--deg-s", "3", "-k", "2,1"]
+        code, doc = run_json(args, capsys)
+        assert code == 0 and doc["pass"] is True
+        assert sorted(walked) == [1, 2, 3]
+        trace, char = (run_json(args + ["--what", w], capsys)[1]["checks"] for w in ("trace", "char"))
+        assert doc["checks"] == trace + char
+
+    def test_verify_all_past_the_dimension_walks_at_the_trace_precision(self, capsys, monkeypatch):
+        # the char check refuses deg_s > dim before walking, so the trace
+        # check walks at its own precision, not with deg_s's guard digits
+        precs = []
+        walk = sums.torus_trace_counts
+
+        def traced(f, k, prec):
+            precs.append(prec)
+            assert prec < 50, "walked with the unbounded guard digits"
+            return walk(f, k, prec)
+
+        monkeypatch.setattr(sums, "torus_trace_counts", traced)
+        args = ["verify", "x1+x2+x1^-1*x2^-1", "--p", "3", "--deg-s", "1000000"]
+        code, doc = run_json(args, capsys)
+        assert code == 1 and "exceeds the matrix dimension 19" in doc["error"]["message"]
+        assert precs == [5]  # M + floor(log_3(6 - 1)) at the trace's T-cap 6
+
     def test_np_flags(self, capsys):
         code, doc = run_json(
             ["np", "x1^3", "--p", "7", "--m", "1", "--deg-s", "2", "--prec-t", "12"],

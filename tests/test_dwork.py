@@ -293,6 +293,19 @@ class TestTransferMatrix:
         with pytest.raises(DomainError):
             psi_a_matrix(f, 2, 4, 2)
 
+    def test_series_rows_convert_each_entry_object_once(self, monkeypatch):
+        Mx = psi_a_matrix(poly(SPERBER, p=3), 3, 4, 4)
+        cells = [e for row in Mx.entries for e in row]
+        convert = dwork._PiSeries.from_zqpi
+        seen = []
+        monkeypatch.setattr(
+            dwork._PiSeries, "from_zqpi", lambda ring, z: seen.append(z) or convert(ring, z)
+        )
+        ring, rows = dwork._series_rows(Mx)
+        # every zero cell is one shared entry object, converted once
+        assert len(seen) == len({id(e) for e in cells}) < len(cells) // 2
+        assert rows == [[convert(ring, e) for e in row] for row in Mx.entries]
+
     def test_char_series_shape(self):
         f = poly([(1,)], p=2)
         Mx = psi_a_matrix(f, 4, 6, 4)

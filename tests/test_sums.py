@@ -11,6 +11,7 @@ from tadic.arith import (
     CycContext,
     FieldContext,
     binomial_guard,
+    binomial_period,
     field_context,
     is_prime,
     one_plus_T_pow,
@@ -34,6 +35,7 @@ from tadic.sums import (
     specialize,
     survey_family,
     torus_trace_counts,
+    torus_walks,
 )
 
 SPERBER = [(1, 0), (0, 1), (-1, -1)]
@@ -206,6 +208,51 @@ class TestTorusWalk:
             assert all(k % s == 0 for s in sizes if s)
 
 
+class TestTorusWalks:
+    def test_one_walk_serves_the_sum_and_c(self, monkeypatch):
+        f = poly(SPERBER, p=3)
+        M, N, deg_s = 3, 9, 2
+        walks = torus_walks(f, (2, 1, 5, 2), deg_s, M, N)
+        # ord_3(2!) = 0: c_function walks at M + L, and so do the walks
+        assert walks.ks == {1, 2} and walks.prec == M + binomial_period(N, 3)
+        precs = ((M, N), (M, 4), (M - 1, 2), (1, 1))
+        want = {k: [s_f_T(f, k, Mk, Nk) for Mk, Nk in precs] for k in (1, 2)}
+        c_want = c_function(f, deg_s, M, N).coeffs
+        walked = []
+        walk = sums.torus_trace_counts
+        monkeypatch.setattr(
+            sums, "torus_trace_counts", lambda f, k, prec: walked.append(k) or walk(f, k, prec)
+        )
+        for k in (1, 2):
+            assert [s_f_T(f, k, Mk, Nk, walks) for Mk, Nk in precs] == want[k]
+        assert c_function(f, deg_s, M, N, walks).coeffs == c_want
+        assert walked == [1, 2]
+
+    def test_walks_carry_the_exp_guard(self):
+        # ord_2(3!) = 1: c_function works a digit past M, and so do its walks
+        f = poly([(1,), (3,)], p=2)
+        walks = torus_walks(f, (1,), 3, 2, 5)
+        assert walks.prec == 2 + 1 + binomial_period(5, 2)
+        assert c_function(f, 3, 2, 5, walks).coeffs == c_function(f, 3, 2, 5).coeffs
+
+    def test_thin_walk_is_refused(self):
+        f = poly(SPERBER, p=3)
+        walks = sums.TorusWalks(f, (1,), 2)
+        s_f_T(f, 1, 2, 3, walks)
+        with pytest.raises(PrecisionError, match="walked mod p\\^2"):
+            s_f_T(f, 1, 2, 4, walks)
+
+    def test_walks_wait_for_the_size_check(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("torus walked before the size check")
+
+        monkeypatch.setattr(sums, "torus_trace_counts", refuse)
+        big = poly([(1, 0), (0, 1)], p=3, a=4)
+        walks = torus_walks(big, (2,), 2, 2, 4)
+        with pytest.raises(DomainError, match="torus limit"):
+            s_f_T(big, 2, 2, 4, walks)
+
+
 class TestTorusSums:
     def test_single_point_field(self):
         # F_2 has one unit with trace 1
@@ -256,6 +303,15 @@ class TestTorusSums:
         big = poly([(1, 0), (0, 1)], p=3, a=4)
         with pytest.raises(DomainError, match="torus limit"):
             SumJob(big, 2, 2, 4)
+
+    @pytest.mark.parametrize("p, L", [(2, 2), (3, 1), (5, 1)])
+    def test_walk_precision_at_a_period_edge(self, p, L):
+        # N = p^L + 1 is the smallest cap whose T^(p^L) coefficient needs
+        # the traces mod p^(M+L)
+        f = poly([(1,), (3,)], p=p)
+        N = p**L + 1
+        assert binomial_period(N, p) == L
+        assert s_f_T(f, 1, 2, N) == oracle_s_f_T(f, 1, 2, N)
 
     def test_job_field_limit(self):
         # 2^21 - 1 points fit the torus limit but not the field-size limit
