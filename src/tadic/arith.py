@@ -187,6 +187,7 @@ class FieldContext:
         self.poly_low = self._find_poly()
         self.generator = self._find_generator()
         self._embed_cache = {}
+        self._subfield_logs = {}
 
     def _find_poly(self):
         p, a = self.p, self.a
@@ -318,6 +319,20 @@ class FieldContext:
         self._embed_cache[key] = phi
         return phi
 
+    def subfield_logs(self, q: int) -> dict:
+        """{encode(x): dlog_g x} over the units x of the subfield F_q, the
+        q - 1 powers of h = g^((Q-1)/(q-1)); walked once per q and kept."""
+        logs = self._subfield_logs.get(q)
+        if logs is None:
+            step = (self.q - 1) // (q - 1)
+            h = self.pow(self.generator, step)
+            logs, cur = {}, self.one()
+            for i in range(q - 1):
+                logs[self.encode(cur)] = i * step
+                cur = self.mul(cur, h)
+            self._subfield_logs[q] = logs
+        return logs
+
     # -- Z_q arithmetic at precision M ---------------------------------------
 
     def zq_from_field(self, x):
@@ -360,9 +375,13 @@ def field_context(p: int, a: int) -> FieldContext:
 def teichmuller_lift(ctx: FieldContext, x, prec: int):
     """The root-of-unity (or zero) lift of x to Z_q mod p^prec.
 
-    Fixed point of t -> t^q starting from the coefficientwise lift; each
-    iteration at least doubles the p-adic agreement, and convergence within
-    prec+2 rounds is a hard invariant.
+    Fixed point of t -> t^q starting from the coefficientwise lift, which
+    agrees with the lift w mod p.  Each round gains a = [F:F_p] digits:
+    t = w(1 + u) with u = 0 mod p^r goes to w(1 + u)^q, and
+    (1 + u)^q = 1 mod p^(r+a).  So the iteration stops within
+    ceil((prec-1)/a) + 1 rounds, the last one confirming the fixed point
+    (10 rounds at p = 7, a = 1, prec = 10; 4 at p = 2, a = 13,
+    prec = 40).  Convergence within prec+2 rounds is a hard invariant.
     """
     t = tuple(x)
     for _ in range(prec + 2):

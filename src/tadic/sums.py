@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import struct
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,7 +124,18 @@ def _build_trace_table(big: FieldContext, prec: int) -> tuple:
     characteristic polynomial of w = teich(g) over Z_p (d = [F:F_p]).
 
     s_1..s_d come from Newton's identities and every later entry from the
-    order-d recurrence chi(w) = 0: d multiply-adds per entry.
+    order-d recurrence chi(w) = 0, a whole block of B entries at a time.
+    A block is a fixed linear image of the d entries before it,
+    s_{k+t} = sum_{i<d} M[t][i] s_{k-d+i} for t < B, where column i of M
+    is the recurrence run from the unit state e_i, mod p^prec (Fiduccia
+    1985).  Each column is packed into one integer, sum_t M[t][i] << W*t
+    (Kronecker substitution), so a block is V = sum_i s_{k-d+i} col_i, d
+    big-int products, and its entries are V's W-bit slots, each reduced
+    mod p^prec.  Entries and column values lie in [0, p^prec), so a slot
+    holds at most d*(p^prec - 1)^2 < 2^W and no slot carries into the
+    next; W is that bound's bit length in whole bytes, at least 64.
+    B ~ sqrt((q-1)/d) balances the d*B recurrence steps that build the
+    columns against the (q-1)/B block steps; the last block is cut at q-1.
     """
     p, d = big.p, big.a
     pm = p**prec
@@ -145,30 +157,46 @@ def _build_trace_table(big: FieldContext, prec: int) -> tuple:
     for k in range(1, min(d, Q1 - 1) + 1):
         s.append(-(k * c[d - k] + sum(c[d - i] * s[k - i] for i in range(1, k))) % pm)
     neg_c = [-ci for ci in c]
-    for k in range(len(s), Q1):
-        s.append(sum(map(mul, neg_c, s[k - d : k])) % pm)
+    B = math.isqrt(Q1 // d)  # >= 1, as q - 1 >= d
+    bits = (d * (pm - 1) ** 2).bit_length()
+    W = 64 if bits <= 64 else -(-bits // 8) * 8
+    cols = []
+    for i in range(d):
+        u = [0] * d
+        u[i] = 1
+        for k in range(d, d + B):
+            u.append(sum(map(mul, neg_c, u[k - d : k])) % pm)
+        cols.append(int.from_bytes(b"".join(x.to_bytes(W // 8, "little") for x in u[d:]), "little"))
+    unpack = _slot_unpacker(W, B)
+    for k in range(len(s), Q1, B):
+        block = unpack(sum(map(mul, s[k - d : k], cols)))
+        s += [x % pm for x in block[: Q1 - k]]
     return tuple(s)
+
+
+def _slot_unpacker(W: int, B: int):
+    """v -> the B W-bit slots of v, lowest first (W a multiple of 8)."""
+    n = W // 8
+    if W == 64:
+        unpack = struct.Struct(f"<{B}Q").unpack
+        return lambda v: unpack(v.to_bytes(n * B, "little"))
+
+    def slots(v):
+        buf = v.to_bytes(n * B, "little")
+        return [int.from_bytes(buf[i : i + n], "little") for i in range(0, n * B, n)]
+
+    return slots
 
 
 def _coefficient_logs(f: LaurentPoly, big: FieldContext):
     """dlog_g of each coefficient of f embedded in ``big``.
 
     The coefficients lie in F_q^x, the subgroup generated by
-    h = g^((q^k-1)/(q-1)), so only q-1 powers of h are walked.
+    h = g^((q^k-1)/(q-1)), whose dlogs ``big`` walks once per q.
     """
-    ctx = f.ctx
-    phi = ctx.embed_into(big)
-    step = (big.q - 1) // (ctx.q - 1)
-    h = big.pow(big.generator, step)
-    targets = {big.encode(phi(c)) for _, c in f.terms}
-    dlog = {}
-    cur = big.one()
-    for i in range(ctx.q - 1):
-        e = big.encode(cur)
-        if e in targets and e not in dlog:
-            dlog[e] = i * step
-        cur = big.mul(cur, h)
-    return [dlog[big.encode(phi(c))] for _, c in f.terms]
+    phi = f.ctx.embed_into(big)
+    logs = big.subfield_logs(f.ctx.q)
+    return [logs[big.encode(phi(c))] for _, c in f.terms]
 
 
 def _orbit_size(jvec, q: int, Q1: int) -> int:

@@ -30,6 +30,8 @@ x^(p^a) irreducibility test on every candidate, test g^(q-1) = 1 on every
 candidate generator and look for an embedding root at every element of the
 big field, where the library drops candidates with a root in F_p first,
 checks g^(q-1) = 1 once, and looks only inside the copy of the small field.
+The trace-table reference steps the power-sum recurrence one entry at a
+time, where the library advances a whole packed block per big-int step.
 
 The rest are library code the package itself never calls, kept here as
 references: pi-shifts and cap cuts of a ZqPi, the L-function as an Euler
@@ -233,6 +235,36 @@ def oracle_det(ctx, prec, grid):
             term = tuple(-c % pm for c in term)
         total = ctx.zq_add(total, term, prec)
     return total
+
+
+def oracle_recurrence_trace_table(big, prec):
+    """Tr(teich(g)^j) mod p^prec for j = 0..q-2 as the power sums of
+    chi(x) = prod_{i<d} (x - w^(p^i)), w = teich(g), d = [F:F_p]: s_1..s_d
+    by Newton's identities, then one entry per step of the order-d
+    recurrence chi(w) = 0, d multiply-adds each."""
+    p, d = big.p, big.a
+    pm = p**prec
+    Q1 = big.q - 1
+    conj = teichmuller_lift(big, big.generator, prec)
+    chi = [big.one()]  # Z_q coefficients, lowest first
+    for i in range(d):
+        if i:
+            conj = big.zq_pow(conj, p, prec)
+        nxt = [big.zero()] + chi
+        for e, c in enumerate(chi):
+            wc = big.zq_mul(conj, c, prec)
+            nxt[e] = tuple((u - v) % pm for u, v in zip(nxt[e], wc))
+        chi = nxt
+    if any(any(c[1:]) for c in chi):
+        raise AssertionError("characteristic polynomial of teich(g) is not over Z_p")
+    c = [co[0] for co in chi[:d]]
+    s = [d % pm]
+    for k in range(1, min(d, Q1 - 1) + 1):
+        s.append(-(k * c[d - k] + sum(c[d - i] * s[k - i] for i in range(1, k))) % pm)
+    neg_c = [-ci for ci in c]
+    for k in range(len(s), Q1):
+        s.append(sum(map(mul, neg_c, s[k - d : k])) % pm)
+    return tuple(s)
 
 
 def oracle_torus_trace_counts(f, k, prec):

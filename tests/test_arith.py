@@ -129,6 +129,23 @@ class TestFieldContext:
                     pairs += 1
         assert pairs == 57
 
+    def test_subfield_logs_are_walked_once_per_subfield(self, monkeypatch):
+        big = FieldContext(3, 4)
+        walk, cur = {}, big.one()
+        for j in range(big.q - 1):
+            walk[big.encode(cur)] = j
+            cur = big.mul(cur, big.generator)
+        for a in (1, 2, 4):
+            sub = FieldContext(3, a)
+            phi = sub.embed_into(big)
+            units = [big.encode(phi(x)) for x in sub.elements() if any(x)]
+            assert big.subfield_logs(sub.q) == {e: walk[e] for e in units}, a
+        calls = []
+        monkeypatch.setattr(big, "mul", lambda x, y: calls.append((x, y)))
+        assert big.subfield_logs(9) is big.subfield_logs(9)
+        assert calls == []
+        assert sorted(big._subfield_logs) == [3, 9, 81]
+
     def test_generator_invariant_catches_a_non_field(self, monkeypatch):
         # in F_2[y]/(y^2) the first unit passing the order test is y, and
         # y^3 = 0: g^(q-1) = 1 is what tells the ring is no field
@@ -285,6 +302,17 @@ class TestTeichmuller:
             for ye in range(1, ctx.q, 3):
                 x, y = ctx.decode(xe), ctx.decode(ye)
                 assert lifts[ctx.mul(x, y)] == ctx.zq_mul(lifts[x], lifts[y], prec)
+
+    @pytest.mark.parametrize("p,a,prec,rounds", [(7, 1, 10, 10), (2, 13, 40, 4), (3, 2, 7, 4)])
+    def test_each_round_gains_a_digits(self, p, a, prec, rounds, monkeypatch):
+        # the coefficientwise lift agrees mod p and each t -> t^q gains a
+        # digits: ceil((prec-1)/a) rounds reach the lift, one confirms it
+        ctx = FieldContext(p, a)
+        calls = []
+        zq_pow = ctx.zq_pow
+        monkeypatch.setattr(ctx, "zq_pow", lambda *args: calls.append(args) or zq_pow(*args))
+        teichmuller_lift(ctx, ctx.generator, prec)
+        assert len(calls) == rounds == -(-(prec - 1) // a) + 1
 
     def test_generator_powers_enumerate_units(self):
         ctx = FieldContext(3, 2)

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import closed_point_traces, l_function_euler, oracle_torus_trace_counts
+from oracles import (
+    closed_point_traces,
+    l_function_euler,
+    oracle_recurrence_trace_table,
+    oracle_torus_trace_counts,
+)
 from tadic import sums
 from tadic.arith import (
     CycContext,
@@ -162,6 +167,35 @@ class TestTraceTable:
             big = FieldContext(p, d)
             assert _trace_table(big, 2) == direct_trace_table(big, 2), (p, d)
 
+    def test_blocks_match_the_one_step_recurrence(self):
+        # every small field, F_2 and the other tables Newton's identities
+        # fill alone included, at 64-bit slots
+        for p, d in small_fields(3000):
+            big = FieldContext(p, d)
+            for prec in (1, 2):
+                table = sums._build_trace_table(big, prec)
+                assert table == oracle_recurrence_trace_table(big, prec), (p, d, prec)
+
+    @pytest.mark.parametrize(
+        "p,d,precs",
+        [
+            (3, 9, [30]),
+            (2, 13, [40]),
+            # slot bounds d*(p^prec - 1)^2 of 65 bits and of 8m+1 > 64
+            # bits, each reached by some slot: a slot one bit narrower
+            # overflows (F_27 at 20, 25, 30; F_256 at 35, 39, 43, 47; F_89
+            # at 5); F_27 runs every precision up to 30
+            (3, 3, range(1, 31)),
+            (2, 8, [35, 39, 43, 47]),
+            (89, 1, [5]),
+        ],
+    )
+    def test_blocks_match_the_one_step_recurrence_at_wide_slots(self, p, d, precs):
+        big = FieldContext(p, d)
+        for prec in precs:
+            table = sums._build_trace_table(big, prec)
+            assert table == oracle_recurrence_trace_table(big, prec), (p, d, prec)
+
     def test_cached_table_is_a_fresh_build_and_immutable(self):
         first = _trace_table(FieldContext(3, 4), 3)
         # keyed by the field, not the context object
@@ -198,6 +232,22 @@ class TestTorusWalk:
     def test_orbit_walk_matches_every_point_walk(self, job):
         f, k, prec = job
         assert torus_trace_counts(f, k, prec) == oracle_torus_trace_counts(f, k, prec)
+
+    def test_later_walks_reuse_the_coefficient_logs(self, monkeypatch):
+        # survey-style: new coefficients over the same field pair walk no
+        # power of h again
+        ctx = field_context(3, 2)
+        g = ctx.generator
+        first = LaurentPoly.make(1, {(2,): g, (-1,): ctx.one()}, ctx)
+        torus_trace_counts(first, 2, 2)
+        big = ctx.ext(2)
+        calls = []
+        mul = big.mul
+        monkeypatch.setattr(big, "mul", lambda x, y: calls.append((x, y)) or mul(x, y))
+        later = LaurentPoly.make(1, {(2,): ctx.pow(g, 5), (-1,): ctx.pow(g, 3)}, ctx)
+        counts = torus_trace_counts(later, 2, 2)
+        assert calls == []
+        assert counts == oracle_torus_trace_counts(later, 2, 2)
 
     def test_orbit_sizes_partition_prefixes(self):
         # lex-smallest members weighted by orbit size cover every prefix once
