@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .arith import CycElement, field_context
+from .arith import CycElement, binomial_period, field_context
 from .dwork import (
     ZqPi,
     char_c_crosscheck,
@@ -44,6 +44,7 @@ from .polytope import (
 from .series import NewtonPolygon, SSeries
 from .sums import (
     SumJob,
+    TorusWalks,
     congruence_check,
     c_function,
     l_function,
@@ -305,10 +306,16 @@ def cmd_sum(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
     ks = cfg.k_list or (1,)
     n_t = _prec_t(cfg)
     SumJob(f, max(ks), cfg.prec_p, n_t)  # the largest torus, before any work
+    walks = None
+    if cfg.m_list:
+        # each torus walked once, at the precision the T-adic sum and every
+        # level m read it at
+        prec = max(cfg.prec_p + binomial_period(n_t, f.ctx.p), *cfg.m_list)
+        walks = TorusWalks(f, ks, prec)
     for k in ks:
-        sums[str(k)] = jseries(s_f_T(f, k, cfg.prec_p, n_t))
+        sums[str(k)] = jseries(s_f_T(f, k, cfg.prec_p, n_t, walks))
         for m in cfg.m_list:
-            specialized.setdefault(str(m), {})[str(k)] = jcyc(s_f_psi(f, k, m, cfg.prec_p))
+            specialized.setdefault(str(m), {})[str(k)] = jcyc(s_f_psi(f, k, m, cfg.prec_p, walks))
     return {**doc, "sums": sums, "specialized": specialized}
 
 

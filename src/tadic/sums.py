@@ -14,6 +14,7 @@ import struct
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, mul
 from typing import Optional
 
@@ -267,6 +268,12 @@ def torus_trace_counts(f: LaurentPoly, k: int, prec: int) -> dict:
     return counts
 
 
+# S_f(k, T) kept per coefficient class and (k, M, N), least recently used
+# first; one entry is a series of at most N residues
+SUM_CACHE_SIZE = 256
+_SUMS: dict = {}
+
+
 def s_f_T(f: LaurentPoly, k: int, M: int, N: int, walks=None) -> TSeries:
     """Sum of (1+T)^Tr(f^(x)) over the k-th extension's torus points,
     exact mod (p^M, T^N).
@@ -281,28 +288,109 @@ def s_f_T(f: LaurentPoly, k: int, M: int, N: int, walks=None) -> TSeries:
     = binom(t, j) mod p^M.  The keys are integers in [0, p^(M+L)), so every
     aggregate binomial_sum divides by j! is still an exact multiple of it.
 
+    The sum depends only on f's coefficient class (see
+    _coefficient_class), so the process keeps the last SUM_CACHE_SIZE
+    sums by class and (k, M, N), and a polynomial of a class already
+    summed walks no torus.  Callers must not alter the series returned.
+
     ``walks`` (see torus_walks) may keep this torus walked at a higher
-    precision; the multiset is then read off that walk.
+    precision; the multiset is then read off that walk, and the kept sums
+    are neither read nor written.
     """
     SumJob(f, k, M, N)
     p = f.ctx.p
-    prec = M + binomial_period(N, p)
-    counts = walks.counts(k, prec) if walks is not None else None
-    if counts is None:
-        counts = torus_trace_counts(f, k, prec)
-    return binomial_sum(counts, p, M, N, M + binomial_guard(N, p))
+    prec, guard = M + binomial_period(N, p), M + binomial_guard(N, p)
+    if walks is not None:
+        return binomial_sum(walks.counts(k, prec), p, M, N, guard)
+    key = (_coefficient_class(f), k, M, N)
+    S = _SUMS.pop(key, None)
+    if S is None:
+        S = binomial_sum(torus_trace_counts(f, k, prec), p, M, N, guard)
+    _SUMS[key] = S
+    if len(_SUMS) > SUM_CACHE_SIZE:
+        del _SUMS[next(iter(_SUMS))]
+    return S
 
 
-def s_f_psi(f: LaurentPoly, k: int, m: int, M: int) -> CycElement:
+@lru_cache(maxsize=256)
+def _scaling_basis(exps: tuple, Q1: int) -> tuple:
+    """Triangular basis of the lattice U*Z^n + Q1*Z^r, U the r x n matrix
+    whose rows are the exponent vectors ``exps``: row i is zero before
+    column i and holds its pivot d_i > 0 there (a Hermite basis).
+
+    Column i's pivot is the gcd, by Euclid's steps on whole rows, of
+    Q1*e_i and the generators left from column i - 1, the columns of U
+    first; the steps leave each of those zero at column i.  Every Q1*e_j
+    lies in the lattice, so the entries past a pivot are kept mod Q1.
+    """
+    r = len(exps)
+    gens = [[u[j] % Q1 for u in exps] for j in range(len(exps[0]))]
+    basis = []
+    for i in range(r):
+        piv = [0] * r
+        piv[i] = Q1
+        left = []
+        for v in gens:
+            while v[i]:
+                t = piv[i] // v[i]
+                piv, v = v, [x - t * y for x, y in zip(piv, v)]
+            left.append([x % Q1 for x in v])
+        basis.append((0,) * i + (piv[i],) + tuple(x % Q1 for x in piv[i + 1 :]))
+        gens = left
+    return tuple(basis)
+
+
+def _lattice_reduce(v, basis) -> tuple:
+    """The representative of v + L with 0 <= v_i < d_i, L spanned by the
+    triangular ``basis``: one per coset, as a difference of two of them
+    in L has its first nonzero entry, a multiple of that pivot, inside
+    (-d_i, d_i)."""
+    v = list(v)
+    for i, row in enumerate(basis):
+        t = v[i] // row[i]
+        if t:
+            v = [x - t * y for x, y in zip(v, row)]
+    return tuple(v)
+
+
+def _coefficient_class(f: LaurentPoly) -> tuple:
+    """(p, a, support, ell): one value per orbit of f's coefficient vector
+    under torus scaling and Frobenius, and different values for different
+    orbits.
+
+    x -> lambda*x with lambda in (F_q^*)^n, and c -> c^p on every
+    coefficient, permute the torus of each F_{q^k} and keep the trace of
+    every Teichmuller monomial, so every f of one orbit has the same
+    S_f(k, T) (the torus and Galois invariance of Adolphson and Sperber,
+    Ann. Math. 130, 1989).  With ell_i = dlog_g c_i mod Q1 = q - 1,
+    scaling by lambda = g^mu adds U*mu, so the scaling orbits are the
+    cosets of U*Z^n + Q1*Z^r, and Frobenius multiplies ell by p; ell is
+    taken as the least of the a cosets of p^s*ell, s < a, each reduced
+    against _scaling_basis.  p and a are part of the value because equal
+    LaurentPoly values over different fields compare equal.
+    """
+    ctx = f.ctx
+    Q1 = ctx.q - 1
+    exps = tuple(u for u, _ in f.terms)
+    logs = ctx.subfield_logs(ctx.q)
+    ell = [logs[ctx.encode(c)] for _, c in f.terms]
+    basis = _scaling_basis(exps, Q1)
+    ell = min(_lattice_reduce([e * ctx.p**s % Q1 for e in ell], basis) for s in range(ctx.a))
+    return ctx.p, ctx.a, exps, ell
+
+
+def s_f_psi(f: LaurentPoly, k: int, m: int, M: int, walks=None) -> CycElement:
     """Classical character sum of order p^m: sum of zeta^Tr(f^(x)) with
-    zeta = 1 + pi, exact mod p^M (= pi^(e*M))."""
+    zeta = 1 + pi, exact mod p^M (= pi^(e*M)).  ``walks`` is as in
+    s_f_T."""
     SumJob(f, k, M, 1, m)
     cyc = CycContext(f.ctx.p, m)
     pm_order = cyc.p**m
     zeta = cyc.zeta(M)
     powers = {0: cyc.one(M)}
     acc = cyc.zero(M)
-    for t, c in sorted(torus_trace_counts(f, k, m).items()):
+    counts = walks.counts(k, m) if walks is not None else torus_trace_counts(f, k, m)
+    for t, c in sorted(counts.items()):
         r = t % pm_order
         if r not in powers:
             powers[r] = zeta.pow_int(r)
@@ -332,10 +420,10 @@ class TorusWalks:
         self._walked = {}
 
     def counts(self, k: int, prec: int):
-        """torus_trace_counts(f, k, prec) for a kept torus, else None: the
-        kept walk's keys reduced mod p^prec, which is exactly that walk."""
+        """torus_trace_counts(f, k, prec): for a kept torus, the kept
+        walk's keys reduced mod p^prec, which is exactly that walk."""
         if k not in self.ks:
-            return None
+            return torus_trace_counts(self.f, k, prec)
         if prec > self.prec:
             raise PrecisionError(f"traces walked mod p^{self.prec} but the sum needs p^{prec}")
         raw = self._walked.get(k)
@@ -715,12 +803,11 @@ def survey_family(
         raise DomainError("need sample_count >= 0")
     n = len(exps[0])
     ctx = field_context(p, a)
-    units = [x for x in ctx.elements() if x != ctx.zero()]
     rng = random.Random(seed)
     hist = {}
     t_ord = t_not = t_unc = nd_fail = 0
     for _ in range(sample_count):
-        f = LaurentPoly.make(n, {u: rng.choice(units) for u in exps}, ctx)
+        f = LaurentPoly.make(n, {u: ctx.decode(rng.randrange(1, ctx.q)) for u in exps}, ctx)
         rep = np_report(f, [], deg_s, M, N)
         if rep.nondegenerate != "nondegenerate":
             nd_fail += 1

@@ -32,6 +32,9 @@ big field, where the library drops candidates with a root in F_p first,
 checks g^(q-1) = 1 once, and looks only inside the copy of the small field.
 The trace-table reference steps the power-sum recurrence one entry at a
 time, where the library advances a whole packed block per big-int step.
+The coefficient-orbit reference applies every torus scaling and Frobenius
+power to a coefficient vector, where the library reduces discrete logs
+against a Hermite basis of the scaling lattice.
 
 The rest are library code the package itself never calls, kept here as
 references: pi-shifts and cap cuts of a ZqPi, the L-function as an Euler
@@ -297,6 +300,38 @@ def oracle_torus_trace_counts(f, k, prec):
         t = sum(traces[(cl + sum(a * b for a, b in zip(u, jvec))) % Q1] for cl, u in terms)
         counts[t % pm] = counts.get(t % pm, 0) + 1
     return counts
+
+
+def coefficient_orbits(ctx, exps) -> dict:
+    """{coefficient vector: orbit number} for every vector of units on the
+    support ``exps``, orbits under c_i -> lambda^(u_i) * c_i^(p^s) for
+    lambda in (F_q^*)^n and s < a.
+
+    Each orbit is listed by applying every group element to its first
+    vector, with field products and powers only: no discrete logs and no
+    lattice.
+    """
+    units = [x for x in ctx.elements() if x != ctx.zero()]
+    scalings = []
+    for lam in product(units, repeat=len(exps[0])):
+        row = []
+        for u in exps:
+            c = ctx.one()
+            for x, e in zip(lam, u):
+                c = ctx.mul(c, ctx.pow(x, e))
+            row.append(c)
+        scalings.append(row)
+    orbit_of = {}
+    count = 0
+    for vec in product(units, repeat=len(exps)):
+        if vec in orbit_of:
+            continue
+        count += 1
+        for s in range(ctx.a):
+            frob = [ctx.pow(c, ctx.p**s) for c in vec]
+            for row in scalings:
+                orbit_of[tuple(map(ctx.mul, row, frob))] = count
+    return orbit_of
 
 
 def oracle_binomial_sum(counts, p, M_out, N, t_prec):

@@ -205,6 +205,27 @@ class TestCommands:
         assert doc["sums"]["1"]["coeffs"]["0"] == "2"
         assert doc["specialized"]["1"]["1"]["ring"] == "Zp[pi_psi]"
 
+    def test_sum_walks_each_torus_once_for_every_level(self, capsys, monkeypatch):
+        walked = []
+        walk = sums.torus_trace_counts
+
+        def traced(f, k, prec):
+            walked.append((k, prec))
+            return walk(f, k, prec)
+
+        monkeypatch.setattr(sums, "torus_trace_counts", traced)
+        code, doc = run_json(["sum", "x1^3+x1", "--p", "7", "-k", "3,1", "--m", "1,2"], capsys)
+        assert code == 0
+        # M + binomial_period(N, 7) = 5 covers the T-adic sum and m = 1, 2
+        assert walked == [(3, 5), (1, 5)]
+        monkeypatch.setattr(sums, "torus_trace_counts", walk)
+        f = parse_laurent("x1^3+x1", field_context(7, 1))
+        M, N = int(doc["sums"]["3"]["prec_p"]), int(doc["sums"]["3"]["cap"])
+        for k in (3, 1):
+            assert doc["sums"][str(k)] == cli.jseries(sums.s_f_T(f, k, M, N))
+            for m in (1, 2):
+                assert doc["specialized"][str(m)][str(k)] == cli.jcyc(sums.s_f_psi(f, k, m, M))
+
     def test_congruence_default_window(self, capsys):
         code, doc = run_json(
             ["congruence", "x1", "--p", "3", "--m", "1", "--prec-t", "30", "--prec-p", "3"],

@@ -1,4 +1,6 @@
 import itertools
+import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     closed_point_traces,
+    coefficient_orbits,
     l_function_euler,
     oracle_recurrence_trace_table,
     oracle_torus_trace_counts,
@@ -301,6 +304,190 @@ class TestTorusWalks:
         walks = torus_walks(big, (2,), 2, 2, 4)
         with pytest.raises(DomainError, match="torus limit"):
             s_f_T(big, 2, 2, 4, walks)
+
+
+# (p, a, n, k) shapes whose torus walk stays cheap, every prime p <= 7
+INVARIANCE_SHAPES = [
+    (p, a, n, k)
+    for p in (2, 3, 5, 7)
+    for a in (1, 2)
+    for n in (1, 2)
+    for k in (1, 2, 3)
+    if (p ** (a * k) - 1) ** n <= 2500
+]
+
+
+def scaled_triple(p, a, exps, logs, lam_logs, k, prec):
+    """f = sum g^logs_i x^u_i, its image under x -> lambda*x with lambda =
+    g^lam_logs, its coefficientwise p-th power, k and prec.  The images
+    are built with field products, not discrete logs."""
+    ctx = field_context(p, a)
+    lam = [ctx.pow(ctx.generator, e) for e in lam_logs]
+    coeffs = [ctx.pow(ctx.generator, e) for e in logs]
+    scaled = []
+    for u, c in zip(exps, coeffs):
+        for x, e in zip(lam, u):
+            c = ctx.mul(c, ctx.pow(x, e))
+        scaled.append(c)
+    frob = [ctx.pow(c, p) for c in coeffs]
+    n = len(exps[0])
+    polys = [LaurentPoly.make(n, dict(zip(exps, cs)), ctx) for cs in (coeffs, scaled, frob)]
+    return (*polys, k, prec)
+
+
+@st.composite
+def scaled_polys(draw):
+    p, a, n, k = draw(st.sampled_from(INVARIANCE_SHAPES))
+    q = p**a
+    exps = draw(
+        st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=3, unique=True)
+        .filter(lambda es: any(map(any, es)))
+    )
+    logs = draw(st.lists(st.integers(0, q - 2), min_size=len(exps), max_size=len(exps)))
+    lam_logs = draw(st.lists(st.integers(0, q - 2), min_size=n, max_size=n))
+    return scaled_triple(p, a, exps, logs, lam_logs, k, draw(st.integers(1, 4)))
+
+
+class TestCoefficientClasses:
+    @settings(max_examples=40, deadline=None)
+    @given(scaled_polys())
+    @example(scaled_triple(3, 2, [(2,), (-1,)], [1, 0], [5], 2, 3))
+    @example(scaled_triple(7, 1, SPERBER, [0, 1, 4], [2, 5], 1, 2))
+    @example(scaled_triple(7, 2, [(3,), (1,)], [7, 30], [11], 2, 2))
+    def test_traces_are_invariant_under_scaling_and_frobenius(self, job):
+        # the theorem the kept sums rest on
+        f, scaled, frob, k, prec = job
+        counts = torus_trace_counts(f, k, prec)
+        assert torus_trace_counts(scaled, k, prec) == counts
+        assert torus_trace_counts(frob, k, prec) == counts
+
+    SUPPORTS = [
+        [(1,)],
+        [(2,)],
+        [(3,), (1,)],
+        [(2,), (-1,)],
+        [(4,), (2,)],
+        [(1, 0), (0, 1)],
+        [(2, 0), (0, 2)],
+        [(1, 0), (0, 1), (-1, -1)],
+        [(2, 0), (0, 2), (-1, -1)],
+        [(2, 1), (0, -1), (-1, 0)],
+        [(1, 1), (0, 0), (-1, 2)],
+    ]
+
+    @pytest.mark.parametrize("p, a", list(small_fields(9)))
+    def test_keys_are_equal_exactly_on_orbits(self, p, a):
+        ctx = field_context(p, a)
+        for exps in self.SUPPORTS:
+            pairs = set()
+            for vec, orbit in coefficient_orbits(ctx, exps).items():
+                f = LaurentPoly.make(len(exps[0]), dict(zip(exps, vec)), ctx)
+                pairs.add((orbit, sums._coefficient_class(f)))
+            # one key per orbit and one orbit per key
+            assert len({o for o, _ in pairs}) == len(pairs) == len({k for _, k in pairs}), exps
+
+    def test_two_element_field_has_one_class(self):
+        ctx = field_context(2, 1)
+        f = LaurentPoly.make(2, {(1, 0): ctx.one(), (0, 1): ctx.one(), (-1, -1): ctx.one()}, ctx)
+        assert sums._coefficient_class(f) == (2, 1, ((-1, -1), (0, 1), (1, 0)), (0, 0, 0))
+
+    def test_frobenius_alone_joins_classes(self):
+        # over F_9 no scaling alone takes g*x1^2 + x1^-1 to g^3*x1^2 + x1^-1;
+        # Frobenius does
+        ctx = field_context(3, 2)
+        g = ctx.generator
+        f = poly([(2,), (-1,)], p=3, a=2, coeffs=[g, ctx.one()])
+        frob = poly([(2,), (-1,)], p=3, a=2, coeffs=[ctx.pow(g, 3), ctx.one()])
+        assert sums._coefficient_class(f) == sums._coefficient_class(frob)
+        orbit_of = coefficient_orbits(ctx, [(-1,), (2,)])
+        assert orbit_of[(ctx.one(), g)] == orbit_of[(ctx.one(), ctx.pow(g, 3))]
+        assert orbit_of[(ctx.one(), g)] != orbit_of[(ctx.one(), ctx.pow(g, 2))]
+
+
+def _count_walks(monkeypatch):
+    walked = []
+    walk = sums.torus_trace_counts
+    monkeypatch.setattr(
+        sums, "torus_trace_counts", lambda f, k, prec: walked.append((k, prec)) or walk(f, k, prec)
+    )
+    return walked
+
+
+class TestKeptSums:
+    @pytest.mark.parametrize(
+        "p, a, exps, logs, images",
+        [
+            # x -> g^2*x and x -> g*x on x1^3 + x1 over F_7
+            (7, 1, [(3,), (1,)], [0, 0], [[6, 2], [3, 1]]),
+            # g*x1^2 + x1^-1 over F_9: Frobenius, and scaling by g^5
+            (3, 2, [(2,), (-1,)], [1, 0], [[3, 0], [11, -5]]),
+            # the simplex over F_4, scaled in both variables and twisted
+            (2, 2, SPERBER, [0, 0, 1], [[1, 2, 1], [0, 0, 2]]),
+        ],
+    )
+    def test_a_class_member_walks_no_torus(self, monkeypatch, p, a, exps, logs, images):
+        ctx = field_context(p, a)
+
+        def member(ls):
+            terms = {u: ctx.pow(ctx.generator, e) for u, e in zip(exps, ls)}
+            return LaurentPoly.make(len(exps[0]), terms, ctx)
+
+        f = member(logs)
+        want = {k: s_f_T(f, k, 3, 6) for k in (1, 2)}
+        walked = _count_walks(monkeypatch)
+        for ls in images:
+            g = member(ls)
+            assert sums._coefficient_class(g) == sums._coefficient_class(f)
+            assert [s_f_T(g, k, 3, 6) for k in (1, 2)] == [want[1], want[2]]
+        assert walked == []
+        # and the kept value is the one a fresh walk gives
+        sums._SUMS.clear()
+        for ls in images:
+            g = member(ls)
+            assert [s_f_T(g, k, 3, 6) for k in (1, 2)] == [want[1], want[2]]
+            sums._SUMS.clear()
+        assert len(walked) == 2 * len(images)
+
+    @pytest.mark.parametrize("small, large", [((3, 1), (5, 1)), ((2, 1), (2, 2))])
+    def test_equal_polynomials_over_other_fields_are_summed_again(self, monkeypatch, small, large):
+        # x1 over F_3 equals x1 over F_5 (LaurentPoly equality ignores the
+        # field); over F_2 and F_4 the support and the dlogs (0) agree
+        ctxs = field_context(*small), field_context(*large)
+        f, g = (LaurentPoly.make(1, {(1,): ctx.one()}, ctx) for ctx in ctxs)
+        assert f == g or small[0] == 2
+        s_f_T(f, 1, 2, 4)
+        walked = _count_walks(monkeypatch)
+        assert s_f_T(g, 1, 2, 4) == oracle_s_f_T(g, 1, 2, 4)
+        assert walked == [(1, 2 + binomial_period(4, g.ctx.p))]
+
+    def test_other_precisions_and_degrees_are_summed_again(self, monkeypatch):
+        f = poly(SPERBER, p=3)
+        s_f_T(f, 1, 2, 4)
+        walked = _count_walks(monkeypatch)
+        for k, M, N in ((2, 2, 4), (1, 3, 4), (1, 2, 5), (1, 2, 4)):
+            assert s_f_T(f, k, M, N) == oracle_s_f_T(f, k, M, N)
+        assert [k for k, _ in walked] == [2, 1, 1]
+
+    def test_walks_bypass_the_kept_sums(self, monkeypatch):
+        f = poly(SPERBER, p=3)
+        walks = torus_walks(f, (1,), 1, 2, 4)
+        s_f_T(f, 1, 2, 4, walks)
+        assert sums._SUMS == {}
+        s_f_T(f, 1, 2, 4)
+        walked = _count_walks(monkeypatch)
+        s_f_T(f, 1, 2, 4, sums.TorusWalks(f, (1,), 4))
+        assert walked == [(1, 4)]
+
+    def test_least_recent_sum_leaves_first(self, monkeypatch):
+        monkeypatch.setattr(sums, "SUM_CACHE_SIZE", 2)
+        f = poly(SPERBER, p=3)
+        for k in (1, 2, 1, 3):  # k = 2 is the least recent when k = 3 arrives
+            s_f_T(f, k, 2, 4)
+        assert [key[1] for key in sums._SUMS] == [1, 3]
+        walked = _count_walks(monkeypatch)
+        s_f_T(f, 1, 2, 4)
+        s_f_T(f, 2, 2, 4)
+        assert walked == [(2, 3)]
 
 
 class TestTorusSums:
@@ -732,3 +919,33 @@ class TestSurvey:
     def test_histogram_counts_sum(self):
         rep = survey_family([(2,), (1,)], 3, 1, 6, seed=3, deg_s=2, M=3, N=8)
         assert sum(c for _, c in rep.histogram) == 6
+
+    @pytest.mark.parametrize("p, a", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (7, 1)])
+    def test_draw_matches_a_choice_from_the_listed_units(self, monkeypatch, p, a):
+        # decode(randrange(1, q)) draws what choice(units) drew from the
+        # units in encoding order: the same stream, polynomials and report
+        ctx = field_context(p, a)
+        units = [x for x in ctx.elements() if x != ctx.zero()]
+
+        class ListDraw(random.Random):
+            def randrange(self, start, stop):
+                assert (start, stop) == (1, ctx.q)
+                return ctx.encode(self.choice(units))
+
+        drawn = []
+        report = sums.np_report
+
+        def recorded(f, *args):
+            drawn.append(f.terms)
+            return report(f, *args)
+
+        monkeypatch.setattr(sums, "np_report", recorded)
+        for seed in range(3):
+            args = ([(2,), (-1,)], p, a, 4, seed, 2, 2, 6)
+            rep = survey_family(*args)
+            mine, drawn[:] = list(drawn), []
+            with monkeypatch.context() as m:
+                m.setattr(sums, "random", types.SimpleNamespace(Random=ListDraw))
+                assert survey_family(*args) == rep
+            assert drawn == mine
+            drawn.clear()
