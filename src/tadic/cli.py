@@ -340,7 +340,14 @@ def cmd_np(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
     }
 
 
+def _refuse_negative_deg_s(cfg: RunConfig):
+    """char_series' refusal, made before the matrix is built."""
+    if cfg.deg_s < 0:
+        raise DomainError("need deg_s >= 0")
+
+
 def cmd_dwork(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
+    _refuse_negative_deg_s(cfg)
     n_pi = _prec_t(cfg)
     B = _resolve_basis(cfg, n_pi)
     Mx = psi_a_matrix(f, B, cfg.prec_p, n_pi)
@@ -358,6 +365,8 @@ def cmd_dwork(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
 def cmd_verify(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
     if cfg.what not in VERIFY_TARGETS:
         raise _UsageError(f"verify target {cfg.what!r} is not one of {', '.join(VERIFY_TARGETS)}")
+    if cfg.what in ("char", "all"):
+        _refuse_negative_deg_s(cfg)
     n_pi = _prec_t(cfg)
     B = _resolve_basis(cfg, n_pi)
     Mx = psi_a_matrix(f, B, cfg.prec_p, n_pi)

@@ -384,10 +384,11 @@ def _kernel_product(dd, ctx: FieldContext, factors, prec: int, budget: dict):
     the given (c, u_reduced) factors, for each reduced exponent v of
     `budget`.
 
-    Returns {v: ZqPi on the integer pi-grid with cap budget[v]}, leaving
-    out the v whose coefficient vanishes mod pi^budget[v].  Every factor is
-    known mod pi^C for C the largest budget, and so is every coefficient of
-    the product; the budgets only say which of its digits are wanted.
+    Returns {v: {j: coefficient of pi^j}} for j < budget[v], scalars as in
+    _ZqScalars(ctx, prec), leaving out zero digits and the v whose
+    coefficient vanishes mod pi^budget[v].  Every factor is known mod pi^C
+    for C the largest budget, and so is every coefficient of the product;
+    the budgets only say which of its digits are wanted.
 
     A factor term pi^m x^(m*u) moves a coefficient of x^v at pi^j to x^(v +
     m*u) at pi^(j + m), so a key j at state v after factor i can only reach
@@ -398,9 +399,7 @@ def _kernel_product(dd, ctx: FieldContext, factors, prec: int, budget: dict):
     each of them its budget and the terms that lead somewhere; the
     arithmetic pass multiplies only the keys below those budgets.  Every
     key it drops has all its descendants at or past their budgets, so the
-    wanted digits come out as the full expansion's.  The budgets need no
-    degree invariant, so the x^p factors of the a = 2 product, which break
-    _pi0_layer's, are pruned as well as the factors of f.
+    wanted digits come out as the full expansion's.
     """
     if not budget:
         return {}
@@ -462,11 +461,7 @@ def _kernel_product(dd, ctx: FieldContext, factors, prec: int, budget: dict):
             ser = {k: x for k, x in ser.items() if not is_zero(x)}
             if ser:
                 acc[v] = ser
-    tt = sc.to_tuple
-    return {
-        v: ZqPi(ctx, prec, budget[v], {k: tt(x) for k, x in ser.items()}, den=1)
-        for v, ser in acc.items()
-    }
+    return acc
 
 
 def _grid(x: Fraction, D: int) -> int:
@@ -488,54 +483,6 @@ def _lifted_factors(f: LaurentPoly, dd, prec: int, power_of_p: int = 0):
         scale = ctx.p**power_of_p
         out.append((t, tuple(scale * x for x in ur)))
     return out
-
-
-def _pi0_layer(dd, ctx: FieldContext, factors, prec: int, top: int):
-    """The pi^0 layer of the alphas of prod E(pi * c * x^u) over factors of f
-    itself: {v: coefficient of pi^(g(v)/D) x^v} for the v with
-    g(v) <= top, where g = D*deg is the grid degree; scalars as in
-    _ZqScalars(ctx, prec).
-
-    A factor term pi^m x^(m*u) has g(m*u) <= m*D and g is subadditive, so
-    j*D - g(v) never decreases along the product.  A term with j*D > g(v)
-    can never reach the layer and is dropped, with the rest of its factor's
-    terms; a term with j*D < g(v) means the expansion and the degree
-    function disagree, a bug worth crashing on.  Each kept v thus holds one
-    scalar, the coefficient at j = g(v)/D.  The x^p factors of the transfer
-    matrix's a = 2 product add up to p*m*D to g per pi^m and break the
-    invariant; _kernel_product prunes by digit budgets instead.
-    """
-    D = dd.D
-    sc = _ZqScalars(ctx, prec)
-    mul, add, is_zero = sc.mul, sc.add, sc.is_zero
-    grid = {}
-    ah = artin_hasse(ctx.p, top // D + 1)
-    acc = {(0,) * dd.rank: (0, sc.one)}  # v -> (g(v), coefficient)
-    for c, u in factors:
-        terms = sorted(e_factor(ah, ctx, c, prec, ah.cap).coeffs.items())
-        terms = [(m, sc.from_tuple(t)) for m, t in terms]
-        new = {}
-        for v, (g, s) in acc.items():
-            for m, t in terms:
-                jD = g + m * D
-                if jD > top:
-                    break
-                v2 = tuple(x + m * y for x, y in zip(v, u))
-                g2 = grid.get(v2)
-                if g2 is None:
-                    g2 = grid[v2] = dd.grid_degree(v2)
-                if jD < g2:
-                    raise IntegralityError(
-                        f"kernel term pi^{Fraction(jD, D)} x^{v2} lies below "
-                        f"its degree {Fraction(g2, D)}"
-                    )
-                if jD > g2:
-                    break
-                x = mul(s, t)
-                held = new.get(v2)
-                new[v2] = (g2, x if held is None else add(held[1], x))
-        acc = {v: gs for v, gs in new.items() if not is_zero(gs[1])}
-    return {v: x for v, (_, x) in acc.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +599,7 @@ def psi_a_matrix(f: LaurentPoly, B: int, M: int, N_pi: int) -> DworkMatrix:
             if top > budget.get(v, 0):
                 budget[v] = top
     raw = _kernel_product(dd, ctx, factors, M, budget)
+    tt = _ZqScalars(ctx, M).to_tuple
     zero_row = ZqPi(ctx, M, N_pi * D, {}, den=D)
     rows = []
     for w, ew, row_cells in zip(basis, grid, cells):
@@ -662,25 +610,18 @@ def psi_a_matrix(f: LaurentPoly, B: int, M: int, N_pi: int) -> DworkMatrix:
             if ser is None:
                 row.append(zero_row)
                 continue
-            lead_raw = ser.ord_key()
-            if lead_raw is not None and lead_raw * D + eu - ew < bound:
+            lead_raw = min(ser)
+            if lead_raw * D + eu - ew < bound:
                 raise TheoremViolation(
                     f"entry at row {w}, column {u} has ord "
                     f"{Fraction(lead_raw * D + eu - ew, D)} below the valuation "
                     f"pattern bound {Fraction(bound, D)}"
                 )
-            # ser re-gridded to 1/D and shifted by pi^(deg u - deg w) in one
-            # construction; the bound above keeps every shifted key >= 0
+            # ser, known mod pi^budget[v], re-gridded to 1/D and shifted by
+            # pi^(deg u - deg w); the bound above keeps every key >= 0
             shift = eu - ew
-            row.append(
-                ZqPi(
-                    ctx,
-                    M,
-                    min(ser.cap * D + shift, N_pi * D),
-                    {j * D + shift: t for j, t in ser.coeffs.items()},
-                    den=D,
-                )
-            )
+            cap = min(budget[v] * D + shift, N_pi * D)
+            row.append(ZqPi(ctx, M, cap, {j * D + shift: tt(t) for j, t in ser.items()}, den=D))
         rows.append(tuple(row))
     return DworkMatrix(
         p=p,
@@ -714,6 +655,8 @@ def _series_rows(Mx: DworkMatrix):
 def char_series(Mx: DworkMatrix, deg_s: int) -> SSeries:
     """det(1 - Mx*s) up to s^deg_s, coefficients certified to the matrix's
     spectral cap."""
+    if deg_s < 0:
+        raise DomainError("need deg_s >= 0")
     if deg_s > Mx.dim:
         raise DomainError(f"deg_s={deg_s} exceeds the matrix dimension {Mx.dim}")
     ring, rows = _series_rows(Mx)
@@ -890,9 +833,10 @@ def _criterion_data(f: LaurentPoly, dd, K: int, M: int) -> _Criterion:
     """The reduced criterion matrix on the points of degree <= K/D.
 
     The entry at (w, u) is alpha_(p*w - u) mod pi^(1/D) on the cofacial
-    cells (defect 0) and zero elsewhere; those alphas are the pi^0 layer of
-    the kernel product, expanded only up to the largest grid degree the
-    cofacial cells need.
+    cells (defect 0) and zero elsewhere.  alpha_v mod pi^(1/D) is the
+    coefficient of pi^deg(v) x^v in the kernel product, so _kernel_product
+    gives each cofacial v a budget one digit past its degree and the cell
+    reads that last digit.
     """
     ctx = f.ctx
     p, D = ctx.p, dd.D
@@ -901,6 +845,8 @@ def _criterion_data(f: LaurentPoly, dd, K: int, M: int) -> _Criterion:
     grid = tuple(_grid(d, D) for _, d in cone)
     defects = []
     cells = []  # (row, column, p*w - u) of the cofacial cells
+    # a cofacial v off the 1/D grid has no digit at pi^(g(v)/D): zero cell
+    budget = {}
     for i, (w, gw) in enumerate(zip(pts, grid)):
         row = []
         for j, (u, gu) in enumerate(zip(pts, grid)):
@@ -908,19 +854,32 @@ def _criterion_data(f: LaurentPoly, dd, K: int, M: int) -> _Criterion:
             if not dd.in_cone_reduced(v):
                 row.append(None)
                 continue
-            defect = dd.grid_degree(v) + gu - p * gw
+            g = dd.grid_degree(v)
+            defect = g + gu - p * gw
             assert defect >= 0
             row.append(defect)
             if defect == 0:
                 cells.append((i, j, v))
+                if g % D == 0:
+                    budget[v] = g // D + 1
         defects.append(tuple(row))
-    # the cell (0, 0) is cofacial, so the max is over a nonempty set
-    top = max(p * grid[i] - grid[j] for i, j, _ in cells)
-    layer = _pi0_layer(dd, ctx, _lifted_factors(f, dd, M), M, top)
+    factors = _lifted_factors(f, dd, M)
+    digits = _kernel_product(dd, ctx, factors, M, budget)
     sc = _ZqScalars(ctx, M)
     mat = [[sc.zero] * len(pts) for _ in pts]
     for i, j, v in cells:
-        mat[i][j] = layer.get(v, sc.zero)
+        if v in digits:
+            k, low = budget[v] - 1, min(digits[v])
+            if low < k:
+                raise IntegralityError(f"kernel term pi^{low} x^{v} lies below its degree {k}")
+            mat[i][j] = digits[v].get(k, sc.zero)
+    # g is subadditive, so a term below its degree that reaches no cell
+    # comes from a factor term pi x^u of degree above 1 (checked after the
+    # cells, which name the term itself)
+    for _, u in factors:
+        deg = Fraction(dd.grid_degree(u), D)
+        if deg > 1:
+            raise IntegralityError(f"kernel factor x^{u} has degree {deg} above 1")
     return _Criterion(pts=pts, grid=grid, defects=tuple(defects), sc=sc, mat=mat)
 
 

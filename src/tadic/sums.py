@@ -613,10 +613,13 @@ def np_report(f: LaurentPoly, m_list, deg_s: int, M: int, N: int) -> NPReport:
     np_pi = {}
     per_m = {}
     for m in sorted(set(m_list)):
-        cyc = CycContext(p, m)
-        prec_out = min(M, N // cyc.e)
+        # checked before specialize builds Z_p[pi], of degree e over Z_p
+        if m < 1:
+            raise DomainError("character level m must be >= 1")
+        e = p ** (m - 1) * (p - 1)
+        prec_out = min(M, N // e)
         if prec_out < 1:
-            raise PrecisionError(f"T-cap {N} below one pi-digit (e={cyc.e}) at m={m}")
+            raise PrecisionError(f"T-cap {N} below one pi-digit (e={e}) at m={m}")
         P = polygon_from_sseries(specialize(C, m, prec_out), ray=ray, lower=hp_floor)
         np_pi[m] = P
         per_m[m] = {"rigid": _flag_equal(P, np_t), "ordinary": _flag_equal(P, hp)}
@@ -730,13 +733,14 @@ def congruence_check(
         raise DomainError("k range must be positive")
     if dd.rank < f.n:
         raise DomainError("degree bound needs full-dimensional support")
-    g = congruence_modulus(p, m)
     applicable = [k for k in ks if k > bound]
     tail = 0
     checks = []
     if applicable:
         L = l_function(f, max(applicable), M, N)
         P = L if n % 2 else L.inverse()
+        # p^m binomials: built only once l_function has passed its size checks
+        g = congruence_modulus(p, m)
         tail = _tail_ord_floor(g, N, p)
         eff = min(M, tail)
         pm_eff = p**eff
@@ -755,7 +759,7 @@ def congruence_check(
     return CongruenceReport(
         m=m,
         degree_bound=bound,
-        modulus_degree=len(g) - 1,
+        modulus_degree=p**m - 1,
         tail_floor=tail,
         checks=tuple(checks),
         nondegenerate=nd,

@@ -647,6 +647,7 @@ def _alpha_map(f, dd, B_grid: int, M: int, N_pi: int):
     raw = _kernel_product(
         dd, f.ctx, _lifted_factors(f, dd, M), M, {ur: cap_raw for ur, _ in pts}
     )
+    tt = _ZqScalars(f.ctx, M).to_tuple
     out = {}
     for ur, deg in pts:
         e = _grid(deg, D)
@@ -654,6 +655,7 @@ def _alpha_map(f, dd, B_grid: int, M: int, N_pi: int):
         if ser is None:
             out[ur] = ZqPi(f.ctx, M, N_pi * D, {}, den=D)
             continue
+        ser = ZqPi(f.ctx, M, cap_raw, {j: tt(x) for j, x in ser.items()}, den=1)
         alpha = shift(ser.rescale_den(D), -e)
         out[ur] = with_cap(alpha, min(alpha.cap, N_pi * D))
     return out

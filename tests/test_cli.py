@@ -340,6 +340,26 @@ class TestExitCodes:
             assert code == 1 and doc["error"]["type"] == "DomainError"
             assert f"{limit} limit" in doc["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "target, args, message",
+        [
+            ("congruence_modulus", ["congruence", "x1", "--p", "3", "--m", "6"], "field-size limit"),
+            ("CycContext", ["np", "x1", "--p", "3", "--m", "3", "--deg-s", "1"], "below one pi-digit"),
+        ],
+        ids=["congruence modulus", "np ring"],
+    )
+    def test_level_checks_fail_before_the_level_ring(
+        self, target, args, message, capsys, monkeypatch
+    ):
+        # the level-m objects have size p^m: nothing of that size is built
+        # before the checks that refuse the level
+        def refuse(*args):
+            raise AssertionError(f"{target} built before the size check")
+
+        monkeypatch.setattr(sums, target, refuse)
+        code, doc = run_json(args, capsys)
+        assert code in (1, 2) and message in doc["error"]["message"]
+
     def test_operator_dimension_limit_fails_before_any_kernel(self, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("kernel expanded before the dimension check")
@@ -360,7 +380,6 @@ class TestExitCodes:
             raise AssertionError("criterion work started before the dimension check")
 
         monkeypatch.setattr(dwork, "_kernel_product", refuse)
-        monkeypatch.setattr(dwork, "_pi0_layer", refuse)
         monkeypatch.setattr(dwork, "_leading_minors", refuse)
         for depth, dim in (("7", "85"), ("8", "109"), ("100000000", "at least")):
             code, doc = run_json(
@@ -378,6 +397,8 @@ class TestExitCodes:
             ["dwork", "x1", "--p", "3", "--basis", "-1"],
             ["dwork", "x1", "--p", "3", "--prec-p", "0"],
             ["verify", "x1", "--p", "3", "--prec-t", "0"],
+            ["dwork", "x1", "--p", "3", "--deg-s", "-1"],
+            ["verify", "x1", "--p", "3", "--deg-s", "-1"],
         ],
         ids=" ".join,
     )
@@ -388,10 +409,11 @@ class TestExitCodes:
             raise AssertionError("kernel expanded before the range check")
 
         monkeypatch.setattr(dwork, "_kernel_product", refuse)
-        monkeypatch.setattr(dwork, "_pi0_layer", refuse)
         code, doc = run_json(args, capsys)
         assert code == 1 and doc["error"]["type"] == "DomainError"
-        assert "job needs" in doc["error"]["message"]
+        # a negative --deg-s gets the sums route's words
+        want = "need deg_s >= 0" if "--deg-s" in args else "job needs"
+        assert want in doc["error"]["message"]
 
     def test_unbounded_cone_box_fails_before_the_scan(self, capsys, monkeypatch):
         def refuse(*args):
