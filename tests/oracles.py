@@ -70,7 +70,6 @@ from tadic.dwork import (
     ZqPi,
     _cone_prefix,
     _grid,
-    _kernel_product,
     _lifted_factors,
     _ZqScalars,
     artin_hasse,
@@ -644,10 +643,7 @@ def _alpha_map(f, dd, B_grid: int, M: int, N_pi: int):
     D = dd.D
     cap_raw = N_pi + math.ceil(Fraction(B_grid, D)) + 1
     pts = dd.cone_points_upto(B_grid)
-    raw = _kernel_product(
-        dd, f.ctx, _lifted_factors(f, dd, M), M, {ur: cap_raw for ur, _ in pts}
-    )
-    tt = _ZqScalars(f.ctx, M).to_tuple
+    raw = full_kernel_product(dd, f.ctx, _lifted_factors(f, dd, M), M, cap_raw)
     out = {}
     for ur, deg in pts:
         e = _grid(deg, D)
@@ -655,7 +651,6 @@ def _alpha_map(f, dd, B_grid: int, M: int, N_pi: int):
         if ser is None:
             out[ur] = ZqPi(f.ctx, M, N_pi * D, {}, den=D)
             continue
-        ser = ZqPi(f.ctx, M, cap_raw, {j: tt(x) for j, x in ser.items()}, den=1)
         alpha = shift(ser.rescale_den(D), -e)
         out[ur] = with_cap(alpha, min(alpha.cap, N_pi * D))
     return out

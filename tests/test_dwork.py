@@ -742,6 +742,20 @@ class TestFacialCriterion:
         with pytest.raises(DomainError, match="criterion job needs M >= 1"):
             criterion(poly(SPERBER, p=3), 3, 0)
 
+    @pytest.mark.parametrize("criterion", [ordinariness_determinants, facial_criterion])
+    def test_factor_above_degree_one_raises(self, criterion, monkeypatch):
+        # at K = 0 the only cell is the origin, which the doubled term
+        # pi x^(2u) never reaches: the factor check alone must catch it
+        lifted = dwork._lifted_factors
+
+        def doubled(*args):
+            (c, u), *rest = lifted(*args)
+            return [(c, tuple(2 * x for x in u)), *rest]
+
+        monkeypatch.setattr(dwork, "_lifted_factors", doubled)
+        with pytest.raises(IntegralityError, match="above 1"):
+            criterion(poly(SPERBER, p=3), 0, 4)
+
     def test_sperber_faces(self):
         fr = facial_criterion(poly(SPERBER, p=3), 3, 4)
         assert all(fr.whole.verdicts) and all(fr.conjunction)
