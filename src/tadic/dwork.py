@@ -26,7 +26,7 @@ from fractions import Fraction
 from .arith import FieldContext, teichmuller_lift
 from .errors import DomainError, IntegralityError, PrecisionError, TheoremViolation
 from .polytope import LaurentPoly, newton_data, restrict_to_face, saturated_span_basis
-from .series import SSeries, TSeries, _SparseSeries
+from .series import SSeries, TSeries, _SparseSeries, vp
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +174,15 @@ class _ZqScalars:
 
     The ring interface the determinant kernel uses is zero, one, mul, add,
     neg and is_zero; zero absorbs products and vanishes from sums, so the
-    kernel may skip it.
+    kernel may skip it.  Elimination adds ord (the least valuation over the
+    coordinates, Z_q being unramified), shr (exact division by p^k) and
+    unit_inv.
     """
 
     def __init__(self, ctx: FieldContext, prec: int):
-        pm = ctx.p**prec
+        p = ctx.p
+        pm = p**prec
+        self.prec = prec
         if ctx.a == 1:
             self.zero, self.one = 0, 1
             self.mul = lambda x, y: x * y % pm
@@ -187,6 +191,9 @@ class _ZqScalars:
             self.is_zero = operator.not_
             self.from_tuple = lambda t: t[0]
             self.to_tuple = lambda x: (x,)
+            self.ord = lambda x: vp(x, p)
+            self.shr = lambda x, k: x // p**k
+            self.unit_inv = lambda x: pow(x, -1, pm)
         else:
             self.zero = (0,) * ctx.a
             self.one = embed_int(ctx, 1, prec)
@@ -209,6 +216,21 @@ class _ZqScalars:
             # every scalar is reduced, so zero is the one all-zero tuple
             self.is_zero = self.zero.__eq__
             self.from_tuple = self.to_tuple = lambda t: t
+            self.ord = lambda x: min(vp(c, p) for c in x if c)
+            self.shr = lambda x, k: tuple(c // p**k for c in x)
+            two = embed_int(ctx, 2, prec)
+
+            def unit_inv(x):
+                # the inverse mod p in F_q, then Newton's y <- y*(2 - x*y),
+                # which doubles the p-digits it is right to
+                y = ctx.inv(tuple(c % p for c in x))
+                k = 1
+                while k < prec:
+                    y = self.mul(y, self.add(two, self.neg(self.mul(x, y))))
+                    k *= 2
+                return y
+
+            self.unit_inv = unit_inv
 
 
 class _PiSeries:
@@ -281,6 +303,10 @@ def _berkowitz(ring, rows, keep: int):
     reads the Toeplitz entries only up to index min(r, keep), so it forms
     min(r, keep) - 1 of the s_j.  Products with the ring's
     zero are skipped, and rows are walked through their nonzero entries.
+    When the part of the row left of the diagonal or the part of the column
+    above it holds only that zero, every s_j is that zero, which the
+    convolution skips, so they are not formed.  Over _PiSeries clamped at
+    the spectral cap this drops every row w with (p-1)*deg(w) >= the cap.
     """
     mul, add, neg, is_zero = ring.mul, ring.add, ring.neg, ring.is_zero
     zero, one = ring.zero, ring.one
@@ -303,8 +329,8 @@ def _berkowitz(ring, rows, keep: int):
         w = r - 1
         top = min(r, keep)
         toep = [one, neg(rows[w][w])]
-        if w:
-            col = [rows[i][w] for i in range(w)]
+        col = [rows[i][w] for i in range(w)]
+        if sparse[w] and sparse[w][0][0] < w and not all(map(is_zero, col)):
             for j in range(top - 1):
                 toep.append(neg(dot(sparse[w], col, w)))
                 if j + 2 < top:
@@ -327,13 +353,61 @@ def _berkowitz(ring, rows, keep: int):
         yield cv
 
 
-def _leading_minors(sc: _ZqScalars, rows):
-    """det of every leading r x r block, r = 0..n, from one Berkowitz pass:
-    det(A_r) = (-1)^r [s^r] det(1 - A_r*s)."""
-    dets = [sc.one]
-    for r, cv in enumerate(_berkowitz(sc, rows, len(rows)), 1):
-        dets.append(sc.neg(cv[r]) if r % 2 else cv[r])
-    return dets
+def _det_mod(sc: _ZqScalars, rows):
+    """det of a square matrix over Z_q mod p^prec, by elimination.
+
+    Each step takes a pivot p^v * unit of least valuation v in the remaining
+    block, so every entry of the block is divisible by p^v.  An entry c of
+    the pivot column is cleared with the multiplier (c / p^v) * unit^-1,
+    known mod p^(prec - v); it only multiplies pivot-row entries divisible by
+    p^v, so the Schur complement is exact mod p^prec.  det = +-(product of
+    the pivots) * det(what is left), which is zero once the pivots'
+    valuations reach prec or the block vanishes.
+    """
+    mul, add, neg, is_zero, ord_, shr = sc.mul, sc.add, sc.neg, sc.is_zero, sc.ord, sc.shr
+    a = [list(row) for row in rows]
+    n = len(a)
+    det, spent = sc.one, 0
+    for k in range(n):
+        best = None
+        block = (
+            (ord_(x), i, j) for i in range(k, n) for j, x in enumerate(a[i][k:], k) if not is_zero(x)
+        )
+        for cand in block:
+            if best is None or cand[0] < best[0]:
+                best = cand
+                if not cand[0]:  # a unit: nothing lower
+                    break
+        if best is None:
+            return sc.zero
+        v, i, j = best
+        spent += v
+        if spent >= sc.prec:
+            return sc.zero
+        if i != k:
+            a[i], a[k] = a[k], a[i]
+            det = neg(det)
+        if j != k:
+            for row in a[k:]:
+                row[j], row[k] = row[k], row[j]
+            det = neg(det)
+        prow = a[k]
+        det = mul(det, prow[k])
+        inv = neg(sc.unit_inv(shr(prow[k], v)))
+        tail = [(j, y) for j, y in enumerate(prow[k + 1 :], k + 1) if not is_zero(y)]
+        for row in a[k + 1 :]:
+            c = row[k]
+            if is_zero(c):
+                continue
+            fac = mul(shr(c, v), inv)
+            for j, y in tail:
+                row[j] = add(row[j], mul(fac, y))
+    return det
+
+
+def _cutoff_dets(sc: _ZqScalars, mat, sizes):
+    """{r: det of the leading r x r block of mat} for each r in sizes."""
+    return {r: _det_mod(sc, [row[:r] for row in mat[:r]]) for r in set(sizes)}
 
 
 def e_factor(ah: ArtinHasse, ctx: FieldContext, c, prec: int, cap: int) -> ZqPi:
@@ -527,9 +601,13 @@ class DworkMatrix:
         return -(-self.cert_cap() // self.D)
 
 
-# hard ceilings on the operator basis size and on the criterion matrix;
-# the determinant work grows like dim^3 * deg_s for the first and like
-# dim^4 for the second's leading minors
+# hard ceilings on the operator basis size and on the criterion matrix.
+# Berkowitz grows like dim^3 * deg_s, less the rows past the spectral cap;
+# the criterion takes one elimination, about dim^3, per degree cutoff, and
+# in-process on a 2-vCPU VM the simplex at p = 3 runs `faces` in 42 ms at
+# 64 points (depth 6) and 86 ms at 109 (depth 8), where all leading minors
+# by Berkowitz took 1.24 s at depth 8.  The criterion limit stays at the 64
+# it was set to under that dim^4 cost until one cost model sets them all.
 DIM_LIMIT = 150
 CRITERION_DIM_LIMIT = 64
 
@@ -843,22 +921,33 @@ def _criterion_data(f: LaurentPoly, dd, K: int, M: int) -> _Criterion:
     cone = _cone_prefix(dd, K, CRITERION_DIM_LIMIT, "criterion matrix", "criterion dimension limit")
     pts = tuple(ur for ur, _ in cone)
     grid = tuple(_grid(d, D) for _, d in cone)
+
+    def values(normals):
+        return [[sum(a * b for a, b in zip(nv, ur)) for nv in normals] for ur in pts]
+
+    # <n, p*w - u> = p*<n, w> - <n, u>: the facet values of each point, once,
+    # give the cone test (through-origin facets) and g (grid normals) of
+    # every cell
+    height = values(dd.grid_normals)
+    through = values([fc.normal for fc in dd.facets_origin])
     defects = []
     cells = []  # (row, column, p*w - u) of the cofacial cells
     # a cofacial v off the 1/D grid has no digit at pi^(g(v)/D): zero cell
     budget = {}
     for i, (w, gw) in enumerate(zip(pts, grid)):
+        ph = [p * x for x in height[i]]
+        po = [p * x for x in through[i]]
         row = []
-        for j, (u, gu) in enumerate(zip(pts, grid)):
-            v = tuple(p * x - y for x, y in zip(w, u))
-            if not dd.in_cone_reduced(v):
+        for j, (hu, ou, gu) in enumerate(zip(height, through, grid)):
+            if any(map(operator.gt, po, ou)):
                 row.append(None)
                 continue
-            g = dd.grid_degree(v)
+            g = max(0, *map(operator.sub, ph, hu))
             defect = g + gu - p * gw
             assert defect >= 0
             row.append(defect)
             if defect == 0:
+                v = tuple(p * x - y for x, y in zip(w, pts[j]))
                 cells.append((i, j, v))
                 if g % D == 0:
                     budget[v] = g // D + 1
@@ -883,17 +972,19 @@ def _criterion_data(f: LaurentPoly, dd, K: int, M: int) -> _Criterion:
     return _Criterion(pts=pts, grid=grid, defects=tuple(defects), sc=sc, mat=mat)
 
 
-def _report(dd, crit: _Criterion, minors, K: int, M: int) -> OrdinarinessReport:
-    """Per-cutoff verdicts from the leading minors: the points of degree
-    <= k/D are a prefix of the (degree, lex) order."""
+def _report(dd, crit: _Criterion, K: int, M: int):
+    """Per-cutoff verdicts and the determinant at each cutoff size: the
+    points of degree <= k/D are a prefix of the (degree, lex) order."""
     sizes = tuple(sum(1 for g in crit.grid if g <= k) for k in range(K + 1))
-    return OrdinarinessReport(
+    dets = _cutoff_dets(crit.sc, crit.mat, sizes)
+    rep = OrdinarinessReport(
         K=K,
         D=dd.D,
         M=M,
         block_sizes=sizes,
-        verdicts=tuple(not crit.sc.is_zero(minors[r]) for r in sizes),
+        verdicts=tuple(not crit.sc.is_zero(dets[r]) for r in sizes),
     )
+    return rep, dets
 
 
 def ordinariness_determinants(f: LaurentPoly, K: int, M: int) -> OrdinarinessReport:
@@ -910,8 +1001,7 @@ def ordinariness_determinants(f: LaurentPoly, K: int, M: int) -> OrdinarinessRep
     if M < 1:
         raise DomainError("criterion job needs M >= 1")
     dd = newton_data(f)
-    crit = _criterion_data(f, dd, K, M)
-    return _report(dd, crit, _leading_minors(crit.sc, crit.mat), K, M)
+    return _report(dd, _criterion_data(f, dd, K, M), K, M)[0]
 
 
 @dataclass(frozen=True)
@@ -944,8 +1034,7 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
     dd = newton_data(f)
     crit = _criterion_data(f, dd, K, M)
     pts, grid, sc, mat = crit.pts, crit.grid, crit.sc, crit.mat
-    minors = _leading_minors(sc, mat)
-    whole = _report(dd, crit, minors, K, M)
+    whole, dets = _report(dd, crit, K, M)
 
     # open facial cone of each basis point: carrier facets + face dimension
     carriers = [_carrier(dd, ur, g) if g > 0 else None for ur, g in zip(pts, grid)]
@@ -976,13 +1065,17 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
             )
 
     # each open cone's points, in basis order, so every degree cutoff takes
-    # a prefix of each block and one pass gives all the block minors
+    # a prefix of each block
     blocks = {}
     for i, c in enumerate(carriers):
         if c is not None:
             blocks.setdefault(c, []).append(i)
-    block_minors = {
-        c: _leading_minors(sc, [[mat[i][j] for j in idx] for i in idx])
+    block_dets = {
+        c: _cutoff_dets(
+            sc,
+            [[mat[i][j] for j in idx] for i in idx],
+            [sum(1 for i in idx if grid[i] <= k) for k in range(K + 1)],
+        )
         for c, idx in blocks.items()
     }
 
@@ -996,7 +1089,7 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
             r = sum(1 for i in idx if grid[i] <= k)
             if r == 0 or (facet is not None and facet not in c):
                 continue
-            dblk = block_minors[c][r]
+            dblk = block_dets[c][r]
             all_nonzero = all_nonzero and not sc.is_zero(dblk)
             prod = sc.mul(prod, dblk)
         return prod, all_nonzero
@@ -1004,7 +1097,7 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
     conjunction = []
     for k in range(K + 1):
         prod, blocks_ok = block_product(k)
-        if minors[whole.block_sizes[k]] != prod:
+        if dets[whole.block_sizes[k]] != prod:
             raise TheoremViolation(
                 f"cutoff {k}: whole determinant differs from the product of "
                 "its facial blocks"
@@ -1024,8 +1117,7 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
         dd_face = newton_data(f_face)
         K_face = int(Fraction(K, dd.D) * dd_face.D)
         crit_f = _criterion_data(f_face, dd_face, K_face, M)
-        minors_f = _leading_minors(sc, crit_f.mat)
-        rep = _report(dd_face, crit_f, minors_f, K_face, M)
+        rep, dets_f = _report(dd_face, crit_f, K_face, M)
         facet_index = next(
             i
             for i, fc in enumerate(dd.facets_height)
@@ -1037,7 +1129,7 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
             if off_grid or k > K:
                 continue
             prod, _ = block_product(k, facet_index)
-            if minors_f[rep.block_sizes[k_face]] != prod:
+            if dets_f[rep.block_sizes[k_face]] != prod:
                 raise TheoremViolation(
                     f"face {face.cuts[0]}: criterion determinant at cutoff "
                     f"{k_face} (its grid) differs from the matching blocks "

@@ -6,8 +6,10 @@ Gaussian elimination, so polytope degrees and weights can be cross-checked
 against a second code path.  The determinant references either expand over
 permutations or run every ring operation through ZqPi objects, skipping
 nothing, where the library's kernel works on bare scalars and series.  The
-torus reference visits every point, with neither the library's row walk
-nor its Frobenius-orbit reduction.  The binomial reference builds every
+leading-minor reference reads every leading minor off one division-free
+Berkowitz pass, where the library eliminates with valuation pivots once
+per degree cutoff.  The torus reference visits every point, with neither
+the library's row walk nor its Frobenius-orbit reduction.  The binomial reference builds every
 falling factorial trace by trace, where the library goes through power
 moments and Stirling numbers.  The quotient-ring references multiply
 polynomials in full and long-divide by the modulus, where the library
@@ -237,6 +239,16 @@ def oracle_det(ctx, prec, grid):
             term = tuple(-c % pm for c in term)
         total = ctx.zq_add(total, term, prec)
     return total
+
+
+def leading_minors(sc, rows):
+    """det of every leading r x r block, r = 0..n, over _ZqScalars `sc`,
+    from one division-free Berkowitz pass: det(A_r) = (-1)^r [s^r]
+    det(1 - A_r*s)."""
+    dets = [sc.one]
+    for r, cv in enumerate(dwork._berkowitz(sc, rows, len(rows)), 1):
+        dets.append(sc.neg(cv[r]) if r % 2 else cv[r])
+    return dets
 
 
 def oracle_recurrence_trace_table(big, prec):

@@ -380,7 +380,7 @@ class TestExitCodes:
             raise AssertionError("criterion work started before the dimension check")
 
         monkeypatch.setattr(dwork, "_kernel_product", refuse)
-        monkeypatch.setattr(dwork, "_leading_minors", refuse)
+        monkeypatch.setattr(dwork, "_det_mod", refuse)
         for depth, dim in (("7", "85"), ("8", "109"), ("100000000", "at least")):
             code, doc = run_json(
                 ["faces", "x1+x2+x1^-1*x2^-1", "--p", "3", "--hodge-depth", depth], capsys

@@ -19,7 +19,9 @@ from tadic.dwork import (
     OrdinarinessReport,
     ZqPi,
     _criterion_data,
-    _leading_minors,
+    _cutoff_dets,
+    _det_mod,
+    _PiSeries,
     _ZqScalars,
     artin_hasse,
     char_c_crosscheck,
@@ -38,9 +40,11 @@ from tadic.polytope import LaurentPoly, newton_data, restrict_to_face
 from tadic.sums import np_report
 
 from oracles import (
+    cofacial_defect,
     criterion_matrix,
     e_f_expansion,
     full_kernel_product,
+    leading_minors,
     oracle_berkowitz,
     oracle_det,
     oracle_exp_fractions,
@@ -350,7 +354,9 @@ def zq_tuples(draw, ctx, M):
 @st.composite
 def sparse_operators(draw):
     """A DworkMatrix with random sparse entries: den > 1, entry caps below,
-    at and above the spectral cap K, and zero entries of every cap."""
+    at and above the spectral cap K, and zero entries of every cap.  Some
+    whole rows and columns, anywhere, are blanked with one zero: of cap >= K
+    (the kernel's absorbing zero) in some draws, of cap < K in others."""
     ctx = CONTEXTS[draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2]))]
     M = 2
     D = draw(st.sampled_from([2, 3]))
@@ -358,15 +364,22 @@ def sparse_operators(draw):
     B = draw(st.integers(0, 3))
     n = draw(st.integers(1, 5))
     top = N_pi * D + 2
+    K = min(N_pi * D, (ctx.p - 1) * (B * D + 1))
+    blank_rows = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    blank_cols = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    blank_cap = top if draw(st.booleans()) else draw(st.integers(1, max(1, K - 1)))
     rows = []
-    for _ in range(n):
+    for i in range(n):
         row = []
-        for _ in range(n):
+        for j in range(n):
+            if i in blank_rows or j in blank_cols:
+                row.append(ZqPi(ctx, M, blank_cap, {}, den=D))
+                continue
             cap = draw(st.integers(1, top))
             coeffs = {}
             if draw(st.booleans()):
                 keys = draw(st.lists(st.integers(0, top), max_size=3))
-                coeffs = {j: draw(zq_tuples(ctx, M)) for j in keys}
+                coeffs = {k: draw(zq_tuples(ctx, M)) for k in keys}
             row.append(ZqPi(ctx, M, cap, coeffs, den=D))
         rows.append(tuple(row))
     points = tuple((i,) for i in range(n))  # only entries and caps matter
@@ -387,6 +400,26 @@ def sparse_operators(draw):
 
 def _bare(z):
     return z.cap, z.prec, z.den, z.coeffs
+
+
+@st.composite
+def valued_matrices(draw, max_n):
+    """(ctx, M, grid): an n x n matrix of Z_q tuples p^k * unit mod p^M with
+    k <= M (k = M is zero), p <= 3, a <= 2, M <= 4, so non-unit pivots,
+    singular prefixes and all-zero blocks all occur."""
+    ctx = CONTEXTS[draw(st.sampled_from(sorted(CONTEXTS)))]
+    M = draw(st.integers(1, 4))
+    n = draw(st.integers(0, max_n))
+    p, pm = ctx.p, ctx.p**M
+    residues = st.integers(1, ctx.q - 1).map(ctx.decode)
+    lifts = st.tuples(*[st.integers(0, pm // p - 1)] * ctx.a)
+
+    def entry():
+        k = draw(st.integers(0, M))
+        unit = (r + p * s for r, s in zip(draw(residues), draw(lifts)))
+        return tuple(p**k * c % pm for c in unit)
+
+    return ctx, M, [[entry() for _ in range(n)] for _ in range(n)]
 
 
 class TestBerkowitzKernel:
@@ -416,9 +449,70 @@ class TestBerkowitzKernel:
         M = 2
         grid = [[data.draw(zq_tuples(ctx, M)) for _ in range(n)] for _ in range(n)]
         sc = _ZqScalars(ctx, M)
-        minors = _leading_minors(sc, [[sc.from_tuple(t) for t in row] for row in grid])
+        minors = leading_minors(sc, [[sc.from_tuple(t) for t in row] for row in grid])
         want = [oracle_det(ctx, M, [row[:r] for row in grid[:r]]) for r in range(n + 1)]
         assert [sc.to_tuple(d) for d in minors] == want
+
+    def test_rows_past_the_spectral_cap_form_no_product(self):
+        # rows w with (p-1)*deg(w) >= the cap clamp to the absorbing zero;
+        # appended to the block before them, with their nonzero columns, they
+        # change no yielded vector and cost no ring product
+        Mx = psi_a_matrix(poly(SPERBER, p=3), 3, 2, 4)
+        ring, rows = dwork._series_rows(Mx)
+        K = Mx.cert_cap()
+        n0 = sum(1 for d in Mx.degrees if (Mx.p - 1) * d * Mx.D < K)
+        assert 0 < n0 < Mx.dim
+        assert all(ring.is_zero(x) for row in rows[n0:] for x in row)
+        assert any(not ring.is_zero(x) for row in rows[:n0] for x in row[n0:])
+        calls = []
+
+        def counted(x, y):
+            calls.append(1)
+            return _PiSeries.mul(ring, x, y)
+
+        ring.mul = counted
+        for keep in range(n0 + 1):
+            del calls[:]
+            head = list(dwork._berkowitz(ring, [row[:n0] for row in rows[:n0]], keep))
+            products = len(calls)
+            full = list(dwork._berkowitz(ring, rows, keep))
+            assert len(calls) == 2 * products
+            assert full == head + [head[-1]] * (Mx.dim - n0)
+
+
+class TestCutoffDeterminants:
+    """Valuation-pivoted elimination against the permutation expansion and
+    against every leading minor of one Berkowitz pass."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(valued_matrices(4))
+    # the first nonzero pivot, 3, does not divide the 1 below it
+    @example((CONTEXTS[3, 1], 2, [[(3,), (1,)], [(1,), (0,)]]))
+    def test_matches_permutation_expansion(self, job):
+        ctx, M, grid = job
+        sc = _ZqScalars(ctx, M)
+        det = _det_mod(sc, [[sc.from_tuple(t) for t in row] for row in grid])
+        assert sc.to_tuple(det) == oracle_det(ctx, M, grid)
+
+    @settings(max_examples=80, deadline=None)
+    @given(valued_matrices(12), st.data())
+    def test_cutoff_dets_match_leading_minors(self, job, data):
+        ctx, M, grid = job
+        sc = _ZqScalars(ctx, M)
+        mat = [[sc.from_tuple(t) for t in row] for row in grid]
+        minors = leading_minors(sc, mat)
+        sizes = data.draw(st.lists(st.integers(0, len(mat)), max_size=4))
+        assert _cutoff_dets(sc, mat, sizes) == {r: minors[r] for r in sizes}
+        assert [_det_mod(sc, [row[:r] for row in mat[:r]]) for r in range(len(mat) + 1)] == minors
+
+    @pytest.mark.parametrize("p, a", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
+    def test_unit_inverse(self, p, a):
+        ctx, M = field_context(p, a), 4
+        sc = _ZqScalars(ctx, M)
+        for enc in range(1, ctx.q):
+            unit = tuple((c + p * (k + 1)) % p**M for k, c in enumerate(ctx.decode(enc)))
+            x = sc.from_tuple(unit)
+            assert sc.mul(x, sc.unit_inv(x)) == sc.one
 
 
 @st.composite
@@ -659,7 +753,7 @@ def _oracle_report(f, K, M):
     plus the points, ring and matrix it came from."""
     dd = newton_data(f)
     pts, sc, mat = criterion_matrix(f, dd, K, M)
-    minors = _leading_minors(sc, mat)
+    minors = leading_minors(sc, mat)
     sizes = tuple(sum(1 for _, d in pts if d * dd.D <= k) for k in range(K + 1))
     verdicts = tuple(not sc.is_zero(minors[r]) for r in sizes)
     rep = OrdinarinessReport(K=K, D=dd.D, M=M, block_sizes=sizes, verdicts=verdicts)
@@ -680,7 +774,7 @@ def _oracle_conjunction(f, K, pts, sc, mat):
             )
             blocks.setdefault(carrier, []).append(i)
     minors = {
-        c: _leading_minors(sc, [[mat[i][j] for j in idx] for i in idx]) for c, idx in blocks.items()
+        c: leading_minors(sc, [[mat[i][j] for j in idx] for i in idx]) for c, idx in blocks.items()
     }
     return tuple(
         all(
@@ -721,6 +815,34 @@ class TestCriterionLayer:
             f_face = restrict_to_face(f, dd, face)
             K_face = int(Fraction(K, dd.D) * newton_data(f_face).D)
             assert fv.report == _oracle_report(f_face, K_face, M)[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(criterion_jobs())
+    @example((poly([(2, 0), (0, 1), (-1, -1)], p=5), 5, 3))
+    @example((poly([(1, 0), (1, 1)], p=2), 4, 1))
+    def test_defects_match_direct_classification(self, job):
+        # the input of the non-cofaciality check: None off the cone, else
+        # D*(deg(p*w - u) + deg(u) - p*deg(w)) from Fraction degrees
+        f, K, M = job
+        dd = newton_data(f)
+        try:
+            crit = _criterion_data(f, dd, K, M)
+        except DomainError:  # past the criterion dimension limit
+            return
+        p = f.ctx.p
+        want = []
+        for w in crit.pts:
+            row = []
+            for u in crit.pts:
+                v = tuple(p * x - y for x, y in zip(w, u))
+                if dd.in_cone_reduced(v):
+                    defect = cofacial_defect(dd, dd.from_reduced(v), dd.from_reduced(u)) * dd.D
+                    row.append(defect)
+                else:
+                    row.append(None)
+            want.append(tuple(row))
+        assert crit.defects == tuple(want)
+        assert all(type(d) is int for row in crit.defects for d in row if d is not None)
 
     @pytest.mark.parametrize("criterion", [ordinariness_determinants, facial_criterion])
     def test_term_below_its_degree_raises(self, criterion, monkeypatch):
