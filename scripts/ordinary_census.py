@@ -9,8 +9,9 @@ the p mod d pattern for x^d visible, plus whatever supports you add.
 
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tadic.arith import field_context
 from tadic.dwork import ordinariness_determinants

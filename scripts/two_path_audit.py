@@ -12,8 +12,9 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tadic.arith import field_context
 from tadic.dwork import char_c_crosscheck, verify_trace_formula

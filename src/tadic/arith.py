@@ -335,9 +335,6 @@ class FieldContext:
 
     # -- Z_q arithmetic at precision M ---------------------------------------
 
-    def zq_from_field(self, x):
-        return tuple(x)
-
     def zq_add(self, x, y, prec):
         pm = self.p**prec
         return tuple((u + v) % pm for u, v in zip(x, y))

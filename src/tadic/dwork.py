@@ -538,12 +538,6 @@ def _kernel_product(dd, ctx: FieldContext, factors, prec: int, budget: dict):
     return acc
 
 
-def _grid(x: Fraction, D: int) -> int:
-    k = x * D
-    assert k.denominator == 1
-    return int(k)
-
-
 def _lifted_factors(f: LaurentPoly, dd, prec: int, power_of_p: int = 0):
     """(teichmuller(a_u)^(p^i), reduced exponent * p^i) per term, sorted."""
     ctx = f.ctx
@@ -656,11 +650,10 @@ def psi_a_matrix(f: LaurentPoly, B: int, M: int, N_pi: int) -> DworkMatrix:
     D = dd.D
     pts = _cone_prefix(dd, B * D, DIM_LIMIT, "operator basis", "dimension limit")
     basis = tuple(ur for ur, _ in pts)
-    degrees = tuple(d for _, d in pts)
+    grid = [g for _, g in pts]
     factors = []
     for i in range(a):
         factors.extend(_lifted_factors(f, dd, M, power_of_p=i))
-    grid = [_grid(d, D) for d in degrees]
     cells = []  # cells[w][u] = q*w - u
     for w in basis:
         qw = tuple(q * x for x in w)
@@ -711,7 +704,7 @@ def psi_a_matrix(f: LaurentPoly, B: int, M: int, N_pi: int) -> DworkMatrix:
         ctx=ctx,
         basis=basis,
         exponents=tuple(dd.from_reduced(ur) for ur in basis),
-        degrees=degrees,
+        degrees=tuple(Fraction(g, D) for g in grid),
         entries=tuple(rows),
     )
 
@@ -920,7 +913,7 @@ def _criterion_data(f: LaurentPoly, dd, K: int, M: int) -> _Criterion:
     p, D = ctx.p, dd.D
     cone = _cone_prefix(dd, K, CRITERION_DIM_LIMIT, "criterion matrix", "criterion dimension limit")
     pts = tuple(ur for ur, _ in cone)
-    grid = tuple(_grid(d, D) for _, d in cone)
+    grid = tuple(g for _, g in cone)
 
     def values(normals):
         return [[sum(a * b for a, b in zip(nv, ur)) for nv in normals] for ur in pts]

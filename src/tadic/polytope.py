@@ -22,7 +22,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .arith import FieldContext
-from .errors import DomainError, NotInConeError, ParseError
+from .errors import DomainError, ParseError
 from .series import NewtonPolygon, polygon_rescale
 
 
@@ -331,7 +331,7 @@ class Face:
 
 
 # hard ceiling on the lattice box cone_points_upto scans, checked before
-# the scan; each box point costs a few Fraction comparisons
+# the scan; each box point costs one cone test
 BOX_LIMIT = 2**18
 
 
@@ -405,49 +405,39 @@ class DegreeData:
         """D*deg(ur) for a reduced point of the cone (not checked)."""
         return max(0, *(sum(a * b for a, b in zip(g, ur)) for g in self.grid_normals))
 
-    def degree_reduced(self, ur) -> Fraction:
-        if not self.in_cone_reduced(ur):
-            raise NotInConeError(f"{ur} violates a through-origin facet")
-        return Fraction(self.grid_degree(ur), self.D)
-
     # -- lattice point enumeration --------------------------------------------
 
     def cone_points_upto(self, K: int):
-        """All reduced lattice points with degree <= K/D, with their degrees."""
-        scale = Fraction(K, self.D)
+        """All reduced lattice points of the cone with D*deg <= K, each with
+        its grid degree D*deg."""
+        D = self.D
         los = [0] * self.rank
         his = [0] * self.rank
         for p in self.red_points:
             for i, c in enumerate(p):
-                v = c * scale
-                los[i] = min(los[i], v)
-                his[i] = max(his[i], v)
-        ranges = [
-            range(math.floor(lo), math.ceil(hi) + 1) for lo, hi in zip(los, his)
-        ]
+                los[i] = min(los[i], c * K)
+                his[i] = max(his[i], c * K)
+        # the box of K/D * Delta, by floor and ceiling division
+        ranges = [range(lo // D, -(-hi // D) + 1) for lo, hi in zip(los, his)]
         box = math.prod(map(len, ranges))
         if box > BOX_LIMIT:
             raise DomainError(
-                f"cone enumeration too large: the box scanned for degree <= {scale} "
+                f"cone enumeration too large: the box scanned for degree <= {Fraction(K, D)} "
                 f"holds {box} lattice points, past the box limit {BOX_LIMIT}"
             )
         out = []
         for ur in itertools.product(*ranges):
-            if not self.in_cone_reduced(ur):
-                continue
-            d = self.degree_reduced(ur)
-            if d <= scale:
-                out.append((ur, d))
+            if self.in_cone_reduced(ur):
+                g = self.grid_degree(ur)
+                if g <= K:
+                    out.append((ur, g))
         return out
 
     def weight_counts(self, K: int):
         """W(k) for k = 0..K: cone lattice points of degree exactly k/D."""
         W = [0] * (K + 1)
-        for _, d in self.cone_points_upto(K):
-            k = d * self.D
-            assert k.denominator == 1
-            if k <= K:
-                W[int(k)] += 1
+        for _, g in self.cone_points_upto(K):
+            W[g] += 1
         return W
 
     # -- faces ------------------------------------------------------------------
@@ -577,7 +567,8 @@ def hodge_polygon_absolute(dd: DegreeData, K: int) -> NewtonPolygon:
             x += w
             y += w * Fraction(k, dd.D)
             verts.append((x, y))
-    return NewtonPolygon(vertices=tuple(verts), certified_upto=x)
+    verts = tuple(verts)
+    return NewtonPolygon(vertices=verts, certified_upto=x, upper=verts, floor_upto=x, upper_upto=x)
 
 
 def hodge_polygon_to_width(dd: DegreeData, p: int, a: int, width: int):

@@ -358,40 +358,22 @@ class NewtonPolygon:
     polygon is proven correct given the truncation caps of its inputs;
     vertices beyond it are the best value at working precision.
 
-    When the input valuations are themselves only one-sided bounds, the
-    polygon is a sandwich: ``vertices`` is the proven floor (valid up to
-    ``floor_upto``) and ``upper`` the hull of the visible valuations, a
-    proven ceiling up to ``upper_upto``.  Both optional fields default to
-    the exact reading, where the vertex list plays both roles on the
-    certified prefix.
+    Every polygon is a sandwich: ``vertices`` is a proven floor up to
+    ``floor_upto`` and ``upper`` a proven ceiling up to ``upper_upto``.
+    Built from one-sided valuations, ``upper`` is the hull of the visible
+    ones; a polygon known exactly (Hodge) has ``upper = vertices``, a floor
+    to its last vertex and a ceiling to ``certified_upto``.
     """
 
     vertices: tuple
     certified_upto: Fraction
-    upper: Optional[tuple] = None
-    floor_upto: Optional[Fraction] = None
-    upper_upto: Optional[Fraction] = None
+    upper: tuple
+    floor_upto: Fraction
+    upper_upto: Fraction
 
     @property
     def last_x(self) -> Fraction:
         return self.vertices[-1][0]
-
-    @property
-    def floor_valid_to(self) -> Fraction:
-        """Largest x where ``vertices`` provably lower-bounds the true polygon."""
-        return self.last_x if self.floor_upto is None else self.floor_upto
-
-    @property
-    def upper_hull(self) -> tuple:
-        return self.vertices if self.upper is None else self.upper
-
-    @property
-    def upper_valid_to(self) -> Fraction:
-        """Largest x where ``upper_hull`` provably upper-bounds the true polygon."""
-        if self.upper_upto is not None:
-            return self.upper_upto
-        # exact data is a ceiling only where it is pinned
-        return self.certified_upto
 
     def value_at(self, x) -> Fraction:
         return _hull_value(self.vertices, Fraction(x))
@@ -406,6 +388,24 @@ def _hull_value(vs, x: Fraction) -> Fraction:
                 return y0
             return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
     return vs[-1][1]
+
+
+def _window(a, b, a_upto, b_upto, upto=None) -> Fraction:
+    """Largest x that both hulls reach and no bound passes."""
+    w = min(a_upto, b_upto, a[-1][0], b[-1][0])
+    return w if upto is None else min(w, Fraction(upto))
+
+
+def _checkpoints(a, b, w):
+    """(x, a(x), b(x)) at 0, at w and at every vertex of either hull in
+    [0, w], by increasing x.  Both hulls are linear between consecutive
+    checkpoints, so comparing them there compares them on all of [0, w];
+    the values are computed one checkpoint at a time, as the caller asks."""
+    xs = {Fraction(0), w}
+    xs.update(x for x, _ in a if 0 <= x <= w)
+    xs.update(x for x, _ in b if 0 <= x <= w)
+    for x in sorted(xs):
+        yield x, _hull_value(a, x), _hull_value(b, x)
 
 
 def lower_hull(points):
@@ -433,32 +433,6 @@ def lower_hull(points):
                 break
         hull.append((x, y))
     return hull
-
-
-def _equal_prefix(f_verts, g_verts) -> Fraction:
-    """Largest x such that two piecewise-linear functions agree on [x0, x]."""
-
-    def val(verts, x):
-        for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-            if x0 <= x <= x1:
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        if x == verts[0][0] == verts[-1][0]:
-            return verts[0][1]
-        return None
-
-    hi = min(f_verts[-1][0], g_verts[-1][0])
-    checkpoints = sorted(
-        {x for x, _ in f_verts if x <= hi} | {x for x, _ in g_verts if x <= hi}
-    )
-    good = None
-    for x in checkpoints:
-        fv, gv = val(f_verts, x), val(g_verts, x)
-        if fv is None or gv is None or fv != gv:
-            break
-        good = x
-    if good is None:
-        raise DomainError("polygons disagree at the left endpoint")
-    return good
 
 
 def certified_polygon(points, ray=None, lower=None, vals_exact=True) -> NewtonPolygon:
@@ -538,7 +512,17 @@ def certified_polygon(points, ray=None, lower=None, vals_exact=True) -> NewtonPo
         if cut_x is None:
             cut_x = hull_floor[-1][0]
 
-    certified = min(_equal_prefix(hull_floor, hull_exact), cut_x, exact_pts[-1][0])
+    # proven where the hulls agree, up to where the floor and the visible
+    # data reach; the first checkpoint of disagreement ends the prefix
+    certified = None
+    if hull_exact[0][0] == 0:
+        w = _window(hull_floor, hull_exact, cut_x, exact_pts[-1][0])
+        for x, fv, ev in _checkpoints(hull_floor, hull_exact, w):
+            if fv != ev:
+                break
+            certified = x
+    if certified is None:
+        raise DomainError("polygons disagree at the left endpoint")
     # The floor hull stays below the true polygon as far as the ray protects
     # it; the visible hull stays above it wherever visible points exist,
     # since extra points (the invisible tail) only push a hull downward.
@@ -568,31 +552,18 @@ def polygon_rescale(P: NewtonPolygon, factor) -> NewtonPolygon:
     return NewtonPolygon(
         vertices=tuple((x, y * f) for x, y in P.vertices),
         certified_upto=P.certified_upto,
-        upper=None if P.upper is None else tuple((x, y * f) for x, y in P.upper),
+        upper=tuple((x, y * f) for x, y in P.upper),
         floor_upto=P.floor_upto,
         upper_upto=P.upper_upto,
     )
 
 
-def _common_range(P: NewtonPolygon, Q: NewtonPolygon, upto=None) -> Fraction:
-    hi = min(P.certified_upto, Q.certified_upto, P.last_x, Q.last_x)
-    if upto is not None:
-        hi = min(hi, Fraction(upto))
-    if hi <= 0:
-        raise DomainError("no common certified range to compare polygons on")
-    return hi
-
 def polygon_dominates(P: NewtonPolygon, Q: NewtonPolygon, upto=None) -> bool:
     """True iff P >= Q pointwise on the common certified range."""
-    hi = _common_range(P, Q, upto)
-    xs = {Fraction(0), hi}
-    for x, _ in P.vertices:
-        if 0 <= x <= hi:
-            xs.add(x)
-    for x, _ in Q.vertices:
-        if 0 <= x <= hi:
-            xs.add(x)
-    return all(P.value_at(x) >= Q.value_at(x) for x in sorted(xs))
+    w = _window(P.vertices, Q.vertices, P.certified_upto, Q.certified_upto, upto)
+    if w <= 0:
+        raise DomainError("no common certified range to compare polygons on")
+    return all(pv >= qv for _, pv, qv in _checkpoints(P.vertices, Q.vertices, w))
 
 
 def polygon_verdict(P: NewtonPolygon, Q: NewtonPolygon, upto=None) -> str:
@@ -609,30 +580,10 @@ def polygon_verdict(P: NewtonPolygon, Q: NewtonPolygon, upto=None) -> str:
     there; like every 'true' here it speaks only about that prefix.
     Anything else is 'uncertified'.
     """
-    cap = None if upto is None else Fraction(upto)
-
-    def window(a, a_valid, b, b_valid):
-        w = min(a_valid, b_valid, a[-1][0], b[-1][0])
-        return w if cap is None else min(w, cap)
-
-    def checkpoints(a, b, w):
-        xs = {Fraction(0), w}
-        xs.update(x for x, _ in a if 0 <= x <= w)
-        xs.update(x for x, _ in b if 0 <= x <= w)
-        return sorted(xs)
-
-    pf, pu = P.vertices, P.upper_hull
-    qf, qu = Q.vertices, Q.upper_hull
-
-    w = window(pf, P.floor_valid_to, qu, Q.upper_valid_to)
-    if w > 0 and any(
-        _hull_value(pf, x) > _hull_value(qu, x) for x in checkpoints(pf, qu, w)
-    ):
+    w = _window(P.vertices, Q.upper, P.floor_upto, Q.upper_upto, upto)
+    if w > 0 and any(pv > qv for _, pv, qv in _checkpoints(P.vertices, Q.upper, w)):
         return "false"
-
-    w = window(pu, P.upper_valid_to, qf, Q.floor_valid_to)
-    if w > 0 and all(
-        _hull_value(pu, x) <= _hull_value(qf, x) for x in checkpoints(pu, qf, w)
-    ):
+    w = _window(P.upper, Q.vertices, P.upper_upto, Q.floor_upto, upto)
+    if w > 0 and all(pv <= qv for _, pv, qv in _checkpoints(P.upper, Q.vertices, w)):
         return "true"
     return "uncertified"

@@ -561,12 +561,6 @@ def _verdict_label(verdict) -> str:
     return "unknown"
 
 
-def _flag_equal(P: NewtonPolygon, Q: NewtonPolygon) -> str:
-    # premise P >= Q holds for every pairing below (Hodge bound, or the
-    # specialisation T -> pi which can only raise valuations)
-    return polygon_verdict(P, Q)
-
-
 def _combine(flags) -> str:
     if any(s == FLAG_FALSE for s in flags):
         return FLAG_FALSE
@@ -622,9 +616,11 @@ def np_report(f: LaurentPoly, m_list, deg_s: int, M: int, N: int) -> NPReport:
             raise PrecisionError(f"T-cap {N} below one pi-digit (e={e}) at m={m}")
         P = polygon_from_sseries(specialize(C, m, prec_out), ray=ray, lower=hp_floor)
         np_pi[m] = P
-        per_m[m] = {"rigid": _flag_equal(P, np_t), "ordinary": _flag_equal(P, hp)}
+        # polygon_verdict's premise P >= Q: the specialisation T -> pi can
+        # only raise valuations, and every polygon lies on or above Hodge
+        per_m[m] = {"rigid": polygon_verdict(P, np_t), "ordinary": polygon_verdict(P, hp)}
     flags = {
-        "t_ordinary": _flag_equal(np_t, hp),
+        "t_ordinary": polygon_verdict(np_t, hp),  # premise: the Hodge bound
         "rigid": _combine([d["rigid"] for d in per_m.values()]),
         "ordinary": _combine([d["ordinary"] for d in per_m.values()]),
     }

@@ -36,15 +36,20 @@ The trace-table reference steps the power-sum recurrence one entry at a
 time, where the library advances a whole packed block per big-int step.
 The coefficient-orbit reference applies every torus scaling and Frobenius
 power to a coefficient vector, where the library reduces discrete logs
-against a Hermite basis of the scaling lattice.
+against a Hermite basis of the scaling lattice.  The polygon references
+read the agreement prefix of the two hulls over their whole common range
+and cut it afterwards, and give dominance and each half of the verdict a
+window and a checkpoint set of their own, where the library walks one
+checkpoint generator over one window function.
 
 The rest are library code the package itself never calls, kept here as
 references: pi-shifts and cap cuts of a ZqPi, the L-function as an Euler
 product over closed points (traces through fresh Teichmuller lifts per
 point), the division-free inverse of the exp recurrence, slope multisets
 with their convolution, Frobenius powers, polygon edges and two-sided
-polygon equality, polytope degrees of unreduced points with the cofacial
-defect, and the exponent of the degree monoid.
+polygon equality, exact polygon readings, polytope degrees as Fractions
+(of reduced points, checked against the cone, and of unreduced points)
+with the cofacial defect, and the exponent of the degree monoid.
 """
 
 from dataclasses import dataclass
@@ -71,7 +76,6 @@ from tadic.dwork import (
     DIM_LIMIT,
     ZqPi,
     _cone_prefix,
-    _grid,
     _lifted_factors,
     _ZqScalars,
     artin_hasse,
@@ -89,7 +93,8 @@ from tadic.series import (
     NewtonPolygon,
     SSeries,
     TSeries,
-    _common_range,
+    _hull_value,
+    lower_hull,
     polygon_dominates,
     power,
     vp,
@@ -293,12 +298,12 @@ def oracle_torus_trace_counts(f, k, prec):
     big = ctx.ext(k)
     Q1 = big.q - 1
     pm = ctx.p**prec
-    w = big.zq_from_field(big.generator)
+    w = tuple(big.generator)
     for _ in range(prec + 2):  # Teichmuller lift: fixed point of t -> t^q
         w = big.zq_pow(w, big.q, prec)
     traces = []
     dlog = {}
-    cur, g = big.zq_from_field(big.one()), big.one()
+    cur, g = tuple(big.one()), big.one()
     for j in range(Q1):
         traces.append(big.zq_trace(cur, prec))
         dlog[g] = j
@@ -628,11 +633,9 @@ def oracle_transfer_entries(f, B: int, M: int, N_pi: int):
         factors.extend(dwork._lifted_factors(f, dd, M, power_of_p=i))
     raw = full_kernel_product(dd, ctx, factors, M, N_pi + B + 1)
     rows = []
-    for w, dw in pts:
-        ew = _grid(dw, D)
+    for w, ew in pts:
         row = []
-        for u, du in pts:
-            eu = _grid(du, D)
+        for u, eu in pts:
             ser = raw.get(tuple(q * x - y for x, y in zip(w, u)))
             if ser is None:
                 row.append(ZqPi(ctx, M, N_pi * D, {}, den=D))
@@ -657,8 +660,7 @@ def _alpha_map(f, dd, B_grid: int, M: int, N_pi: int):
     pts = dd.cone_points_upto(B_grid)
     raw = full_kernel_product(dd, f.ctx, _lifted_factors(f, dd, M), M, cap_raw)
     out = {}
-    for ur, deg in pts:
-        e = _grid(deg, D)
+    for ur, e in pts:
         ser = raw.get(ur)
         if ser is None:
             out[ur] = ZqPi(f.ctx, M, N_pi * D, {}, den=D)
@@ -688,14 +690,15 @@ def criterion_matrix(f, dd, K: int, M: int):
     the full alpha map: the entry at (w, u) is alpha_(p*w - u) mod
     pi^(1/D) when deg(p*w - u) + deg(u) = p*deg(w), zero otherwise."""
     ctx = f.ctx
-    pts = _cone_prefix(dd, K, CRITERION_DIM_LIMIT, "criterion matrix", "criterion dimension limit")
+    cone = _cone_prefix(dd, K, CRITERION_DIM_LIMIT, "criterion matrix", "criterion dimension limit")
+    pts = [(ur, Fraction(g, dd.D)) for ur, g in cone]
     p = ctx.p
     cells = []
     for w, _ in pts:
         row = []
         for u, _ in pts:
             v = tuple(p * x - y for x, y in zip(w, u))
-            row.append((v, dd.degree_reduced(v)) if dd.in_cone_reduced(v) else None)
+            row.append((v, degree_reduced(dd, v)) if dd.in_cone_reduced(v) else None)
         cells.append(row)
     max_deg = max((math.ceil(c[1]) for row in cells for c in row if c is not None), default=0)
     amap = _alpha_map(f, dd, max_deg * dd.D, M, 1)
@@ -843,7 +846,7 @@ class SlopeSeries:
         for s, m in self.items:
             x, y = x + m, y + s * m
             verts.append((x, y))
-        return NewtonPolygon(vertices=tuple(verts), certified_upto=x)
+        return exact_polygon(verts, x)
 
     def prefix(self, count: int):
         """First ``count`` slopes with multiplicity, flattened."""
@@ -901,11 +904,159 @@ def polygons_equal_on(P: NewtonPolygon, Q: NewtonPolygon, upto=None) -> bool:
     return polygon_dominates(P, Q, hi) and polygon_dominates(Q, P, hi)
 
 
+def exact_polygon(vertices, certified_upto) -> NewtonPolygon:
+    """A polygon known exactly, read as hodge_polygon_absolute builds one:
+    the vertices are its floor to the last vertex and its ceiling to
+    certified_upto."""
+    vs = tuple((Fraction(x), Fraction(y)) for x, y in vertices)
+    upto = Fraction(certified_upto)
+    return NewtonPolygon(vs, upto, vs, vs[-1][0], upto)
+
+
+def _equal_prefix(f_verts, g_verts) -> Fraction:
+    """Largest x such that two piecewise-linear functions agree on [x0, x]."""
+
+    def val(verts, x):
+        for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
+            if x0 <= x <= x1:
+                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        if x == verts[0][0] == verts[-1][0]:
+            return verts[0][1]
+        return None
+
+    hi = min(f_verts[-1][0], g_verts[-1][0])
+    checkpoints = sorted(
+        {x for x, _ in f_verts if x <= hi} | {x for x, _ in g_verts if x <= hi}
+    )
+    good = None
+    for x in checkpoints:
+        fv, gv = val(f_verts, x), val(g_verts, x)
+        if fv is None or gv is None or fv != gv:
+            break
+        good = x
+    if good is None:
+        raise DomainError("polygons disagree at the left endpoint")
+    return good
+
+
+def oracle_certified_polygon(points, ray=None, lower=None, vals_exact=True) -> NewtonPolygon:
+    """series.certified_polygon with the agreement prefix read by
+    _equal_prefix over the whole of both hulls and cut afterwards."""
+    pts = sorted(points)
+    if not pts or pts[0][0] != 0:
+        raise DomainError("polygon data must start at x=0")
+
+    def lo(x):
+        return Fraction(0) if lower is None else max(Fraction(0), Fraction(lower(x)))
+
+    floor_pts = []
+    for x, v, c in pts:
+        fx = Fraction(x)
+        if v is None:
+            floor_pts.append((fx, max(Fraction(c), lo(fx))))
+        elif vals_exact:
+            floor_pts.append((fx, Fraction(v)))
+        else:
+            b = lo(fx)
+            if b > Fraction(v):
+                raise TheoremViolation(
+                    f"valuation {v} visible at x={x} undercuts the proven bound {b}"
+                )
+            floor_pts.append((fx, b))
+    exact_pts = [(Fraction(x), Fraction(v)) for x, v, c in pts if v is not None]
+    if not exact_pts:
+        raise DomainError("no certified valuations at all")
+    hull_floor = lower_hull(floor_pts)
+    hull_exact = lower_hull(exact_pts)
+    cut_x = hull_floor[-1][0]
+    if ray is not None:
+        ts, v0, slope = Fraction(ray[0]), Fraction(ray[1]), Fraction(ray[2])
+        cut_x = None
+        for i, (xv, yv) in enumerate(hull_floor):
+            if xv >= ts:
+                cut_x = xv
+                break
+            at_start = (v0 - yv) / (ts - xv)
+            min_chord = at_start if yv > v0 + slope * (xv - ts) else slope
+            out_slope = None
+            if i + 1 < len(hull_floor):
+                x1, y1 = hull_floor[i + 1]
+                out_slope = (y1 - yv) / (x1 - xv)
+            if out_slope is None or min_chord < out_slope:
+                cut_x = xv
+                break
+        if cut_x is None:
+            cut_x = hull_floor[-1][0]
+    certified = min(_equal_prefix(hull_floor, hull_exact), cut_x, exact_pts[-1][0])
+    return NewtonPolygon(
+        tuple(hull_floor), certified, tuple(hull_exact), cut_x, exact_pts[-1][0]
+    )
+
+
+def _common_range(P: NewtonPolygon, Q: NewtonPolygon, upto=None) -> Fraction:
+    hi = min(P.certified_upto, Q.certified_upto, P.last_x, Q.last_x)
+    if upto is not None:
+        hi = min(hi, Fraction(upto))
+    if hi <= 0:
+        raise DomainError("no common certified range to compare polygons on")
+    return hi
+
+
+def oracle_polygon_dominates(P: NewtonPolygon, Q: NewtonPolygon, upto=None) -> bool:
+    """series.polygon_dominates with its own window and checkpoint set."""
+    hi = _common_range(P, Q, upto)
+    xs = {Fraction(0), hi}
+    for x, _ in P.vertices:
+        if 0 <= x <= hi:
+            xs.add(x)
+    for x, _ in Q.vertices:
+        if 0 <= x <= hi:
+            xs.add(x)
+    return all(P.value_at(x) >= Q.value_at(x) for x in sorted(xs))
+
+
+def oracle_polygon_verdict(P: NewtonPolygon, Q: NewtonPolygon, upto=None) -> str:
+    """series.polygon_verdict with a window and a checkpoint set per half."""
+    cap = None if upto is None else Fraction(upto)
+
+    def window(a, a_valid, b, b_valid):
+        w = min(a_valid, b_valid, a[-1][0], b[-1][0])
+        return w if cap is None else min(w, cap)
+
+    def checkpoints(a, b, w):
+        xs = {Fraction(0), w}
+        xs.update(x for x, _ in a if 0 <= x <= w)
+        xs.update(x for x, _ in b if 0 <= x <= w)
+        return sorted(xs)
+
+    pf, pu = P.vertices, P.upper
+    qf, qu = Q.vertices, Q.upper
+
+    w = window(pf, P.floor_upto, qu, Q.upper_upto)
+    if w > 0 and any(
+        _hull_value(pf, x) > _hull_value(qu, x) for x in checkpoints(pf, qu, w)
+    ):
+        return "false"
+
+    w = window(pu, P.upper_upto, qf, Q.floor_upto)
+    if w > 0 and all(
+        _hull_value(pu, x) <= _hull_value(qf, x) for x in checkpoints(pu, qf, w)
+    ):
+        return "true"
+    return "uncertified"
+
+
+def degree_reduced(dd: DegreeData, ur) -> Fraction:
+    if not dd.in_cone_reduced(ur):
+        raise NotInConeError(f"{ur} violates a through-origin facet")
+    return Fraction(dd.grid_degree(ur), dd.D)
+
+
 def degree_of(dd: DegreeData, u) -> Fraction:
     ur = dd.to_reduced(u)
     if ur is None:
         raise NotInConeError(f"{tuple(u)} is outside the span of the polytope")
-    return dd.degree_reduced(ur)
+    return degree_reduced(dd, ur)
 
 
 def cofacial_defect(dd: DegreeData, u, v) -> Fraction:
@@ -917,10 +1068,10 @@ def exponent_I(dd: DegreeData, search_bound: int):
     by degree-1 lattice points, checked on the finite generating region of
     degree <= rank (monoid generators all live there); '>= bound' as a string
     when no d works."""
-    gens = [ur for ur, d in dd.cone_points_upto(dd.D) if d == 1]
+    gens = [ur for ur, g in dd.cone_points_upto(dd.D) if g == dd.D]
     if not gens:
         return f">= {search_bound}"
-    region = [ur for ur, d in dd.cone_points_upto(dd.rank * dd.D) if d > 0]
+    region = [ur for ur, g in dd.cone_points_upto(dd.rank * dd.D) if g > 0]
     for d in range(1, search_bound + 1):
         cap = Fraction(d * dd.rank + 2)
         members = {(0,) * dd.rank}
@@ -932,7 +1083,7 @@ def exponent_I(dd: DegreeData, search_bound: int):
                     y = tuple(a + b for a, b in zip(x, g))
                     if y in members:
                         continue
-                    if dd.degree_reduced(y) <= cap:
+                    if degree_reduced(dd, y) <= cap:
                         members.add(y)
                         nxt.append(y)
             frontier = nxt

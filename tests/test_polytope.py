@@ -1,7 +1,8 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -176,18 +177,36 @@ class TestDegreeData:
         W = dd.weight_counts(5)
         assert W == [1, 3, 6, 9, 12, 15]
 
-    def test_weight_counts_against_oracle(self):
-        dd = DegreeData(SPERBER, 2)
-        pts = SPERBER + [(0, 0)]
-        K = 3
-        total = sum(dd.weight_counts(K))
-        brute = 0
-        for x in range(-K * 2, K * 2 + 1):
-            for y in range(-K * 2, K * 2 + 1):
-                d = oracle_degree(pts, (x, y), dd.D, K)
-                if d is not None:
-                    brute += 1
-        assert total == brute
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.integers(1, 2).flatmap(
+            lambda n: st.lists(
+                st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=3, unique=True
+            )
+        ),
+        st.integers(0, 6),
+    )
+    @example(SPERBER, 3)
+    @example([(1, 1)], 2)
+    @example([(-2,), (3,)], 7)
+    def test_weight_counts_against_oracle(self, support, K):
+        # points and grid degrees of the cone scan against a brute-force
+        # scaled-hull scan of the box around K/D * Delta in ambient coordinates
+        n = len(support[0])
+        try:
+            dd = DegreeData(support, n)
+        except DomainError:
+            reject()
+        pts = list(support) + [(0,) * n]
+        got = {dd.from_reduced(ur): g for ur, g in dd.cone_points_upto(K)}
+        span = max(abs(c) for u in support for c in u) * K // dd.D
+        want = {}
+        for u in product(range(-span, span + 1), repeat=n):
+            d = oracle_degree(pts, u, dd.D, K)
+            if d is not None:
+                want[u] = d * dd.D
+        assert got == want
+        assert dd.weight_counts(K) == [list(want.values()).count(k) for k in range(K + 1)]
 
 
 class TestHodge:

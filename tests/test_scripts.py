@@ -1,5 +1,6 @@
-"""Smoke runs of the scripts under scripts/, each a subprocess from the repo
-root as its usage text says (they put src on sys.path themselves)."""
+"""Smoke runs of the scripts under scripts/, each a subprocess started from a
+temporary directory: the scripts find src beside themselves, wherever they
+are run from."""
 
 import subprocess
 import sys
@@ -28,19 +29,23 @@ simplex, p=7     flag=true         pi-flag=true         minors[0..2]=111
 """
 
 
-def run_script(name: str):
+def run_script(name: str, cwd: Path):
     return subprocess.run(
-        [sys.executable, f"scripts/{name}"], cwd=ROOT, capture_output=True, text=True, timeout=120
+        [sys.executable, str(ROOT / "scripts" / name)],
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
 
 
-def test_two_path_audit_agrees():
-    res = run_script("two_path_audit.py")
+def test_two_path_audit_agrees(tmp_path):
+    res = run_script("two_path_audit.py", tmp_path)
     assert res.returncode == 0, res.stderr
     assert "all instances agree on both routes" in res.stdout
 
 
-def test_ordinary_census_output_is_unchanged():
-    res = run_script("ordinary_census.py")
+def test_ordinary_census_output_is_unchanged(tmp_path):
+    res = run_script("ordinary_census.py", tmp_path)
     assert res.returncode == 0, res.stderr
     assert res.stdout == CENSUS

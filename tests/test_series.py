@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tadic.errors import DomainError, IntegralityError, PrecisionError
+from tadic.errors import DomainError, IntegralityError, PrecisionError, TheoremViolation
 from tadic.series import (
-    NewtonPolygon,
     SSeries,
     TSeries,
     certified_polygon,
@@ -16,14 +15,19 @@ from tadic.series import (
     polygon_dominates,
     polygon_from_sseries,
     polygon_rescale,
+    polygon_verdict,
     vp,
     vp_factorial,
 )
 
 from oracles import (
     SlopeSeries,
+    exact_polygon,
     geometric_slopes,
     log_generating,
+    oracle_certified_polygon,
+    oracle_polygon_dominates,
+    oracle_polygon_verdict,
     polygons_equal_on,
     slope_series_mul,
 )
@@ -200,7 +204,7 @@ class TestHull:
         ]
         assert all(s0 < s1 for s0, s1 in zip(slopes, slopes[1:]))
         # every point lies on or above the hull
-        P = NewtonPolygon(vertices=tuple(hull), certified_upto=hull[-1][0])
+        P = exact_polygon(hull, hull[-1][0])
         for x, y in pts:
             if hull[0][0] <= x <= hull[-1][0]:
                 assert y >= P.value_at(x)
@@ -247,32 +251,96 @@ class TestCertifiedPolygon:
 
 class TestPolygonOps:
     def test_rescale(self):
-        P = NewtonPolygon(((Fraction(0), Fraction(0)), (Fraction(2), Fraction(3))), Fraction(2))
+        P = exact_polygon(((0, 0), (2, 3)), 2)
         Q = polygon_rescale(P, Fraction(1, 3))
         assert Q.value_at(2) == 1
 
     def test_dominates_and_equal(self):
-        lo = NewtonPolygon(((Fraction(0), Fraction(0)), (Fraction(3), Fraction(3))), Fraction(3))
-        hi = NewtonPolygon(
-            ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2)), (Fraction(3), Fraction(4))),
-            Fraction(3),
-        )
+        lo = exact_polygon(((0, 0), (3, 3)), 3)
+        hi = exact_polygon(((0, 0), (1, 2), (3, 4)), 3)
         assert polygon_dominates(hi, lo)
         assert not polygon_dominates(lo, hi)
         assert polygons_equal_on(lo, lo, upto=3)
 
     def test_no_common_range_is_an_error(self):
-        P = NewtonPolygon(((Fraction(0), Fraction(0)),), Fraction(0))
+        P = exact_polygon(((0, 0),), 0)
         with pytest.raises(DomainError):
             polygon_dominates(P, P)
 
 
+_small = st.integers(0, 30).map(lambda k: Fraction(k, 3))
+
+
+@st.composite
+def valuation_data(draw, builds=False):
+    """certified_polygon arguments: points with None entries under caps,
+    an optional ray, an optional lower bound (as a table over x) and
+    vals_exact either way.  With ``builds`` the data start at valuation 0
+    and the bound stays under every visible valuation, as C's do."""
+    n = draw(st.integers(1, 7))
+    pts = [(x, draw(st.none() | _small), draw(_small)) for x in range(n)]
+    ray = draw(st.none() | st.tuples(st.integers(0, n + 2), _small, _small))
+    lower = draw(st.none() | st.lists(_small, min_size=n, max_size=n))
+    if builds:
+        pts[0] = (0, Fraction(0), pts[0][2])
+        if lower is not None:
+            lower = [b if v is None else min(b, v) for b, (_, v, _) in zip(lower, pts)]
+    return pts, ray, lower, draw(st.booleans())
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (DomainError, TheoremViolation) as exc:
+        return type(exc), str(exc)
+
+
+def _build(data, build=certified_polygon):
+    pts, ray, lower, vals_exact = data
+    bound = None if lower is None else (lambda x: lower[int(x)])
+    return _outcome(build, pts, ray, bound, vals_exact)
+
+
+@st.composite
+def polygon_pairs(draw):
+    """Two certified polygons, or one against an exact reading of either of
+    its hulls, so that every verdict turns up."""
+    P = _build(draw(valuation_data(builds=True)))
+    kind = draw(st.sampled_from(["independent", "floor", "upper"]))
+    if kind == "independent":
+        Q = _build(draw(valuation_data(builds=True)))
+    else:
+        hull = P.vertices if kind == "floor" else P.upper
+        Q = exact_polygon(hull, draw(st.integers(0, int(hull[-1][0]))))
+    if draw(st.booleans()):
+        P, Q = Q, P
+    return P, Q, draw(st.none() | _small)
+
+
+class TestPolygonReferences:
+    """One window function and one checkpoint walk against the references
+    with a window and checkpoint set of their own per comparison."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(valuation_data())
+    def test_certified_polygon(self, data):
+        assert _build(data) == _build(data, oracle_certified_polygon)
+
+    @settings(max_examples=300, deadline=None)
+    @given(polygon_pairs())
+    def test_dominates_and_verdict(self, pair):
+        P, Q, upto = pair
+        for cap in (None, upto):
+            assert _outcome(polygon_dominates, P, Q, cap) == _outcome(
+                oracle_polygon_dominates, P, Q, cap
+            )
+            assert polygon_verdict(P, Q, cap) == oracle_polygon_verdict(P, Q, cap)
+
+
 class TestSlopeSeries:
     def test_from_polygon_and_back(self):
-        P = NewtonPolygon(
-            ((Fraction(0), Fraction(0)), (Fraction(2), Fraction(1)), (Fraction(3), Fraction(2))),
-            Fraction(3),
-        )
+        P = exact_polygon(((0, 0), (2, 1), (3, 2)), 3)
         S = SlopeSeries.from_polygon(P, upto=3)
         assert S.items == ((Fraction(1, 2), 2), (Fraction(1), 1))
         assert S.to_polygon().vertices == P.vertices

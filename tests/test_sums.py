@@ -88,7 +88,7 @@ def oracle_s_f_T(f, k, M, N):
 def direct_trace_table(big, prec):
     """Tr(teich(g)^j) for j = 0..q-2 by a zq_mul/zq_trace walk."""
     g = teichmuller_lift(big, big.generator, prec)
-    cur = big.zq_from_field(big.one())
+    cur = tuple(big.one())
     table = []
     for _ in range(big.q - 1):
         table.append(big.zq_trace(cur, prec))
@@ -772,7 +772,7 @@ class TestNPReport:
         f = poly(SPERBER, p=3)
         rep = np_report(f, [1], 3, 4, 10)
         assert rep.per_m[1]["ordinary"] == "uncertified"
-        assert rep.np_pi[1].floor_valid_to == 1
+        assert rep.np_pi[1].floor_upto == 1
 
     def test_quartic_bad_prime_decisive(self):
         # the true polygon is not pinned here (its x = 2 point hides above
