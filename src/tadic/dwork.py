@@ -9,14 +9,17 @@ two routes share no arithmetic beyond the ground field, which is what makes
 their agreement a meaningful end-to-end check.
 
 Conventions.  The inner uniformizer is written pi; series in pi^(1/D) carry
-Z_q coefficients at precision p^M and live in ZqPi.  All lattice work happens
-in the reduced coordinates of DegreeData (exponents of f are mapped through
-dd.to_reduced), where degrees, cones and defects are exactly the same as in
-the ambient coordinates.
+Z_q coefficients at precision p^M.  They live in ZqPi, or as the bare pairs
+of _PiSeries in the transfer matrix and the determinant kernel, and
+ZqPi.mul is _PiSeries' product.  All lattice work happens in the reduced
+coordinates of DegreeData (exponents of f are mapped through dd.to_reduced),
+where degrees, cones and defects are exactly the same as in the ambient
+coordinates.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -80,8 +83,9 @@ class ZqPi(_SparseSeries):
 
     Coefficients are the tuple representation of FieldContext's Z_q layer;
     exponent keys are nonnegative integers in units of 1/den.  The store
-    and window rules are _SparseSeries'; the product's cap is sharper than
-    TSeries' (see mul).  Implements the coefficient protocol of SSeries.
+    and window rules are _SparseSeries'; the product is _PiSeries', whose
+    cap is sharper than TSeries' (see mul).  Implements the coefficient
+    protocol of SSeries.
     """
 
     __slots__ = ("ctx", "den")
@@ -117,33 +121,12 @@ class ZqPi(_SparseSeries):
     def _like(self, coeffs, prec: int, cap: int) -> "ZqPi":
         return ZqPi(self.ctx, prec, cap, coeffs, self.den)
 
-    def ord_key(self):
-        """Smallest stored exponent key, or None for (visible) zero."""
-        return min(self.coeffs) if self.coeffs else None
-
     def mul(self, other: "ZqPi") -> "ZqPi":
-        """The cap is min(capA + ordB, capB + ordA), with a zero operand's
-        cap standing in for its ord: the unknown tail of one factor only
-        meets the other from its leading term on."""
+        """The product of _PiSeries at cap self.cap + other.cap, which no
+        product reaches, so its cap rule applies unclamped."""
         prec, _ = self._window(other)
-        so = self.ord_key()
-        oo = other.ord_key()
-        cap = min(
-            self.cap + (oo if oo is not None else other.cap),
-            other.cap + (so if so is not None else self.cap),
-        )
-        out = {}
-        for i, s in self.coeffs.items():
-            for j, t in other.coeffs.items():
-                k = i + j
-                if k >= cap:
-                    continue
-                v = self.ctx.zq_mul(s, t, prec)
-                if k in out:
-                    out[k] = self.ctx.zq_add(out[k], v, prec)
-                else:
-                    out[k] = v
-        return ZqPi(self.ctx, prec, cap, out, self.den)
+        ring = _PiSeries(self.ctx, prec, self.den, self.cap + other.cap)
+        return ring.to_zqpi(ring.mul(ring.from_zqpi(self), ring.from_zqpi(other)))
 
     def rescale_den(self, den: int) -> "ZqPi":
         """Re-grid from units 1/self.den to the finer 1/den."""
@@ -235,15 +218,17 @@ class _ZqScalars:
 
 class _PiSeries:
     """Truncated pi-series as bare (cap, {key: scalar}) pairs, every cap
-    clamped at K.
+    clamped at K, scalars as in _ZqScalars.
 
-    The rules are ZqPi's: a product's cap is min(capA + ordB, capB + ordA)
-    with a zero operand's cap standing in for its ord, a sum's cap is the
-    smaller one, and keys >= cap and zero coefficients are dropped.  Both
-    rules are monotone in the caps, so clamping every operand at K gives the
-    clamped ZqPi result exactly.  Only the zero of cap K absorbs products
-    and vanishes from sums; a zero with a smaller cap still lowers the caps
-    it meets, so is_zero is false for it.
+    A product's cap is min(capA + ordB, capB + ordA), with a zero operand's
+    cap standing in for its ord: the unknown tail of one factor only meets
+    the other from its leading term on.  A sum's cap is the smaller one (as
+    in ZqPi.add), and keys >= cap and zero coefficients are dropped.  Both
+    rules are monotone in the caps, so working on operands clamped at K
+    gives the unclamped result clamped at K; ZqPi.mul is this product at a
+    K no product reaches.  Only the zero of cap K absorbs products and
+    vanishes from sums; a zero with a smaller cap still lowers the caps it
+    meets, so is_zero is false for it.
     """
 
     def __init__(self, ctx: FieldContext, prec: int, den: int, K: int):
@@ -563,36 +548,45 @@ class DworkMatrix:
     """Transfer operator on the weighted monomial basis pi^deg(u) x^u,
     deg(u) <= B, rows and columns sorted by (degree, lex).
 
-    entries[w][u] multiplies the u-th basis vector's contribution to the
-    w-th; every entry satisfies ord_pi >= (p-1)*deg(row), which is asserted
-    at assembly time and is what makes the finite truncation certifiable.
+    rows[w][u] multiplies the u-th basis vector's contribution to the w-th,
+    a pair of `ring` = _PiSeries(ctx, M, D, N_pi*D); every entry satisfies
+    ord_pi >= (p-1)*deg(row), which is asserted at assembly time and is what
+    makes the finite truncation certifiable.
+
+    Basis points beyond degree B only touch terms above (p-1)(B + 1/D), and
+    psi_a_matrix refuses B < N_pi/(p-1), so (p-1)(B*D + 1) > N_pi*D: the
+    certified pi-modulus of spectral data is the requested N_pi itself.
     """
 
-    p: int
-    a: int
-    q: int
-    B: int
     N_pi: int
     D: int
     ctx: FieldContext
     basis: tuple  # reduced exponent tuples
-    exponents: tuple  # the same points in ambient coordinates
     degrees: tuple  # Fractions
-    entries: tuple  # tuple of tuples of ZqPi, den = D
+    ring: _PiSeries
+    rows: tuple  # tuple of tuples of ring elements
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def cert_cap(self) -> int:
-        """Certified pi-modulus (in 1/D units) for spectral data: basis
-        points beyond degree B only touch terms above (p-1)(B + 1/D)."""
-        return min(self.N_pi * self.D, (self.p - 1) * (self.B * self.D + 1))
+        """Certified pi-modulus of spectral data, in 1/D units."""
+        return self.N_pi * self.D
 
     def torus_cap(self) -> int:
-        """ceil(cert_cap / D): no cross-check against this matrix reads its
-        torus sums past T^torus_cap, since no spectral cap exceeds cert_cap."""
-        return -(-self.cert_cap() // self.D)
+        """No cross-check against this matrix reads its torus sums past
+        T^N_pi, since no spectral cap exceeds pi^N_pi."""
+        return self.N_pi
+
+    @functools.cached_property
+    def entries(self) -> tuple:
+        """rows as ZqPi (den D), built on first read, for readers outside
+        the kernel; each distinct cell object (every zero cell of
+        psi_a_matrix is ring.zero) is converted once."""
+        distinct = {id(x): x for row in self.rows for x in row}
+        conv = {key: self.ring.to_zqpi(x) for key, x in distinct.items()}
+        return tuple(tuple(conv[id(x)] for x in row) for row in self.rows)
 
 
 # hard ceilings on the operator basis size and on the criterion matrix.
@@ -670,8 +664,8 @@ def psi_a_matrix(f: LaurentPoly, B: int, M: int, N_pi: int) -> DworkMatrix:
             if top > budget.get(v, 0):
                 budget[v] = top
     raw = _kernel_product(dd, ctx, factors, M, budget)
-    tt = _ZqScalars(ctx, M).to_tuple
-    zero_row = ZqPi(ctx, M, N_pi * D, {}, den=D)
+    ring = _PiSeries(ctx, M, D, N_pi * D)
+    K = ring.K
     rows = []
     for w, ew, row_cells in zip(basis, grid, cells):
         bound = (p - 1) * ew
@@ -679,7 +673,7 @@ def psi_a_matrix(f: LaurentPoly, B: int, M: int, N_pi: int) -> DworkMatrix:
         for u, eu, v in zip(basis, grid, row_cells):
             ser = raw.get(v)
             if ser is None:
-                row.append(zero_row)
+                row.append(ring.zero)
                 continue
             lead_raw = min(ser)
             if lead_raw * D + eu - ew < bound:
@@ -689,38 +683,26 @@ def psi_a_matrix(f: LaurentPoly, B: int, M: int, N_pi: int) -> DworkMatrix:
                     f"pattern bound {Fraction(bound, D)}"
                 )
             # ser, known mod pi^budget[v], re-gridded to 1/D and shifted by
-            # pi^(deg u - deg w); the bound above keeps every key >= 0
+            # pi^(deg u - deg w); the bound above keeps every key >= 0, and
+            # budget[v]*D + e_u - e_w >= N_pi*D (e_w <= B*D), so the cell is
+            # known to the cap K
             shift = eu - ew
-            cap = min(budget[v] * D + shift, N_pi * D)
-            row.append(ZqPi(ctx, M, cap, {j * D + shift: tt(t) for j, t in ser.items()}, den=D))
+            row.append((K, {j * D + shift: t for j, t in ser.items() if j * D + shift < K}))
         rows.append(tuple(row))
     return DworkMatrix(
-        p=p,
-        a=a,
-        q=q,
-        B=B,
         N_pi=N_pi,
         D=D,
         ctx=ctx,
         basis=basis,
-        exponents=tuple(dd.from_reduced(ur) for ur in basis),
         degrees=tuple(Fraction(g, D) for g in grid),
-        entries=tuple(rows),
+        ring=ring,
+        rows=tuple(rows),
     )
 
 
 # ---------------------------------------------------------------------------
 # characteristic series and traces
 # ---------------------------------------------------------------------------
-
-
-def _series_rows(Mx: DworkMatrix):
-    """The series ring at the spectral cap and Mx's entries in it."""
-    ring = _PiSeries(Mx.ctx, Mx.entries[0][0].prec, Mx.D, Mx.cert_cap())
-    # most cells hold the one shared zero entry: convert each object once
-    distinct = {id(e): e for row in Mx.entries for e in row}
-    conv = {key: ring.from_zqpi(e) for key, e in distinct.items()}
-    return ring, [[conv[id(e)] for e in row] for row in Mx.entries]
 
 
 def char_series(Mx: DworkMatrix, deg_s: int) -> SSeries:
@@ -730,7 +712,7 @@ def char_series(Mx: DworkMatrix, deg_s: int) -> SSeries:
         raise DomainError("need deg_s >= 0")
     if deg_s > Mx.dim:
         raise DomainError(f"deg_s={deg_s} exceeds the matrix dimension {Mx.dim}")
-    ring, rows = _series_rows(Mx)
+    ring, rows = Mx.ring, Mx.rows
     cv = [ring.one]
     for cv in _berkowitz(ring, rows, deg_s):
         pass
@@ -742,7 +724,7 @@ def operator_trace(Mx: DworkMatrix, k: int) -> ZqPi:
     """Trace of the k-th power, certified to the spectral cap."""
     if k < 1:
         raise DomainError("trace wants k >= 1")
-    ring, rows = _series_rows(Mx)
+    ring, rows = Mx.ring, Mx.rows
     mul, add, is_zero = ring.mul, ring.add, ring.is_zero
 
     def total(terms):

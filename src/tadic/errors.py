@@ -29,10 +29,6 @@ class DomainError(TadicError):
     """Input outside the supported domain (dimension, degeneracy, ...)."""
 
 
-class NotInConeError(DomainError):
-    """Lattice point lies outside the cone spanned by the Newton polytope."""
-
-
 class ParseError(TadicError):
     """Syntax error in polynomial or config text, with a byte offset."""
 

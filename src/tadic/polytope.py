@@ -417,8 +417,9 @@ class DegreeData:
             for i, c in enumerate(p):
                 los[i] = min(los[i], c * K)
                 his[i] = max(his[i], c * K)
-        # the box of K/D * Delta, by floor and ceiling division
-        ranges = [range(lo // D, -(-hi // D) + 1) for lo, hi in zip(los, his)]
+        # the lattice points of the box of K/D * Delta: ceiling division at
+        # the low end, floor division at the high end
+        ranges = [range(-(-lo // D), hi // D + 1) for lo, hi in zip(los, his)]
         box = math.prod(map(len, ranges))
         if box > BOX_LIMIT:
             raise DomainError(

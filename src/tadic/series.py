@@ -4,9 +4,11 @@ Two series layers live here.  _SparseSeries is one sparse truncated series
 in an inner variable, with exponent keys in units of 1/den and residue
 scalars mod p^prec; TSeries (integer scalars, T throughout the package) and
 dwork.ZqPi (Z_q tuples, pi-exponents in (1/D)*Z) name their scalars on top
-of it and keep their own products.  SSeries is a polynomial in an outer
-variable s whose coefficients are ring elements implementing a small shared
-protocol (add/sub/mul/neg/mul_int/divexact_int/is_zero/val_data).
+of it.  TSeries keeps its own product, cut at the smaller cap; ZqPi's is
+the product of dwork._PiSeries, the bare ring of the operator route's
+determinant kernel.  SSeries is a polynomial in an outer variable s whose
+coefficients are ring elements implementing a small shared protocol
+(add/sub/mul/neg/mul_int/divexact_int/is_zero/val_data).
 
 Polygon geometry is exact: vertices are pairs of Fractions, never floats.
 A polygon carries the largest x-coordinate up to which its shape is proven

@@ -5,11 +5,13 @@ convex-hull membership goes through Caratheodory subsets with a local
 Gaussian elimination, so polytope degrees and weights can be cross-checked
 against a second code path.  The determinant references either expand over
 permutations or run every ring operation through ZqPi objects, skipping
-nothing, where the library's kernel works on bare scalars and series.  The
-leading-minor reference reads every leading minor off one division-free
-Berkowitz pass, where the library eliminates with valuation pivots once
-per degree cutoff.  The torus reference visits every point, with neither
-the library's row walk nor its Frobenius-orbit reduction.  The binomial reference builds every
+nothing, with each product by `oracle_zqpi_mul` (the cap rule and a Z_q
+multiply-accumulate loop), where the library's kernel works on bare scalars
+and series and ZqPi.mul is that kernel's series product.  The leading-minor
+reference reads every leading minor off one division-free Berkowitz pass,
+where the library eliminates with valuation pivots once per degree cutoff.
+The torus reference visits every point, with neither the library's row walk
+nor its Frobenius-orbit reduction.  The binomial reference builds every
 falling factorial trace by trace, where the library goes through power
 moments and Stirling numbers.  The quotient-ring references multiply
 polynomials in full and long-divide by the modulus, where the library
@@ -49,7 +51,8 @@ point), the division-free inverse of the exp recurrence, slope multisets
 with their convolution, Frobenius powers, polygon edges and two-sided
 polygon equality, exact polygon readings, polytope degrees as Fractions
 (of reduced points, checked against the cone, and of unreduced points)
-with the cofacial defect, and the exponent of the degree monoid.
+with the cofacial defect and the NotInConeError they raise, and the
+exponent of the degree monoid.
 """
 
 from dataclasses import dataclass
@@ -84,7 +87,6 @@ from tadic.dwork import (
 from tadic.errors import (
     DomainError,
     IntegralityError,
-    NotInConeError,
     PrecisionError,
     TheoremViolation,
 )
@@ -172,13 +174,35 @@ def oracle_cone_count(delta_points, D, K, box):
     return count
 
 
+def oracle_zqpi_mul(x: ZqPi, y: ZqPi) -> ZqPi:
+    """The product of two ZqPi by its cap rule and a Z_q multiply-accumulate
+    loop: the cap is min(capA + ordB, capB + ordA), with a zero operand's
+    cap standing in for its ord, and every pair of stored terms below that
+    cap meets once through ctx.zq_mul and ctx.zq_add."""
+    assert x.ctx is y.ctx and x.den == y.den
+    prec = min(x.prec, y.prec)
+    ox = min(x.coeffs) if x.coeffs else x.cap
+    oy = min(y.coeffs) if y.coeffs else y.cap
+    cap = min(x.cap + oy, y.cap + ox)
+    ctx = x.ctx
+    out = {}
+    for i, s in x.coeffs.items():
+        for j, t in y.coeffs.items():
+            k = i + j
+            if k >= cap:
+                continue
+            v = ctx.zq_mul(s, t, prec)
+            out[k] = ctx.zq_add(out[k], v, prec) if k in out else v
+    return ZqPi(ctx, prec, cap, out, x.den)
+
+
 def oracle_berkowitz(entries, zero, one, keep):
     """First keep+1 coefficients of det(1 - A*s) over ZqPi entries.
 
-    The reference for the library's bare-ring kernel: every product and
-    sum is a ZqPi operation, so caps follow ZqPi's rules with nothing
-    skipped.  Row by row, the vector of the leading r x r block is the
-    previous one convolved with (1, -a_rr, -s_0, -s_1, ...), where s_j is
+    The reference for the library's bare-ring kernel: every product is
+    oracle_zqpi_mul and every sum a ZqPi sum, with nothing skipped.  Row by
+    row, the vector of the leading r x r block is the previous one
+    convolved with (1, -a_rr, -s_0, -s_1, ...), where s_j is
     row*block^j*column.
     """
     cv = [one]
@@ -197,7 +221,7 @@ def oracle_berkowitz(entries, zero, one, keep):
         for m in range(min(r, keep) + 1):
             acc = None
             for i in range(max(0, m - len(toep) + 1), min(m, len(cv) - 1) + 1):
-                t = cv[i].mul(toep[m - i]) if m - i > 0 else cv[i]
+                t = oracle_zqpi_mul(cv[i], toep[m - i]) if m - i > 0 else cv[i]
                 acc = t if acc is None else acc.add(t)
             new.append(acc if acc is not None else zero)
         cv = new
@@ -209,7 +233,7 @@ def oracle_berkowitz(entries, zero, one, keep):
 def _oracle_dot(row, col, zero):
     acc = None
     for x, y in zip(row, col):
-        t = x.mul(y)
+        t = oracle_zqpi_mul(x, y)
         acc = t if acc is None else acc.add(t)
     return acc if acc is not None else zero
 
@@ -640,7 +664,7 @@ def oracle_transfer_entries(f, B: int, M: int, N_pi: int):
             if ser is None:
                 row.append(ZqPi(ctx, M, N_pi * D, {}, den=D))
                 continue
-            if ser.ord_key() is not None and ser.ord_key() * D + eu - ew < (p - 1) * ew:
+            if ser.coeffs and min(ser.coeffs) * D + eu - ew < (p - 1) * ew:
                 raise TheoremViolation(f"entry at row {w}, column {u} below the valuation bound")
             alpha = shift(ser.rescale_den(D), eu - ew)
             row.append(with_cap(alpha, min(alpha.cap, N_pi * D)))
@@ -1044,6 +1068,10 @@ def oracle_polygon_verdict(P: NewtonPolygon, Q: NewtonPolygon, upto=None) -> str
     ):
         return "true"
     return "uncertified"
+
+
+class NotInConeError(DomainError):
+    """Lattice point lies outside the cone spanned by the Newton polytope."""
 
 
 def degree_reduced(dd: DegreeData, ur) -> Fraction:

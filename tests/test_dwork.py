@@ -50,6 +50,7 @@ from oracles import (
     oracle_exp_fractions,
     oracle_trace,
     oracle_transfer_entries,
+    oracle_zqpi_mul,
     pi_of_t,
     shift,
     with_cap,
@@ -297,18 +298,19 @@ class TestTransferMatrix:
         with pytest.raises(DomainError):
             psi_a_matrix(f, 2, 4, 2)
 
-    def test_series_rows_convert_each_entry_object_once(self, monkeypatch):
+    def test_entries_view_is_cached_and_converts_each_row_object_once(self, monkeypatch):
         Mx = psi_a_matrix(poly(SPERBER, p=3), 3, 4, 4)
-        cells = [e for row in Mx.entries for e in row]
-        convert = dwork._PiSeries.from_zqpi
+        cells = [x for row in Mx.rows for x in row]
+        convert = _PiSeries.to_zqpi
         seen = []
-        monkeypatch.setattr(
-            dwork._PiSeries, "from_zqpi", lambda ring, z: seen.append(z) or convert(ring, z)
-        )
-        ring, rows = dwork._series_rows(Mx)
-        # every zero cell is one shared entry object, converted once
-        assert len(seen) == len({id(e) for e in cells}) < len(cells) // 2
-        assert rows == [[convert(ring, e) for e in row] for row in Mx.entries]
+        monkeypatch.setattr(_PiSeries, "to_zqpi", lambda ring, x: seen.append(x) or convert(ring, x))
+        entries = Mx.entries
+        assert Mx.entries is entries
+        # every zero cell is the ring's one zero object, converted once
+        assert len(seen) == len({id(x) for x in cells}) < len(cells) // 2
+        want = [[_bare(convert(Mx.ring, x)) for x in row] for row in Mx.rows]
+        assert [[_bare(e) for e in row] for row in entries] == want
+        assert all(e.den == Mx.D for row in entries for e in row)
 
     def test_char_series_shape(self):
         f = poly([(1,)], p=2)
@@ -353,18 +355,19 @@ def zq_tuples(draw, ctx, M):
 
 @st.composite
 def sparse_operators(draw):
-    """A DworkMatrix with random sparse entries: den > 1, entry caps below,
-    at and above the spectral cap K, and zero entries of every cap.  Some
-    whole rows and columns, anywhere, are blanked with one zero: of cap >= K
-    (the kernel's absorbing zero) in some draws, of cap < K in others."""
+    """(Mx, entries): random sparse ZqPi entries, and a DworkMatrix whose rows
+    are those entries in its ring, clamped at the spectral cap K = N_pi*D.
+    Entries have den > 1, caps below, at and above K, and zeros of every
+    cap.  Some whole rows and columns, anywhere, are blanked with one zero:
+    of cap >= K (the kernel's absorbing zero) in some draws, of cap < K in
+    others."""
     ctx = CONTEXTS[draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2]))]
     M = 2
     D = draw(st.sampled_from([2, 3]))
     N_pi = draw(st.integers(1, 3))
-    B = draw(st.integers(0, 3))
     n = draw(st.integers(1, 5))
     top = N_pi * D + 2
-    K = min(N_pi * D, (ctx.p - 1) * (B * D + 1))
+    K = N_pi * D
     blank_rows = draw(st.sets(st.integers(0, n - 1), max_size=n))
     blank_cols = draw(st.sets(st.integers(0, n - 1), max_size=n))
     blank_cap = top if draw(st.booleans()) else draw(st.integers(1, max(1, K - 1)))
@@ -382,20 +385,17 @@ def sparse_operators(draw):
                 coeffs = {k: draw(zq_tuples(ctx, M)) for k in keys}
             row.append(ZqPi(ctx, M, cap, coeffs, den=D))
         rows.append(tuple(row))
-    points = tuple((i,) for i in range(n))  # only entries and caps matter
-    return DworkMatrix(
-        p=ctx.p,
-        a=ctx.a,
-        q=ctx.q,
-        B=B,
+    ring = _PiSeries(ctx, M, D, K)
+    Mx = DworkMatrix(
         N_pi=N_pi,
         D=D,
         ctx=ctx,
-        basis=points,
-        exponents=points,
+        basis=tuple((i,) for i in range(n)),  # only entries and caps matter
         degrees=(Fraction(0),) * n,
-        entries=tuple(rows),
+        ring=ring,
+        rows=tuple(tuple(ring.from_zqpi(e) for e in row) for row in rows),
     )
+    return Mx, rows
 
 
 def _bare(z):
@@ -422,24 +422,48 @@ def valued_matrices(draw, max_n):
     return ctx, M, [[entry() for _ in range(n)] for _ in range(n)]
 
 
+class TestPiSeriesProduct:
+    """ZqPi.mul, which is _PiSeries' product, against the reference loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(1, 3), st.sampled_from([2, 3]), st.data())
+    def test_matches_the_reference_product(self, p, a, den, data):
+        # unequal precisions, keys past the cap, and zeros of every cap
+        ctx = field_context(p, a)
+
+        def operand():
+            prec = data.draw(st.integers(1, 3))
+            cap = data.draw(st.integers(1, 8))
+            keys = data.draw(st.lists(st.integers(0, 9), max_size=4))
+            if data.draw(st.integers(0, 3)) == 0:
+                keys = []  # a zero operand
+            coeffs = {k: data.draw(zq_tuples(ctx, prec)) for k in keys}
+            return ZqPi(ctx, prec, cap, coeffs, den=den)
+
+        x, y = operand(), operand()
+        assert _bare(x.mul(y)) == _bare(oracle_zqpi_mul(x, y))
+
+
 class TestBerkowitzKernel:
     """The bare-ring kernel against the ZqPi reference, coefficients and caps."""
 
     @settings(max_examples=150, deadline=None)
     @given(sparse_operators(), st.data())
-    def test_char_series_matches_zqpi_berkowitz(self, Mx, data):
+    def test_char_series_matches_zqpi_berkowitz(self, job, data):
+        Mx, entries = job
         keep = data.draw(st.integers(0, Mx.dim))
         K = Mx.cert_cap()
         zero = ZqPi(Mx.ctx, 2, Mx.N_pi * Mx.D, {}, den=Mx.D)
-        want = oracle_berkowitz(Mx.entries, zero, zero.one_like(), keep)
+        want = oracle_berkowitz(entries, zero, zero.one_like(), keep)
         got = char_series(Mx, keep).coeffs
         assert [_bare(c) for c in got] == [_bare(with_cap(c, min(c.cap, K))) for c in want]
 
     @settings(max_examples=60, deadline=None)
     @given(sparse_operators(), st.integers(1, 3))
-    def test_operator_trace_matches_matrix_powers(self, Mx, k):
+    def test_operator_trace_matches_matrix_powers(self, job, k):
+        Mx, entries = job
         zero = ZqPi(Mx.ctx, 2, Mx.N_pi * Mx.D, {}, den=Mx.D)
-        want = oracle_trace(Mx.entries, zero, k)
+        want = oracle_trace(entries, zero, k)
         assert _bare(operator_trace(Mx, k)) == _bare(with_cap(want, min(want.cap, Mx.cert_cap())))
 
     @settings(max_examples=100, deadline=None)
@@ -458,9 +482,9 @@ class TestBerkowitzKernel:
         # appended to the block before them, with their nonzero columns, they
         # change no yielded vector and cost no ring product
         Mx = psi_a_matrix(poly(SPERBER, p=3), 3, 2, 4)
-        ring, rows = dwork._series_rows(Mx)
+        ring, rows = Mx.ring, Mx.rows
         K = Mx.cert_cap()
-        n0 = sum(1 for d in Mx.degrees if (Mx.p - 1) * d * Mx.D < K)
+        n0 = sum(1 for d in Mx.degrees if (Mx.ctx.p - 1) * d * Mx.D < K)
         assert 0 < n0 < Mx.dim
         assert all(ring.is_zero(x) for row in rows[n0:] for x in row)
         assert any(not ring.is_zero(x) for row in rows[:n0] for x in row[n0:])

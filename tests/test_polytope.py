@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -6,6 +7,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    NotInConeError,
     cofacial_defect,
     degree_of,
     edges,
@@ -16,7 +18,7 @@ from oracles import (
 )
 from tadic import polytope
 from tadic.arith import FieldContext
-from tadic.errors import DomainError, NotInConeError
+from tadic.errors import DomainError
 from tadic.polytope import (
     DegreeData,
     LaurentPoly,
@@ -167,6 +169,19 @@ class TestDegreeData:
         monkeypatch.setattr(polytope, "BOX_LIMIT", 24)
         with pytest.raises(DomainError, match="holds 25 lattice points, past the box limit 24"):
             dd.cone_points_upto(2)
+
+    @pytest.mark.parametrize("support, K", [([(-2,), (3,)], 7), ([(2, 3), (-1, 1), (1, -2)], 40)])
+    def test_box_is_the_lattice_hull_of_the_scaled_polytope(self, support, K, monkeypatch):
+        # with D > 1 the ends of K/D * Delta are fractional: the box runs from
+        # their ceilings to their floors (6 and 24 points here, where the
+        # floor-to-ceiling box held 8 and 48), and the refusal counts it
+        dd = DegreeData(support, len(support[0]))
+        assert dd.D > 1
+        ends = zip(*[[Fraction(x * K, dd.D) for x in u] for u in dd.red_points])
+        box = math.prod(math.floor(max(c)) - math.ceil(min(c)) + 1 for c in ends)
+        monkeypatch.setattr(polytope, "BOX_LIMIT", box - 1)
+        with pytest.raises(DomainError, match=f"holds {box} lattice points, past the box limit"):
+            dd.cone_points_upto(K)
 
     def test_weight_counts_interval(self):
         dd = DegreeData([(4,)], 1)
