@@ -17,7 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tadic.arith import field_context
-from tadic.dwork import char_c_crosscheck, verify_trace_formula
+from tadic.dwork import char_c_crosscheck, psi_a_matrix, verify_trace_formula
 from tadic.polytope import LaurentPoly
 
 
@@ -62,12 +62,14 @@ def main() -> int:
         f = build(inst)
         B = max(1, -(-args.pi_cap // (inst.p - 1)))
         t0 = time.time()
+        # one transfer matrix serves both trace checks and the char check
+        Mx = psi_a_matrix(f, B, args.prec_p, args.pi_cap)
         parts = []
         for k in (1, 2):
-            chk = verify_trace_formula(f, k, B, args.prec_p, args.pi_cap)
+            chk = verify_trace_formula(f, k, B, args.prec_p, args.pi_cap, matrix=Mx)
             parts.append(f"trace k={k}: {'ok' if chk.ok else 'FAIL'}")
             failures += not chk.ok
-        cc = char_c_crosscheck(f, args.deg_s, B, args.prec_p, args.pi_cap)
+        cc = char_c_crosscheck(f, args.deg_s, B, args.prec_p, args.pi_cap, matrix=Mx)
         parts.append(
             f"char deg<={cc.deg_s}: {'ok' if cc.ok else 'FAIL ' + str(cc.mismatches)}"
         )

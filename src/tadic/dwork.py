@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .arith import FieldContext, teichmuller_lift
 from .errors import DomainError, IntegralityError, PrecisionError, TheoremViolation
-from .polytope import LaurentPoly, newton_data, restrict_to_face, saturated_span_basis
+from .polytope import LaurentPoly, newton_data, restrict_to_face, saturated_span
 from .series import SSeries, TSeries, _SparseSeries, vp
 
 
@@ -844,13 +844,6 @@ def char_c_crosscheck(
 # ---------------------------------------------------------------------------
 
 
-def _carrier(dd, ur, g: int):
-    """Indices of the height facets attaining the grid degree g > 0 of ur."""
-    return frozenset(
-        i for i, n in enumerate(dd.grid_normals) if sum(a * b for a, b in zip(n, ur)) == g
-    )
-
-
 @dataclass(frozen=True)
 class OrdinarinessReport:
     """Per-cutoff nonvanishing of the criterion determinants.
@@ -871,11 +864,13 @@ class OrdinarinessReport:
 @dataclass(frozen=True)
 class _Criterion:
     """The criterion matrix on cone points sorted by (degree, lex), with the
-    grid data it was read from: grid[i] = D*deg(pts[i]), and defects[i][j]
+    grid data it was read from: height[i][k] = <grid normal k, pts[i]>,
+    grid[i] = D*deg(pts[i]) = max(0, *height[i]), and defects[i][j]
     = g(p*w - u) + g(u) - p*g(w) for w = pts[i], u = pts[j] (None off the
     cone), where g = D*deg."""
 
     pts: tuple
+    height: list
     grid: tuple
     defects: tuple
     sc: _ZqScalars
@@ -944,7 +939,7 @@ def _criterion_data(f: LaurentPoly, dd, K: int, M: int) -> _Criterion:
         deg = Fraction(dd.grid_degree(u), D)
         if deg > 1:
             raise IntegralityError(f"kernel factor x^{u} has degree {deg} above 1")
-    return _Criterion(pts=pts, grid=grid, defects=tuple(defects), sc=sc, mat=mat)
+    return _Criterion(pts=pts, height=height, grid=grid, defects=tuple(defects), sc=sc, mat=mat)
 
 
 def _report(dd, crit: _Criterion, K: int, M: int):
@@ -1011,8 +1006,12 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
     pts, grid, sc, mat = crit.pts, crit.grid, crit.sc, crit.mat
     whole, dets = _report(dd, crit, K, M)
 
-    # open facial cone of each basis point: carrier facets + face dimension
-    carriers = [_carrier(dd, ur, g) if g > 0 else None for ur, g in zip(pts, grid)]
+    # open facial cone of each basis point: carrier facets (the height
+    # facets attaining its grid degree g > 0) + face dimension
+    carriers = [
+        frozenset(i for i, h in enumerate(hs) if h == g) if g > 0 else None
+        for hs, g in zip(crit.height, grid)
+    ]
     dims = {}
     for c in set(c for c in carriers if c is not None):
         face_pts = [
@@ -1026,7 +1025,7 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
         ]
         # affine dimension: the rank of the (distinct, so nonzero) differences
         diffs = [tuple(x - y for x, y in zip(q, face_pts[0])) for q in face_pts[1:]]
-        dims[c] = len(saturated_span_basis(diffs, dd.rank)) if face_pts else -1
+        dims[c] = len(saturated_span(diffs, dd.rank)[0]) if face_pts else -1
 
     for (i, cw), (j, cu) in itertools.product(enumerate(carriers), repeat=2):
         if cw is None or cu is None or cw == cu:

@@ -5,7 +5,9 @@ reduction, hyperplanes use primitive integer normals, and degrees are
 Fractions.  The polytope Delta of f is the convex hull of the origin and
 the exponent vectors; when that hull is lower-dimensional the lattice
 points of its span are mapped to a saturated coordinate system first, so
-all downstream code can assume a full-dimensional polytope.
+all downstream code can assume a full-dimensional polytope; the column
+reduction's integer left inverse reads those coordinates off.  Delta
+depends only on the support, so newton_data keeps one DegreeData each.
 
 Facet search is exhaustive over point subsets (dimensions <= 4), which
 avoids any convex-hull dependency at the scales this package targets.
@@ -18,6 +20,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Optional
 
@@ -27,19 +30,22 @@ from .series import NewtonPolygon, polygon_rescale
 
 
 # ---------------------------------------------------------------------------
-# exact integer / rational linear algebra
+# exact integer linear algebra
 # ---------------------------------------------------------------------------
 
 
 def integer_kernel(rows, n):
-    """Basis of the lattice {x in Z^n : M x = 0} for an integer matrix M.
+    """Basis of the lattice {x in Z^n : M x = 0} for an integer matrix M,
+    and an integer left inverse of it.
 
-    Column elimination with unimodular operations tracked in U; the columns
-    of U over the eliminated range form a basis of the full kernel lattice
-    (saturated by construction).
+    Column elimination with unimodular operations tracked in U and their
+    inverses in V = U^-1; the columns of U over the eliminated range form a
+    basis of the full kernel lattice (saturated by construction), and the
+    rows of V over that range are an integer left inverse of that basis.
     """
     M = [list(r) for r in rows]
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    V = [row[:] for row in U]
     col_start = 0
     for row_i in range(len(M)):
         while True:
@@ -53,6 +59,7 @@ def integer_kernel(rows, n):
                 M[r][j1] -= quo * M[r][j0]
             for r in range(n):
                 U[r][j1] -= quo * U[r][j0]
+            V[j0] = [a + quo * b for a, b in zip(V[j0], V[j1])]
         nz = [j for j in range(col_start, n) if M[row_i][j] != 0]
         if nz:
             j = nz[0]
@@ -61,8 +68,10 @@ def integer_kernel(rows, n):
                     M[r][col_start], M[r][j] = M[r][j], M[r][col_start]
                 for r in range(n):
                     U[r][col_start], U[r][j] = U[r][j], U[r][col_start]
+                V[col_start], V[j] = V[j], V[col_start]
             col_start += 1
-    return [tuple(U[r][j] for r in range(n)) for j in range(col_start, n)]
+    basis = [tuple(U[r][j] for r in range(n)) for j in range(col_start, n)]
+    return basis, [tuple(V[j]) for j in range(col_start, n)]
 
 
 def primitive(vec):
@@ -78,50 +87,23 @@ def primitive(vec):
     return None
 
 
-def solve_rational(columns, target):
-    """Solve sum_j c_j * columns[j] = target exactly; None if inconsistent."""
-    if not columns:
-        return [] if not any(target) else None
-    n = len(columns[0])
-    r = len(columns)
-    A = [[Fraction(columns[j][i]) for j in range(r)] + [Fraction(target[i])] for i in range(n)]
-    piv_rows = []
-    col = 0
-    for col in range(r):
-        prow = None
-        for i in range(n):
-            if i not in [pi for pi, _ in piv_rows] and A[i][col] != 0:
-                prow = i
-                break
-        if prow is None:
-            continue
-        piv_rows.append((prow, col))
-        inv = 1 / A[prow][col]
-        A[prow] = [a * inv for a in A[prow]]
-        for i in range(n):
-            if i != prow and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [a - f * b for a, b in zip(A[i], A[prow])]
-    sol = [Fraction(0)] * r
-    for prow, col in piv_rows:
-        sol[col] = A[prow][r]
-    for i in range(n):
-        if i not in [pi for pi, _ in piv_rows] and A[i][r] != 0:
-            return None
-    # rows with pivots already consistent; verify in full (cheap, exact)
-    for i in range(n):
-        s = sum(sol[j] * columns[j][i] for j in range(r))
-        if s != target[i]:
-            return None
-    return sol
+def saturated_span(vectors, n):
+    """Integer basis of span_Q(vectors) ∩ Z^n (empty list for zero span),
+    and an integer left inverse of it."""
+    identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    normals = integer_kernel(vectors, n)[0] if vectors else identity
+    return integer_kernel(normals, n) if normals else (identity, identity)
 
 
-def saturated_span_basis(vectors, n):
-    """Integer basis of span_Q(vectors) ∩ Z^n (empty list for zero span)."""
-    normals = integer_kernel(vectors, n) if vectors else [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    if not normals:
-        return [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    return integer_kernel(normals, n)
+def _combine(basis, c, n):
+    return tuple(sum(b[i] * x for b, x in zip(basis, c)) for i in range(n))
+
+
+def _coordinates(basis, inverse, u):
+    """Coordinates of the integer vector u in a saturated basis, read off by
+    its left inverse and confirmed by recombining; None off its span."""
+    c = tuple(sum(a * b for a, b in zip(row, u)) for row in inverse)
+    return c if _combine(basis, c, len(u)) == u else None
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +330,18 @@ class DegreeData:
         pts.add((0,) * n)
         self.n = n
         self.points = tuple(sorted(pts))
-        basis = saturated_span_basis([p for p in self.points if any(p)], n)
-        self.rank = len(basis)
-        self.basis = tuple(basis)
+        span = saturated_span([p for p in self.points if any(p)], n)
+        self.basis, self.inverse = map(tuple, span)
+        self.rank = len(self.basis)
         if self.rank == 0:
             raise DomainError("polytope is a single point")
-        self._red_cache = {}
         red = [self.to_reduced(p) for p in self.points]
         assert all(r is not None for r in red)
         self.red_points = tuple(sorted(set(red)))
-        self.facets = self._find_facets()
+        facets = _facets_of(self.red_points, self.rank)
+        # origin evaluates to 0 <= offset, so offsets are never negative here
+        assert all(f.offset >= 0 for f in facets)
+        self.facets = tuple(sorted(facets, key=lambda f: (f.offset, f.normal)))
         self.facets_origin = tuple(f for f in self.facets if f.offset == 0)
         self.facets_height = tuple(f for f in self.facets if f.offset > 0)
         if not self.facets_height:
@@ -373,26 +357,10 @@ class DegreeData:
 
     def to_reduced(self, u) -> Optional[tuple]:
         """Integer coordinates of u in the saturated span basis, or None."""
-        u = tuple(int(c) for c in u)
-        if u in self._red_cache:
-            return self._red_cache[u]
-        sol = solve_rational(self.basis, u)
-        out = None
-        if sol is not None and all(s.denominator == 1 for s in sol):
-            out = tuple(int(s) for s in sol)
-        self._red_cache[u] = out
-        return out
+        return _coordinates(self.basis, self.inverse, tuple(int(c) for c in u))
 
     def from_reduced(self, r) -> tuple:
-        return tuple(sum(b[i] * c for b, c in zip(self.basis, r)) for i in range(self.n))
-
-    # -- facets -------------------------------------------------------------
-
-    def _find_facets(self):
-        facets = _facets_of(self.red_points, self.rank)
-        # origin evaluates to 0 <= offset, so offsets are never negative here
-        assert all(f.offset >= 0 for f in facets)
-        return tuple(sorted(facets, key=lambda f: (f.offset, f.normal)))
+        return _combine(self.basis, r, self.n)
 
     # -- cone and degree ------------------------------------------------------
 
@@ -504,12 +472,10 @@ def _nvol(points, rank) -> int:
         if height == 0:
             continue
         shifted = [tuple(a - b for a, b in zip(p, f.points[0])) for p in f.points]
-        sub = saturated_span_basis([s for s in shifted if any(s)], rank)
-        red = []
-        for s in shifted:
-            sol = solve_rational(sub, s)
-            assert sol is not None and all(x.denominator == 1 for x in sol)
-            red.append(tuple(int(x) for x in sol))
+        sub, inverse = saturated_span([s for s in shifted if any(s)], rank)
+        red = [_coordinates(sub, inverse, s) for s in shifted]
+        # the facet's points are integer combinations of its saturated basis
+        assert None not in red
         total += abs(height) * _nvol(red, len(sub))
     return total
 
@@ -518,7 +484,7 @@ def _facets_of(points, rank):
     out = {}
     for subset in itertools.combinations(points, rank):
         diffs = [tuple(a - b for a, b in zip(s, subset[0])) for s in subset[1:]]
-        normals = integer_kernel(diffs, rank)
+        normals = integer_kernel(diffs, rank)[0]
         if len(normals) != 1:
             continue
         l = primitive(normals[0])
@@ -542,8 +508,15 @@ def _facets_of(points, rank):
     return tuple(out.values())
 
 
+@lru_cache(maxsize=256)
+def _support_data(exponents: tuple, n: int) -> DegreeData:
+    return DegreeData(exponents, n)
+
+
 def newton_data(f: LaurentPoly) -> DegreeData:
-    return DegreeData(f.exponents(), f.n)
+    """The DegreeData of f's support: one immutable object per support,
+    shared by polynomials over any field with any coefficients."""
+    return _support_data(tuple(f.exponents()), f.n)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +583,11 @@ def restrict_to_face(f: LaurentPoly, dd: DegreeData, face: Face) -> LaurentPoly:
     return LaurentPoly.make(f.n, kept, f.ctx)
 
 
-def _face_poly_verdict(f: LaurentPoly, dd: DegreeData, face: Face, r_max: int):
+# largest r of the F_{q^r} torus search for a degeneracy witness
+NONDEGENERACY_SEARCH_DEGREE = 2
+
+
+def _face_poly_verdict(f: LaurentPoly, dd: DegreeData, face: Face):
     """(status, witness) for one face: 'pass' (definitive), 'degenerate',
     or 'open' (bounded search found nothing)."""
     ctx = f.ctx
@@ -623,7 +600,7 @@ def _face_poly_verdict(f: LaurentPoly, dd: DegreeData, face: Face, r_max: int):
         # a single-monomial partial never vanishes on the torus
         return "pass", None
     # brute search over (F_{q^r}^x)^n
-    for r in range(1, r_max + 1):
+    for r in range(1, NONDEGENERACY_SEARCH_DEGREE + 1):
         big = ctx.ext(r)
         phi = ctx.embed_into(big)
         lifted = [
@@ -652,19 +629,20 @@ def _face_poly_verdict(f: LaurentPoly, dd: DegreeData, face: Face, r_max: int):
     return "open", None
 
 
-def is_nondegenerate(f: LaurentPoly, r_max: int = 2):
+def is_nondegenerate(f: LaurentPoly):
     """'nondegenerate' | ('degenerate', witness) | 'unknown'.
 
     Definitive passes come from monomial certificates (a face whose gradient
     has a single-monomial component cannot vanish on the torus); otherwise a
-    bounded torus search either finds a witness or leaves the face open.
+    torus search over F_{q^r}, r <= NONDEGENERACY_SEARCH_DEGREE, either
+    finds a witness or leaves the face open.
     """
     dd = newton_data(f)
     all_pass = True
     for face in dd.closed_faces():
         if face.contains_origin:
             continue
-        status, witness = _face_poly_verdict(f, dd, face, r_max)
+        status, witness = _face_poly_verdict(f, dd, face)
         if status == "degenerate":
             return ("degenerate", witness)
         if status == "open":

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     NotInConeError,
+    _solve_unique,
     cofacial_defect,
     degree_of,
     edges,
@@ -31,8 +32,7 @@ from tadic.polytope import (
     newton_data,
     primitive,
     restrict_to_face,
-    saturated_span_basis,
-    solve_rational,
+    saturated_span,
 )
 from tadic.series import polygon_rescale
 
@@ -51,16 +51,16 @@ def poly(exps, p=3, a=1):
 
 class TestLinearAlgebra:
     def test_kernel_simple(self):
-        ker = integer_kernel([(1, 2)], 2)
+        ker, _ = integer_kernel([(1, 2)], 2)
         assert len(ker) == 1
         assert ker[0] in [(2, -1), (-2, 1)]
 
     def test_kernel_full_rank(self):
-        assert integer_kernel([(1, 0), (0, 1)], 2) == []
+        assert integer_kernel([(1, 0), (0, 1)], 2) == ([], [])
 
     def test_kernel_saturated(self):
         # kernel of (2, 4) must contain (2, -1), not just (4, -2)
-        ker = integer_kernel([(2, 4)], 2)
+        ker, _ = integer_kernel([(2, 4)], 2)
         assert len(ker) == 1
         assert primitive(ker[0]) == ker[0] or primitive(ker[0]) == tuple(-c for c in ker[0])
 
@@ -72,20 +72,76 @@ class TestLinearAlgebra:
         )
     )
     def test_kernel_annihilates(self, rows):
-        ker = integer_kernel(rows, 3)
+        ker, inverse = integer_kernel(rows, 3)
         for v in ker:
             for r in rows:
                 assert sum(a * b for a, b in zip(r, v)) == 0
+        # the integer left inverse: inverse * ker is the identity
+        assert [[sum(a * b for a, b in zip(l, v)) for v in ker] for l in inverse] == [
+            [int(i == j) for j in range(len(ker))] for i in range(len(ker))
+        ]
 
     def test_saturated_span(self):
-        basis = saturated_span_basis([(2, 0)], 2)
+        basis, inverse = saturated_span([(2, 0)], 2)
         assert len(basis) == 1
         assert basis[0] in [(1, 0), (-1, 0)]
+        assert inverse[0] in [(1, 0), (-1, 0)]
 
-    def test_solve_rational(self):
-        sol = solve_rational([(1, 0), (1, 1)], (3, 2))
-        assert sol == [Fraction(1), Fraction(2)]
-        assert solve_rational([(1, 0)], (0, 1)) is None
+
+@st.composite
+def supports_and_points(draw):
+    """A support of rank r <= n (integer combinations of r drawn
+    generators, so often r < n), with one point on its span (a combination
+    of the support) and one arbitrary point."""
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-3, 3)] * n)
+    gens = draw(st.lists(vec, min_size=1, max_size=n))
+    combos = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * len(gens)), min_size=1, max_size=4))
+    support = sorted({tuple(sum(c * g[i] for c, g in zip(cs, gens)) for i in range(n)) for cs in combos})
+    mult = draw(st.tuples(*[st.integers(-2, 2)] * len(support)))
+    on = tuple(sum(m * u[i] for m, u in zip(mult, support)) for i in range(n))
+    return support, n, [on, draw(vec)]
+
+
+class TestReducedCoordinates:
+    @settings(deadline=None, max_examples=80)
+    @given(supports_and_points())
+    @example(([(2, 2)], 2, [(1, 1), (1, 0)]))
+    @example(([(2, 0, 0), (0, 2, 2)], 3, [(1, 1, 1), (1, 1, 0)]))
+    @example((SPERBER, 2, [(1, 2), (-3, 1)]))
+    def test_to_reduced_against_exact_solve(self, case):
+        # integer coordinates in the saturated basis exactly when the exact
+        # rational solve finds a (necessarily integral) solution, else None
+        support, n, points = case
+        try:
+            dd = DegreeData(support, n)
+        except DomainError:
+            reject()
+        for u in points:
+            sol = _solve_unique(dd.basis, u)
+            assert sol is None or all(x.denominator == 1 for x in sol)
+            want = None if sol is None else tuple(int(x) for x in sol)
+            assert dd.to_reduced(u) == want
+            if want is not None:
+                assert dd.from_reduced(want) == u
+
+    def test_one_degree_data_per_support(self):
+        f = poly(SPERBER, p=3)
+        ctx = FieldContext(5, 2)
+        g = LaurentPoly.make(
+            2, {(1, 0): ctx.generator, (0, 1): ctx.one(), (-1, -1): ctx.from_int(2)}, ctx
+        )
+        dd = newton_data(f)
+        assert newton_data(g) is dd
+        assert newton_data(poly(SPERBER, p=7)) is dd
+        assert newton_data(poly([(1, 0), (0, 1)])) is not dd
+        # nothing in the shared object changes as it is read
+        before = dict(vars(dd))
+        dd.to_reduced((2, 1))
+        dd.to_reduced((-1, 3))
+        dd.cone_points_upto(4)
+        is_nondegenerate(g)
+        assert vars(dd) == before
 
 
 class TestDegreeData:
@@ -358,7 +414,7 @@ class TestNondegeneracy:
         # misses the origin and carries both terms; its partials
         # 2xy + y^2 and x^2 + 2xy share the torus zero (1, 1)
         f = poly([(2, 1), (1, 2)], p=3)
-        verdict = is_nondegenerate(f, r_max=2)
+        verdict = is_nondegenerate(f)
         assert verdict[0] == "degenerate"
 
     def test_additive_polynomial_detected(self):
