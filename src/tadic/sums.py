@@ -15,7 +15,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul
+from operator import mul
 from typing import Optional
 
 from .arith import (
@@ -108,12 +108,19 @@ def _trace_table(big: FieldContext, prec: int) -> tuple:
 
     Tables depend only on (p, [F:F_p], prec), so they are shared by every
     caller in the process, as tuples no caller can alter; each one is
-    checked when it is built.
+    checked when it is built.  A miss reduces a kept table of the same
+    field at a higher precision mod p^prec when there is one, and builds
+    otherwise.
     """
     key = (big.p, big.a, prec)
     table = _TABLES.pop(key, None)
     if table is None:
-        table = _build_trace_table(big, prec)
+        finer = next((t for (p, a, m), t in _TABLES.items() if (p, a) == key[:2] and m > prec), None)
+        if finer is None:
+            table = _build_trace_table(big, prec)
+        else:
+            pm = big.p**prec
+            table = tuple(x % pm for x in finer)
     _TABLES[key] = table
     while _TABLES and sum(map(len, _TABLES.values())) > TABLE_CACHE_ENTRIES:
         del _TABLES[next(iter(_TABLES))]
@@ -161,32 +168,45 @@ def _build_trace_table(big: FieldContext, prec: int) -> tuple:
     B = math.isqrt(Q1 // d)  # >= 1, as q - 1 >= d
     bits = (d * (pm - 1) ** 2).bit_length()
     W = 64 if bits <= 64 else -(-bits // 8) * 8
+    pack, unpack = _slot_codec(W, B)
     cols = []
     for i in range(d):
         u = [0] * d
         u[i] = 1
         for k in range(d, d + B):
             u.append(sum(map(mul, neg_c, u[k - d : k])) % pm)
-        cols.append(int.from_bytes(b"".join(x.to_bytes(W // 8, "little") for x in u[d:]), "little"))
-    unpack = _slot_unpacker(W, B)
+        cols.append(int.from_bytes(pack(u[d:]), "little"))
     for k in range(len(s), Q1, B):
         block = unpack(sum(map(mul, s[k - d : k], cols)))
         s += [x % pm for x in block[: Q1 - k]]
     return tuple(s)
 
 
-def _slot_unpacker(W: int, B: int):
-    """v -> the B W-bit slots of v, lowest first (W a multiple of 8)."""
+_SLOT_CODES = {16: "H", 32: "I", 64: "Q"}
+
+
+def _slot_codec(W: int, B: int):
+    """(pack, unpack) for W-bit slots, lowest first (W a multiple of 8):
+    pack(xs) is the bytes of ints xs in [0, 2^W), one slot each, and
+    unpack(v) the B slots of an int v < 2^(W*B).  16-, 32- and 64-bit
+    slots go through struct, wider ones one slot at a time."""
     n = W // 8
-    if W == 64:
-        unpack = struct.Struct(f"<{B}Q").unpack
-        return lambda v: unpack(v.to_bytes(n * B, "little"))
+    code = _SLOT_CODES.get(W)
+    if code:
+        unpack = struct.Struct(f"<{B}{code}").unpack
+        return (
+            lambda xs: struct.pack(f"<{len(xs)}{code}", *xs),
+            lambda v: unpack(v.to_bytes(n * B, "little")),
+        )
+
+    def pack(xs):
+        return b"".join(x.to_bytes(n, "little") for x in xs)
 
     def slots(v):
         buf = v.to_bytes(n * B, "little")
         return [int.from_bytes(buf[i : i + n], "little") for i in range(0, n * B, n)]
 
-    return slots
+    return pack, slots
 
 
 def _coefficient_logs(f: LaurentPoly, big: FieldContext):
@@ -215,6 +235,18 @@ def _orbit_size(jvec, q: int, Q1: int) -> int:
             return size
 
 
+def _strided(table, r: int, e: int, L: int) -> list:
+    """table[(r + e*i) % len(table)] for i < L, a C-level slice per pass
+    over the table (a negative e reads it backwards)."""
+    out = []
+    while len(out) < L:
+        run = table[r::e]
+        out += run
+        r = (r + e * len(run)) % len(table)
+    del out[L:]
+    return out
+
+
 def torus_trace_counts(f: LaurentPoly, k: int, prec: int) -> dict:
     """Multiset {trace mod p^prec: multiplicity} of Tr(f^(x)) over all
     (q^k - 1)^n torus points of the k-th extension.
@@ -223,19 +255,43 @@ def torus_trace_counts(f: LaurentPoly, k: int, prec: int) -> dict:
     teich(g)^dlog and its trace a table entry.  The walk fixes the first
     n-1 coordinates of the dlog vector and takes the last one a whole row at
     a time: each term's row is the table rotated to the term's offset and
-    read at stride u_n, and the rows add elementwise.  x -> x^q fixes the
-    coefficients of f, so the row of q*prefix is a permutation of the row
-    of prefix: only the lex-smallest prefix of each Frobenius orbit is
-    walked, its row counted once per orbit size.  Unreduced sums are
+    read at stride e = u_n mod Q1, and the rows add elementwise.  x -> x^q
+    fixes the coefficients of f, so the row of q*prefix is a permutation of
+    the row of prefix: only the lex-smallest prefix of each Frobenius orbit
+    is walked, its row counted once per orbit size.  Unreduced sums are
     counted and reduced mod p^prec once per distinct sum.
+
+    Rows are big integers of Q1 W-bit slots (Kronecker packing).  A slot
+    holds at most len(terms)*(p^prec - 1) < 2^W, so rows add as integers
+    and no slot carries into the next.  Reading at stride e stays in one
+    class r mod g = gcd(e, Q1) and repeats with period L = Q1/g, so the
+    row is a rotation of the copy table[(r + e*i) % Q1], i < L, repeated
+    g times.  Each (e, r) copy is packed twice end to end on first use,
+    so the g copies of one stride hold 2*Q1 slots in all; the negative
+    stride e - Q1 is read when it is shorter.  Constant terms add their
+    trace times the packed all-ones row.
     """
     big = f.ctx.ext(k)
     table = _trace_table(big, prec)
     Q1 = len(table)
     q = f.ctx.q
     pm = f.ctx.p**prec
-    terms = [(cl, u[:-1], u[-1] % Q1) for cl, (u, _) in zip(_coefficient_logs(f, big), f.terms)]
-    reads = {e: [e * j % Q1 for j in range(Q1)] for _, _, e in terms if e > 1}
+    bound = len(f.terms) * (pm - 1)
+    W = next((w for w in _SLOT_CODES if bound >> w == 0), -(-bound.bit_length() // 8) * 8)
+    nb = W // 8
+    pack, unpack = _slot_codec(W, Q1)
+    terms = []
+    for cl, (u, _) in zip(_coefficient_logs(f, big), f.terms):
+        e = u[-1] % Q1
+        if e > Q1 // 2:
+            e -= Q1
+        g = math.gcd(e, Q1)
+        L = Q1 // g
+        # i0 = ((base - r) // g) * inv mod L puts r + e*i0 at base
+        terms.append((cl, u[:-1], e, g, L, pow(e // g, -1, L)))
+    # the all-ones row, for terms constant along the row
+    ones = int.from_bytes(pack([1] * Q1), "little") if any(t[2] == 0 for t in terms) else 0
+    copies = {}  # (e, r) -> packed copy, twice end to end
     by_size = defaultdict(Counter)  # orbit size -> unreduced row sums
     for prefix in itertools.product(range(Q1), repeat=f.n - 1):
         size = _orbit_size(prefix, q, Q1)
@@ -244,22 +300,21 @@ def torus_trace_counts(f: LaurentPoly, k: int, prec: int) -> dict:
         raw = by_size[size]
         const = 0
         rows = []
-        for cl, head, e in terms:
+        for cl, head, e, g, L, inv in terms:
             base = (cl + sum(map(mul, head, prefix))) % Q1
             if e == 0:
                 const += table[base]
                 continue
-            row = table[base:] + table[:base]
-            rows.append(row if e == 1 else list(map(row.__getitem__, reads[e])))
+            r = base % g
+            packed = copies.get((e, r))
+            if packed is None:
+                packed = copies[e, r] = pack(_strided(table, r, e, L)) * 2
+            i0 = (base - r) // g * inv % L
+            rows.append(int.from_bytes(packed[i0 * nb : (i0 + L) * nb] * g, "little"))
         if not rows:
             raw[const] += Q1
             continue
-        acc = rows[0]
-        for row in rows[1:]:
-            acc = map(add, acc, row)
-        if const:
-            acc = map(const.__add__, acc)
-        raw.update(acc)
+        raw.update(unpack(sum(rows, const * ones)))
     counts = {}
     for size, raw in by_size.items():
         for t, c in raw.items():

@@ -66,3 +66,6 @@ def test_traced_round_fills_every_hook():
         "dwork.ZqPi.mul calls": trace["spans"]["dwork.ZqPi.mul"][0],
     }
     assert all(v > 0 for v in counts.values()), counts
+    # the walk's multiset over these 14 jobs: a walk that drops or double
+    # counts a row moves one of them
+    assert (trace["torus_points"], trace["distinct_traces"]) == (16485, 1257)

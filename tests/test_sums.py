@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import types
 from fractions import Fraction
@@ -224,6 +225,24 @@ class TestTraceTable:
         assert len(_trace_table(FieldContext(11, 2), 2)) == 120
         assert sums._TABLES == {}
 
+    def test_lower_precision_reduces_a_kept_table(self, monkeypatch):
+        monkeypatch.setattr(sums, "_TABLES", {})
+        builds = []
+        build = sums._build_trace_table
+        monkeypatch.setattr(
+            sums, "_build_trace_table", lambda big, prec: builds.append(prec) or build(big, prec)
+        )
+        f = poly(SPERBER, p=3)
+        torus_trace_counts(f, 2, 4)
+        counts = torus_trace_counts(f, 2, 2)
+        assert builds == [4]
+        big = f.ctx.ext(2)
+        assert _trace_table(big, 2) == build(big, 2)
+        assert counts == oracle_torus_trace_counts(f, 2, 2)
+        # a higher precision than any kept table is built
+        torus_trace_counts(f, 2, 5)
+        assert builds == [4, 5]
+
 
 class TestTorusWalk:
     @settings(max_examples=60, deadline=None)
@@ -232,9 +251,43 @@ class TestTorusWalk:
     @example((poly([(1, 0, -1), (0, 2, 1), (0, 0, 0), (-1, -1, 0)], p=2), 3, 3))
     @example((poly([(2, 0), (-1, 3), (0, -2)], p=3), 2, 5))
     @example((poly([(1, 1), (-1, 0)], p=2, a=2), 2, 2))
+    # negative strides of size >= 2: -3 read over 124 (g^0*x1^-3 over F_5,
+    # k = 3), and beside strides sharing a factor with Q1 = 24 or 8
+    @example((poly([(-3,)], p=5), 3, 1))
+    @example((poly([(2,), (-3,), (6,), (-2,)], p=5), 2, 3))
+    @example((poly([(1, -2), (0, 2), (-1, -3)], p=3), 2, 3))
+    @example((poly([(1, 4), (-1, -6), (2, 3)], p=3), 2, 2))
     def test_orbit_walk_matches_every_point_walk(self, job):
         f, k, prec = job
         assert torus_trace_counts(f, k, prec) == oracle_torus_trace_counts(f, k, prec)
+
+    @pytest.mark.parametrize(
+        "exps,prec,W",
+        [
+            # the largest prec whose slot bound len(terms)*(2^prec - 1)
+            # fits W bits, over strides 1, -3 (gcd 3 with Q1 = 15) and -5
+            ([(1, 1), (-1, -3), (2, -5)], 14, 16),
+            ([(1, -3), (-1, 5)], 31, 32),
+            ([(1, 1), (-1, -3), (2, -5)], 62, 64),
+            # one bit past 64: whole-byte slots, unpacked one at a time
+            ([(1, 1), (-1, -3), (2, -5)], 63, 72),
+            ([(1, 1), (-1, -3), (2, -5)], 100, 104),
+        ],
+    )
+    def test_every_slot_width_matches_every_point_walk(self, monkeypatch, exps, prec, W):
+        f = poly(exps, p=2)  # 15^2 points over F_16
+        codecs = []
+        codec = sums._slot_codec
+        monkeypatch.setattr(sums, "_slot_codec", lambda w, B: codecs.append((w, B)) or codec(w, B))
+        assert torus_trace_counts(f, 4, prec) == oracle_torus_trace_counts(f, 4, prec)
+        assert codecs[-1] == (W, 15)
+
+    def test_strided_copies_read_the_table_in_order(self):
+        table = tuple(range(100, 124))
+        for e in (1, 2, 5, 6, -1, -3, -8, 23):
+            for r in range(24):
+                L = 24 // math.gcd(e, 24)
+                assert sums._strided(table, r, e, L) == [table[(r + e * i) % 24] for i in range(L)]
 
     def test_later_walks_reuse_the_coefficient_logs(self, monkeypatch):
         # survey-style: new coefficients over the same field pair walk no
