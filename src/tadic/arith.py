@@ -8,7 +8,10 @@ unramified extension, so reduction mod p is literally coefficientwise.  All
 constructions are deterministic functions of (p, a): the defining polynomial
 is the lexicographically smallest monic irreducible (ordered by the integer
 encoding sum c_i p^i of its non-leading coefficients) and the generator is
-the smallest element of full multiplicative order.
+the smallest element of full multiplicative order.  For a >= 2 both are read
+from the committed table in _presentations.py, which
+scripts/field_presentations.py computes; at a = 1 the polynomial is y and
+the generator, the least primitive root, is found at start-up.
 """
 
 from __future__ import annotations
@@ -49,61 +52,6 @@ def prime_factors(n: int):
     if n > 1:
         out.append(n)
     return out
-
-
-# -- polynomial helpers over F_p (dense int lists, low degree first) --------
-
-
-def _poly_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _poly_gcd(A, B, p):
-    A = _poly_trim(list(A))
-    B = _poly_trim(list(B))
-    while B:
-        inv = pow(B[-1], -1, p)
-        while A and len(A) >= len(B):
-            c = A[-1] * inv % p
-            shift = len(A) - len(B)
-            for j in range(len(B)):
-                A[shift + j] = (A[shift + j] - c * B[j]) % p
-            A = _poly_trim(A)
-        A, B = B, A
-    return A or [0]
-
-
-def _is_irreducible(low, p):
-    """Monic f = x^a + sum low[i] x^i irreducible over F_p."""
-    a = len(low)
-    if a == 1:
-        return True
-    # a root in F_p is a linear factor, found by Horner before any power
-    f = list(low) + [1]
-    for r in range(p):
-        acc = 0
-        for c in reversed(f):
-            acc = (acc * r + c) % p
-        if not acc:
-            return False
-    x = (0, 1) + (0,) * (a - 2)
-    # a rejected candidate's rows are built here once and never cached
-    rows = _reduction_rows.__wrapped__(low, p)
-
-    def x_pow(e):
-        return power(x, e, lambda u, v: _mul_rows(u, v, rows, p), (1,) + (0,) * (a - 1))
-
-    # x^(p^a) = x mod f, and x^(p^(a/l)) - x coprime to f for prime l | a
-    if x_pow(p**a) != x:
-        return False
-    for l in prime_factors(a):
-        g = list(x_pow(p ** (a // l)))
-        g[1] = (g[1] - 1) % p
-        if len(_poly_gcd(g, list(low) + [1], p)) > 1:
-            return False
-    return True
 
 
 # -- the quotient ring (Z/modulus)[x]/(g), g monic of degree d ----------------
@@ -173,7 +121,8 @@ class FieldContext:
     """Deterministic presentation of F_q, q = p^a, with its Z_q lift.
 
     Elements are tuples of length a (ints mod p).  The integer encoding
-    sum c_i p^i orders elements and drives every deterministic search.
+    sum c_i p^i orders elements, and every choice the presentation makes
+    is the smallest in that order.
     """
 
     def __init__(self, p: int, a: int):
@@ -184,33 +133,32 @@ class FieldContext:
         self.p = p
         self.a = a
         self.q = p**a
-        self.poly_low = self._find_poly()
-        self.generator = self._find_generator()
+        if a == 1:
+            self.poly_low = (0,)  # y, the first monic irreducible of degree 1
+            self.generator = self._find_generator()
+        else:
+            # imported here so that the script which writes the table can
+            # import this module without it
+            from ._presentations import presentation
+
+            poly, gen = presentation(p, a)
+            self.poly_low = self.decode(poly)
+            self.generator = self.decode(gen)
+        # every unit of a field has g^(q-1) = 1: checked on the generator as
+        # an invariant of the defining polynomial
+        if self.pow(self.generator, self.q - 1) != self.one():
+            raise TheoremViolation(f"generator {self.generator} of F_{self.q} has g^(q-1) != 1")
         self._embed_cache = {}
         self._subfield_logs = {}
 
-    def _find_poly(self):
-        p, a = self.p, self.a
-        for enc in range(p**a):
-            low = tuple(enc // p**i % p for i in range(a))
-            if _is_irreducible(low, p):
-                return low
-        raise TheoremViolation("no irreducible polynomial found")
-
     def _find_generator(self):
         """The smallest-encoded element of multiplicative order q - 1: the
-        first unit whose (q-1)/l-th power is not one for any prime l | q-1.
-
-        Every unit of a field has g^(q-1) = 1, so that is checked once, on
-        the generator found, as an invariant of the defining polynomial.
-        """
+        first unit whose (q-1)/l-th power is not one for any prime l | q-1."""
         q, one = self.q, self.one()
         facs = prime_factors(q - 1) if q > 2 else []
         for enc in range(1, q):
             g = self.decode(enc)
             if all(self.pow(g, (q - 1) // l) != one for l in facs):
-                if self.pow(g, q - 1) != one:
-                    raise TheoremViolation(f"generator {g} of F_{q} has g^(q-1) != 1")
                 return g
         raise TheoremViolation("no multiplicative generator found")
 

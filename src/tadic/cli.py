@@ -141,6 +141,33 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the options every command takes, built once and shared by each
+    # subparser through parents=
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("poly", nargs="?", default="", help="polynomial text, e.g. 'x1^3 + g^1*x2'")
+    shared.add_argument("--config", default="", help="key=value file; flags win")
+    shared.add_argument("--p", type=int, help="prime")
+    shared.add_argument("--a", type=int, help="extension degree, q = p^a")
+    shared.add_argument("--m", help="comma list of character orders p^m")
+    shared.add_argument("--prec-p", type=int, dest="prec_p", help="p-adic digits")
+    shared.add_argument("--prec-t", type=int, dest="prec_t", help="T- (and pi-) adic cap")
+    shared.add_argument("--deg-s", type=int, dest="deg_s", help="s-degree window")
+    shared.add_argument("--basis", type=int, help="operator basis degree bound")
+    shared.add_argument(
+        "--hodge-depth", type=int, dest="hodge_depth", help="polygon/criterion depth on the 1/D grid"
+    )
+    shared.add_argument("-k", "--k", dest="k", help="comma list of torus extension steps")
+    shared.add_argument("--seed", type=int, help="survey RNG seed")
+    shared.add_argument("--samples", type=int, help="survey sample count")
+    shared.add_argument("--what", choices=VERIFY_TARGETS, help="verify target")
+    shared.add_argument(
+        "--override-nondegenerate",
+        action="store_true",
+        default=None,
+        dest="override_nondegenerate",
+        help="attest nondegeneracy when the certificate search is inconclusive",
+    )
+    shared.add_argument("--out", help="write the JSON document here instead of stdout")
     ap = _Parser(
         prog="tadic",
         description="Exact T-adic exponential sums, L/C-functions, Newton "
@@ -148,31 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", metavar="command")
     for name, cmd in COMMANDS.items():
-        cp = sub.add_parser(name, help=cmd.help, description=cmd.help)
-        cp.add_argument("poly", nargs="?", default="", help="polynomial text, e.g. 'x1^3 + g^1*x2'")
-        cp.add_argument("--config", default="", help="key=value file; flags win")
-        cp.add_argument("--p", type=int, help="prime")
-        cp.add_argument("--a", type=int, help="extension degree, q = p^a")
-        cp.add_argument("--m", help="comma list of character orders p^m")
-        cp.add_argument("--prec-p", type=int, dest="prec_p", help="p-adic digits")
-        cp.add_argument("--prec-t", type=int, dest="prec_t", help="T- (and pi-) adic cap")
-        cp.add_argument("--deg-s", type=int, dest="deg_s", help="s-degree window")
-        cp.add_argument("--basis", type=int, help="operator basis degree bound")
-        cp.add_argument(
-            "--hodge-depth", type=int, dest="hodge_depth", help="polygon/criterion depth on the 1/D grid"
-        )
-        cp.add_argument("-k", "--k", dest="k", help="comma list of torus extension steps")
-        cp.add_argument("--seed", type=int, help="survey RNG seed")
-        cp.add_argument("--samples", type=int, help="survey sample count")
-        cp.add_argument("--what", choices=VERIFY_TARGETS, help="verify target")
-        cp.add_argument(
-            "--override-nondegenerate",
-            action="store_true",
-            default=None,
-            dest="override_nondegenerate",
-            help="attest nondegeneracy when the certificate search is inconclusive",
-        )
-        cp.add_argument("--out", help="write the JSON document here instead of stdout")
+        sub.add_parser(name, help=cmd.help, description=cmd.help, parents=[shared])
     return ap
 
 

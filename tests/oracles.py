@@ -30,10 +30,12 @@ the exact-degree terms on the integer degree grid.  The kernel reference
 expands every monomial to the global pi-cap and the transfer-matrix
 reference reads its entries from that, where the library expands only the
 pi-digits each matrix cell reads.  The field-search references run the
-x^(p^a) irreducibility test on every candidate, test g^(q-1) = 1 on every
-candidate generator and look for an embedding root at every element of the
-big field, where the library drops candidates with a root in F_p first,
-checks g^(q-1) = 1 once, and looks only inside the copy of the small field.
+x^(p^a) irreducibility test on every candidate and test g^(q-1) = 1 on every
+candidate generator; they are also the one search behind the library's
+committed presentations (scripts/field_presentations.py), which it reads
+with no search for a >= 2.  The embedding-root reference looks at every
+element of the big field, where the library looks only inside the copy of
+the small field.
 The trace-table reference steps the power-sum recurrence one entry at a
 time, where the library advances a whole packed block per big-int step.
 The coefficient-orbit reference applies every torus scaling and Frobenius
@@ -67,7 +69,6 @@ from tadic import dwork
 from tadic.arith import (
     CycElement,
     _mul_rows,
-    _poly_gcd,
     _reduction_rows,
     binomial_guard,
     one_plus_T_pow,
@@ -462,6 +463,29 @@ def oracle_smallest_irreducible(p, a):
     raise AssertionError(f"no irreducible of degree {a} over F_{p}")
 
 
+def _poly_trim(f):
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _poly_gcd(A, B, p):
+    """gcd of two F_p polynomials (dense lists, low degree first) by
+    Euclid's algorithm, not made monic; [0] when both are zero."""
+    A = _poly_trim(list(A))
+    B = _poly_trim(list(B))
+    while B:
+        inv = pow(B[-1], -1, p)
+        while A and len(A) >= len(B):
+            c = A[-1] * inv % p
+            shift = len(A) - len(B)
+            for j in range(len(B)):
+                A[shift + j] = (A[shift + j] - c * B[j]) % p
+            A = _poly_trim(A)
+        A, B = B, A
+    return A or [0]
+
+
 def oracle_is_irreducible(low, p):
     """Monic x^a + sum low[i] x^i irreducible over F_p, by x^(p^a) = x mod f
     and gcd(x^(p^(a/l)) - x, f) = 1 for every prime l | a, with no
@@ -494,16 +518,23 @@ def oracle_find_poly(p, a):
     raise AssertionError(f"no irreducible of degree {a} over F_{p}")
 
 
-def oracle_generator(ctx):
-    """The smallest-encoded element g with g^(q-1) = 1 and no g^((q-1)/l)
-    = 1 for a prime l | q-1, both tested on every candidate."""
-    q = ctx.q
+def oracle_generator(p, low):
+    """The smallest-encoded element g of F_p[y]/(y^a + sum low[i] y^i) with
+    g^(q-1) = 1 and no g^((q-1)/l) = 1 for a prime l | q-1, both tested on
+    every candidate, each product by oracle_mulmod."""
+    a = len(low)
+    q = p**a
+    one = (1,) + (0,) * (a - 1)
     facs = prime_factors(q - 1) if q > 2 else []
+
+    def pw(g, e):
+        return power(g, e, lambda u, v: oracle_mulmod(u, v, low, p), one)
+
     for enc in range(1, q):
-        g = ctx.decode(enc)
-        if ctx.pow(g, q - 1) != ctx.one():
+        g = tuple(enc // p**i % p for i in range(a))
+        if pw(g, q - 1) != one:
             continue
-        if all(ctx.pow(g, (q - 1) // l) != ctx.one() for l in facs):
+        if all(pw(g, (q - 1) // l) != one for l in facs):
             return g
     raise AssertionError(f"no generator of F_{q}")
 

@@ -13,12 +13,14 @@ from oracles import (
     oracle_embedding_root,
     oracle_find_poly,
     oracle_generator,
+    oracle_is_irreducible,
     oracle_mulmod,
     oracle_smallest_irreducible,
     poly_remainder,
 )
-from tadic import arith
+from tadic import _presentations, arith
 from tadic.arith import (
+    FIELD_LIMIT,
     CycContext,
     CycElement,
     FieldContext,
@@ -117,7 +119,7 @@ class TestFieldContext:
         ctxs = {(p, a): FieldContext(p, a) for p, a in fields if p**a <= 4096}
         for (p, a), ctx in ctxs.items():
             assert ctx.poly_low == oracle_find_poly(p, a), (p, a)
-            assert ctx.generator == oracle_generator(ctx), (p, a)
+            assert ctx.generator == oracle_generator(p, ctx.poly_low), (p, a)
         pairs = 0
         for (p, a), sub in ctxs.items():
             # at a = 1 the defining polynomial is y, whose only root is zero
@@ -147,9 +149,10 @@ class TestFieldContext:
         assert sorted(big._subfield_logs) == [3, 9, 81]
 
     def test_generator_invariant_catches_a_non_field(self, monkeypatch):
-        # in F_2[y]/(y^2) the first unit passing the order test is y, and
-        # y^3 = 0: g^(q-1) = 1 is what tells the ring is no field
-        monkeypatch.setattr(FieldContext, "_find_poly", lambda self: (0, 0))
+        # a table entry presenting F_2[y]/(y^2) with generator y (encoding
+        # 2): y^3 = 0, and g^(q-1) = 1 is what tells the ring is no field
+        table = _presentations.TABLE.replace("\n2 2 3 2\n", "\n2 2 0 2\n")
+        monkeypatch.setattr(_presentations, "TABLE", table)
         with pytest.raises(TheoremViolation, match=r"g\^\(q-1\) != 1"):
             FieldContext(2, 2)
 
@@ -159,6 +162,54 @@ class TestFieldContext:
                 field_context(6, 1)
             with pytest.raises(DomainError, match="field size"):
                 field_context(2, 21)
+
+
+TABLE_ROWS = _presentations.TABLE.splitlines()[1:]
+# {(p, a): (poly, gen)} read off the table's lines
+PRESENTATIONS = {(p, a): (poly, gen) for p, a, poly, gen in (map(int, row.split()) for row in TABLE_ROWS)}
+
+
+class TestPresentations:
+    """The committed table of F_{p^a}, a >= 2, read by FieldContext."""
+
+    def test_the_table_holds_every_field_past_the_prime_fields(self):
+        fields = [(p, a) for p in range(2, 1025) if is_prime(p) for a in range(2, 21) if p**a <= FIELD_LIMIT]
+        assert [tuple(map(int, row.split()[:2])) for row in TABLE_ROWS] == fields
+        assert len(fields) == 242
+
+    def test_no_search_runs_past_the_prime_fields(self, monkeypatch):
+        def search(self):
+            raise AssertionError("generator search at a >= 2")
+
+        monkeypatch.setattr(FieldContext, "_find_generator", search)
+        ctx = FieldContext(3, 8)
+        assert ctx.encode(ctx.generator) == 38
+
+    def test_every_entry_is_irreducible_with_a_generator_of_order_q_minus_1(self):
+        for (p, a), (poly, gen) in PRESENTATIONS.items():
+            ctx = FieldContext(p, a)
+            assert (ctx.encode(ctx.poly_low), ctx.encode(ctx.generator)) == (poly, gen)
+            assert oracle_is_irreducible(ctx.poly_low, p), (p, a)
+            q, g, one = ctx.q, ctx.generator, ctx.one()
+            assert ctx.pow(g, q - 1) == one, (p, a)
+            assert all(ctx.pow(g, (q - 1) // l) != one for l in prime_factors(q - 1)), (p, a)
+
+    def test_small_primes_match_the_reference_searches(self):
+        # every entry with p <= 13; the bench fields below lie past the
+        # 4096 bound of test_searches_match_the_exhaustive_oracles
+        small = [(p, a) for p, a in PRESENTATIONS if p <= 13]
+        assert {(3, 8), (3, 9), (2, 13), (5, 6), (7, 5)} <= set(small)
+        assert len(small) == 51
+        for p, a in small:
+            ctx = FieldContext(p, a)
+            assert ctx.poly_low == oracle_find_poly(p, a), (p, a)
+            assert ctx.generator == oracle_generator(p, ctx.poly_low), (p, a)
+
+    def test_a_sample_of_larger_primes_is_re_derived(self):
+        for p, a in ((17, 4), (19, 4), (31, 4), (67, 3), (101, 3), (257, 2), (1021, 2)):
+            ctx = FieldContext(p, a)
+            assert ctx.poly_low == oracle_find_poly(p, a), (p, a)
+            assert ctx.generator == oracle_generator(p, ctx.poly_low), (p, a)
 
 
 # every F_{p^a} with p <= 7 and a <= 6, a = 1 included
@@ -231,9 +282,9 @@ class TestQuotientKernel:
         with pytest.raises(ZeroDivisionError):
             ctx.pow(ctx.zero(), -1)
 
-    def test_rejected_candidates_stay_out_of_the_rows_cache(self):
-        # the search for F_{3^9} tests candidates that fail; the cache keeps
-        # only the chosen polynomial's rows, which every later product reads
+    def test_a_context_caches_only_its_own_rows(self):
+        # building F_{3^9} leaves one entry in the rows cache, its defining
+        # polynomial's, which every later product reads
         arith._reduction_rows.cache_clear()
         ctx = FieldContext(3, 9)
         assert arith._reduction_rows.cache_info().currsize == 1

@@ -29,9 +29,9 @@ simplex, p=7     flag=true         pi-flag=true         minors[0..2]=111
 """
 
 
-def run_script(name: str, cwd: Path):
+def run_script(name: str, cwd: Path, *args: str):
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name)],
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         cwd=cwd,
         capture_output=True,
         text=True,
@@ -49,3 +49,11 @@ def test_ordinary_census_output_is_unchanged(tmp_path):
     res = run_script("ordinary_census.py", tmp_path)
     assert res.returncode == 0, res.stderr
     assert res.stdout == CENSUS
+
+
+def test_field_presentations_check_agrees_at_a_small_bound(tmp_path):
+    # the fields p^a <= 1024 regenerated by the reference searches and
+    # checked against the committed table; the full check takes about 16 s
+    res = run_script("field_presentations.py", tmp_path, "--check", "--limit", "1024")
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert res.stdout == "26 fields agree with the committed table\n"
