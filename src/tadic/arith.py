@@ -228,10 +228,11 @@ class FieldContext:
         Sends the power-basis root to the smallest-encoded root of our
         defining polynomial in the big field; any root works, the choice
         only pins determinism.  The roots lie in the copy of F_q inside the
-        big field, zero and the q - 1 powers of h = g^((Q-1)/(q-1)), so the
-        walk never leaves it: it stops at the first root r among those, and
-        the roots are the conjugates r^(p^i), i < a, of which the
-        smallest-encoded is taken.  Zero is a root only of y itself (a = 1).
+        big field, zero and the q - 1 powers h^i of h = g^((Q-1)/(q-1)), so
+        the search reads the big field's walk of them (subfield_logs) in
+        order of i: it stops at the first root r, and the roots are the
+        conjugates r^(p^i), i < a, of which the smallest-encoded is taken.
+        Zero is a root only of y itself (a = 1).
         """
         key = big.a
         if key in self._embed_cache:
@@ -241,13 +242,9 @@ class FieldContext:
         defining = list(self.poly_low) + [1]
         root = big.zero()
         if any(self.poly_low):
-            h = big.pow(big.generator, (big.q - 1) // (self.q - 1))
-            root = big.one()
-            for _ in range(self.q - 1):
-                if big.eval_int_poly(defining, root) == big.zero():
-                    break
-                root = big.mul(root, h)
-            else:
+            units = map(big.decode, big.subfield_logs(self.q))
+            root = next((x for x in units if big.eval_int_poly(defining, x) == big.zero()), None)
+            if root is None:
                 raise TheoremViolation("embedding root not found")
             conj = [root]
             for _ in range(self.a - 1):

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .arith import FieldContext, teichmuller_lift
 from .errors import DomainError, IntegralityError, PrecisionError, TheoremViolation
-from .polytope import LaurentPoly, newton_data, restrict_to_face, saturated_span
+from .polytope import LaurentPoly, common_points, newton_data, restrict_to_face, saturated_span
 from .series import SSeries, TSeries, _SparseSeries, vp
 
 
@@ -417,15 +417,10 @@ def t_to_pi(ts: TSeries, ah: ArtinHasse, ctx: FieldContext, den: int = 1) -> ZqP
     """
     cap = min(ts.cap, ah.cap)
     prec = ts.prec
-    e_minus_1 = ZqPi(
-        ctx,
-        prec,
-        cap,
-        {j: embed_int(ctx, _frac_mod(ah.coeffs[j], ctx.p, prec), prec) for j in range(1, cap)},
-        den=1,
-    )
-    res = ZqPi(ctx, prec, cap, {}, den=1)
-    for j in range(min(ts.cap, cap) - 1, -1, -1):
+    e = e_factor(ah, ctx, embed_int(ctx, 1, prec), prec, cap)
+    e_minus_1 = e.sub(e.one_like())
+    res = e.zero_like()
+    for j in range(cap - 1, -1, -1):
         res = res.mul(e_minus_1)
         c = ts.coeff(j)
         if c:
@@ -957,6 +952,18 @@ def _report(dd, crit: _Criterion, K: int, M: int):
     return rep, dets
 
 
+def _whole_criterion(f: LaurentPoly, K: int, M: int):
+    """(dd, criterion data, report, cutoff determinants) of f's whole
+    polytope, after the checks on K and M both criteria make."""
+    if K < 0:
+        raise DomainError("cutoff must be >= 0")
+    if M < 1:
+        raise DomainError("criterion job needs M >= 1")
+    dd = newton_data(f)
+    crit = _criterion_data(f, dd, K, M)
+    return (dd, crit, *_report(dd, crit, K, M))
+
+
 def ordinariness_determinants(f: LaurentPoly, K: int, M: int) -> OrdinarinessReport:
     """Nonvanishing mod pi^(1/D) of the degree-block minors.
 
@@ -966,12 +973,7 @@ def ordinariness_determinants(f: LaurentPoly, K: int, M: int) -> OrdinarinessRep
     polygon against the combinatorial bound; we can only test a prefix, so
     the verdicts are per-cutoff.
     """
-    if K < 0:
-        raise DomainError("cutoff must be >= 0")
-    if M < 1:
-        raise DomainError("criterion job needs M >= 1")
-    dd = newton_data(f)
-    return _report(dd, _criterion_data(f, dd, K, M), K, M)[0]
+    return _whole_criterion(f, K, M)[2]
 
 
 @dataclass(frozen=True)
@@ -997,14 +999,8 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
     closed face's own criterion determinant against the matching product of
     open-cone blocks.  Any mismatch is a theorem violation, i.e. a bug.
     """
-    if K < 0:
-        raise DomainError("cutoff must be >= 0")
-    if M < 1:
-        raise DomainError("criterion job needs M >= 1")
-    dd = newton_data(f)
-    crit = _criterion_data(f, dd, K, M)
+    dd, crit, whole, dets = _whole_criterion(f, K, M)
     pts, grid, sc, mat = crit.pts, crit.grid, crit.sc, crit.mat
-    whole, dets = _report(dd, crit, K, M)
 
     # open facial cone of each basis point: carrier facets (the height
     # facets attaining its grid degree g > 0) + face dimension
@@ -1014,15 +1010,7 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
     ]
     dims = {}
     for c in set(c for c in carriers if c is not None):
-        face_pts = [
-            q
-            for q in dd.red_points
-            if all(
-                sum(a * b for a, b in zip(dd.facets_height[i].normal, q))
-                == dd.facets_height[i].offset
-                for i in c
-            )
-        ]
+        face_pts = common_points([dd.facets_height[i] for i in c])
         # affine dimension: the rank of the (distinct, so nonzero) differences
         diffs = [tuple(x - y for x, y in zip(q, face_pts[0])) for q in face_pts[1:]]
         dims[c] = len(saturated_span(diffs, dd.rank)[0]) if face_pts else -1

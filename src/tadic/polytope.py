@@ -34,44 +34,42 @@ from .series import NewtonPolygon, polygon_rescale
 # ---------------------------------------------------------------------------
 
 
-def integer_kernel(rows, n):
-    """Basis of the lattice {x in Z^n : M x = 0} for an integer matrix M,
-    and an integer left inverse of it.
-
-    Column elimination with unimodular operations tracked in U and their
-    inverses in V = U^-1; the columns of U over the eliminated range form a
-    basis of the full kernel lattice (saturated by construction), and the
-    rows of V over that range are an integer left inverse of that basis.
-    """
+def column_echelon(rows, n):
+    """(E, U, V, rank): the column echelon E = M*U, as rows, of an integer
+    matrix M with n columns, U unimodular and V = U^-1.  Row by row,
+    Euclid's steps leave one nonzero entry among the columns not yet
+    pivoted, moved to the next pivot column: so column j < rank is zero
+    above its pivot row, and the columns from rank on are zero."""
     M = [list(r) for r in rows]
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     V = [row[:] for row in U]
-    col_start = 0
-    for row_i in range(len(M)):
+    rank = 0
+    for row in M:
         while True:
-            nz = [j for j in range(col_start, n) if M[row_i][j] != 0]
+            nz = sorted((j for j in range(rank, n) if row[j]), key=lambda j: abs(row[j]))
             if len(nz) <= 1:
                 break
-            nz.sort(key=lambda j: abs(M[row_i][j]))
-            j0, j1 = nz[0], nz[1]
-            quo = M[row_i][j1] // M[row_i][j0]
-            for r in range(len(M)):
-                M[r][j1] -= quo * M[r][j0]
-            for r in range(n):
-                U[r][j1] -= quo * U[r][j0]
+            j0, j1 = nz[:2]
+            quo = row[j1] // row[j0]
+            for r in M + U:
+                r[j1] -= quo * r[j0]
             V[j0] = [a + quo * b for a, b in zip(V[j0], V[j1])]
-        nz = [j for j in range(col_start, n) if M[row_i][j] != 0]
         if nz:
             j = nz[0]
-            if j != col_start:
-                for r in range(len(M)):
-                    M[r][col_start], M[r][j] = M[r][j], M[r][col_start]
-                for r in range(n):
-                    U[r][col_start], U[r][j] = U[r][j], U[r][col_start]
-                V[col_start], V[j] = V[j], V[col_start]
-            col_start += 1
-    basis = [tuple(U[r][j] for r in range(n)) for j in range(col_start, n)]
-    return basis, [tuple(V[j]) for j in range(col_start, n)]
+            for r in M + U:
+                r[rank], r[j] = r[j], r[rank]
+            V[rank], V[j] = V[j], V[rank]
+            rank += 1
+    return M, U, V, rank
+
+
+def integer_kernel(rows, n):
+    """Basis of the lattice {x in Z^n : M x = 0} for an integer matrix M,
+    and an integer left inverse of it: the columns of U past the rank of
+    M's column echelon (saturated, as U is unimodular), and the rows of
+    V = U^-1 over that range."""
+    _, U, V, rank = column_echelon(rows, n)
+    return [tuple(r[j] for r in U) for j in range(rank, n)], [tuple(V[j]) for j in range(rank, n)]
 
 
 def primitive(vec):
@@ -312,6 +310,14 @@ class Face:
     contains_origin: bool
 
 
+def common_points(facets) -> tuple:
+    """The points of the defining set on every one of ``facets``, in the
+    order of their points: the intersection of their incidence sets."""
+    first, *rest = facets
+    others = [set(f.points) for f in rest]
+    return tuple(q for q in first.points if all(q in s for s in others))
+
+
 # hard ceiling on the lattice box cone_points_upto scans, checked before
 # the scan; each box point costs one cone test
 BOX_LIMIT = 2**18
@@ -416,38 +422,24 @@ class DegreeData:
         seen = {}
         for size in range(1, len(self.facets) + 1):
             for combo in itertools.combinations(self.facets, size):
-                pts = tuple(
-                    p
-                    for p in self.red_points
-                    if all(
-                        sum(a * b for a, b in zip(f.normal, p)) == f.offset
-                        for f in combo
+                pts = common_points(combo)
+                if pts and pts not in seen:
+                    seen[pts] = Face(
+                        cuts=tuple((f.normal, f.offset) for f in combo),
+                        points=pts,
+                        contains_origin=all(f.offset == 0 for f in combo),
                     )
-                )
-                if not pts or pts in seen:
-                    continue
-                seen[pts] = Face(
-                    cuts=tuple((f.normal, f.offset) for f in combo),
-                    points=pts,
-                    contains_origin=all(f.offset == 0 for f in combo),
-                )
         return tuple(seen.values())
 
     def codim1_faces_no_origin(self):
-        out = []
-        for f in self.facets_height:
-            out.append(
-                Face(cuts=((f.normal, f.offset),), points=f.points, contains_origin=False)
-            )
-        return tuple(out)
+        return tuple(
+            Face(cuts=((f.normal, f.offset),), points=f.points, contains_origin=False)
+            for f in self.facets_height
+        )
 
     def face_contains(self, face: Face, u) -> bool:
-        ur = self.to_reduced(u)
-        if ur is None:
-            return False
-        return all(
-            sum(a * b for a, b in zip(nl, ur)) == off for nl, off in face.cuts
-        )
+        """Whether u is one of the points of the defining set on ``face``."""
+        return self.to_reduced(u) in face.points
 
     # -- volume -------------------------------------------------------------------
 
@@ -499,12 +491,7 @@ def _facets_of(points, rank):
         else:
             continue
         if key not in out:
-            ln, cn = key
-            out[key] = Facet(
-                normal=ln,
-                offset=cn,
-                points=tuple(p for p in points if sum(a * b for a, b in zip(ln, p)) == cn),
-            )
+            out[key] = Facet(*key, points=tuple(p for p, v in zip(points, vals) if v == c))
     return tuple(out.values())
 
 
@@ -606,12 +593,7 @@ def _face_poly_verdict(f: LaurentPoly, dd: DegreeData, face: Face):
         lifted = [
             {e: phi(c) for e, c in d.items()} for d in partials if d
         ]
-        units = []
-        g = big.generator
-        cur = big.one()
-        for _ in range(big.q - 1):
-            units.append(cur)
-            cur = big.mul(cur, g)
+        units = [big.decode(x) for x in big.subfield_logs(big.q)]
         for point in itertools.product(units, repeat=f.n):
             ok = True
             for d in lifted:

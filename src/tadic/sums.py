@@ -35,6 +35,7 @@ from .arith import (
 from .errors import DomainError, PrecisionError, TheoremViolation
 from .polytope import (
     LaurentPoly,
+    column_echelon,
     hodge_polygon_to_width,
     hodge_ray,
     is_nondegenerate,
@@ -61,6 +62,14 @@ FLAG_FALSE = "false"
 FLAG_UNCERTIFIED = "uncertified"
 
 
+def _decimal(n: int) -> str:
+    """n in decimal, or its bit length past the interpreter's int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<{n.bit_length()}-bit integer>"
+
+
 @dataclass(frozen=True)
 class SumJob:
     """One torus sum request: polynomial, extension degree, precisions."""
@@ -81,7 +90,7 @@ class SumJob:
         # computing q^k
         if self.k >= FIELD_LIMIT.bit_length() or ctx.q**self.k > FIELD_LIMIT:
             raise DomainError(
-                f"field too large: q^k = {ctx.p}^{ctx.a * self.k} exceeds "
+                f"field too large: q^k = {ctx.p}^{_decimal(ctx.a * self.k)} exceeds "
                 f"the field-size limit p^(a*k) <= 2^{FIELD_LIMIT.bit_length() - 1}"
             )
         if (ctx.q**self.k - 1) ** self.f.n > TORUS_LIMIT:
@@ -373,26 +382,14 @@ def _scaling_basis(exps: tuple, Q1: int) -> tuple:
     whose rows are the exponent vectors ``exps``: row i is zero before
     column i and holds its pivot d_i > 0 there (a Hermite basis).
 
-    Column i's pivot is the gcd, by Euclid's steps on whole rows, of
-    Q1*e_i and the generators left from column i - 1, the columns of U
-    first; the steps leave each of those zero at column i.  Every Q1*e_j
-    lies in the lattice, so the entries past a pivot are kept mod Q1.
+    The lattice has rank r, so the first r columns of the column echelon
+    of [U | Q1*I] span it, column i pivoting at row i; each is read as a
+    row here, its sign made positive.
     """
     r = len(exps)
-    gens = [[u[j] % Q1 for u in exps] for j in range(len(exps[0]))]
-    basis = []
-    for i in range(r):
-        piv = [0] * r
-        piv[i] = Q1
-        left = []
-        for v in gens:
-            while v[i]:
-                t = piv[i] // v[i]
-                piv, v = v, [x - t * y for x, y in zip(piv, v)]
-            left.append([x % Q1 for x in v])
-        basis.append((0,) * i + (piv[i],) + tuple(x % Q1 for x in piv[i + 1 :]))
-        gens = left
-    return tuple(basis)
+    gens = [list(u) + [Q1 * (i == j) for j in range(r)] for i, u in enumerate(exps)]
+    E = column_echelon(gens, len(gens[0]))[0]
+    return tuple(tuple(row[i] if E[i][i] > 0 else -row[i] for row in E) for i in range(r))
 
 
 def _lattice_reduce(v, basis) -> tuple:
@@ -510,6 +507,8 @@ def _exp_path(
         raise DomainError("need deg_s >= 0")
     if M < 1:  # checked before the guard digits below could lift it to 1
         raise DomainError("sum job needs k, M, N >= 1")
+    if deg_s >= 1:  # the largest torus, before the guard digits are counted
+        SumJob(f, deg_s, M, N)
     # exp's recurrence divides by k <= deg_s, so work with guard digits and
     # renormalize down; divexact_int still asserts integrality on the way
     # (torus_walks adds the same guard)
@@ -665,6 +664,9 @@ def np_report(f: LaurentPoly, m_list, deg_s: int, M: int, N: int) -> NPReport:
         # checked before specialize builds Z_p[pi], of degree e over Z_p
         if m < 1:
             raise DomainError("character level m must be >= 1")
+        # e >= 2^(m-1) > N from N's bit length on: refused before p^(m-1) is built
+        if m - 1 >= N.bit_length():
+            raise PrecisionError(f"T-cap {N} below one pi-digit (e={p}^{m - 1}*{p - 1}) at m={m}")
         e = p ** (m - 1) * (p - 1)
         prec_out = min(M, N // e)
         if prec_out < 1:

@@ -33,14 +33,19 @@ pi-digits each matrix cell reads.  The field-search references run the
 x^(p^a) irreducibility test on every candidate and test g^(q-1) = 1 on every
 candidate generator; they are also the one search behind the library's
 committed presentations (scripts/field_presentations.py), which it reads
-with no search for a >= 2.  The embedding-root reference looks at every
-element of the big field, where the library looks only inside the copy of
-the small field.
+with no search for a >= 2.  The embedding-root references look at every
+element of the big field, or walk the powers of h = g^((Q-1)/(q-1)) by
+field products, where the library reads the big field's kept walk of
+them (subfield_logs).
 The trace-table reference steps the power-sum recurrence one entry at a
 time, where the library advances a whole packed block per big-int step.
 The coefficient-orbit reference applies every torus scaling and Frobenius
 power to a coefficient vector, where the library reduces discrete logs
-against a Hermite basis of the scaling lattice.  The polygon references
+against a Hermite basis of the scaling lattice; the basis reference runs
+Euclid column by column, where the library reads the basis off the
+integer column echelon that also gives Newton polytopes their kernels.
+The face references evaluate every facet equation at every point, where
+the library intersects the facets' point sets.  The polygon references
 read the agreement prefix of the two hulls over their whole common range
 and cut it afterwards, and give dominance and each half of the verdict a
 window and a checkpoint set of their own, where the library walks one
@@ -91,7 +96,7 @@ from tadic.errors import (
     PrecisionError,
     TheoremViolation,
 )
-from tadic.polytope import DegreeData, LaurentPoly, newton_data
+from tadic.polytope import DegreeData, Face, LaurentPoly, newton_data
 from tadic.series import (
     NewtonPolygon,
     SSeries,
@@ -343,6 +348,55 @@ def oracle_torus_trace_counts(f, k, prec):
     return counts
 
 
+def oracle_scaling_basis(exps, Q1):
+    """A triangular basis of U*Z^n + Q1*Z^r (rows of U the exponent
+    vectors), column by column: column i's pivot is the gcd, by Euclid's
+    steps on whole rows, of Q1*e_i and the generators left from column
+    i - 1, the columns of U first, and entries past a pivot are kept mod
+    Q1.  Its rows differ from the library's past the pivots, but its
+    pivots and reduced representatives do not."""
+    r = len(exps)
+    gens = [[u[j] % Q1 for u in exps] for j in range(len(exps[0]))]
+    basis = []
+    for i in range(r):
+        piv = [0] * r
+        piv[i] = Q1
+        left = []
+        for v in gens:
+            while v[i]:
+                t = piv[i] // v[i]
+                piv, v = v, [x - t * y for x, y in zip(piv, v)]
+            left.append([x % Q1 for x in v])
+        basis.append((0,) * i + (piv[i],) + tuple(x % Q1 for x in piv[i + 1 :]))
+        gens = left
+    return tuple(basis)
+
+
+def oracle_face_points(dd, facets):
+    """The points of dd.red_points on every one of ``facets``, by
+    evaluating each facet's equation at every point."""
+    return tuple(
+        q
+        for q in dd.red_points
+        if all(sum(a * b for a, b in zip(f.normal, q)) == f.offset for f in facets)
+    )
+
+
+def oracle_closed_faces(dd):
+    """dd.closed_faces() with each face's points found by oracle_face_points."""
+    seen = {}
+    for size in range(1, len(dd.facets) + 1):
+        for combo in combinations(dd.facets, size):
+            pts = oracle_face_points(dd, combo)
+            if pts and pts not in seen:
+                seen[pts] = Face(
+                    cuts=tuple((f.normal, f.offset) for f in combo),
+                    points=pts,
+                    contains_origin=all(f.offset == 0 for f in combo),
+                )
+    return tuple(seen.values())
+
+
 def coefficient_orbits(ctx, exps) -> dict:
     """{coefficient vector: orbit number} for every vector of units on the
     support ``exps``, orbits under c_i -> lambda^(u_i) * c_i^(p^s) for
@@ -547,6 +601,28 @@ def oracle_embedding_root(sub, big):
         if big.eval_int_poly(defining, y) == big.zero():
             return y
     raise AssertionError("embedding root not found")
+
+
+def oracle_embedding_walk(sub, big):
+    """The root of sub's defining polynomial that sub.embed_into(big) sends
+    y to, by its own walk: the first root among h^0, h^1, ..., h^(q-2) for
+    h = g^((Q-1)/(q-1)), stepped by big.mul, then the smallest-encoded of
+    its conjugates r^(p^i), i < a; zero for the polynomial y itself."""
+    defining = list(sub.poly_low) + [1]
+    if not any(sub.poly_low):
+        return big.zero()
+    h = big.pow(big.generator, (big.q - 1) // (sub.q - 1))
+    root = big.one()
+    for _ in range(sub.q - 1):
+        if big.eval_int_poly(defining, root) == big.zero():
+            break
+        root = big.mul(root, h)
+    else:
+        raise AssertionError("embedding root not found")
+    conj = [root]
+    for _ in range(sub.a - 1):
+        conj.append(big.pow(conj[-1], sub.p))
+    return min(conj, key=big.encode)
 
 
 def oracle_exp_fractions(g, N):

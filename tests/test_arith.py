@@ -11,6 +11,7 @@ from oracles import (
     frob_power,
     oracle_binomial_sum,
     oracle_embedding_root,
+    oracle_embedding_walk,
     oracle_find_poly,
     oracle_generator,
     oracle_is_irreducible,
@@ -130,6 +131,21 @@ class TestFieldContext:
                     assert phi(sub.decode(p)) == oracle_embedding_root(sub, big), (p, a, b)
                     pairs += 1
         assert pairs == 57
+
+    def test_embeddings_match_the_power_walk(self):
+        # every pair F_{p^a} in F_{p^b}, a >= 2, p^b <= 2^10: the root read
+        # from the kept subfield walk is the one a walk of the powers of h
+        # by field products finds
+        pairs = 0
+        for p in range(2, 33):
+            for a in range(2, 11) if is_prime(p) else ():
+                for b in range(a, 11, a):
+                    if p**b <= 2**10:
+                        sub, big = FieldContext(p, a), FieldContext(p, b)
+                        root = sub.embed_into(big)(sub.decode(p))
+                        assert root == oracle_embedding_walk(sub, big), (p, a, b)
+                        pairs += 1
+        assert pairs == 38
 
     def test_subfield_logs_are_walked_once_per_subfield(self, monkeypatch):
         big = FieldContext(3, 4)

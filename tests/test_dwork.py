@@ -636,6 +636,8 @@ class TestTwoPaths:
             (SPERBER, 3, 1, 2),
             ([(1,)], 2, 2, 1),
             ([(1,)], 2, 2, 2),
+            ([(2,), (1,)], 3, 1, 1),
+            ([(2,), (1,)], 3, 1, 2),
         ],
     )
     def test_trace_formula(self, exps, p, a, k):
@@ -650,6 +652,7 @@ class TestTwoPaths:
             ([(3,)], 2, 1),
             ([(3,)], 3, 1),
             ([(2,), (1,)], 5, 1),
+            ([(2,), (1,)], 3, 1),
             (SPERBER, 3, 1),
             ([(1,)], 2, 2),
         ],
@@ -664,6 +667,12 @@ class TestTwoPaths:
         f = LaurentPoly.make(1, {(1,): ctx.generator}, ctx)
         cc = char_c_crosscheck(f, 2, 4, 4, 4)
         assert cc.ok, cc.mismatches
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_trace_formula_with_generator_coefficient(self, k):
+        ctx = FieldContext(2, 2)
+        f = LaurentPoly.make(1, {(1,): ctx.generator}, ctx)
+        assert verify_trace_formula(f, k, 4, 4, 4).ok
 
 
 class TestAdditiveSplitting:

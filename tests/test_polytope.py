@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -14,7 +14,9 @@ from oracles import (
     edges,
     exponent_I,
     in_convex_hull,
+    oracle_closed_faces,
     oracle_degree,
+    oracle_face_points,
     polygons_equal_on,
 )
 from tadic import polytope
@@ -23,6 +25,7 @@ from tadic.errors import DomainError
 from tadic.polytope import (
     DegreeData,
     LaurentPoly,
+    common_points,
     hodge_polygon,
     hodge_polygon_absolute,
     hodge_polygon_to_width,
@@ -395,6 +398,28 @@ class TestFaces:
         faces = dd.closed_faces()
         assert len(faces) == 2
         assert sum(f.contains_origin for f in faces) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.lists(
+                st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=5, unique=True
+            )
+        )
+    )
+    def test_faces_match_the_equation_scan(self, exps):
+        # the faces, and the face point sets the facial dimensions of
+        # facial_criterion are read from, against evaluating every facet
+        # equation at every point
+        try:
+            dd = DegreeData(exps, len(exps[0]))
+        except DomainError:
+            reject()
+        assert dd.closed_faces() == oracle_closed_faces(dd)
+        height = dd.facets_height
+        for size in range(1, len(height) + 1):
+            for combo in combinations(height, size):
+                assert common_points(combo) == oracle_face_points(dd, combo)
 
 
 class TestNondegeneracy:

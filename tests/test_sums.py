@@ -13,6 +13,7 @@ from oracles import (
     coefficient_orbits,
     l_function_euler,
     oracle_recurrence_trace_table,
+    oracle_scaling_basis,
     oracle_torus_trace_counts,
 )
 from tadic import sums
@@ -455,6 +456,62 @@ class TestCoefficientClasses:
         orbit_of = coefficient_orbits(ctx, [(-1,), (2,)])
         assert orbit_of[(ctx.one(), g)] == orbit_of[(ctx.one(), ctx.pow(g, 3))]
         assert orbit_of[(ctx.one(), g)] != orbit_of[(ctx.one(), ctx.pow(g, 2))]
+
+
+def _int_det(rows):
+    """Determinant of a small integer matrix by cofactor expansion."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * c * _int_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, c in enumerate(rows[0])
+        if c
+    )
+
+
+@st.composite
+def scaling_lattices(draw):
+    """(exps, Q1, vectors): r <= 4 exponent vectors in n <= 3 variables with
+    entries in [-6, 6], Q1 < 2^20, and a few vectors of Z^r to reduce."""
+    r, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    exps = tuple(tuple(draw(st.integers(-6, 6)) for _ in range(n)) for _ in range(r))
+    Q1 = draw(st.integers(1, 2**20 - 1))
+    vec = st.tuples(*[st.integers(-3 * Q1, 3 * Q1)] * r)
+    return exps, Q1, draw(st.lists(vec, min_size=1, max_size=4))
+
+
+class TestScalingBasis:
+    @settings(max_examples=150, deadline=None)
+    @given(scaling_lattices())
+    @example((((1, 0), (0, 1), (-1, -1)), 8, [(5, -3, 20)]))
+    @example((((2,), (-1,)), 8, [(7, 7)]))
+    def test_basis_spans_exactly_the_scaling_lattice(self, lattice):
+        exps, Q1, _ = lattice
+        r, n = len(exps), len(exps[0])
+        basis = sums._scaling_basis(exps, Q1)
+        assert len(basis) == r
+        for i, row in enumerate(basis):
+            assert len(row) == r and not any(row[:i]) and row[i] > 0
+        # the columns of U and the Q1*e_i lie in the span of the basis ...
+        gens = [tuple(u[j] for u in exps) for j in range(n)]
+        gens += [tuple(Q1 * (i == j) for j in range(r)) for i in range(r)]
+        for v in gens:
+            assert sums._lattice_reduce(v, basis) == (0,) * r
+        # ... whose index prod d_i is that of the lattice they span, the gcd
+        # of the r x r minors of [U | Q1*I]: so the two are equal
+        index = 0
+        for cols in itertools.combinations(gens, r):
+            index = math.gcd(index, _int_det([list(row) for row in zip(*cols)]))
+        assert math.prod(row[i] for i, row in enumerate(basis)) == index
+
+    @settings(max_examples=150, deadline=None)
+    @given(scaling_lattices())
+    def test_representatives_match_the_column_euclid_basis(self, lattice):
+        exps, Q1, vectors = lattice
+        basis, ref = sums._scaling_basis(exps, Q1), oracle_scaling_basis(exps, Q1)
+        assert [row[i] for i, row in enumerate(basis)] == [row[i] for i, row in enumerate(ref)]
+        for v in vectors:
+            assert sums._lattice_reduce(v, basis) == sums._lattice_reduce(v, ref)
 
 
 def _count_walks(monkeypatch):
