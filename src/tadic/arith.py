@@ -17,6 +17,7 @@ the generator, the least primitive root, is found at start-up.
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -335,7 +336,9 @@ def teichmuller_lift(ctx: FieldContext, x, prec: int):
 
 
 def binomial_guard(N: int, p: int) -> int:
-    """Extra p-digits binomial_sum works with on its exponent: ord_p((N-1)!)."""
+    """Extra p-digits binomial_sum's moment pass works with on its exponent:
+    ord_p((N-1)!).  Its stepped pass reads the exponent only mod
+    p^(M+L), L = binomial_period(N, p) <= ord_p((N-1)!)."""
     return vp_factorial(max(N - 1, 0), p)
 
 
@@ -356,26 +359,35 @@ def binomial_sum(counts, p: int, M_out: int, N: int, t_prec: int) -> TSeries:
 
     Each t is read mod p^t_prec; binom(t,j) = t(t-1)...(t-j+1)/j! loses
     ord_p(j!) digits, so t_prec must cover M_out plus the worst-case loss.
-    The weighted power moments m_i = sum_t c * t^i mod p^t_prec (i < N) take
-    one pass over the traces each; the signed Stirling numbers of the first
-    kind turn them into the weighted falling factorials,
-    sum_t c * t(t-1)...(t-j+1) = sum_i s(j,i) m_i, and each j divides by j!
-    once.  For every integer t the falling factorial is j! times an integer
-    binomial, and t_prec >= ord_p(j!), so each aggregate mod p^t_prec is
-    divisible by the p-part of j!; that exact division is checked once per
-    j, on the aggregate.
 
     Keys are integers, so the result depends on each t only through
-    binom(t, j) mod p^M_out, that is through t mod p^(M_out + L) with
+    binom(t, j) mod p^M_out, that is through t mod R = p^(M_out + L) with
     L = binomial_period(N, p) <= binomial_guard(N, p): callers may hand in
-    keys reduced that far, and fewer distinct keys make a shorter moments
-    pass.
+    keys reduced that far, and fewer distinct keys make a shorter pass.
+
+    Two passes give the same series, and the input size picks one.  With
+    S = isqrt(R) there are S + ceil(R/S) step series; K keys at least that
+    many, whose step tables fit STEP_CACHE_SLOTS, take the stepped pass
+    (_stepped_sum), one big-integer multiply-add per key.  Fewer keys take
+    the moment pass: the weighted power moments m_i = sum_t c * t^i mod
+    p^t_prec (i < N) take one pass over the keys each; the signed Stirling
+    numbers of the first kind turn them into the weighted falling
+    factorials, sum_t c * t(t-1)...(t-j+1) = sum_i s(j,i) m_i, and each j
+    divides by j! once.  For every integer t the falling factorial is j!
+    times an integer binomial, and t_prec >= ord_p(j!), so each aggregate
+    mod p^t_prec is divisible by the p-part of j!; that exact division is
+    checked once per j, on the aggregate.
     """
     need = M_out + binomial_guard(N, p)
     if t_prec < need:
         raise PrecisionError(
             f"exponent known mod p^{t_prec} but binomials to T^{N} need p^{need}"
         )
+    R = p ** (M_out + binomial_period(N, p))
+    S = math.isqrt(R)
+    steps = S + -(-R // S)
+    if len(counts) >= steps and steps * N <= STEP_CACHE_SLOTS:
+        return _stepped_sum(counts, p, M_out, N)
     big = p**t_prec
     out_mod = p**M_out
     ts = list(counts)
@@ -397,6 +409,114 @@ def binomial_sum(counts, p: int, M_out: int, N: int, t_prec: int) -> TSeries:
             raise IntegralityError(f"sum of binom(t,{j}) not p-integral at working precision")
         coeffs[j] = (total // pv) * pow(fact_unit, -1, out_mod) % out_mod
     return TSeries(p, M_out, N, coeffs)
+
+
+def _stepped_sum(counts, p: int, M: int, N: int) -> TSeries:
+    """binomial_sum by baby and giant steps of (1+T) (Paterson-Stockmeyer
+    1973) on Kronecker-packed series, for any counts and any N >= 1.
+
+    Each key is read mod R = p^(M+L) and written t = h*S + l with l < S,
+    so (1+T)^t = giant[h] * baby[l] mod (p^M, T^N), where baby[l] =
+    (1+T)^l and giant[h] = (1+T)^(S*h) (see _step_tables).  Counts are read
+    mod p^M.  Q_l = sum of c * giant[h] over the keys of each l costs one
+    multiply-add per key, and the series is sum_l baby[l] * Q_l, cut to N
+    slots and reduced mod p^M once: no division and no Stirling row.
+
+    Series are packed W bits a slot.  With C the sum of the reduced counts,
+    slot j < N of the final sum is at most sum_l (j+1)(p^M-1) * (p^M-1)C_l
+    <= N(p^M-1)^2 C, and every slot of Q_l is at most (p^M-1)C; W is
+    chosen so that N(p^M-1)^2 max(C, 1) < 2^W.  Slots hold nonnegative
+    values below 2^W, so no slot below N takes a carry; what the products
+    put at or past slot N is cut off.
+    """
+    pm = p**M
+    R = p ** (M + binomial_period(N, p))
+    cs = [c % pm for c in counts.values()]
+    W = _slot_width(N * (pm - 1) ** 2 * max(sum(cs), 1))
+    baby, giant = _step_tables(p, M, N, W)
+    S = len(baby)
+    Q = [0] * S
+    for t, c in zip(counts, cs):
+        h, l = divmod(t % R, S)
+        Q[l] += c * giant[h]
+    total = sum(map(mul, baby, Q)) & ((1 << W * N) - 1)
+    return TSeries(p, M, N, dict(enumerate(_slot_codec(W, N)[1](total))))
+
+
+# step tables of _stepped_sum kept across calls, least recently used first;
+# the bound is on their total slot count (2^16 slots of 64 bits are about
+# 0.5 MB), and binomial_sum steps only when a pair of tables fits it alone
+STEP_CACHE_SLOTS = 1 << 16
+_STEPS: dict = {}
+
+
+def _step_tables(p: int, M: int, N: int, W: int) -> tuple:
+    """(baby, giant): (1+T)^l for l < S and (1+T)^(S*h) for h < ceil(R/S),
+    R = p^(M + binomial_period(N, p)) and S = isqrt(R), each mod (p^M, T^N)
+    and packed as N W-bit slots (W at least the bit length of N(p^M-1)^2).
+
+    Tables depend only on (p, M, N, W) and are shared by every caller in
+    the process, as tuples no caller can alter.  A baby step is one
+    shift-add, (1+T) v = v + (v << W); a giant step is one product by
+    (1+T)^S; each is cut to N slots and reduced mod p^M slot by slot.
+    """
+    key = (p, M, N, W)
+    tables = _STEPS.pop(key, None)
+    if tables is None:
+        pm = p**M
+        R = p ** (M + binomial_period(N, p))
+        S = math.isqrt(R)
+        mask = (1 << W * N) - 1
+        pack, unpack = _slot_codec(W, N)
+
+        def reduce(v):
+            return int.from_bytes(pack([x % pm for x in unpack(v & mask)]), "little")
+
+        baby = [1]
+        for _ in range(1, S):
+            baby.append(reduce(baby[-1] + (baby[-1] << W)))
+        step = reduce(baby[-1] + (baby[-1] << W))
+        giant = [1]
+        for _ in range(1, -(-R // S)):
+            giant.append(reduce(giant[-1] * step))
+        tables = (tuple(baby), tuple(giant))
+    _STEPS[key] = tables
+    while sum(n * (len(b) + len(g)) for (_, _, n, _), (b, g) in _STEPS.items()) > STEP_CACHE_SLOTS:
+        del _STEPS[next(iter(_STEPS))]
+    return tables
+
+
+_SLOT_CODES = {16: "H", 32: "I", 64: "Q"}
+
+
+def _slot_width(bound: int) -> int:
+    """The narrowest slot for ints up to ``bound``: 16, 32 or 64 bits, or
+    past 64 the bound's bit length in whole bytes."""
+    return next((w for w in _SLOT_CODES if bound >> w == 0), -(-bound.bit_length() // 8) * 8)
+
+
+def _slot_codec(W: int, B: int):
+    """(pack, unpack) for W-bit slots, lowest first (W a multiple of 8):
+    pack(xs) is the bytes of ints xs in [0, 2^W), one slot each, and
+    unpack(v) the B slots of an int v < 2^(W*B).  16-, 32- and 64-bit
+    slots go through struct, wider ones one slot at a time."""
+    n = W // 8
+    code = _SLOT_CODES.get(W)
+    if code:
+        unpack = struct.Struct(f"<{B}{code}").unpack
+        return (
+            lambda xs: struct.pack(f"<{len(xs)}{code}", *xs),
+            lambda v: unpack(v.to_bytes(n * B, "little")),
+        )
+
+    def pack(xs):
+        return b"".join(x.to_bytes(n, "little") for x in xs)
+
+    def slots(v):
+        buf = v.to_bytes(n * B, "little")
+        return [int.from_bytes(buf[i : i + n], "little") for i in range(0, n * B, n)]
+
+    return pack, slots
 
 
 @lru_cache(maxsize=None)

@@ -396,15 +396,17 @@ def _cutoff_dets(sc: _ZqScalars, mat, sizes):
 
 
 def e_factor(ah: ArtinHasse, ctx: FieldContext, c, prec: int, cap: int) -> ZqPi:
-    """E(pi*c) for a Z_q scalar c, as a pi-series on the integer grid."""
+    """E(pi*c) for a Z_q scalar c, as a pi-series on the integer grid; at
+    c = 1 every power c^m is 1 and no product is taken."""
     if ah.cap < cap:
         raise PrecisionError("kernel expansion shorter than the requested cap")
     out = {}
     cm = embed_int(ctx, 1, prec)
+    step = c != cm
     for m in range(cap):
         lam = _frac_mod(ah.coeffs[m], ctx.p, prec)
         out[m] = tuple(lam * x % ctx.p**prec for x in cm)
-        if m + 1 < cap:
+        if step and m + 1 < cap:
             cm = ctx.zq_mul(cm, c, prec)
     return ZqPi(ctx, prec, cap, out, den=1)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import struct
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +23,8 @@ from .arith import (
     CycElement,
     FieldContext,
     _reduce_mod,
+    _slot_codec,
+    _slot_width,
     _times_x,
     binomial_guard,
     binomial_period,
@@ -191,33 +192,6 @@ def _build_trace_table(big: FieldContext, prec: int) -> tuple:
     return tuple(s)
 
 
-_SLOT_CODES = {16: "H", 32: "I", 64: "Q"}
-
-
-def _slot_codec(W: int, B: int):
-    """(pack, unpack) for W-bit slots, lowest first (W a multiple of 8):
-    pack(xs) is the bytes of ints xs in [0, 2^W), one slot each, and
-    unpack(v) the B slots of an int v < 2^(W*B).  16-, 32- and 64-bit
-    slots go through struct, wider ones one slot at a time."""
-    n = W // 8
-    code = _SLOT_CODES.get(W)
-    if code:
-        unpack = struct.Struct(f"<{B}{code}").unpack
-        return (
-            lambda xs: struct.pack(f"<{len(xs)}{code}", *xs),
-            lambda v: unpack(v.to_bytes(n * B, "little")),
-        )
-
-    def pack(xs):
-        return b"".join(x.to_bytes(n, "little") for x in xs)
-
-    def slots(v):
-        buf = v.to_bytes(n * B, "little")
-        return [int.from_bytes(buf[i : i + n], "little") for i in range(0, n * B, n)]
-
-    return pack, slots
-
-
 def _coefficient_logs(f: LaurentPoly, big: FieldContext):
     """dlog_g of each coefficient of f embedded in ``big``.
 
@@ -285,8 +259,7 @@ def torus_trace_counts(f: LaurentPoly, k: int, prec: int) -> dict:
     Q1 = len(table)
     q = f.ctx.q
     pm = f.ctx.p**prec
-    bound = len(f.terms) * (pm - 1)
-    W = next((w for w in _SLOT_CODES if bound >> w == 0), -(-bound.bit_length() // 8) * 8)
+    W = _slot_width(len(f.terms) * (pm - 1))
     nb = W // 8
     pack, unpack = _slot_codec(W, Q1)
     terms = []
@@ -349,8 +322,10 @@ def s_f_T(f: LaurentPoly, k: int, M: int, N: int, walks=None) -> TSeries:
     binomials; Granville, "Arithmetic properties of binomial coefficients
     I", 1997), so by Vandermonde
     binom(t + p^(M+L) u, j) = sum_i binom(t, j-i) binom(p^(M+L) u, i)
-    = binom(t, j) mod p^M.  The keys are integers in [0, p^(M+L)), so every
-    aggregate binomial_sum divides by j! is still an exact multiple of it.
+    = binom(t, j) mod p^M.  The keys are integers in [0, p^(M+L)): a dense
+    multiset is summed by binomial_sum's stepped pass, which reads keys only
+    mod p^(M+L) and divides by nothing, and on a sparse one every aggregate
+    the moment pass divides by j! is still an exact multiple of it.
 
     The sum depends only on f's coefficient class (see
     _coefficient_class), so the process keeps the last SUM_CACHE_SIZE
@@ -764,6 +739,13 @@ def congruence_check(
     for k past the degree bound n! * Vol * p^(n(m-1)); a k_range of None
     checks the two k just past the bound.
 
+    A bound at or past FIELD_LIMIT is refused with a DomainError when k is
+    given.  So is any bound whose factors' bit lengths add up past 2^16,
+    judged before the bound is built.  No k past such a bound has a field
+    within the field-size limit, and the report could not print it.  With
+    no k given, the two k past a smaller bound meet the field-size limit
+    as every other k does.
+
     The head is reduced modulo (g, p^M) by Horner's rule; the unseen T-tail is
     bounded by _tail_ord_floor, so every verdict names the power of p it is
     proven at.  The nondegeneracy hypothesis is checked, or attested via
@@ -773,19 +755,29 @@ def congruence_check(
         raise DomainError("character level m must be >= 1")
     dd = newton_data(f)
     p, n = f.ctx.p, f.n
-    bound = dd.normalized_volume() * p ** (n * (m - 1))
+    vol, e = dd.normalized_volume(), n * (m - 1)
+    # past 2^16 bits by its factors the bound is not built: it is far past FIELD_LIMIT
+    bound = vol * p**e if vol.bit_length() + e * p.bit_length() <= 1 << 16 else None
     nd = _verdict_label(is_nondegenerate(f))
     if nd != "nondegenerate" and not override_nondegenerate:
         raise DomainError(
             "nondegeneracy is not certified; pass override_nondegenerate to attest it"
         )
-    if k_range is None:
-        k_range = (bound + 1, bound + 2)
-    ks = sorted({int(k) for k in k_range})
-    if not ks or ks[0] < 1:
-        raise DomainError("k range must be positive")
+    ks = None
+    if k_range is not None:
+        ks = sorted({int(k) for k in k_range})
+        if not ks or ks[0] < 1:
+            raise DomainError("k range must be positive")
     if dd.rank < f.n:
         raise DomainError("degree bound needs full-dimensional support")
+    if bound is None or (ks is not None and bound >= FIELD_LIMIT):
+        # every k past it would need a field q^k >= 2^k past the limit
+        raise DomainError(
+            f"degree bound {vol}*{p}^{e} exceeds the field-size limit "
+            f"2^{FIELD_LIMIT.bit_length() - 1}: no k past it can be checked"
+        )
+    if ks is None:
+        ks = [bound + 1, bound + 2]
     applicable = [k for k in ks if k > bound]
     tail = 0
     checks = []

@@ -458,6 +458,15 @@ def _binom(t, j):
     return math.comb(t, j) if t >= 0 else (-1) ** j * math.comb(j - t - 1, j)
 
 
+def _check_binomial_sum(p, M, N, tp, counts):
+    """binomial_sum against the direct binomials and oracle_binomial_sum."""
+    s = binomial_sum(counts, p, M, N, tp)
+    pm = p**M
+    want = [sum(c * _binom(t, j) for t, c in counts.items()) % pm for j in range(N)]
+    assert [s.coeff(j) for j in range(N)] == want
+    assert s == oracle_binomial_sum(counts, p, M, N, tp)
+
+
 @st.composite
 def _binomial_cases(draw):
     """(p, M, N, t_prec, counts) with keys negative, zero, inside and past
@@ -481,12 +490,7 @@ class TestBinomialSum:
     @given(_binomial_cases())
     @settings(deadline=None)
     def test_matches_weighted_binomials(self, case):
-        p, M, N, tp, counts = case
-        s = binomial_sum(counts, p, M, N, tp)
-        pm = p**M
-        want = [sum(c * _binom(t, j) for t, c in counts.items()) % pm for j in range(N)]
-        assert [s.coeff(j) for j in range(N)] == want
-        assert s == oracle_binomial_sum(counts, p, M, N, tp)
+        _check_binomial_sum(*case)
 
     @example((7, 1, 2, {0: 1, 7: 1}))
     @example((3, 2, 28, {5: 1, 5 + 3**5: 2, 5 + 3**4: 1}))
@@ -551,6 +555,113 @@ class TestBinomialSum:
         binomial_sum({1: 2, 5: 1}, p, M, N, need)
         with pytest.raises(PrecisionError):
             binomial_sum({1: 2, 5: 1}, p, M, N, need - 1)
+
+
+def _steps(p, M, N):
+    """S + ceil(R/S), the step count of binomial_sum's tables at R = p^(M+L)."""
+    R = p ** (M + binomial_period(N, p))
+    S = math.isqrt(R)
+    return S + -(-R // S)
+
+
+@st.composite
+def _dense_cases(draw):
+    """(p, M, N, t_prec, counts) with at least as many keys as the step
+    tables have series, keys negative, inside and past R = p^(M+L)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    N = draw(st.integers(1, 40))
+    L = binomial_period(N, p)
+    top = max(m for m in range(1, 5) if m == 1 or p ** (m + L) <= 3000)
+    M = draw(st.integers(1, top))
+    R = p ** (M + L)
+    tp = M + binomial_guard(N, p) + draw(st.integers(0, 1))
+    key = st.one_of(st.integers(-3 * R, -1), st.integers(0, R - 1), st.integers(R, 3 * R))
+    K = _steps(p, M, N)
+    keys = draw(st.lists(key, min_size=K, max_size=K + 20, unique=True))
+    count = st.one_of(st.integers(1, 50), st.integers(1, 2**80))
+    return p, M, N, tp, {t: draw(count) for t in keys}
+
+
+class TestSteppedSum:
+    # K = S + ceil(R/S) - 1, S + ceil(R/S) and + 1 at (p, M, N) = (3, 2, 5):
+    # R = 27, S = 5, 11 steps; and N = 1 at p = 2, M = 3: R = 8, 6 steps
+    @example((3, 2, 5, 3, {13 * i - 40: i + 1 for i in range(10)}))
+    @example((3, 2, 5, 3, {13 * i - 40: i + 1 for i in range(11)}))
+    @example((3, 2, 5, 4, {13 * i - 40: 2**70 + i for i in range(12)}))
+    @example((2, 3, 1, 3, {5 * i - 12: i + 1 for i in range(6)}))
+    # every residue mod R = 3^7 at the largest reduced count p^M - 1: the
+    # top slots reach 2^32 and need the factor N of the slot bound
+    @example((3, 4, 40, 22, {t - 3**7: 80 for t in range(3**7)}))
+    @given(_dense_cases())
+    @settings(deadline=None, max_examples=60)
+    def test_dense_multisets_match_the_binomials(self, case):
+        _check_binomial_sum(*case)
+
+    @example((2, 1, 1, 1, {-5: 3, 7: 2}))
+    @given(_binomial_cases())
+    @settings(deadline=None)
+    def test_stepped_pass_equals_the_moment_pass_on_sparse_input(self, case):
+        p, M, N, tp, counts = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arith, "STEP_CACHE_SLOTS", 0)  # no table fits: moments
+            moments = binomial_sum(counts, p, M, N, tp)
+        stepped = arith._stepped_sum(counts, p, M, N)
+        assert stepped == moments
+        assert list(stepped.coeffs) == list(moments.coeffs)
+
+    def test_input_size_picks_the_pass(self, monkeypatch):
+        p, M, N = 3, 2, 5
+        tp = M + binomial_guard(N, p)
+        K = _steps(p, M, N)
+        calls = []
+        stepped = arith._stepped_sum
+        monkeypatch.setattr(
+            arith, "_stepped_sum", lambda *a: calls.append(len(a[0])) or stepped(*a)
+        )
+        for k in (K - 1, K, K + 1):
+            binomial_sum({i: 1 for i in range(k)}, p, M, N, tp)
+        assert calls == [K, K + 1]
+        # tables past the slot cap are never built: moments
+        monkeypatch.setattr(arith, "STEP_CACHE_SLOTS", K * N - 1)
+        binomial_sum({i: 1 for i in range(K)}, p, M, N, tp)
+        assert calls == [K, K + 1]
+        # the precision contract holds on both passes
+        with pytest.raises(PrecisionError):
+            binomial_sum({i: 1 for i in range(K)}, p, M, N, tp - 1)
+
+    @pytest.mark.parametrize(
+        "p,M,N,W", [(3, 2, 5, 16), (2, 4, 9, 32), (7, 1, 1, 64), (5, 2, 6, 72)]
+    )
+    def test_step_tables_hold_the_binomial_rows(self, p, M, N, W):
+        baby, giant = arith._step_tables(p, M, N, W)
+        R = p ** (M + binomial_period(N, p))
+        S = math.isqrt(R)
+        assert (len(baby), len(giant)) == (S, -(-R // S))
+        unpack = arith._slot_codec(W, N)[1]
+        pm = p**M
+        steps = list(enumerate(baby)) + [(S * h, g) for h, g in enumerate(giant)]
+        for e, v in steps:
+            assert list(unpack(v)) == [math.comb(e, j) % pm for j in range(N)]
+
+    def test_step_tables_are_bounded_by_slots_least_recent_first(self, monkeypatch):
+        monkeypatch.setattr(arith, "_STEPS", {})
+        monkeypatch.setattr(arith, "STEP_CACHE_SLOTS", 80)
+
+        def slots():
+            return sum(n * (len(b) + len(g)) for (_, _, n, _), (b, g) in arith._STEPS.items())
+
+        a = arith._step_tables(3, 2, 3, 16)  # 6 series of 3 slots
+        arith._step_tables(2, 2, 4, 16)  # 6 of 4
+        assert arith._step_tables(3, 2, 3, 16) is a  # now the most recent
+        arith._step_tables(5, 1, 2, 16)  # 5 of 2: 52 slots fit
+        assert list(arith._STEPS) == [(2, 2, 4, 16), (3, 2, 3, 16), (5, 1, 2, 16)]
+        arith._step_tables(3, 2, 5, 16)  # 11 of 5 more: the two least recent go
+        assert list(arith._STEPS) == [(5, 1, 2, 16), (3, 2, 5, 16)]
+        assert slots() == 65
+        # a pair of tables past the bound alone is returned but not kept
+        baby, giant = arith._step_tables(3, 2, 8, 16)
+        assert 8 * (len(baby) + len(giant)) == 88
+        assert arith._STEPS == {}
 
 
 class TestOnePlusTPow:

@@ -153,6 +153,18 @@ class TestSplittingKernel:
         assert acc[0] == 1 and acc[1] == 1
         assert all(c == 0 for c in acc[2:])
 
+    def test_scalar_one_takes_no_product(self):
+        # c = 1 + 3^4 is 1 mod 3^4 but not the tuple 1: it takes the products
+        ah = artin_hasse(3, 8)
+        ctx = FieldContext(3, 2)
+        real = FieldContext.zq_mul
+        with mock.patch.object(FieldContext, "zq_mul", autospec=True, side_effect=real) as zq:
+            one = e_factor(ah, ctx, embed_int(ctx, 1, 4), 4, 8)
+            assert zq.call_count == 0
+            stepped = e_factor(ah, ctx, (1 + 3**4, 0), 4, 8)
+            assert zq.call_count == 7
+        assert one.coeffs == stepped.coeffs
+
     def test_short_kernel_refused(self):
         ah = artin_hasse(3, 4)
         with pytest.raises(PrecisionError):

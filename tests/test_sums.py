@@ -981,6 +981,24 @@ class TestCongruence:
         with pytest.raises(DomainError, match="m must be >= 1"):
             congruence_check(f, m, None, 3, 12)
 
+    def test_bound_past_the_field_limit_is_refused_when_k_is_given(self):
+        # 3^12 < 2^20 <= 3^13: the level-13 bound is reported, the level-14 one refused
+        f = poly([(1,)], p=3)
+        rep = congruence_check(f, 13, [1], 3, 12)
+        assert rep.degree_bound == 3**12 and rep.checks[0].status == "skipped"
+        with pytest.raises(DomainError, match=r"bound 1\*3\^13 exceeds the field-size limit 2\^20"):
+            congruence_check(f, 14, [1], 3, 12)
+        # with no k, the k past the bound meet the field-size limit itself
+        with pytest.raises(DomainError, match=r"field too large: q\^k = 3\^1594325 "):
+            congruence_check(f, 14, None, 3, 12)
+
+    @pytest.mark.parametrize("ks", [None, [1]])
+    def test_huge_level_is_refused_before_the_bound_is_built(self, ks):
+        # 3^(10^12) would not fit in memory: only bit lengths are compared
+        f = poly([(1,)], p=3)
+        with pytest.raises(DomainError, match=r"degree bound 1\*3\^999999999999 exceeds"):
+            congruence_check(f, 10**12, ks, 3, 12)
+
     def test_default_window_is_just_past_the_bound(self):
         f = poly([(2,)], p=3)
         rep = congruence_check(f, 1, None, 3, 12)
