@@ -126,7 +126,7 @@ class ZqPi(_SparseSeries):
         product reaches, so its cap rule applies unclamped."""
         prec, _ = self._window(other)
         ring = _PiSeries(self.ctx, prec, self.den, self.cap + other.cap)
-        return ring.to_zqpi(ring.mul(ring.from_zqpi(self), ring.from_zqpi(other)))
+        return ring.to_zqpi(ring.dot([(ring.from_zqpi(self), ring.from_zqpi(other))]))
 
     def rescale_den(self, den: int) -> "ZqPi":
         """Re-grid from units 1/self.den to the finer 1/den."""
@@ -155,11 +155,13 @@ def embed_int(ctx: FieldContext, c: int, prec: int):
 class _ZqScalars:
     """Z_q mod p^prec as bare scalars: ints for a = 1, Z_q tuples otherwise.
 
-    The ring interface the determinant kernel uses is zero, one, mul, add,
-    neg and is_zero; zero absorbs products and vanishes from sums, so the
-    kernel may skip it.  Elimination adds ord (the least valuation over the
-    coordinates, Z_q being unramified), shr (exact division by p^k) and
-    unit_inv.
+    The ring interface the determinant kernel uses is zero, one, neg,
+    is_zero and dot: dot(pairs, plus) is plus + sum of x*y over the pairs,
+    summed unreduced and reduced once (for a >= 3, which no operator job
+    reaches, per product).  zero absorbs products and vanishes from sums,
+    so the kernel may skip it.  Elimination adds mul, add, ord (the least
+    valuation over the coordinates, Z_q being unramified), shr (exact
+    division by p^k) and unit_inv.
     """
 
     def __init__(self, ctx: FieldContext, prec: int):
@@ -170,6 +172,10 @@ class _ZqScalars:
             self.zero, self.one = 0, 1
             self.mul = lambda x, y: x * y % pm
             self.add = lambda x, y: (x + y) % pm
+
+            def dot(pairs, plus=0):
+                return (sum(itertools.starmap(operator.mul, pairs)) + plus) % pm
+
             self.neg = lambda x: -x % pm
             self.is_zero = operator.not_
             self.from_tuple = lambda t: t[0]
@@ -189,12 +195,27 @@ class _ZqScalars:
                     c2 = x1 * y1
                     return (x0 * y0 - c2 * l0) % pm, (x0 * y1 + x1 * y0 - c2 * l1) % pm
 
+                def dot(pairs, plus=(0, 0)):
+                    c0, c1 = plus
+                    c2 = 0
+                    for (x0, x1), (y0, y1) in pairs:
+                        c0 += x0 * y0
+                        c1 += x0 * y1 + x1 * y0
+                        c2 += x1 * y1
+                    return (c0 - c2 * l0) % pm, (c1 - c2 * l1) % pm
+
                 self.mul = mul
                 self.add = lambda x, y: ((x[0] + y[0]) % pm, (x[1] + y[1]) % pm)
             else:
                 zq_mul, zq_add = ctx.zq_mul, ctx.zq_add
                 self.mul = lambda x, y: zq_mul(x, y, prec)
                 self.add = lambda x, y: zq_add(x, y, prec)
+
+                def dot(pairs, plus=self.zero):
+                    for x, y in pairs:
+                        plus = zq_add(plus, zq_mul(x, y, prec), prec)
+                    return plus
+
             self.neg = lambda x: tuple(-c % pm for c in x)
             # every scalar is reduced, so zero is the one all-zero tuple
             self.is_zero = self.zero.__eq__
@@ -214,6 +235,7 @@ class _ZqScalars:
                 return y
 
             self.unit_inv = unit_inv
+        self.dot = dot
 
 
 class _PiSeries:
@@ -240,28 +262,41 @@ class _PiSeries:
     def is_zero(self, x) -> bool:
         return not x[1] and x[0] >= self.K
 
-    def mul(self, x, y):
-        (xc, xs), (yc, ys) = x, y
-        cap = min(xc + (min(ys) if ys else yc), yc + (min(xs) if xs else xc), self.K)
-        smul, sadd = self.sc.mul, self.sc.add
+    def dot(self, pairs, plus=None):
+        """plus + sum of x*y over the (x, y) pairs, as the products and sums
+        above would give it: the cap is the least product cap (and plus's),
+        and each key below it is one scalar dot over every product that
+        lands on it, so each coefficient is reduced once."""
+        cap, base = (self.K, {}) if plus is None else plus
+        live = []  # (ord x + ord y, x's terms, y's terms) of the pairs with terms
+        for (xc, xs), (yc, ys) in pairs:
+            ox = min(xs) if xs else xc
+            oy = min(ys) if ys else yc
+            c = min(xc + oy, yc + ox)
+            if c < cap:
+                cap = c
+            if xs and ys:
+                live.append((ox + oy, xs, ys))
+        hits = {}
+        for o, xs, ys in live:
+            if o >= cap:
+                continue
+            for i, s in xs.items():
+                for j, t in ys.items():
+                    k = i + j
+                    if k < cap:
+                        if k in hits:
+                            hits[k].append((s, t))
+                        else:
+                            hits[k] = [(s, t)]
+        sdot, is_zero, zero = self.sc.dot, self.sc.is_zero, self.sc.zero
         out = {}
-        for i, s in xs.items():
-            for j, t in ys.items():
-                k = i + j
-                if k < cap:
-                    v = smul(s, t)
-                    out[k] = sadd(out[k], v) if k in out else v
-        is_zero = self.sc.is_zero
+        for k, v in base.items():
+            if k < cap:
+                out[k] = sdot(hits.pop(k), v) if k in hits else v
+        for k, terms in hits.items():
+            out[k] = sdot(terms, zero)
         return cap, {k: v for k, v in out.items() if not is_zero(v)}
-
-    def add(self, x, y):
-        (xc, xs), (yc, ys) = x, y
-        cap = min(xc, yc)
-        sadd, is_zero = self.sc.add, self.sc.is_zero
-        out = dict(xs)
-        for k, v in ys.items():
-            out[k] = sadd(out[k], v) if k in out else v
-        return cap, {k: v for k, v in out.items() if k < cap and not is_zero(v)}
 
     def neg(self, x):
         sneg = self.sc.neg
@@ -286,54 +321,55 @@ def _berkowitz(ring, rows, keep: int):
     row*block^j*column.  Truncating every vector at keep + 1 terms is exact
     because the convolution is lower triangular, and the step for row r
     reads the Toeplitz entries only up to index min(r, keep), so it forms
-    min(r, keep) - 1 of the s_j.  Products with the ring's
-    zero are skipped, and rows are walked through their nonzero entries.
+    min(r, keep) - 1 of the s_j.  Every entry of a Krylov vector and of the
+    convolution is one ring.dot.  Products with the ring's zero are not
+    passed to it, and rows are walked through their nonzero entries.
     When the part of the row left of the diagonal or the part of the column
     above it holds only that zero, every s_j is that zero, which the
     convolution skips, so they are not formed.  Over _PiSeries clamped at
     the spectral cap this drops every row w with (p-1)*deg(w) >= the cap.
     """
-    mul, add, neg, is_zero = ring.mul, ring.add, ring.neg, ring.is_zero
+    dot, neg, is_zero = ring.dot, ring.neg, ring.is_zero
     zero, one = ring.zero, ring.one
     sparse = [[(j, x) for j, x in enumerate(row) if not is_zero(x)] for row in rows]
 
-    def dot(entries, col, width):
-        acc = None
+    def krylov(entries, col, width):
+        pairs = []
         for j, x in entries:
             if j >= width:
                 break
             y = col[j]
-            if is_zero(y):
-                continue
-            t = mul(x, y)
-            acc = t if acc is None else add(acc, t)
-        return zero if acc is None else acc
+            if y is not None:
+                pairs.append((x, y))
+        return dot(pairs)
+
+    def nonzero(vec):
+        # the ring's zero as None, so the loops skip it by identity
+        return [None if is_zero(t) else t for t in vec]
 
     cv = [one]
     for r in range(1, len(rows) + 1):
         w = r - 1
         top = min(r, keep)
         toep = [one, neg(rows[w][w])]
-        col = [rows[i][w] for i in range(w)]
-        if sparse[w] and sparse[w][0][0] < w and not all(map(is_zero, col)):
+        col = nonzero(rows[i][w] for i in range(w))
+        if sparse[w] and sparse[w][0][0] < w and any(y is not None for y in col):
             for j in range(top - 1):
-                toep.append(neg(dot(sparse[w], col, w)))
+                toep.append(neg(krylov(sparse[w], col, w)))
                 if j + 2 < top:
-                    col = [dot(sparse[i], col, w) for i in range(w)]
+                    col = nonzero([krylov(sparse[i], col, w) for i in range(w)])
+        toep = nonzero(toep)
+        cv = nonzero(cv)
         new = []
         for m in range(top + 1):
-            acc = None
-            for i in range(max(0, m - len(toep) + 1), min(m, len(cv) - 1) + 1):
-                t = cv[i]
-                if is_zero(t):
-                    continue
-                if i < m:
-                    y = toep[m - i]
-                    if is_zero(y):
-                        continue
-                    t = mul(t, y)
-                acc = t if acc is None else add(acc, t)
-            new.append(zero if acc is None else acc)
+            lo = max(0, m - len(toep) + 1)
+            pairs = [
+                (cv[i], toep[m - i])
+                for i in range(lo, min(m, len(cv)))
+                if cv[i] is not None and toep[m - i] is not None
+            ]
+            plus = cv[m] if m < len(cv) and cv[m] is not None else zero
+            new.append(dot(pairs, plus))
         cv = new
         yield cv
 
@@ -435,16 +471,46 @@ def t_to_pi(ts: TSeries, ah: ArtinHasse, ctx: FieldContext, den: int = 1) -> ZqP
 # ---------------------------------------------------------------------------
 
 
-def _kernel_product(dd, ctx: FieldContext, factors, prec: int, budget: dict):
-    """The coefficient of x^v mod pi^budget[v] in prod E(pi * c * x^u) over
-    the given (c, u_reduced) factors, for each reduced exponent v of
-    `budget`.
+class _LatticeCode:
+    """Reduced exponent vectors as ints: enc(v) = sum_i v_i * R^i with
+    radix R = 2*bound + 1.
 
-    Returns {v: {j: coefficient of pi^j}} for j < budget[v], scalars as in
-    _ZqScalars(ctx, prec), leaving out zero digits and the v whose
+    enc is linear, so v + m*u and q*w - u are one integer operation on
+    codes.  On the box |v_i| <= bound it is injective: v + (bound, ...,
+    bound) has base-R digits v_i + bound in [0, R), so enc(v) fixes v.
+    """
+
+    __slots__ = ("bound", "weights")
+
+    def __init__(self, rank: int, bound: int):
+        self.bound = bound
+        self.weights = tuple((2 * bound + 1) ** i for i in range(rank))
+
+    def enc(self, v) -> int:
+        return sum(map(operator.mul, v, self.weights))
+
+
+def _box(vectors) -> int:
+    """The least bound with every coordinate of every vector in [-bound, bound]."""
+    return max((abs(x) for v in vectors for x in v), default=0)
+
+
+def _kernel_product(code: _LatticeCode, ctx: FieldContext, factors, prec: int, budget: dict):
+    """The coefficient of x^v mod pi^budget[v] in prod E(pi * c * x^u) over
+    the given (c, u_reduced) factors, for each code of a reduced exponent v
+    in `budget`.
+
+    Returns {code: {j: coefficient of pi^j}} for j < budget[code], scalars
+    as in _ZqScalars(ctx, prec), leaving out zero digits and the v whose
     coefficient vanishes mod pi^budget[v].  Every factor is known mod pi^C
     for C the largest budget, and so is every coefficient of the product;
     the budgets only say which of its digits are wanted.
+
+    States are keyed by code.  A state before or after any factor is sum_i
+    m_i*u_i with pi-exponent sum_i m_i < C, so each coordinate is at most
+    (C - 1) * max|u| in size.  The caller's code must cover that box, which
+    is asserted here, and every vector of `budget`, so that enc is injective
+    on all of them.
 
     A factor term pi^m x^(m*u) moves a coefficient of x^v at pi^j to x^(v +
     m*u) at pi^(j + m), so a key j at state v after factor i can only reach
@@ -460,24 +526,26 @@ def _kernel_product(dd, ctx: FieldContext, factors, prec: int, budget: dict):
     if not budget:
         return {}
     cap = max(budget.values())
+    assert (cap - 1) * _box(u for _, u in factors) <= code.bound, "states escape the code's box"
     sc = _ZqScalars(ctx, prec)
     mul, add, is_zero = sc.mul, sc.add, sc.is_zero
     ah = artin_hasse(ctx.p, cap)
-    terms = [
-        [(m, sc.from_tuple(t)) for m, t in sorted(e_factor(ah, ctx, c, prec, cap).coeffs.items())]
-        for c, _ in factors
-    ]
+    # per factor, its terms (m, code of m*u, scalar), by m
+    terms = []
+    for c, u in factors:
+        uc = code.enc(u)
+        series = sorted(e_factor(ah, ctx, c, prec, cap).coeffs.items())
+        terms.append([(m, m * uc, sc.from_tuple(t)) for m, t in series])
     # forward: the least pi-exponent of each state before each factor
-    origin = (0,) * dd.rank
-    leads = [{origin: 0}]
-    for (_, u), fac in zip(factors[:-1], terms):
+    leads = [{0: 0}]
+    for fac in terms[:-1]:
         nxt = {}
         for v, lead in leads[-1].items():
-            for m, _ in fac:
+            for m, mu, _ in fac:
                 j = lead + m
                 if j >= cap:
                     break
-                v2 = tuple(x + m * y for x, y in zip(v, u))
+                v2 = v + mu
                 if nxt.get(v2, cap) > j:
                     nxt[v2] = j
         leads.append(nxt)
@@ -485,14 +553,14 @@ def _kernel_product(dd, ctx: FieldContext, factors, prec: int, budget: dict):
     # reach a wanted digit; its budget is the largest key bound
     plans = []
     bud = budget
-    for (_, u), fac, states in zip(reversed(factors), reversed(terms), reversed(leads)):
+    for fac, states in zip(reversed(terms), reversed(leads)):
         plan, prev = {}, {}
         for v, lead in states.items():
             edges = []
-            for m, t in fac:
+            for m, mu, t in fac:
                 if lead + m >= cap:
                     break
-                v2 = tuple(x + m * y for x, y in zip(v, u))
+                v2 = v + mu
                 b = bud.get(v2)
                 if b is not None and lead + m < b:
                     edges.append((v2, m, b - m, t))
@@ -501,7 +569,7 @@ def _kernel_product(dd, ctx: FieldContext, factors, prec: int, budget: dict):
                 prev[v] = max(e[2] for e in edges)
         plans.append(plan)
         bud = prev
-    acc = {origin: {0: sc.one}}
+    acc = {0: {0: sc.one}}
     for plan in reversed(plans):
         new = {}
         for v, ser in acc.items():
@@ -587,12 +655,14 @@ class DworkMatrix:
 
 
 # hard ceilings on the operator basis size and on the criterion matrix.
-# Berkowitz grows like dim^3 * deg_s, less the rows past the spectral cap;
-# the criterion takes one elimination, about dim^3, per degree cutoff, and
-# in-process on a 2-vCPU VM the simplex at p = 3 runs `faces` in 42 ms at
-# 64 points (depth 6) and 86 ms at 109 (depth 8), where all leading minors
-# by Berkowitz took 1.24 s at depth 8.  The criterion limit stays at the 64
-# it was set to under that dim^4 cost until one cost model sets them all.
+# Berkowitz grows like dim^3 * deg_s, less the rows past the spectral cap:
+# in-process on a 2-vCPU VM (Python 3.11.7) a 136-point `dwork` on the
+# simplex at p = 2, prec_t 9 takes 0.23 s at deg_s 9 and 1.09 s at deg_s
+# 136.  The criterion takes one elimination, about dim^3, per degree cutoff:
+# the simplex at p = 3 runs `faces` in 23 ms at 64 points (depth 6) and
+# 40 ms at 109 (depth 8), where all leading minors by Berkowitz took 1.24 s
+# at depth 8.  The criterion limit stays at the 64 it was set to under that
+# dim^4 cost until one cost model sets them all.
 DIM_LIMIT = 150
 CRITERION_DIM_LIMIT = 64
 
@@ -625,6 +695,12 @@ def psi_a_matrix(f: LaurentPoly, B: int, M: int, N_pi: int) -> DworkMatrix:
     The kernel product g = prod_{i<a} E_{f^(sigma^i)}(x^(p^i)) is expanded
     once, to the pi-digits the cells read; the entry at (row w, column u)
     is the coefficient of x^(q*w - u) in g times pi^(deg(u) - deg(w)).
+
+    Lattice vectors are _LatticeCode ints on one box.  The kernel's states
+    have |coord| <= (C - 1)*max|u| over the factors, twists included, for
+    its cap C <= N_pi + B + 1 (see _kernel_product), and a cell has
+    |q*w_i - u_i| <= q*|w_i| + |u_i| <= (q + 1)*max|w| over the basis; the
+    box is the larger bound, so no cell code meets another vector's.
     """
     if B < 0 or M < 1 or N_pi < 1:
         raise DomainError("operator job needs B >= 0 and M, N_pi >= 1")
@@ -645,14 +721,15 @@ def psi_a_matrix(f: LaurentPoly, B: int, M: int, N_pi: int) -> DworkMatrix:
     factors = []
     for i in range(a):
         factors.extend(_lifted_factors(f, dd, M, power_of_p=i))
-    cells = []  # cells[w][u] = q*w - u
-    for w in basis:
-        qw = tuple(q * x for x in w)
-        cells.append([tuple(map(operator.sub, qw, u)) for u in basis])
     # the raw keys j each cell reads: j*D + e_u - e_w < N_pi*D survives into
     # the entry, and j*D + e_u - e_w < p*e_w is what the valuation check
     # below looks at; the raw product is never wanted past pi^(N_pi + B + 1)
     cap_raw = N_pi + B + 1
+    code = _LatticeCode(
+        dd.rank, max((cap_raw - 1) * _box(u for _, u in factors), (q + 1) * _box(basis))
+    )
+    codes = [code.enc(w) for w in basis]
+    cells = [[q * cw - cu for cu in codes] for cw in codes]  # codes of q*w - u
     budget = {}
     for row_cells, ew in zip(cells, grid):
         need = max(N_pi * D + ew, p * ew)
@@ -660,7 +737,7 @@ def psi_a_matrix(f: LaurentPoly, B: int, M: int, N_pi: int) -> DworkMatrix:
             top = min(cap_raw, -((eu - need) // D))
             if top > budget.get(v, 0):
                 budget[v] = top
-    raw = _kernel_product(dd, ctx, factors, M, budget)
+    raw = _kernel_product(code, ctx, factors, M, budget)
     ring = _PiSeries(ctx, M, D, N_pi * D)
     K = ring.K
     rows = []
@@ -722,26 +799,14 @@ def operator_trace(Mx: DworkMatrix, k: int) -> ZqPi:
     if k < 1:
         raise DomainError("trace wants k >= 1")
     ring, rows = Mx.ring, Mx.rows
-    mul, add, is_zero = ring.mul, ring.add, ring.is_zero
-
-    def total(terms):
-        acc = ring.zero
-        for t in terms:
-            if not is_zero(t):
-                acc = add(acc, t)
-        return acc
-
-    def dot(row, col):
-        return total(mul(x, y) for x, y in zip(row, col) if not (is_zero(x) or is_zero(y)))
-
     if k == 1:
-        return ring.to_zqpi(total(rows[i][i] for i in range(Mx.dim)))
+        return ring.to_zqpi(ring.dot((rows[i][i], ring.one) for i in range(Mx.dim)))
     # Mx^(k-1) in full, then only the diagonal of its product with Mx
     cols = list(zip(*rows))
     power = rows
     for _ in range(k - 2):
-        power = [[dot(row, col) for col in cols] for row in power]
-    return ring.to_zqpi(total(dot(row, col) for row, col in zip(power, cols)))
+        power = [[ring.dot(zip(row, col)) for col in cols] for row in power]
+    return ring.to_zqpi(ring.dot(pair for row, col in zip(power, cols) for pair in zip(row, col)))
 
 
 # ---------------------------------------------------------------------------
@@ -897,11 +962,17 @@ def _criterion_data(f: LaurentPoly, dd, K: int, M: int) -> _Criterion:
     # every cell
     height = values(dd.grid_normals)
     through = values([fc.normal for fc in dd.facets_origin])
+    factors = _lifted_factors(f, dd, M)
+    # a cofacial cell has g(p*w - u) = p*g(w) - g(u) <= p*K, so the kernel's
+    # cap is at most p*K//D + 1 and its states have |coord| <= (p*K//D)*max|u|;
+    # the cells have |p*w_i - u_i| <= (p + 1)*max|w|
+    code = _LatticeCode(dd.rank, max(p * K // D * _box(u for _, u in factors), (p + 1) * _box(pts)))
+    codes = [code.enc(w) for w in pts]
     defects = []
-    cells = []  # (row, column, p*w - u) of the cofacial cells
+    cells = []  # (row, column, code of p*w - u) of the cofacial cells
     # a cofacial v off the 1/D grid has no digit at pi^(g(v)/D): zero cell
     budget = {}
-    for i, (w, gw) in enumerate(zip(pts, grid)):
+    for i, (cw, gw) in enumerate(zip(codes, grid)):
         ph = [p * x for x in height[i]]
         po = [p * x for x in through[i]]
         row = []
@@ -914,19 +985,19 @@ def _criterion_data(f: LaurentPoly, dd, K: int, M: int) -> _Criterion:
             assert defect >= 0
             row.append(defect)
             if defect == 0:
-                v = tuple(p * x - y for x, y in zip(w, pts[j]))
+                v = p * cw - codes[j]
                 cells.append((i, j, v))
                 if g % D == 0:
                     budget[v] = g // D + 1
         defects.append(tuple(row))
-    factors = _lifted_factors(f, dd, M)
-    digits = _kernel_product(dd, ctx, factors, M, budget)
+    digits = _kernel_product(code, ctx, factors, M, budget)
     sc = _ZqScalars(ctx, M)
     mat = [[sc.zero] * len(pts) for _ in pts]
     for i, j, v in cells:
         if v in digits:
             k, low = budget[v] - 1, min(digits[v])
             if low < k:
+                v = tuple(p * x - y for x, y in zip(pts[i], pts[j]))
                 raise IntegralityError(f"kernel term pi^{low} x^{v} lies below its degree {k}")
             mat[i][j] = digits[v].get(k, sc.zero)
     # g is subadditive, so a term below its degree that reaches no cell

@@ -502,17 +502,19 @@ class TestBerkowitzKernel:
         assert any(not ring.is_zero(x) for row in rows[:n0] for x in row[n0:])
         calls = []
 
-        def counted(x, y):
-            calls.append(1)
-            return _PiSeries.mul(ring, x, y)
+        def counted(pairs, plus=None):
+            pairs = list(pairs)
+            calls.append(len(pairs))  # the products this dot forms
+            return _PiSeries.dot(ring, pairs, plus)
 
-        ring.mul = counted
+        ring.dot = counted
         for keep in range(n0 + 1):
             del calls[:]
             head = list(dwork._berkowitz(ring, [row[:n0] for row in rows[:n0]], keep))
-            products = len(calls)
+            products = sum(calls)
+            assert (products > 0) == (keep > 0)
             full = list(dwork._berkowitz(ring, rows, keep))
-            assert len(calls) == 2 * products
+            assert sum(calls) == 2 * products
             assert full == head + [head[-1]] * (Mx.dim - n0)
 
 
@@ -590,6 +592,36 @@ def _outcome(build):
         return type(exc)
 
 
+@st.composite
+def boxed_vectors(draw):
+    """(bound, v, w, m): two vectors of one rank <= 3 with every coordinate
+    in [-bound, bound], and a small multiplier."""
+    bound = draw(st.integers(0, 6))
+    coord = st.integers(-bound, bound)
+    rank = draw(st.integers(1, 3))
+    return bound, draw(st.tuples(*[coord] * rank)), draw(st.tuples(*[coord] * rank)), draw(
+        st.integers(-3, 3)
+    )
+
+
+class TestLatticeCode:
+    """The kernel's lattice code is injective and additive on its box."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(boxed_vectors())
+    # digits at the edge of the box: with a radix one short, (2, 0) and
+    # (-2, 1) would share a code
+    @example((2, (2, 0), (-2, 1), 1))
+    @example((1, (1, -1, 1), (-1, 1, -1), -1))
+    @example((3, (-3, 3, -3), (3, -3, 3), 2))
+    @example((0, (0, 0), (0, 0), 3))
+    def test_injective_and_additive_on_the_box(self, job):
+        bound, v, w, m = job
+        code = dwork._LatticeCode(len(v), bound)
+        assert (code.enc(v) == code.enc(w)) == (v == w)
+        assert code.enc(tuple(x + m * y for x, y in zip(v, w))) == code.enc(v) + m * code.enc(w)
+
+
 class TestPrunedKernel:
     """The demand-driven kernel product against the full expansion."""
 
@@ -632,9 +664,16 @@ class TestPrunedKernel:
                 z = with_cap(full[v], b)
                 if z.coeffs:
                     want[v] = z.coeffs
+        # the least box holding the kernel's states and the picked keys
+        bound = max((cap - 1) * dwork._box(u for _, u in factors), dwork._box(picked))
+        code = dwork._LatticeCode(dd.rank, bound)
         tt = dwork._ZqScalars(f.ctx, M).to_tuple
-        got = dwork._kernel_product(dd, f.ctx, factors, M, budget)
-        assert {v: {j: tt(x) for j, x in ser.items()} for v, ser in got.items()} == want
+        got = dwork._kernel_product(
+            code, f.ctx, factors, M, {code.enc(v): b for v, b in budget.items()}
+        )
+        assert {c: {j: tt(x) for j, x in ser.items()} for c, ser in got.items()} == {
+            code.enc(v): ser for v, ser in want.items()
+        }
 
 
 class TestTwoPaths:
