@@ -238,6 +238,13 @@ class _ZqScalars:
         self.dot = dot
 
 
+@functools.lru_cache(maxsize=256)
+def _zq_scalars(ctx: FieldContext, prec: int) -> _ZqScalars:
+    """The one _ZqScalars per (ctx, prec), so that its closures are built
+    once, not once per ring or product (ZqPi.mul forms a ring per call)."""
+    return _ZqScalars(ctx, prec)
+
+
 class _PiSeries:
     """Truncated pi-series as bare (cap, {key: scalar}) pairs, every cap
     clamped at K, scalars as in _ZqScalars.
@@ -255,7 +262,7 @@ class _PiSeries:
 
     def __init__(self, ctx: FieldContext, prec: int, den: int, K: int):
         self.ctx, self.prec, self.den, self.K = ctx, prec, den, K
-        self.sc = sc = _ZqScalars(ctx, prec)
+        self.sc = sc = _zq_scalars(ctx, prec)
         self.zero = (K, {})
         self.one = (K, {0: sc.one})
 
@@ -527,7 +534,7 @@ def _kernel_product(code: _LatticeCode, ctx: FieldContext, factors, prec: int, b
         return {}
     cap = max(budget.values())
     assert (cap - 1) * _box(u for _, u in factors) <= code.bound, "states escape the code's box"
-    sc = _ZqScalars(ctx, prec)
+    sc = _zq_scalars(ctx, prec)
     mul, add, is_zero = sc.mul, sc.add, sc.is_zero
     ah = artin_hasse(ctx.p, cap)
     # per factor, its terms (m, code of m*u, scalar), by m
@@ -991,7 +998,7 @@ def _criterion_data(f: LaurentPoly, dd, K: int, M: int) -> _Criterion:
                     budget[v] = g // D + 1
         defects.append(tuple(row))
     digits = _kernel_product(code, ctx, factors, M, budget)
-    sc = _ZqScalars(ctx, M)
+    sc = _zq_scalars(ctx, M)
     mat = [[sc.zero] * len(pts) for _ in pts]
     for i, j, v in cells:
         if v in digits:

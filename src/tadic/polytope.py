@@ -328,7 +328,9 @@ class DegreeData:
 
     deg(u) = min{c >= 0 : u in c*Delta} for lattice u in the cone over
     Delta; D is the common denominator lcm of the facet offsets; W(k)
-    counts cone lattice points of degree k/D.
+    counts cone lattice points of degree k/D.  The deepest cone scan is kept
+    (one per support, as newton_data shares the object), and every smaller
+    depth is read off it.
     """
 
     def __init__(self, exponents, n):
@@ -358,15 +360,13 @@ class DegreeData:
         self.grid_normals = tuple(
             tuple(c * (self.D // f.offset) for c in f.normal) for f in self.facets_height
         )
+        self._cone = None  # the deepest cone scan, see _scan
 
     # -- coordinates --------------------------------------------------------
 
     def to_reduced(self, u) -> Optional[tuple]:
         """Integer coordinates of u in the saturated span basis, or None."""
         return _coordinates(self.basis, self.inverse, tuple(int(c) for c in u))
-
-    def from_reduced(self, r) -> tuple:
-        return _combine(self.basis, r, self.n)
 
     # -- cone and degree ------------------------------------------------------
 
@@ -381,9 +381,10 @@ class DegreeData:
 
     # -- lattice point enumeration --------------------------------------------
 
-    def cone_points_upto(self, K: int):
-        """All reduced lattice points of the cone with D*deg <= K, each with
-        its grid degree D*deg."""
+    def _box(self, K: int):
+        """The lattice points of the box of K/D * Delta, as one range per
+        coordinate: ceiling division at the low end, floor division at the
+        high end.  Refused past BOX_LIMIT points, before any scan."""
         D = self.D
         los = [0] * self.rank
         his = [0] * self.rank
@@ -391,8 +392,6 @@ class DegreeData:
             for i, c in enumerate(p):
                 los[i] = min(los[i], c * K)
                 his[i] = max(his[i], c * K)
-        # the lattice points of the box of K/D * Delta: ceiling division at
-        # the low end, floor division at the high end
         ranges = [range(-(-lo // D), hi // D + 1) for lo, hi in zip(los, his)]
         box = math.prod(map(len, ranges))
         if box > BOX_LIMIT:
@@ -400,20 +399,36 @@ class DegreeData:
                 f"cone enumeration too large: the box scanned for degree <= {Fraction(K, D)} "
                 f"holds {box} lattice points, past the box limit {BOX_LIMIT}"
             )
-        out = []
-        for ur in itertools.product(*ranges):
-            if self.in_cone_reduced(ur):
-                g = self.grid_degree(ur)
-                if g <= K:
-                    out.append((ur, g))
-        return out
+        return ranges
+
+    def _scan(self, K: int):
+        """(depth, points, W) of the deepest cone scan kept so far, first
+        deepened to K when K is past it: the reduced points of grid degree
+        <= depth with their grid degrees, and W[g] the count of degree g/D.
+        The box of K is refused past BOX_LIMIT whether or not a deeper scan
+        is kept, so no answer depends on what was asked before."""
+        ranges = self._box(K)
+        if self._cone is None or K > self._cone[0]:
+            pts = []
+            W = [0] * (K + 1)
+            for ur in itertools.product(*ranges):
+                if self.in_cone_reduced(ur):
+                    g = self.grid_degree(ur)
+                    if g <= K:
+                        pts.append((ur, g))
+                        W[g] += 1
+            self._cone = (K, pts, W)
+        return self._cone
+
+    def cone_points_upto(self, K: int):
+        """All reduced lattice points of the cone with D*deg <= K, each with
+        its grid degree D*deg, read off the deepest scan kept."""
+        depth, pts, _ = self._scan(K)
+        return list(pts) if K == depth else [t for t in pts if t[1] <= K]
 
     def weight_counts(self, K: int):
         """W(k) for k = 0..K: cone lattice points of degree exactly k/D."""
-        W = [0] * (K + 1)
-        for _, g in self.cone_points_upto(K):
-            W[g] += 1
-        return W
+        return self._scan(K)[2][: max(K + 1, 0)]
 
     # -- faces ------------------------------------------------------------------
 
@@ -520,26 +535,21 @@ def hodge_polygon_absolute(dd: DegreeData, K: int) -> NewtonPolygon:
     """Absolute variant with slope k/D of width W(k); q-variant = a(p-1) times this."""
     if K < 0:
         raise DomainError("cutoff must be >= 0")
-    W = dd.weight_counts(K)
-    verts = [(Fraction(0), Fraction(0))]
-    x = y = Fraction(0)
-    for k, w in enumerate(W):
+    xs, ys = [0], [0]  # ordinates in units of 1/D
+    for k, w in enumerate(dd.weight_counts(K)):
         if w:
-            x += w
-            y += w * Fraction(k, dd.D)
-            verts.append((x, y))
-    verts = tuple(verts)
-    return NewtonPolygon(vertices=verts, certified_upto=x, upper=verts, floor_upto=x, upper_upto=x)
+            xs.append(xs[-1] + w)
+            ys.append(ys[-1] + w * k)
+    return NewtonPolygon.known(dd.D, xs, ys)
 
 
 def hodge_polygon_to_width(dd: DegreeData, p: int, a: int, width: int):
-    """Smallest-depth q-Hodge polygon whose horizontal extent is >= width."""
+    """Smallest-depth q-Hodge polygon whose horizontal extent is >= width:
+    the extent at depth K counts the cone points of degree <= K/D."""
     K = dd.D
-    while True:
-        P = hodge_polygon(dd, p, a, K)
-        if P.last_x >= width:
-            return P
+    while sum(dd.weight_counts(K)) < width:
         K += dd.D
+    return hodge_polygon(dd, p, a, K)
 
 
 def hodge_ray(P: NewtonPolygon, start_x: int):
@@ -549,13 +559,7 @@ def hodge_ray(P: NewtonPolygon, start_x: int):
     x = Fraction(start_x)
     if x > P.last_x:
         raise DomainError("ray start beyond computed polygon")
-    v0 = P.value_at(x)
-    slope = None
-    for (x0, y0), (x1, y1) in zip(P.vertices, P.vertices[1:]):
-        if x0 <= x < x1 or (x == P.last_x and x1 == x):
-            slope = Fraction(y1 - y0, x1 - x0)
-    assert slope is not None
-    return (x, v0, slope)
+    return (x, P.value_at(x), P.slope_at(x))
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,22 @@ determinant kernel.  SSeries is a polynomial in an outer variable s whose
 coefficients are ring elements implementing a small shared protocol
 (add/sub/mul/neg/mul_int/divexact_int/is_zero/val_data).
 
-Polygon geometry is exact: vertices are pairs of Fractions, never floats.
-A polygon carries the largest x-coordinate up to which its shape is proven
-correct given the truncation caps of the data it was built from.
+Polygon geometry is exact and lives on the integer grid: every x is a
+coefficient index and each hull keeps its ordinates as integers over one
+denominator, so hulls are built and compared by integer cross-multiplication,
+two hulls at a time in one merged walk over their vertex lists.  A polygon
+carries the largest x-coordinate up to which its shape is proven correct
+given the truncation caps of the data it was built from.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import DomainError, IntegralityError, PrecisionError, TheoremViolation
@@ -351,14 +357,48 @@ def _sum_of_products(pairs):
 # ---------------------------------------------------------------------------
 
 
+def _grid(L: int, xs, ys) -> tuple:
+    """A hull on the integer grid: vertex i is (xs[i], ys[i]/L), with xs
+    strictly increasing coefficient indices.  L and the ys are divided by
+    their common factor, so L is the least common denominator of the
+    ordinates and equal hulls have equal grids."""
+    ys = tuple(ys)
+    g = math.gcd(L, *ys)
+    return L // g, tuple(xs), tuple(y // g for y in ys)
+
+
+def _vertices(grid) -> tuple:
+    L, xs, ys = grid
+    return tuple((x, Fraction(y, L)) for x, y in zip(xs, ys))
+
+
+def _edge_value(L, xs, ys, i, x):
+    """(num, den) of a hull's value at x = xs[i] or on its edge i."""
+    x0 = xs[i]
+    if x0 == x:
+        return ys[i], L
+    x1 = xs[i + 1]
+    return ys[i] * (x1 - x) + ys[i + 1] * (x - x0), (x1 - x0) * L
+
+
+def _at(grid, x):
+    """The hull's value at a rational x in its range, as (num, den)."""
+    L, xs, ys = grid
+    if x < xs[0] or x > xs[-1]:
+        raise DomainError(f"x={x} outside polygon range")
+    return _edge_value(L, xs, ys, bisect.bisect_right(xs, x) - 1, x)
+
+
 @dataclass(frozen=True)
 class NewtonPolygon:
-    """Lower convex hull as a vertex list, plus the certification bound.
+    """Lower convex hull, on the integer grid, plus the certification bound.
 
-    vertices: ((x0,y0), (x1,y1), ...) with strictly increasing x and
-    nondecreasing slopes.  certified_upto is the largest x at which the
-    polygon is proven correct given the truncation caps of its inputs;
-    vertices beyond it are the best value at working precision.
+    floor_grid and upper_grid are hulls as (L, xs, ys) (see _grid);
+    ``vertices`` and ``upper`` read them as ((x0,y0), (x1,y1), ...) with
+    Fraction ordinates, strictly increasing x and nondecreasing slopes.
+    certified_upto is the largest x at which the polygon is proven correct
+    given the truncation caps of its inputs; vertices beyond it are the best
+    value at working precision.
 
     Every polygon is a sandwich: ``vertices`` is a proven floor up to
     ``floor_upto`` and ``upper`` a proven ceiling up to ``upper_upto``.
@@ -367,58 +407,101 @@ class NewtonPolygon:
     to its last vertex and a ceiling to ``certified_upto``.
     """
 
-    vertices: tuple
+    floor_grid: tuple
     certified_upto: Fraction
-    upper: tuple
+    upper_grid: tuple
     floor_upto: Fraction
     upper_upto: Fraction
 
+    @classmethod
+    def known(cls, L: int, xs, ys):
+        """A polygon known exactly, with vertices (xs[i], ys[i]/L): both
+        hulls are that one, proven to its last vertex."""
+        grid = _grid(L, xs, ys)
+        x = grid[1][-1]
+        return cls(grid, x, grid, x, x)
+
+    @cached_property
+    def vertices(self) -> tuple:
+        return _vertices(self.floor_grid)
+
+    @cached_property
+    def upper(self) -> tuple:
+        return _vertices(self.upper_grid)
+
     @property
-    def last_x(self) -> Fraction:
-        return self.vertices[-1][0]
+    def last_x(self) -> int:
+        return self.floor_grid[1][-1]
 
     def value_at(self, x) -> Fraction:
-        return _hull_value(self.vertices, Fraction(x))
+        return Fraction(*_at(self.floor_grid, Fraction(x)))
+
+    def slope_at(self, x) -> Fraction:
+        """Slope of the floor hull's edge from the last vertex <= x on, or
+        of its last edge at its end."""
+        L, xs, ys = self.floor_grid
+        i = min(bisect.bisect_right(xs, x), len(xs) - 1) - 1
+        assert i >= 0
+        return Fraction(ys[i + 1] - ys[i], (xs[i + 1] - xs[i]) * L)
+
+    def ceilings(self, upto: int) -> list:
+        """ceil(value_at(x)) for the integers x = 0..upto, in integers."""
+        return [-(-num // den) for num, den in (_at(self.floor_grid, x) for x in range(upto + 1))]
 
 
-def _hull_value(vs, x: Fraction) -> Fraction:
-    if x < vs[0][0] or x > vs[-1][0]:
-        raise DomainError(f"x={x} outside polygon range")
-    for (x0, y0), (x1, y1) in zip(vs, vs[1:]):
-        if x0 <= x <= x1:
-            if x == x0:
-                return y0
-            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-    return vs[-1][1]
-
-
-def _window(a, b, a_upto, b_upto, upto=None) -> Fraction:
+def _window(a, b, a_upto, b_upto, upto=None):
     """Largest x that both hulls reach and no bound passes."""
-    w = min(a_upto, b_upto, a[-1][0], b[-1][0])
+    w = min(a_upto, b_upto, a[1][-1], b[1][-1])
     return w if upto is None else min(w, Fraction(upto))
 
 
 def _checkpoints(a, b, w):
-    """(x, a(x), b(x)) at 0, at w and at every vertex of either hull in
-    [0, w], by increasing x.  Both hulls are linear between consecutive
-    checkpoints, so comparing them there compares them on all of [0, w];
-    the values are computed one checkpoint at a time, as the caller asks."""
-    xs = {Fraction(0), w}
-    xs.update(x for x, _ in a if 0 <= x <= w)
-    xs.update(x for x, _ in b if 0 <= x <= w)
-    for x in sorted(xs):
-        yield x, _hull_value(a, x), _hull_value(b, x)
+    """(X, sign of a(x) - b(x)) at x = 0, at x = w and at every vertex of
+    either hull in [0, w], by increasing x, where X = x*den(w) keeps a
+    fractional w on the integer grid (X = x for an integer w).  Both hulls
+    are linear between consecutive checkpoints, so comparing them there
+    compares them on all of [0, w].  One merged pass over the two vertex
+    lists gives each checkpoint both values as (num, den) in O(1); the
+    signs come by cross-multiplication, one checkpoint at a time, as the
+    caller asks."""
+    wn, wd = w.numerator, w.denominator
+    La, ax, ay = a
+    Lb, bx, by = b
+    if wd != 1:
+        ax = [x * wd for x in ax]
+        bx = [x * wd for x in bx]
+    if ax[0] > 0 or bx[0] > 0:
+        raise DomainError("x=0 outside polygon range")
+    na, nb = len(ax) - 1, len(bx) - 1
+    i = j = X = 0
+    while True:
+        # segment i of a and segment j of b hold X: ax[i] <= X < ax[i + 1]
+        while i < na and ax[i + 1] <= X:
+            i += 1
+        while j < nb and bx[j + 1] <= X:
+            j += 1
+        an, ad = _edge_value(La, ax, ay, i, X)
+        bn, bd = _edge_value(Lb, bx, by, j, X)
+        d = an * bd - bn * ad
+        yield X, (d > 0) - (d < 0)
+        if X >= wn:
+            return
+        X = wn
+        if i < na and ax[i + 1] < X:
+            X = ax[i + 1]
+        if j < nb and bx[j + 1] < X:
+            X = bx[j + 1]
 
 
 def lower_hull(points):
     """Lower convex hull (as a function of x) of exact points.
 
-    points: iterable of (x, y) Fractions; duplicates in x keep the min y.
-    Returns the vertex list sorted by x.
+    points: iterable of (x, y), all ints (a hull on the integer grid) or
+    exact rationals; duplicates in x keep the min y.  Returns the vertex
+    list sorted by x.  Points are kept or dropped by cross-multiplication.
     """
     best = {}
     for x, y in points:
-        x, y = Fraction(x), Fraction(y)
         if x not in best or y < best[x]:
             best[x] = y
     pts = sorted(best.items())
@@ -435,6 +518,27 @@ def lower_hull(points):
                 break
         hull.append((x, y))
     return hull
+
+
+def _cut_x(hull, ts: Fraction, v0: int, slope: int) -> int:
+    """The first vertex of a floor hull (x, y*L) from which a chord into
+    the ray (from ts on, value v0/L at ts and slope slope/L, a lower bound)
+    dips below the outgoing edge: nothing before it can move.  With
+    gap = td*(ts - x) for ts = tn/td, every comparison is one of integers."""
+    tn, td = ts.numerator, ts.denominator
+    for i, (xv, yv) in enumerate(hull):
+        gap = tn - xv * td
+        if gap <= 0 or i + 1 == len(hull):
+            return xv
+        x1, y1 = hull[i + 1]
+        dx, dy = x1 - xv, y1 - yv
+        if yv * td > v0 * td - slope * gap:
+            # above the ray's line: the least chord runs to the ray's start
+            dips = (v0 - yv) * td * dx < dy * gap
+        else:
+            dips = slope * dx < dy
+        if dips:
+            return xv
 
 
 def certified_polygon(points, ray=None, lower=None, vals_exact=True) -> NewtonPolygon:
@@ -459,68 +563,61 @@ def certified_polygon(points, ray=None, lower=None, vals_exact=True) -> NewtonPo
 
     Certification is a sandwich: one hull takes every value at its lowest
     admissible position (caps, the ray, the lower bound), the other at its
-    highest; the polygon is proven on the prefix where the two agree.
+    highest; the polygon is proven on the prefix where the two agree.  Both
+    hulls, the ray and the walk between them work on one grid, over the
+    least common denominator of every ordinate they read.
     """
     pts = sorted(points)
     if not pts or pts[0][0] != 0:
         raise DomainError("polygon data must start at x=0")
 
     def lo(x):
-        if lower is None:
-            return Fraction(0)
-        return max(Fraction(0), Fraction(lower(x)))
+        return 0 if lower is None else max(0, lower(x))
 
-    floor_pts = []
+    floor_vals, exact = [], []
     for x, v, c in pts:
-        fx = Fraction(x)
         if v is None:
-            floor_pts.append((fx, max(Fraction(c), lo(fx))))
-        elif vals_exact:
-            floor_pts.append((fx, Fraction(v)))
+            floor_vals.append(max(c, lo(x)))
+            continue
+        exact.append((x, v))
+        if vals_exact:
+            floor_vals.append(v)
         else:
-            b = lo(fx)
-            if b > Fraction(v):
+            b = lo(x)
+            if b > v:
                 raise TheoremViolation(
                     f"valuation {v} visible at x={x} undercuts the proven bound {b}"
                 )
-            floor_pts.append((fx, b))
-    exact_pts = [(Fraction(x), Fraction(v)) for x, v, c in pts if v is not None]
-    if not exact_pts:
+            floor_vals.append(b)
+    if not exact:
         raise DomainError("no certified valuations at all")
-    hull_floor = lower_hull(floor_pts)
-    hull_exact = lower_hull(exact_pts)
-
-    cut_x = hull_floor[-1][0]
     if ray is not None:
-        ts, v0, slope = Fraction(ray[0]), Fraction(ray[1]), Fraction(ray[2])
-        # Walk the floor hull and find the first vertex from which a chord to
-        # the ray dips below the outgoing edge; nothing before it can move.
-        cut_x = None
-        for i, (xv, yv) in enumerate(hull_floor):
-            if xv >= ts:
-                cut_x = xv
-                break
-            # minimal chord slope from (xv, yv) into the ray region
-            at_start = (v0 - yv) / (ts - xv)
-            line_val = v0 + slope * (xv - ts)
-            min_chord = at_start if yv > line_val else slope
-            out_slope = None
-            if i + 1 < len(hull_floor):
-                x1, y1 = hull_floor[i + 1]
-                out_slope = (y1 - yv) / (x1 - xv)
-            if out_slope is None or min_chord < out_slope:
-                cut_x = xv
-                break
-        if cut_x is None:
-            cut_x = hull_floor[-1][0]
+        ts, v0, slope = (Fraction(r) for r in ray)
+    L = math.lcm(
+        *(y.denominator for y in floor_vals),
+        *(v.denominator for _, v in exact),
+        *(() if ray is None else (v0.denominator, slope.denominator)),
+    )
+
+    def on_grid(y):
+        return y.numerator * (L // y.denominator)
+
+    hull_floor = lower_hull((x, on_grid(y)) for (x, _, _), y in zip(pts, floor_vals))
+    hull_exact = lower_hull((x, on_grid(v)) for x, v in exact)
+    if ray is None:
+        cut_x = hull_floor[-1][0]
+    else:
+        cut_x = _cut_x(hull_floor, ts, on_grid(v0), on_grid(slope))
+    floor = _grid(L, *zip(*hull_floor))
+    upper = _grid(L, *zip(*hull_exact))
+    upper_upto = exact[-1][0]
 
     # proven where the hulls agree, up to where the floor and the visible
     # data reach; the first checkpoint of disagreement ends the prefix
     certified = None
-    if hull_exact[0][0] == 0:
-        w = _window(hull_floor, hull_exact, cut_x, exact_pts[-1][0])
-        for x, fv, ev in _checkpoints(hull_floor, hull_exact, w):
-            if fv != ev:
+    if upper[1][0] == 0:
+        for x, sign in _checkpoints(floor, upper, _window(floor, upper, cut_x, upper_upto)):
+            if sign:
                 break
             certified = x
     if certified is None:
@@ -528,13 +625,7 @@ def certified_polygon(points, ray=None, lower=None, vals_exact=True) -> NewtonPo
     # The floor hull stays below the true polygon as far as the ray protects
     # it; the visible hull stays above it wherever visible points exist,
     # since extra points (the invisible tail) only push a hull downward.
-    return NewtonPolygon(
-        vertices=tuple(hull_floor),
-        certified_upto=certified,
-        upper=tuple(hull_exact),
-        floor_upto=cut_x,
-        upper_upto=exact_pts[-1][0],
-    )
+    return NewtonPolygon(floor, certified, upper, cut_x, upper_upto)
 
 
 def polygon_from_sseries(F: SSeries, ray=None, lower=None, vals_exact=True) -> NewtonPolygon:
@@ -547,25 +638,29 @@ def polygon_from_sseries(F: SSeries, ray=None, lower=None, vals_exact=True) -> N
 
 
 def polygon_rescale(P: NewtonPolygon, factor) -> NewtonPolygon:
-    """Scale ordinates by an exact rational factor (valuation renormalisation)."""
+    """Scale ordinates by an exact rational factor (valuation
+    renormalisation): the grid's denominator and ordinates scale, and no
+    vertex is rebuilt."""
     f = Fraction(factor)
     if f <= 0:
         raise DomainError("polygon rescale needs a positive factor")
+
+    def scale(grid):
+        L, xs, ys = grid
+        return _grid(L * f.denominator, xs, (y * f.numerator for y in ys))
+
     return NewtonPolygon(
-        vertices=tuple((x, y * f) for x, y in P.vertices),
-        certified_upto=P.certified_upto,
-        upper=tuple((x, y * f) for x, y in P.upper),
-        floor_upto=P.floor_upto,
-        upper_upto=P.upper_upto,
+        scale(P.floor_grid), P.certified_upto, scale(P.upper_grid), P.floor_upto, P.upper_upto
     )
 
 
 def polygon_dominates(P: NewtonPolygon, Q: NewtonPolygon, upto=None) -> bool:
     """True iff P >= Q pointwise on the common certified range."""
-    w = _window(P.vertices, Q.vertices, P.certified_upto, Q.certified_upto, upto)
+    a, b = P.floor_grid, Q.floor_grid
+    w = _window(a, b, P.certified_upto, Q.certified_upto, upto)
     if w <= 0:
         raise DomainError("no common certified range to compare polygons on")
-    return all(pv >= qv for _, pv, qv in _checkpoints(P.vertices, Q.vertices, w))
+    return all(sign >= 0 for _, sign in _checkpoints(a, b, w))
 
 
 def polygon_verdict(P: NewtonPolygon, Q: NewtonPolygon, upto=None) -> str:
@@ -582,10 +677,12 @@ def polygon_verdict(P: NewtonPolygon, Q: NewtonPolygon, upto=None) -> str:
     there; like every 'true' here it speaks only about that prefix.
     Anything else is 'uncertified'.
     """
-    w = _window(P.vertices, Q.upper, P.floor_upto, Q.upper_upto, upto)
-    if w > 0 and any(pv > qv for _, pv, qv in _checkpoints(P.vertices, Q.upper, w)):
+    a, b = P.floor_grid, Q.upper_grid
+    w = _window(a, b, P.floor_upto, Q.upper_upto, upto)
+    if w > 0 and any(sign > 0 for _, sign in _checkpoints(a, b, w)):
         return "false"
-    w = _window(P.upper, Q.vertices, P.upper_upto, Q.floor_upto, upto)
-    if w > 0 and all(pv <= qv for _, pv, qv in _checkpoints(P.upper, Q.vertices, w)):
+    a, b = P.upper_grid, Q.floor_grid
+    w = _window(a, b, P.upper_upto, Q.floor_upto, upto)
+    if w > 0 and all(sign <= 0 for _, sign in _checkpoints(a, b, w)):
         return "true"
     return "uncertified"

@@ -627,9 +627,9 @@ def np_report(f: LaurentPoly, m_list, deg_s: int, M: int, N: int) -> NPReport:
     hp_abs = polygon_rescale(hp, Fraction(1, a * (p - 1)))
     ray = hodge_ray(hp, deg_s + 1)
 
-    def hp_floor(x):
-        # coefficient valuations live on the integer grid in both rings
-        return Fraction(math.ceil(hp.value_at(Fraction(x))))
+    # coefficient valuations live on the integer grid in both rings; the
+    # Hodge floor of each coefficient is read once, for every polygon below
+    hp_floor = hp.ceilings(deg_s).__getitem__
 
     C = c_function(f, deg_s, M, N)
     np_t = polygon_from_sseries(C, ray=ray, lower=hp_floor, vals_exact=False)

@@ -48,18 +48,21 @@ The face references evaluate every facet equation at every point, where
 the library intersects the facets' point sets.  The polygon references
 read the agreement prefix of the two hulls over their whole common range
 and cut it afterwards, and give dominance and each half of the verdict a
-window and a checkpoint set of their own, where the library walks one
-checkpoint generator over one window function.
+window and a checkpoint set of their own, each value a scan of Fraction
+vertices, where the library walks one merged pass over two integer-grid
+hulls per comparison, over one window function.
 
 The rest are library code the package itself never calls, kept here as
 references: pi-shifts and cap cuts of a ZqPi, the L-function as an Euler
 product over closed points (traces through fresh Teichmuller lifts per
 point), the division-free inverse of the exp recurrence, slope multisets
 with their convolution, Frobenius powers, polygon edges and two-sided
-polygon equality, exact polygon readings, polytope degrees as Fractions
-(of reduced points, checked against the cone, and of unreduced points)
-with the cofacial defect and the NotInConeError they raise, and the
-exponent of the degree monoid.
+polygon equality, exact polygon readings (polygons read from Fraction
+vertex lists) and a hull's value by a scan of its edges, the ambient point
+of reduced coordinates, polytope degrees as Fractions (of reduced points,
+checked against the cone, and of unreduced points) with the cofacial
+defect and the NotInConeError they raise, and the exponent of the degree
+monoid.
 """
 
 from dataclasses import dataclass
@@ -101,7 +104,6 @@ from tadic.series import (
     NewtonPolygon,
     SSeries,
     TSeries,
-    _hull_value,
     lower_hull,
     polygon_dominates,
     power,
@@ -805,7 +807,7 @@ def e_f_expansion(f, B_needed: int, M: int, N_pi: int):
     """The alpha map keyed by ambient exponent tuples, deg(u) <= B_needed."""
     dd = newton_data(f)
     amap = _alpha_map(f, dd, B_needed * dd.D, M, N_pi)
-    return {dd.from_reduced(ur): al for ur, al in amap.items()}
+    return {from_reduced(dd, ur): al for ur, al in amap.items()}
 
 
 def _alpha0(amap, v):
@@ -1035,13 +1037,42 @@ def polygons_equal_on(P: NewtonPolygon, Q: NewtonPolygon, upto=None) -> bool:
     return polygon_dominates(P, Q, hi) and polygon_dominates(Q, P, hi)
 
 
+def _grid_of(vertices) -> tuple:
+    """A vertex list of exact rationals with integer x on the integer grid
+    of series.NewtonPolygon: (L, xs, ys), L the least common denominator
+    of the ordinates."""
+    pts = [(Fraction(x), Fraction(y)) for x, y in vertices]
+    assert all(x.denominator == 1 for x, _ in pts), "polygon vertices need integer x"
+    L = math.lcm(*(y.denominator for _, y in pts))
+    return L, tuple(int(x) for x, _ in pts), tuple(int(y * L) for _, y in pts)
+
+
+def polygon_from_vertices(vertices, certified_upto, upper, floor_upto, upper_upto):
+    """A NewtonPolygon given by its two hulls as lists of exact rational
+    vertices with integer x."""
+    floor, ceiling = _grid_of(vertices), _grid_of(upper)
+    return NewtonPolygon(floor, certified_upto, ceiling, floor_upto, upper_upto)
+
+
 def exact_polygon(vertices, certified_upto) -> NewtonPolygon:
     """A polygon known exactly, read as hodge_polygon_absolute builds one:
     the vertices are its floor to the last vertex and its ceiling to
     certified_upto."""
     vs = tuple((Fraction(x), Fraction(y)) for x, y in vertices)
     upto = Fraction(certified_upto)
-    return NewtonPolygon(vs, upto, vs, vs[-1][0], upto)
+    return polygon_from_vertices(vs, upto, vs, vs[-1][0], upto)
+
+
+def _hull_value(vs, x: Fraction) -> Fraction:
+    """A vertex list's value at x, by a scan of its edges in Fractions."""
+    if x < vs[0][0] or x > vs[-1][0]:
+        raise DomainError(f"x={x} outside polygon range")
+    for (x0, y0), (x1, y1) in zip(vs, vs[1:]):
+        if x0 <= x <= x1:
+            if x == x0:
+                return y0
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    return vs[-1][1]
 
 
 def _equal_prefix(f_verts, g_verts) -> Fraction:
@@ -1119,9 +1150,7 @@ def oracle_certified_polygon(points, ray=None, lower=None, vals_exact=True) -> N
         if cut_x is None:
             cut_x = hull_floor[-1][0]
     certified = min(_equal_prefix(hull_floor, hull_exact), cut_x, exact_pts[-1][0])
-    return NewtonPolygon(
-        tuple(hull_floor), certified, tuple(hull_exact), cut_x, exact_pts[-1][0]
-    )
+    return polygon_from_vertices(hull_floor, certified, hull_exact, cut_x, exact_pts[-1][0])
 
 
 def _common_range(P: NewtonPolygon, Q: NewtonPolygon, upto=None) -> Fraction:
@@ -1143,7 +1172,7 @@ def oracle_polygon_dominates(P: NewtonPolygon, Q: NewtonPolygon, upto=None) -> b
     for x, _ in Q.vertices:
         if 0 <= x <= hi:
             xs.add(x)
-    return all(P.value_at(x) >= Q.value_at(x) for x in sorted(xs))
+    return all(_hull_value(P.vertices, x) >= _hull_value(Q.vertices, x) for x in sorted(xs))
 
 
 def oracle_polygon_verdict(P: NewtonPolygon, Q: NewtonPolygon, upto=None) -> str:
@@ -1179,6 +1208,11 @@ def oracle_polygon_verdict(P: NewtonPolygon, Q: NewtonPolygon, upto=None) -> str
 
 class NotInConeError(DomainError):
     """Lattice point lies outside the cone spanned by the Newton polytope."""
+
+
+def from_reduced(dd: DegreeData, r) -> tuple:
+    """The ambient lattice point with reduced coordinates r."""
+    return tuple(sum(b[i] * c for b, c in zip(dd.basis, r)) for i in range(dd.n))
 
 
 def degree_reduced(dd: DegreeData, ur) -> Fraction:

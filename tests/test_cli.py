@@ -195,6 +195,24 @@ class TestCommands:
         assert doc["nondegenerate"] == "nondegenerate"
         assert "1" in doc["np_pi"]
 
+    def test_np_prints_reduced_hodge_fractions(self, capsys):
+        # the q-Hodge polygon of x^2 + x^4 at p = 2, a = 3 lives on the grid
+        # of 1/4 (D = 4): its ordinates print reduced, 18/4 as 9/2
+        args = ["np", "x1^2+x1^4", "--p", "2", "--a", "3", "--deg-s", "2"]
+        code, doc = run_json(args, capsys)
+        assert code == 0
+        verts = [[f"{c['num']}/{c['den']}" for c in v] for v in doc["hp_q"]["vertices"]]
+        assert verts == [
+            ["0/1", "0/1"],
+            ["1/1", "0/1"],
+            ["2/1", "3/4"],
+            ["3/1", "9/4"],
+            ["4/1", "9/2"],
+            ["5/1", "15/2"],
+        ]
+        assert doc["hp_q"]["vertices"][4][1] == {"num": "9", "den": "2"}
+        assert doc["hp_absolute"]["vertices"][2][1] == {"num": "1", "den": "4"}
+
     def test_sum_round_trip(self, capsys):
         code, doc = run_json(
             ["sum", "x1", "--p", "3", "--m", "1", "--prec-p", "3", "--prec-t", "6"],

@@ -43,6 +43,7 @@ from oracles import (
     cofacial_defect,
     criterion_matrix,
     e_f_expansion,
+    from_reduced,
     full_kernel_product,
     leading_minors,
     oracle_berkowitz,
@@ -920,7 +921,7 @@ class TestCriterionLayer:
             for u in crit.pts:
                 v = tuple(p * x - y for x, y in zip(w, u))
                 if dd.in_cone_reduced(v):
-                    defect = cofacial_defect(dd, dd.from_reduced(v), dd.from_reduced(u)) * dd.D
+                    defect = cofacial_defect(dd, from_reduced(dd, v), from_reduced(dd, u)) * dd.D
                     row.append(defect)
                 else:
                     row.append(None)

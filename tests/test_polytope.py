@@ -13,6 +13,7 @@ from oracles import (
     degree_of,
     edges,
     exponent_I,
+    from_reduced,
     in_convex_hull,
     oracle_closed_faces,
     oracle_degree,
@@ -126,7 +127,7 @@ class TestReducedCoordinates:
             want = None if sol is None else tuple(int(x) for x in sol)
             assert dd.to_reduced(u) == want
             if want is not None:
-                assert dd.from_reduced(want) == u
+                assert from_reduced(dd, want) == u
 
     def test_one_degree_data_per_support(self):
         f = poly(SPERBER, p=3)
@@ -138,13 +139,18 @@ class TestReducedCoordinates:
         assert newton_data(g) is dd
         assert newton_data(poly(SPERBER, p=7)) is dd
         assert newton_data(poly([(1, 0), (0, 1)])) is not dd
-        # nothing in the shared object changes as it is read
+        # nothing in the shared object changes as it is read but the cone
+        # scan it keeps, which only deepens and answers as a fresh scan does
         before = dict(vars(dd))
         dd.to_reduced((2, 1))
         dd.to_reduced((-1, 3))
-        dd.cone_points_upto(4)
+        pts = dd.cone_points_upto(4)
         is_nondegenerate(g)
-        assert vars(dd) == before
+        after = dict(vars(dd))
+        kept, was = after.pop("_cone"), before.pop("_cone")
+        assert after == before
+        assert kept[0] >= max(4, -1 if was is None else was[0])
+        assert pts == DegreeData(SPERBER, 2).cone_points_upto(4)
 
 
 class TestDegreeData:
@@ -228,6 +234,9 @@ class TestDegreeData:
         monkeypatch.setattr(polytope, "BOX_LIMIT", 24)
         with pytest.raises(DomainError, match="holds 25 lattice points, past the box limit 24"):
             dd.cone_points_upto(2)
+        # a negative depth scans the mirrored box, and is refused the same
+        with pytest.raises(DomainError, match="holds 25 lattice points, past the box limit 24"):
+            dd.weight_counts(-2)
 
     @pytest.mark.parametrize("support, K", [([(-2,), (3,)], 7), ([(2, 3), (-1, 1), (1, -2)], 40)])
     def test_box_is_the_lattice_hull_of_the_scaled_polytope(self, support, K, monkeypatch):
@@ -272,7 +281,7 @@ class TestDegreeData:
         except DomainError:
             reject()
         pts = list(support) + [(0,) * n]
-        got = {dd.from_reduced(ur): g for ur, g in dd.cone_points_upto(K)}
+        got = {from_reduced(dd, ur): g for ur, g in dd.cone_points_upto(K)}
         span = max(abs(c) for u in support for c in u) * K // dd.D
         want = {}
         for u in product(range(-span, span + 1), repeat=n):

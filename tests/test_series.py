@@ -2,11 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from tadic.errors import DomainError, IntegralityError, PrecisionError, TheoremViolation
+from tadic.polytope import DegreeData, hodge_polygon_absolute, hodge_ray
 from tadic.series import (
+    NewtonPolygon,
     SSeries,
     TSeries,
     certified_polygon,
@@ -262,6 +264,16 @@ class TestPolygonOps:
         assert not polygon_dominates(lo, hi)
         assert polygons_equal_on(lo, lo, upto=3)
 
+    def test_fractional_window_reads_its_end(self):
+        # the hulls agree up to x = 1 and part between 1 and 2: a window
+        # ending at 3/2 must compare them there, not at a vertex
+        P = exact_polygon(((0, 0), (1, 1), (2, 1)), 2)
+        Q = exact_polygon(((0, 0), (1, 1), (2, 3)), 2)
+        assert polygon_dominates(P, Q, 1)
+        assert not polygon_dominates(P, Q, Fraction(3, 2))
+        assert polygon_verdict(Q, P, 1) == "true"
+        assert polygon_verdict(Q, P, Fraction(3, 2)) == "false"
+
     def test_no_common_range_is_an_error(self):
         P = exact_polygon(((0, 0),), 0)
         with pytest.raises(DomainError):
@@ -336,6 +348,67 @@ class TestPolygonReferences:
                 oracle_polygon_dominates, P, Q, cap
             )
             assert polygon_verdict(P, Q, cap) == oracle_polygon_verdict(P, Q, cap)
+
+
+_fractional = st.builds(Fraction, st.integers(0, 40), st.integers(1, 7))
+
+
+@st.composite
+def hodge_grids(draw):
+    """A Hodge polygon of a random small support: absolute, rescaled by
+    a(p-1) or by 1/(a(p-1)) for p <= 7 and a <= 3, so that its ordinates
+    have denominators dividing D*a(p-1)."""
+    n = draw(st.integers(1, 2))
+    support = draw(
+        st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=3, unique=True)
+    )
+    try:
+        dd = DegreeData(support, n)
+    except DomainError:
+        reject()
+    absolute = hodge_polygon_absolute(dd, draw(st.integers(0, 2 * dd.D)))
+    scale = draw(st.sampled_from((2, 3, 5, 7))) - 1
+    scale *= draw(st.integers(1, 3))
+    return polygon_rescale(absolute, draw(st.sampled_from((1, scale, Fraction(1, scale)))))
+
+
+@st.composite
+def hodge_valuation_data(draw):
+    """certified_polygon arguments read off a Hodge polygon H: valuations
+    H(x) or None, fractional caps, H's ray from a random start with its
+    fractional value and slope, and a lower bound at most H."""
+    H = draw(hodge_grids())
+    n = min(H.last_x, 6) + 1
+    pts = []
+    for x in range(n):
+        v = H.value_at(x) + draw(st.sampled_from((0, 0, Fraction(1, 2))))
+        pts.append((x, draw(st.none() | st.just(v)), v + draw(_fractional)))
+    if pts[0][1] is None and draw(st.booleans()):
+        pts[0] = (0, H.value_at(0), pts[0][2])
+    ray = draw(st.none() | st.integers(0, H.last_x).map(lambda x: hodge_ray(H, x)))
+    lower = draw(st.none() | st.just([H.value_at(x) - draw(_fractional) / 4 for x in range(n)]))
+    return H, (pts, ray, lower, draw(st.booleans()))
+
+
+class TestPolygonGrids:
+    """The integer grid where denominators are not 1: Hodge polygons of
+    random supports, their rays and fractional windows, against the
+    references."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(hodge_valuation_data(), hodge_grids(), st.none() | _fractional)
+    def test_against_references(self, data, other, upto):
+        H, args = data
+        P = _build(args)
+        assert P == _build(args, oracle_certified_polygon)
+        pairs = [(H, other), (other, H), (H, H)]
+        if isinstance(P, NewtonPolygon):
+            pairs += [(P, H), (H, P), (P, other)]
+        for A, B in pairs:
+            assert _outcome(polygon_dominates, A, B, upto) == _outcome(
+                oracle_polygon_dominates, A, B, upto
+            )
+            assert polygon_verdict(A, B, upto) == oracle_polygon_verdict(A, B, upto)
 
 
 class TestSlopeSeries:

@@ -16,7 +16,7 @@ from oracles import (
     oracle_scaling_basis,
     oracle_torus_trace_counts,
 )
-from tadic import sums
+from tadic import polytope, sums
 from tadic.arith import (
     CycContext,
     FieldContext,
@@ -911,6 +911,29 @@ class TestNPReport:
         assert rep.nondegenerate == "degenerate"
         assert 1 <= rep.np_t.certified_upto <= 2
         assert polygon_dominates(rep.np_t, rep.hp_q)
+
+    def test_repeat_scans_the_cone_once_per_depth(self, monkeypatch):
+        # the Hodge polygon deepens its cone scan one depth at a time on the
+        # first report; the second reads every depth off the kept scan
+        scanned = []
+        scan = polytope.DegreeData._scan
+
+        def spy(dd, K):
+            was = None if dd._cone is None else dd._cone[0]
+            out = scan(dd, K)
+            if out[0] != was:
+                scanned.append(out[0])
+            return out
+
+        monkeypatch.setattr(polytope.DegreeData, "_scan", spy)
+        polytope._support_data.cache_clear()
+        f = poly(SPERBER, p=3)
+        first = np_report(f, [1], 4, 4, 16)
+        assert scanned and scanned == sorted(set(scanned))
+        depths = list(scanned)
+        second = np_report(f, [1], 4, 4, 16)
+        assert scanned == depths
+        assert second == first
 
     def test_domination_chain_on_certified_range(self):
         from tadic.series import polygon_dominates
