@@ -14,7 +14,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 from typing import Optional
 
 from .arith import (
@@ -230,6 +230,29 @@ def _strided(table, r: int, e: int, L: int) -> list:
     return out
 
 
+def _add_shifted(counts: dict, hist, shifts, pm: int) -> None:
+    """counts[(v + C) % pm] += c*w over v: c in ``hist``, C: w in ``shifts``;
+    pair by pair when there are few pairs, else one product of the count
+    vectors packed a slot per residue mod pm, its upper half folded back."""
+    if len(hist) * len(shifts) <= 2 * pm:
+        for C, w in shifts.items():
+            for v, c in hist.items():
+                t = (v + C) % pm
+                counts[t] = counts.get(t, 0) + c * w
+        return
+    pack, unpack = _slot_codec(_slot_width(sum(hist.values()) * sum(shifts.values())), 2 * pm)
+    prod = 1
+    for d in (hist, shifts):
+        vec = [0] * pm
+        for t, c in d.items():
+            vec[t % pm] += c
+        prod *= int.from_bytes(pack(vec), "little")
+    prod = unpack(prod)
+    for t, c in enumerate(map(add, prod[:pm], prod[pm:])):
+        if c:
+            counts[t] = counts.get(t, 0) + c
+
+
 def torus_trace_counts(f: LaurentPoly, k: int, prec: int) -> dict:
     """Multiset {trace mod p^prec: multiplicity} of Tr(f^(x)) over all
     (q^k - 1)^n torus points of the k-th extension.
@@ -237,22 +260,30 @@ def torus_trace_counts(f: LaurentPoly, k: int, prec: int) -> dict:
     Every monomial value lies in the unit group, so its Teichmuller lift is
     teich(g)^dlog and its trace a table entry.  The walk fixes the first
     n-1 coordinates of the dlog vector and takes the last one a whole row at
-    a time: each term's row is the table rotated to the term's offset and
-    read at stride e = u_n mod Q1, and the rows add elementwise.  x -> x^q
-    fixes the coefficients of f, so the row of q*prefix is a permutation of
-    the row of prefix: only the lex-smallest prefix of each Frobenius orbit
-    is walked, its row counted once per orbit size.  Unreduced sums are
-    counted and reduced mod p^prec once per distinct sum.
+    a time: r(i) = sum_t T[b_t + e_t*i] + C, e_t = u_n mod Q1, C the traces
+    of the terms with e_t = 0.  x -> x^q fixes the coefficients of f, so
+    the row of q*prefix is a permutation of the row of prefix: only the
+    lex-smallest prefix of each Frobenius orbit is walked, its row counted
+    once per orbit size.  Unreduced sums are counted and reduced mod
+    p^prec once per distinct sum.
 
-    Rows are big integers of Q1 W-bit slots (Kronecker packing).  A slot
+    Rows are big integers of W-bit slots (Kronecker packing).  A slot
     holds at most len(terms)*(p^prec - 1) < 2^W, so rows add as integers
     and no slot carries into the next.  Reading at stride e stays in one
     class r mod g = gcd(e, Q1) and repeats with period L = Q1/g, so the
     row is a rotation of the copy table[(r + e*i) % Q1], i < L, repeated
-    g times.  Each (e, r) copy is packed twice end to end on first use,
-    so the g copies of one stride hold 2*Q1 slots in all; the negative
-    stride e - Q1 is read when it is shorter.  Constant terms add their
-    trace times the packed all-ones row.
+    g times.  Each (e, r) copy is packed twice end to end on first use, so
+    a slice of at most L slots never wraps; the negative stride e - Q1 is
+    read when it is shorter.  Two row classes skip the whole row:
+    - One moving term: its copy runs over table[r::g] (e/g is a unit mod
+      L), so the row is that slice shifted by C, g times.  C gets weight
+      g*size in class (g, r); each class is shifted once, after the walk.
+      With no moving term the first term is taken as one (e = 0, g = Q1).
+    - Strides e and -e, e*h = b2 - b1 (mod Q1) solvable: r(h - i) =
+      T[b1 + e*h - e*i] + T[b2 - e*h + e*i] + C = r(i).  Slots h//2 + 1 ..
+      h//2 + L//2 (h even if L is odd) hold one of each pair {i, h - i} and
+      count at 2*g*size; the fixed slot h/2 (h even) adds g*size, and the
+      fixed slot h/2 + L/2 (h, L even), counted twice, takes g*size back.
     """
     big = f.ctx.ext(k)
     table = _trace_table(big, prec)
@@ -271,37 +302,56 @@ def torus_trace_counts(f: LaurentPoly, k: int, prec: int) -> dict:
         L = Q1 // g
         # i0 = ((base - r) // g) * inv mod L puts r + e*i0 at base
         terms.append((cl, u[:-1], e, g, L, pow(e // g, -1, L)))
+    terms.sort(key=lambda t: t[2] == 0)  # moving terms first
+    nm = sum(1 for t in terms if t[2]) or 1  # moving terms; at least one
+    e, g, L, inv = terms[0][2:]
     # the all-ones row, for terms constant along the row
-    ones = int.from_bytes(pack([1] * Q1), "little") if any(t[2] == 0 for t in terms) else 0
+    ones = int.from_bytes(pack([1] * Q1), "little") if nm < len(terms) else 0
+    mirror = nm == 2 and (e + terms[1][2]) % Q1 == 0
+    H = L // 2  # slots counted per mirrored row
+    if mirror:
+        unpack_half, ones_half = _slot_codec(W, H)[1], ones >> W * (Q1 - H)
     copies = {}  # (e, r) -> packed copy, twice end to end
-    by_size = defaultdict(Counter)  # orbit size -> unreduced row sums
+    counts = {}
+    by_weight = defaultdict(Counter)  # weight -> unreduced row sums
+    shifts = defaultdict(Counter)  # one-term class (g, r) -> {C: weight}
     for prefix in itertools.product(range(Q1), repeat=f.n - 1):
         size = _orbit_size(prefix, q, Q1)
         if not size:
             continue
-        raw = by_size[size]
-        const = 0
-        rows = []
-        for cl, head, e, g, L, inv in terms:
-            base = (cl + sum(map(mul, head, prefix))) % Q1
-            if e == 0:
-                const += table[base]
-                continue
-            r = base % g
-            packed = copies.get((e, r))
-            if packed is None:
-                packed = copies[e, r] = pack(_strided(table, r, e, L)) * 2
-            i0 = (base - r) // g * inv % L
-            rows.append(int.from_bytes(packed[i0 * nb : (i0 + L) * nb] * g, "little"))
-        if not rows:
-            raw[const] += Q1
+        bases = [(cl + sum(map(mul, head, prefix))) % Q1 for cl, head, *_ in terms]
+        const = sum(map(table.__getitem__, bases[nm:]))
+        b = bases[0]
+        if nm == 1:
+            shifts[g, b % g][const] += g * size
             continue
-        raw.update(unpack(sum(rows, const * ones)))
-    counts = {}
-    for size, raw in by_size.items():
+        # the whole row: L slots of each copy, g times over
+        start, span, weight, unpack_row, row = 0, 0, size, unpack, const * ones
+        if mirror and (bases[1] - b) % g == 0:
+            h = (bases[1] - b) // g * inv % L
+            if L % 2 and h % 2:
+                h += L
+            if h % 2 == 0:  # the fixed points, where both terms read T[b + e*i]
+                for i, c in ((h // 2, g * size), (h // 2 + H, -g * size))[: 2 - L % 2]:
+                    t = (2 * table[(b + e * i) % Q1] + const) % pm
+                    counts[t] = counts.get(t, 0) + c
+            start, span, weight = h // 2 + 1, H, 2 * g * size
+            unpack_row, row = unpack_half, const * ones_half
+        for bt, (_, _, et, gt, Lt, it) in zip(bases, terms[:nm]):
+            r = bt % gt
+            packed = copies.get((et, r))
+            if packed is None:
+                packed = copies[et, r] = pack(_strided(table, r, et, Lt)) * 2
+            i = ((bt - r) // gt * it + start) % Lt
+            piece = packed[i * nb : (i + (span or Lt)) * nb]
+            row += int.from_bytes(piece if span else piece * gt, "little")
+        by_weight[weight].update(unpack_row(row))
+    for w, raw in by_weight.items():
         for t, c in raw.items():
             t %= pm
-            counts[t] = counts.get(t, 0) + c * size
+            counts[t] = counts.get(t, 0) + c * w
+    for (g, r), weights in shifts.items():
+        _add_shifted(counts, Counter(table[r::g]), weights, pm)
     return counts
 
 

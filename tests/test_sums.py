@@ -165,6 +165,32 @@ def small_walks(draw):
     return LaurentPoly.make(n, terms, ctx), k, draw(st.integers(1, 6))
 
 
+@st.composite
+def row_class_walks(draw):
+    """A walk whose rows take a row-class rule of torus_trace_counts: a
+    term at stride e in the last variable, and a second one at stride -e
+    or none, beside terms constant along the row."""
+    p, a, n, k = draw(st.sampled_from(WALK_SHAPES))
+    ctx = field_context(p, a)
+    head = st.tuples(*[st.integers(-3, 3)] * (n - 1))
+    e = draw(st.integers(1, 4))
+    moving = [draw(head) + (e,)] + ([draw(head) + (-e,)] if draw(st.booleans()) else [])
+    fixed = draw(st.lists(head.filter(any).map(lambda u: u + (0,)), max_size=2))
+    exps = list(dict.fromkeys(moving + fixed))
+    logs = draw(st.lists(st.integers(0, ctx.q - 2), min_size=len(exps), max_size=len(exps)))
+    return walk(exps, logs, p, a), k, draw(st.integers(1, 6))
+
+
+def walk(exps, logs, p, a=1):
+    """sum g^logs_i x^exps_i over F_{p^a}."""
+    ctx = field_context(p, a)
+    return LaurentPoly.make(len(exps[0]), {u: ctx.pow(ctx.generator, e) for u, e in zip(exps, logs)}, ctx)
+
+
+# x1*x2 + x1^-1 + g*x2^-1: strides 1 and -1 in x2
+MIRROR = [(1, 1), (-1, 0), (0, -1)]
+
+
 class TestTraceTable:
     def test_recurrence_matches_direct_walk(self):
         # includes F_2 (a one-entry table, shorter than the recurrence order)
@@ -261,6 +287,40 @@ class TestTorusWalk:
     def test_orbit_walk_matches_every_point_walk(self, job):
         f, k, prec = job
         assert torus_trace_counts(f, k, prec) == oracle_torus_trace_counts(f, k, prec)
+
+    @settings(max_examples=40, deadline=None)
+    @given(row_class_walks())
+    # strides +-1: over F_8 (L = 7 odd, one fixed point per row) and over
+    # F_9 (L = 8, h even or odd by row: two fixed points or none)
+    @example((walk(MIRROR, [0, 0, 1], p=2), 3, 4))
+    @example((walk(MIRROR, [0, 0, 1], p=3), 2, 3))
+    # strides +-2 over F_25 (g = 2): b2 - b1 is even on every other row,
+    # so rows alternate between the mirror and the whole row
+    @example((walk([(1, 2), (0, -2), (-1, 0)], [0, 0, 1], p=5), 2, 2))
+    # one term at stride 2 over F_25 (g = 2), every row in class r = 1
+    @example((walk([(1, 0), (0, 2)], [0, 1], p=5, a=2), 1, 3))
+    # n = 3, strides +-1 over F_8
+    @example((walk([(1, 1, 1), (-1, 0, 0), (0, 0, -1)], [0, 0, 1], p=2), 3, 3))
+    def test_row_classes_match_every_point_walk(self, job):
+        f, k, prec = job
+        assert torus_trace_counts(f, k, prec) == oracle_torus_trace_counts(f, k, prec)
+
+    @pytest.mark.parametrize(
+        "exps,p,k,prec,packed",
+        [
+            # one shift (n = 1): |hist| * 1 pairs, at most p^prec
+            ([(2,)], 5, 2, 3, False),
+            # x1 + g*x2 over F_27 mod 9: up to 9 shifts of 9 traces
+            ([(1, 0), (0, 1)], 3, 3, 2, True),
+        ],
+    )
+    def test_one_term_classes_on_both_branches(self, monkeypatch, exps, p, k, prec, packed):
+        codecs = []
+        codec = sums._slot_codec
+        monkeypatch.setattr(sums, "_slot_codec", lambda w, B: codecs.append(B) or codec(w, B))
+        f = walk(exps, [1] * len(exps), p)
+        assert torus_trace_counts(f, k, prec) == oracle_torus_trace_counts(f, k, prec)
+        assert (2 * p**prec in codecs) == packed
 
     @pytest.mark.parametrize(
         "exps,prec,W",
