@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Optional
 
-from .arith import FieldContext
+from .arith import TORUS_LIMIT, FieldContext
 from .errors import DomainError, ParseError
 from .series import NewtonPolygon, polygon_rescale
 
@@ -580,7 +580,8 @@ NONDEGENERACY_SEARCH_DEGREE = 2
 
 def _face_poly_verdict(f: LaurentPoly, dd: DegreeData, face: Face):
     """(status, witness) for one face: 'pass' (definitive), 'degenerate',
-    or 'open' (bounded search found nothing)."""
+    or 'open' (bounded search found nothing).  Search rounds grow with r,
+    and none runs over a torus (q^r - 1)^n past TORUS_LIMIT."""
     ctx = f.ctx
     g = restrict_to_face(f, dd, face)
     partials = [g.partial(i) for i in range(f.n)]
@@ -592,6 +593,8 @@ def _face_poly_verdict(f: LaurentPoly, dd: DegreeData, face: Face):
         return "pass", None
     # brute search over (F_{q^r}^x)^n
     for r in range(1, NONDEGENERACY_SEARCH_DEGREE + 1):
+        if (ctx.q**r - 1) ** f.n > TORUS_LIMIT:
+            break
         big = ctx.ext(r)
         phi = ctx.embed_into(big)
         lifted = [
@@ -620,8 +623,8 @@ def is_nondegenerate(f: LaurentPoly):
 
     Definitive passes come from monomial certificates (a face whose gradient
     has a single-monomial component cannot vanish on the torus); otherwise a
-    torus search over F_{q^r}, r <= NONDEGENERACY_SEARCH_DEGREE, either
-    finds a witness or leaves the face open.
+    torus search over F_{q^r}, r <= NONDEGENERACY_SEARCH_DEGREE, within
+    TORUS_LIMIT points, either finds a witness or leaves the face open.
     """
     dd = newton_data(f)
     all_pass = True

@@ -19,6 +19,7 @@ from typing import Optional
 
 from .arith import (
     FIELD_LIMIT,
+    TORUS_LIMIT,
     CycContext,
     CycElement,
     FieldContext,
@@ -54,9 +55,6 @@ from .series import (
     vp,
     vp_factorial,
 )
-
-# hard ceiling on (q^k - 1)^n; everything here is exact big-int work
-TORUS_LIMIT = 4_000_000
 
 FLAG_TRUE = "true"
 FLAG_FALSE = "false"
@@ -192,17 +190,6 @@ def _build_trace_table(big: FieldContext, prec: int) -> tuple:
     return tuple(s)
 
 
-def _coefficient_logs(f: LaurentPoly, big: FieldContext):
-    """dlog_g of each coefficient of f embedded in ``big``.
-
-    The coefficients lie in F_q^x, the subgroup generated by
-    h = g^((q^k-1)/(q-1)), whose dlogs ``big`` walks once per q.
-    """
-    phi = f.ctx.embed_into(big)
-    logs = big.subfield_logs(f.ctx.q)
-    return [logs[big.encode(phi(c))] for _, c in f.terms]
-
-
 def _orbit_size(jvec, q: int, Q1: int) -> int:
     """Size of the orbit of a dlog vector under j -> q*j mod Q1 (Frobenius
     x -> x^q on the torus of F_{q^k}, Q1 = q^k - 1), or 0 unless ``jvec``
@@ -294,14 +281,14 @@ def torus_trace_counts(f: LaurentPoly, k: int, prec: int) -> dict:
     nb = W // 8
     pack, unpack = _slot_codec(W, Q1)
     terms = []
-    for cl, (u, _) in zip(_coefficient_logs(f, big), f.terms):
+    for u, c in f.terms:
         e = u[-1] % Q1
         if e > Q1 // 2:
             e -= Q1
         g = math.gcd(e, Q1)
         L = Q1 // g
         # i0 = ((base - r) // g) * inv mod L puts r + e*i0 at base
-        terms.append((cl, u[:-1], e, g, L, pow(e // g, -1, L)))
+        terms.append((f.ctx.dlog_in(big, c), u[:-1], e, g, L, pow(e // g, -1, L)))
     terms.sort(key=lambda t: t[2] == 0)  # moving terms first
     nm = sum(1 for t in terms if t[2]) or 1  # moving terms; at least one
     e, g, L, inv = terms[0][2:]

@@ -15,7 +15,11 @@ nor its Frobenius-orbit reduction.  The binomial reference builds every
 falling factorial trace by trace, where the library goes through power
 moments and Stirling numbers.  The quotient-ring references multiply
 polynomials in full and long-divide by the modulus, where the library
-reduces through precomputed rows of x^(d+i); the reduction references
+packs each operand into one integer, W bits a coefficient, and folds the
+product's high slots in through packed rows of x^(d+i); the exp reference
+runs the recurrence on plain dicts with a double loop per product and the
+window carried by hand, where the library takes each step as one packed
+sum of products; the reduction references
 long-divide a T-series head by a monic integer polynomial mod p^M, or
 substitute T = pi by Horner's rule with a full CycElement product per
 step, where the library reduces a coefficient list by one x-step per
@@ -927,6 +931,40 @@ def l_function_euler(f: LaurentPoly, deg_s: int, M: int, N: int) -> SSeries:
             local[d] = u.neg()
             out = out.mul(SSeries(local).pow_int(-c))
     return out
+
+
+def oracle_exp_generating(weighted, one):
+    """exp_generating's recurrence F_m = (1/m) sum_{j=1..m} w_j F_(m-j)
+    on bare (prec, cap, {exponent: residue}) windows: each product is a
+    double loop over both operands' terms, the window of F_m is carried by
+    hand as the smallest prec and cap of every w_j and F_(m-j) it reads,
+    and the division by m checks each residue against p^vp(m) itself.
+    Returns the list of TSeries F_0..F_n."""
+    p = one.p
+    out = [(one.prec, one.cap, dict(one.coeffs))]
+    for m in range(1, len(weighted) + 1):
+        prec, cap, acc = out[0][0], out[0][1], {}
+        for j in range(1, m + 1):
+            w, (fp, fc, fk) = weighted[j - 1], out[m - j]
+            prec, cap = min(prec, w.prec, fp), min(cap, w.cap, fc)
+            for a, c in w.coeffs.items():
+                for b, d in fk.items():
+                    acc[a + b] = acc.get(a + b, 0) + c * d
+        pm = p**prec
+        v = vp(m, p)
+        if prec - v <= 0:
+            raise PrecisionError(f"division by {m} exhausts p-precision {prec}")
+        new_pm = p ** (prec - v)
+        inv = pow(m // p**v, -1, new_pm)
+        quot = {}
+        for e, c in acc.items():
+            if e < cap:
+                c %= pm
+                if c % p**v:
+                    raise IntegralityError(f"residue {c} not divisible by {p}^{v}")
+                quot[e] = c // p**v * inv % new_pm
+        out.append((prec - v, cap, quot))
+    return [TSeries(p, prec, cap, coeffs) for prec, cap, coeffs in out]
 
 
 def log_generating(F: SSeries):

@@ -292,6 +292,44 @@ class TestQuotientKernel:
         S_one = SSeries([t.one_like(), t.zero_like(), t.zero_like()])
         assert S.pow_int(e).coeffs == _repeated(SSeries.mul, S, e, S_one).coeffs
 
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 20), st.sampled_from([16, 32, 64, 72, 136]), st.data())
+    # the loop at its last degree and the packed product at its first,
+    # over F_{3^4} and F_{3^5} mod 3^10 (64-bit slots)
+    @example(4, 64, None)
+    @example(5, 64, None)
+    def test_packed_product_matches_oracle(self, d, W, data):
+        # moduli whose slot bound 2d(m-1)^2 takes exactly W bits; inputs
+        # unreduced and negative, and g any monic integer polynomial
+        if data is None:
+            m, low = 3**10, field_context(3, d).poly_low
+            x, y = tuple(range(-d, 0)), tuple(3**12 + i for i in range(d))
+        else:
+            prev = {16: 0, 32: 16, 64: 32, 72: 64, 136: 128}[W]
+            lo = max(2, math.isqrt(((1 << prev) - 1) // (2 * d)) + 2) if prev else 2
+            m = data.draw(st.integers(lo, math.isqrt(((1 << W) - 1) // (2 * d)) + 1))
+            ints = st.lists(st.integers(-3 * m, 3 * m), min_size=d, max_size=d).map(tuple)
+            low, x, y = data.draw(ints), data.draw(ints), data.draw(ints)
+        reduction = arith._reduction_rows(low, m)
+        assert reduction[1] == W
+        assert arith._mul_rows(x, y, reduction, m) == oracle_mulmod(x, y, low, m)
+
+    @pytest.mark.parametrize("p,a", [(2, 6), (3, 7), (5, 5)])
+    def test_sparse_operands_take_the_loop(self, monkeypatch, p, a):
+        # one nonzero x_i forms a < 20 loop products and keeps the loop;
+        # a nonzero x_i each forms a*a >= 20 and packs
+        ctx = field_context(p, a)
+        arith._reduction_rows(ctx.poly_low, p)
+        packed = []
+        codec = arith._slot_codec
+        monkeypatch.setattr(arith, "_slot_codec", lambda W, B: packed.append(B) or codec(W, B))
+        sparse, dense = (0, 1) + (0,) * (a - 2), (1,) * a
+        y = tuple(range(a))
+        assert ctx.mul(sparse, y) == oracle_mulmod(sparse, y, ctx.poly_low, p)
+        assert packed == []
+        assert ctx.mul(dense, y) == oracle_mulmod(dense, y, ctx.poly_low, p)
+        assert packed
+
     def test_negative_power_of_zero_raises(self):
         ctx = field_context(3, 2)
         assert ctx.pow(ctx.zero(), 0) == ctx.one()

@@ -451,6 +451,20 @@ class TestNondegeneracy:
         verdict = is_nondegenerate(f)
         assert verdict[0] == "degenerate"
 
+    @pytest.mark.parametrize("limit,rounds", [(15, []), (16, [1]), (576, [1, 2])])
+    def test_search_rounds_stop_at_the_torus_limit(self, monkeypatch, limit, rounds):
+        # over F_5 the face x^-1*y^-3 + 2*x^2*y^2 has no certificate and no
+        # torus zero: round r walks (5^r - 1)^2 points, 16 then 576, and a
+        # round past the limit is not walked, leaving the face open
+        ctx = FieldContext(5, 1)
+        f = LaurentPoly.make(2, {(-1, -3): ctx.one(), (2, 2): ctx.generator}, ctx)
+        walked = []
+        ext = ctx.ext
+        monkeypatch.setattr(ctx, "ext", lambda r: walked.append(r) or ext(r))
+        monkeypatch.setattr(polytope, "TORUS_LIMIT", limit)
+        assert is_nondegenerate(f) == "unknown"
+        assert walked == rounds
+
     def test_additive_polynomial_detected(self):
         # f = x^3 + x over F_3: the facet restriction x^3 has zero derivative
         f = poly([(3,), (1,)], p=3)

@@ -28,6 +28,7 @@ from oracles import (
     geometric_slopes,
     log_generating,
     oracle_certified_polygon,
+    oracle_exp_generating,
     oracle_polygon_dominates,
     oracle_polygon_verdict,
     polygons_equal_on,
@@ -105,6 +106,42 @@ class TestTSeries:
         assert a.mul(a.inverse()).is_one()
 
 
+@st.composite
+def exp_inputs(draw):
+    """(weighted, one) for exp_generating: TSeries of mixed prec and cap.
+    Half are the power sums w_k = sum_i c_i u_i^k of random T-polynomials,
+    whose exp prod_i (1 - u_i s)^(-c_i) is integral at every window; the
+    rest are random and may not divide."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 7))
+    windows = st.tuples(st.integers(1, 7), st.integers(1, 9))
+    prec, cap = draw(windows)
+    one = TSeries.const(p, prec, cap, 1)
+    residues = st.dictionaries(st.integers(0, 8), st.integers(0, p**7 - 1), max_size=5)
+    if draw(st.booleans()):
+        factors = draw(st.lists(st.tuples(residues, st.integers(-2, 2)), min_size=1, max_size=3))
+        sums = []
+        for k in range(1, n + 1):
+            acc = TSeries.zero(p, 7, 9)
+            for u, c in factors:
+                acc = acc.add(TSeries(p, 7, 9, u).pow_int(k).mul_int(c))
+            sums.append(acc)
+    else:
+        sums = [TSeries(p, 7, 9, draw(residues)) for _ in range(n)]
+    weighted = []
+    for s in sums:
+        wp, wc = draw(windows)
+        weighted.append(TSeries(p, wp, wc, s.coeffs))
+    return weighted, one
+
+
+def _exp_outcome(fn, weighted, one):
+    try:
+        return [(c.prec, c.cap, c.coeffs) for c in fn(weighted, one)]
+    except (IntegralityError, PrecisionError) as exc:
+        return type(exc)
+
+
 class TestExpLog:
     def test_exp_of_s_gives_inverse_factorials(self):
         p, prec = 101, 3
@@ -143,6 +180,30 @@ class TestExpLog:
             frac = expd[m]
             want = frac.numerator * pow(frac.denominator, -1, pm) % pm
             assert F.coeffs[m].coeff(0) == want
+
+    @settings(deadline=None, max_examples=200)
+    @given(exp_inputs())
+    def test_exp_matches_oracle_with_windows(self, inputs):
+        weighted, one = inputs
+        got = _exp_outcome(lambda w, o: exp_generating(w, o).coeffs, weighted, one)
+        assert got == _exp_outcome(oracle_exp_generating, weighted, one)
+
+    def test_exp_slots_hold_the_largest_sums(self):
+        # every residue of every w_k is p^5 - 1: the slots are 80 bits wide
+        # for 7 pairs of cap 16, where one pair's bound gives 72, and the
+        # last steps' sums pass 2^72; p = 101 makes every division a unit's
+        p, top = 101, 101**5 - 1
+        one = TSeries.const(p, 5, 16, 1)
+        weighted = [TSeries(p, 5, 16, dict.fromkeys(range(16), top))] * 7
+        got = _exp_outcome(lambda w, o: exp_generating(w, o).coeffs, weighted, one)
+        assert got == _exp_outcome(oracle_exp_generating, weighted, one)
+
+    def test_exp_rejects_a_sum_that_does_not_divide(self):
+        # F_3 = (w_1 F_2 + w_2 F_1 + w_3 F_0) / 3 = 1/3 at p = 3
+        one = TSeries.const(3, 4, 3, 1)
+        zero = one.zero_like()
+        with pytest.raises(IntegralityError):
+            exp_generating([zero, zero, one], one)
 
     @given(st.lists(st.integers(-20, 20), min_size=1, max_size=5))
     @settings(deadline=None)

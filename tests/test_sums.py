@@ -366,6 +366,17 @@ class TestTorusWalk:
         assert calls == []
         assert counts == oracle_torus_trace_counts(later, 2, 2)
 
+    def test_a_second_walk_embeds_no_coefficient(self, monkeypatch):
+        ctx = field_context(5, 1)
+        f = LaurentPoly.make(1, {(3,): ctx.generator, (1,): ctx.one()}, ctx)
+        torus_trace_counts(f, 2, 2)
+        embeds = []
+        embed = ctx.embed_into
+        monkeypatch.setattr(ctx, "embed_into", lambda big: embeds.append(big) or embed(big))
+        counts = torus_trace_counts(f, 2, 3)
+        assert embeds == []
+        assert counts == oracle_torus_trace_counts(f, 2, 3)
+
     def test_orbit_sizes_partition_prefixes(self):
         # lex-smallest members weighted by orbit size cover every prefix once
         for q, k, n in ((2, 3, 2), (3, 2, 2), (2, 4, 1), (4, 2, 2)):
