@@ -234,9 +234,6 @@ class FieldContext:
     def add(self, x, y):
         return tuple((u + v) % self.p for u, v in zip(x, y))
 
-    def sub(self, x, y):
-        return tuple((u - v) % self.p for u, v in zip(x, y))
-
     def neg(self, x):
         return tuple(-u % self.p for u in x)
 

@@ -43,8 +43,8 @@ from .polytope import (
 )
 from .series import NewtonPolygon, SSeries
 from .sums import (
-    SumJob,
     TorusWalks,
+    check_sum,
     congruence_check,
     c_function,
     l_function,
@@ -308,7 +308,7 @@ def cmd_sum(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
     sums, specialized = {}, {}
     ks = cfg.k_list or (1,)
     n_t = _prec_t(cfg)
-    SumJob(f, max(ks), cfg.prec_p, n_t)  # the largest torus, before any work
+    check_sum(f, max(ks), cfg.prec_p, n_t)  # the largest torus, before any work
     walks = None
     if cfg.m_list:
         # each torus walked once, at the precision the T-adic sum and every
@@ -382,7 +382,7 @@ def cmd_verify(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
     checks = []
     if cfg.what in ("trace", "all"):
         for k in ks:
-            chk = verify_trace_formula(f, k, B, cfg.prec_p, n_pi, matrix=Mx, walks=walks)
+            chk = verify_trace_formula(Mx, f, k, walks)
             checks.append(
                 {
                     "what": "trace",
@@ -392,7 +392,7 @@ def cmd_verify(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
                 }
             )
     if cfg.what in ("char", "all"):
-        cc = char_c_crosscheck(f, cfg.deg_s, B, cfg.prec_p, n_pi, matrix=Mx, walks=walks)
+        cc = char_c_crosscheck(Mx, f, cfg.deg_s, walks)
         checks.append(
             {
                 "what": "char",

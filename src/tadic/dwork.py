@@ -829,27 +829,19 @@ class TraceCheck:
     p_modulus: int
 
 
-def verify_trace_formula(
-    f: LaurentPoly,
-    k: int,
-    B: int,
-    M: int,
-    N_pi: int,
-    matrix: DworkMatrix | None = None,
-    walks=None,
-) -> TraceCheck:
-    """Compare Tr(Mx^k) with the normalized torus sum of order k.
+def verify_trace_formula(Mx: DworkMatrix, f: LaurentPoly, k: int, walks=None) -> TraceCheck:
+    """Compare Tr(Mx^k) with the normalized torus sum of order k, for Mx
+    = psi_a_matrix(f, B, M, N_pi) at the matrix's p-adic precision M.
 
     The two sides come from unrelated computations: one is a matrix trace
     over Z_q, the other a sum of binomial characters over torus points,
     pushed through the uniformizer change T = E(pi) - 1.  A caller running
-    several checks on one operator passes psi_a_matrix(f, B, M, N_pi) as
-    `matrix` to build it once, and sums.torus_walks(f, ks, deg_s, M,
-    Mx.torus_cap()) as `walks` to walk each torus once.
+    several checks on one operator passes sums.torus_walks(f, ks, deg_s,
+    M, Mx.torus_cap()) as `walks` to walk each torus once.
     """
     from .sums import s_f_T
 
-    Mx = matrix if matrix is not None else psi_a_matrix(f, B, M, N_pi)
+    M = Mx.ring.prec
     lhs = operator_trace(Mx, k)
     cap_pi = Fraction(lhs.cap, Mx.D)
     n_t = math.ceil(cap_pi)
@@ -874,21 +866,13 @@ class CharCrossCheck:
     mismatches: tuple  # s-exponents where the routes disagree
 
 
-def char_c_crosscheck(
-    f: LaurentPoly,
-    deg_s: int,
-    B: int,
-    M: int,
-    N_pi: int,
-    matrix: DworkMatrix | None = None,
-    walks=None,
-) -> CharCrossCheck:
+def char_c_crosscheck(Mx: DworkMatrix, f: LaurentPoly, deg_s: int, walks=None) -> CharCrossCheck:
     """The central two-path check: det(1 - Mx*s) against the torus-sum C,
-    coefficient by coefficient after the uniformizer change.  `matrix` and
+    coefficient by coefficient after the uniformizer change.  `Mx` and
     `walks` are as in verify_trace_formula."""
     from .sums import c_function
 
-    Mx = matrix if matrix is not None else psi_a_matrix(f, B, M, N_pi)
+    M = Mx.ring.prec
     det_side = char_series(Mx, deg_s)
     cap = Fraction(det_side.coeffs[0].cap, Mx.D)
     n_t = math.ceil(cap)
@@ -1154,17 +1138,12 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
             )
 
     faces = []
-    for face in dd.codim1_faces_no_origin():
-        f_face = restrict_to_face(f, dd, face)
+    for facet_index, facet in enumerate(dd.facets_height):
+        f_face = restrict_to_face(f, dd, facet.points)
         dd_face = newton_data(f_face)
         K_face = int(Fraction(K, dd.D) * dd_face.D)
         crit_f = _criterion_data(f_face, dd_face, K_face, M)
         rep, dets_f = _report(dd_face, crit_f, K_face, M)
-        facet_index = next(
-            i
-            for i, fc in enumerate(dd.facets_height)
-            if (fc.normal, fc.offset) == face.cuts[0]
-        )
         for k_face in range(K_face + 1):
             # the face's cutoff k_face/D_face on the whole polytope's grid
             k, off_grid = divmod(k_face * dd.D, dd_face.D)
@@ -1173,13 +1152,13 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
             prod, _ = block_product(k, facet_index)
             if dets_f[rep.block_sizes[k_face]] != prod:
                 raise TheoremViolation(
-                    f"face {face.cuts[0]}: criterion determinant at cutoff "
+                    f"face {(facet.normal, facet.offset)}: criterion determinant at cutoff "
                     f"{k_face} (its grid) differs from the matching blocks "
                     "of the whole matrix"
                 )
         faces.append(
             FaceVerdict(
-                label=f"<{face.cuts[0][0]}, u> = {face.cuts[0][1]}",
+                label=f"<{facet.normal}, u> = {facet.offset}",
                 vertices=tuple(sorted(f_face.exponents())),
                 report=rep,
             )

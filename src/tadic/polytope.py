@@ -300,16 +300,6 @@ class Facet:
     points: tuple  # reduced points of the defining set lying on the facet
 
 
-@dataclass(frozen=True)
-class Face:
-    """Closed face of Delta: the points of the defining set it contains and
-    the facet equalities cutting it out (reduced coordinates)."""
-
-    cuts: tuple  # ((normal, offset), ...)
-    points: tuple  # reduced coordinates
-    contains_origin: bool
-
-
 def common_points(facets) -> tuple:
     """The points of the defining set on every one of ``facets``, in the
     order of their points: the intersection of their incidence sets."""
@@ -433,28 +423,15 @@ class DegreeData:
     # -- faces ------------------------------------------------------------------
 
     def closed_faces(self):
-        """All nonempty proper closed faces, including the facets themselves."""
-        seen = {}
-        for size in range(1, len(self.facets) + 1):
-            for combo in itertools.combinations(self.facets, size):
-                pts = common_points(combo)
-                if pts and pts not in seen:
-                    seen[pts] = Face(
-                        cuts=tuple((f.normal, f.offset) for f in combo),
-                        points=pts,
-                        contains_origin=all(f.offset == 0 for f in combo),
-                    )
-        return tuple(seen.values())
-
-    def codim1_faces_no_origin(self):
-        return tuple(
-            Face(cuts=((f.normal, f.offset),), points=f.points, contains_origin=False)
-            for f in self.facets_height
+        """All nonempty proper closed faces, including the facets themselves,
+        each as the tuple of points of the defining set on it (reduced
+        coordinates), in the order their first cutting facets are met."""
+        faces = dict.fromkeys(
+            common_points(combo)
+            for size in range(1, len(self.facets) + 1)
+            for combo in itertools.combinations(self.facets, size)
         )
-
-    def face_contains(self, face: Face, u) -> bool:
-        """Whether u is one of the points of the defining set on ``face``."""
-        return self.to_reduced(u) in face.points
+        return tuple(pts for pts in faces if pts)
 
     # -- volume -------------------------------------------------------------------
 
@@ -567,8 +544,10 @@ def hodge_ray(P: NewtonPolygon, start_x: int):
 # ---------------------------------------------------------------------------
 
 
-def restrict_to_face(f: LaurentPoly, dd: DegreeData, face: Face) -> LaurentPoly:
-    kept = {e: c for e, c in f.terms if dd.face_contains(face, e)}
+def restrict_to_face(f: LaurentPoly, dd: DegreeData, points) -> LaurentPoly:
+    """The terms of f whose reduced exponents are among ``points``, the
+    points of a face of dd as closed_faces or a Facet gives them."""
+    kept = {e: c for e, c in f.terms if dd.to_reduced(e) in points}
     if not kept or all(not any(e) for e in kept):
         raise DomainError("empty face restriction")
     return LaurentPoly.make(f.n, kept, f.ctx)
@@ -578,10 +557,10 @@ def restrict_to_face(f: LaurentPoly, dd: DegreeData, face: Face) -> LaurentPoly:
 NONDEGENERACY_SEARCH_DEGREE = 2
 
 
-def _face_poly_verdict(f: LaurentPoly, dd: DegreeData, face: Face):
-    """(status, witness) for one face: 'pass' (definitive), 'degenerate',
-    or 'open' (bounded search found nothing).  Search rounds grow with r,
-    and none runs over a torus (q^r - 1)^n past TORUS_LIMIT."""
+def _face_poly_verdict(f: LaurentPoly, dd: DegreeData, face):
+    """(status, witness) for one face, given by its points: 'pass'
+    (definitive), 'degenerate', or 'open' (bounded search found nothing).
+    Search rounds grow with r, none over a torus past TORUS_LIMIT."""
     ctx = f.ctx
     g = restrict_to_face(f, dd, face)
     partials = [g.partial(i) for i in range(f.n)]
@@ -590,6 +569,13 @@ def _face_poly_verdict(f: LaurentPoly, dd: DegreeData, face: Face):
         return "degenerate", ("all-ones", 1)
     if any(len(d) == 1 for d in partials):
         # a single-monomial partial never vanishes on the torus
+        return "pass", None
+    # at a torus zero of every x_i*dg/dx_i, y_j = c_j*x^(e_j) is nonzero and
+    # solves E^T y = 0 mod p (E: g's exponent rows); the echelon pivots
+    # multiply to the gcd of E's maximal minors, so if p divides none the
+    # rows are independent mod p and there is no zero over any extension
+    E, _, _, rank = column_echelon(g.exponents(), f.n)
+    if rank == len(E) and all(E[i][i] % ctx.p for i in range(rank)):
         return "pass", None
     # brute search over (F_{q^r}^x)^n
     for r in range(1, NONDEGENERACY_SEARCH_DEGREE + 1):
@@ -621,15 +607,17 @@ def _face_poly_verdict(f: LaurentPoly, dd: DegreeData, face: Face):
 def is_nondegenerate(f: LaurentPoly):
     """'nondegenerate' | ('degenerate', witness) | 'unknown'.
 
-    Definitive passes come from monomial certificates (a face whose gradient
-    has a single-monomial component cannot vanish on the torus); otherwise a
-    torus search over F_{q^r}, r <= NONDEGENERACY_SEARCH_DEGREE, within
-    TORUS_LIMIT points, either finds a witness or leaves the face open.
+    Definitive passes come from two certificates: a face whose gradient has
+    a single-monomial component, or whose exponent rows are independent
+    mod p, cannot vanish on the torus.  Otherwise a torus search over
+    F_{q^r}, r <= NONDEGENERACY_SEARCH_DEGREE, within TORUS_LIMIT points,
+    either finds a witness or leaves the face open.
     """
     dd = newton_data(f)
+    origin = dd.to_reduced((0,) * f.n)  # a point of the defining set
     all_pass = True
     for face in dd.closed_faces():
-        if face.contains_origin:
+        if origin in face:
             continue
         status, witness = _face_poly_verdict(f, dd, face)
         if status == "degenerate":

@@ -69,34 +69,27 @@ def _decimal(n: int) -> str:
         return f"<{n.bit_length()}-bit integer>"
 
 
-@dataclass(frozen=True)
-class SumJob:
-    """One torus sum request: polynomial, extension degree, precisions."""
-
-    f: LaurentPoly
-    k: int
-    M: int  # p-adic digits on output coefficients
-    N: int  # T-adic cap
-    m: Optional[int] = None  # character level, when specializing
-
-    def __post_init__(self):
-        if self.k < 1 or self.M < 1 or self.N < 1:
-            raise DomainError("sum job needs k, M, N >= 1")
-        if self.m is not None and self.m < 1:
-            raise DomainError("character level m must be >= 1")
-        ctx = self.f.ctx
-        # q >= 2, so k past the limit's bit length is too large without
-        # computing q^k
-        if self.k >= FIELD_LIMIT.bit_length() or ctx.q**self.k > FIELD_LIMIT:
-            raise DomainError(
-                f"field too large: q^k = {ctx.p}^{_decimal(ctx.a * self.k)} exceeds "
-                f"the field-size limit p^(a*k) <= 2^{FIELD_LIMIT.bit_length() - 1}"
-            )
-        if (ctx.q**self.k - 1) ** self.f.n > TORUS_LIMIT:
-            raise DomainError(
-                f"torus too large to enumerate: (q^k - 1)^n exceeds "
-                f"the torus limit {TORUS_LIMIT}"
-            )
+def check_sum(f: LaurentPoly, k: int, M: int, N: int, m: Optional[int] = None):
+    """Refuse a torus sum request before any work: extension degree k,
+    p-adic digits M on output coefficients, T-adic cap N and, when
+    specializing, character level m, with the field and torus limits."""
+    if k < 1 or M < 1 or N < 1:
+        raise DomainError("sum job needs k, M, N >= 1")
+    if m is not None and m < 1:
+        raise DomainError("character level m must be >= 1")
+    ctx = f.ctx
+    # q >= 2, so k past the limit's bit length is too large without
+    # computing q^k
+    if k >= FIELD_LIMIT.bit_length() or ctx.q**k > FIELD_LIMIT:
+        raise DomainError(
+            f"field too large: q^k = {ctx.p}^{_decimal(ctx.a * k)} exceeds "
+            f"the field-size limit p^(a*k) <= 2^{FIELD_LIMIT.bit_length() - 1}"
+        )
+    if (ctx.q**k - 1) ** f.n > TORUS_LIMIT:
+        raise DomainError(
+            f"torus too large to enumerate: (q^k - 1)^n exceeds "
+            f"the torus limit {TORUS_LIMIT}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +141,8 @@ def _build_trace_table(big: FieldContext, prec: int) -> tuple:
     (Kronecker substitution), so a block is V = sum_i s_{k-d+i} col_i, d
     big-int products, and its entries are V's W-bit slots, each reduced
     mod p^prec.  Entries and column values lie in [0, p^prec), so a slot
-    holds at most d*(p^prec - 1)^2 < 2^W and no slot carries into the
-    next; W is that bound's bit length in whole bytes, at least 64.
+    holds at most d*(p^prec - 1)^2 < 2^W, W = _slot_width of that bound,
+    and no slot carries into the next.
     B ~ sqrt((q-1)/d) balances the d*B recurrence steps that build the
     columns against the (q-1)/B block steps; the last block is cut at q-1.
     """
@@ -174,9 +167,7 @@ def _build_trace_table(big: FieldContext, prec: int) -> tuple:
         s.append(-(k * c[d - k] + sum(c[d - i] * s[k - i] for i in range(1, k))) % pm)
     neg_c = [-ci for ci in c]
     B = math.isqrt(Q1 // d)  # >= 1, as q - 1 >= d
-    bits = (d * (pm - 1) ** 2).bit_length()
-    W = 64 if bits <= 64 else -(-bits // 8) * 8
-    pack, unpack = _slot_codec(W, B)
+    pack, unpack = _slot_codec(_slot_width(d * (pm - 1) ** 2), B)
     cols = []
     for i in range(d):
         u = [0] * d
@@ -373,7 +364,7 @@ def s_f_T(f: LaurentPoly, k: int, M: int, N: int, walks=None) -> TSeries:
     precision; the multiset is then read off that walk, and the kept sums
     are neither read nor written.
     """
-    SumJob(f, k, M, N)
+    check_sum(f, k, M, N)
     p = f.ctx.p
     prec, guard = M + binomial_period(N, p), M + binomial_guard(N, p)
     if walks is not None:
@@ -447,7 +438,7 @@ def s_f_psi(f: LaurentPoly, k: int, m: int, M: int, walks=None) -> CycElement:
     """Classical character sum of order p^m: sum of zeta^Tr(f^(x)) with
     zeta = 1 + pi, exact mod p^M (= pi^(e*M)).  ``walks`` is as in
     s_f_T."""
-    SumJob(f, k, M, 1, m)
+    check_sum(f, k, M, 1, m)
     cyc = CycContext(f.ctx.p, m)
     pm_order = cyc.p**m
     zeta = cyc.zeta(M)
@@ -471,7 +462,7 @@ def power_sums_T(f: LaurentPoly, deg_s: int, M: int, N: int, walks=None):
     """S_f(k, T) for k = 1..deg_s; the largest torus is checked first.
     ``walks`` is as in s_f_T."""
     if deg_s >= 1:
-        SumJob(f, deg_s, M, N)
+        check_sum(f, deg_s, M, N)
     return [s_f_T(f, k, M, N, walks) for k in range(1, deg_s + 1)]
 
 
@@ -520,7 +511,7 @@ def _exp_path(
     if M < 1:  # checked before the guard digits below could lift it to 1
         raise DomainError("sum job needs k, M, N >= 1")
     if deg_s >= 1:  # the largest torus, before the guard digits are counted
-        SumJob(f, deg_s, M, N)
+        check_sum(f, deg_s, M, N)
     # exp's recurrence divides by k <= deg_s, so work with guard digits and
     # renormalize down; divexact_int still asserts integrality on the way
     # (torus_walks adds the same guard)

@@ -49,7 +49,9 @@ against a Hermite basis of the scaling lattice; the basis reference runs
 Euclid column by column, where the library reads the basis off the
 integer column echelon that also gives Newton polytopes their kernels.
 The face references evaluate every facet equation at every point, where
-the library intersects the facets' point sets.  The polygon references
+the library intersects the facets' point sets; the torus-zero reference
+evaluates a face's gradient at every point of the tori over F_q and
+F_{q^2}, where the library first tries certificates that need no search.  The polygon references
 read the agreement prefix of the two hulls over their whole common range
 and cut it afterwards, and give dominance and each half of the verdict a
 window and a checkpoint set of their own, each value a scan of Fraction
@@ -103,7 +105,7 @@ from tadic.errors import (
     PrecisionError,
     TheoremViolation,
 )
-from tadic.polytope import DegreeData, Face, LaurentPoly, newton_data
+from tadic.polytope import DegreeData, LaurentPoly, newton_data
 from tadic.series import (
     NewtonPolygon,
     SSeries,
@@ -394,13 +396,56 @@ def oracle_closed_faces(dd):
     for size in range(1, len(dd.facets) + 1):
         for combo in combinations(dd.facets, size):
             pts = oracle_face_points(dd, combo)
-            if pts and pts not in seen:
-                seen[pts] = Face(
-                    cuts=tuple((f.normal, f.offset) for f in combo),
-                    points=pts,
-                    contains_origin=all(f.offset == 0 for f in combo),
-                )
-    return tuple(seen.values())
+            if pts:
+                seen.setdefault(pts)
+    return tuple(seen)
+
+
+def _unit_powers(big):
+    """The units of ``big`` and, for each, its powers x^0..x^(Q-2) by
+    repeated field products (Q = |big|), so x^e is row[e % (Q - 1)] for
+    every integer e."""
+    units = [x for x in big.elements() if x != big.zero()]
+    rows = []
+    for x in units:
+        row = [big.one()]
+        for _ in range(len(units) - 1):
+            row.append(big.mul(row[-1], x))
+        rows.append(row)
+    return units, rows
+
+
+def oracle_torus_zero(g: LaurentPoly, max_r: int = 2):
+    """(point, r): a common zero of every partial derivative of g on
+    (F_{q^r}^x)^n for the least r <= max_r that has one, or None.  Every
+    point is visited and every monomial is a product of field powers,
+    with no discrete log and no certificate."""
+    ctx = g.ctx
+    for r in range(1, max_r + 1):
+        big = ctx.ext(r)
+        phi = ctx.embed_into(big)
+        partials = [
+            [
+                (tuple(e - (j == i) for j, e in enumerate(u)), big.mul(phi(ctx.from_int(u[i])), phi(c)))
+                for u, c in g.terms
+                if u[i] % ctx.p
+            ]
+            for i in range(g.n)
+        ]
+        units, rows = _unit_powers(big)
+        Q1 = len(units)
+        for point in product(range(Q1), repeat=g.n):
+            for d in partials:
+                acc = big.zero()
+                for e, c in d:
+                    for k, ei in zip(point, e):
+                        c = big.mul(c, rows[k][ei % Q1])
+                    acc = big.add(acc, c)
+                if acc != big.zero():
+                    break
+            else:
+                return tuple(units[k] for k in point), r
+    return None
 
 
 def coefficient_orbits(ctx, exps) -> dict:

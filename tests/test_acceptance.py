@@ -19,6 +19,7 @@ from tadic.dwork import (
     artin_hasse,
     char_c_crosscheck,
     facial_criterion,
+    psi_a_matrix,
     verify_trace_formula,
 )
 from tadic.polytope import LaurentPoly
@@ -116,7 +117,8 @@ def test_gate_02_operator_char_series_matches_c():
         for p in (2, 3, 5):
             f = poly(exps, p=p)
             kw = _two_path_sizes(f)
-            cc = char_c_crosscheck(f, kw["deg_s"], kw["B"], kw["M"], kw["N_pi"])
+            Mx = psi_a_matrix(f, kw["B"], kw["M"], kw["N_pi"])
+            cc = char_c_crosscheck(Mx, f, kw["deg_s"])
             if not cc.ok:
                 bad.append((name, p, cc.mismatches))
     gate("02 operator char series = C", not bad, bad)
@@ -128,8 +130,9 @@ def test_gate_03_trace_formula():
         for p in (2, 3, 5):
             f = poly(exps, p=p)
             kw = _two_path_sizes(f)
+            Mx = psi_a_matrix(f, kw["B"], kw["M"], kw["N_pi"])
             for k in (1, 2):
-                chk = verify_trace_formula(f, k, kw["B"], kw["M"], kw["N_pi"])
+                chk = verify_trace_formula(Mx, f, k)
                 if not chk.ok:
                     bad.append((name, p, k))
     gate("03 trace formula k=1,2", not bad, bad)

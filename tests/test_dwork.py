@@ -3,7 +3,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from tadic import dwork
@@ -268,8 +268,8 @@ class TestKernelExpansion:
         f = poly(SPERBER, p=3)
         dd = newton_data(f)
         amap = e_f_expansion(f, 2, 4, 2)
-        for face in dd.codim1_faces_no_origin():
-            f_face = restrict_to_face(f, dd, face)
+        for facet in dd.facets_height:
+            f_face = restrict_to_face(f, dd, facet.points)
             for u, al in e_f_expansion(f_face, 2, 4, 2).items():
                 assert al.coeff(0) == amap[u].coeff(0)
 
@@ -694,7 +694,8 @@ class TestTwoPaths:
     )
     def test_trace_formula(self, exps, p, a, k):
         f = poly(exps, p=p, a=a)
-        chk = verify_trace_formula(f, k, 2 if f.n > 1 else 4, 4, 2 if f.n > 1 else 4)
+        Mx = psi_a_matrix(f, 2 if f.n > 1 else 4, 4, 2 if f.n > 1 else 4)
+        chk = verify_trace_formula(Mx, f, k)
         assert chk.ok
 
     @pytest.mark.parametrize(
@@ -711,20 +712,36 @@ class TestTwoPaths:
     )
     def test_char_series_matches_c_function(self, exps, p, a):
         f = poly(exps, p=p, a=a)
-        cc = char_c_crosscheck(f, 2, 2 if f.n > 1 else 4, 4, 2 if f.n > 1 else 4)
+        Mx = psi_a_matrix(f, 2 if f.n > 1 else 4, 4, 2 if f.n > 1 else 4)
+        cc = char_c_crosscheck(Mx, f, 2)
         assert cc.ok, cc.mismatches
 
     def test_char_series_matches_c_with_generator_coefficient(self):
         ctx = FieldContext(2, 2)
         f = LaurentPoly.make(1, {(1,): ctx.generator}, ctx)
-        cc = char_c_crosscheck(f, 2, 4, 4, 4)
+        cc = char_c_crosscheck(psi_a_matrix(f, 4, 4, 4), f, 2)
         assert cc.ok, cc.mismatches
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_trace_formula_with_generator_coefficient(self, k):
         ctx = FieldContext(2, 2)
         f = LaurentPoly.make(1, {(1,): ctx.generator}, ctx)
-        assert verify_trace_formula(f, k, 4, 4, 4).ok
+        assert verify_trace_formula(psi_a_matrix(f, 4, 4, 4), f, k).ok
+
+    @settings(max_examples=60, deadline=None)
+    @given(operator_jobs())
+    def test_routes_agree_on_random_supports(self, job):
+        # both cross-checks against one matrix per input: the traces of
+        # Mx and Mx^2, and det(1 - Mx*s) to s^2 (or the whole of it)
+        f, B, M, N_pi = job
+        try:
+            Mx = psi_a_matrix(f, B, M, N_pi)
+        except DomainError:  # past the dimension limit
+            reject()
+        for k in (1, 2):
+            assert verify_trace_formula(Mx, f, k).ok, k
+        cc = char_c_crosscheck(Mx, f, min(2, Mx.dim))
+        assert cc.ok, cc.mismatches
 
 
 class TestAdditiveSplitting:
@@ -894,10 +911,9 @@ class TestCriterionLayer:
         fr = facial_criterion(f, K, M)
         assert fr.whole == whole
         assert fr.conjunction == _oracle_conjunction(f, K, pts, sc, mat)
-        faces = dd.codim1_faces_no_origin()
-        assert len(fr.faces) == len(faces)
-        for fv, face in zip(fr.faces, faces):
-            f_face = restrict_to_face(f, dd, face)
+        assert len(fr.faces) == len(dd.facets_height)
+        for fv, facet in zip(fr.faces, dd.facets_height):
+            f_face = restrict_to_face(f, dd, facet.points)
             K_face = int(Fraction(K, dd.D) * newton_data(f_face).D)
             assert fv.report == _oracle_report(f_face, K_face, M)[0]
 

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -18,10 +19,11 @@ from oracles import (
     oracle_closed_faces,
     oracle_degree,
     oracle_face_points,
+    oracle_torus_zero,
     polygons_equal_on,
 )
 from tadic import polytope
-from tadic.arith import FieldContext
+from tadic.arith import FieldContext, field_context
 from tadic.errors import DomainError
 from tadic.polytope import (
     DegreeData,
@@ -364,16 +366,15 @@ class TestFaces:
     def test_sperber_codim1(self):
         f = poly(SPERBER)
         dd = newton_data(f)
-        faces = dd.codim1_faces_no_origin()
-        assert len(faces) == 3
-        for face in faces:
-            assert len(face.points) == 2
+        assert len(dd.facets_height) == 3
+        for facet in dd.facets_height:
+            assert len(facet.points) == 2
 
     def test_restrict_to_edge(self):
         f = poly(SPERBER)
         dd = newton_data(f)
-        for face in dd.codim1_faces_no_origin():
-            if dd.face_contains(face, (1, 0)) and dd.face_contains(face, (0, 1)):
+        for face in dd.closed_faces():
+            if dd.to_reduced((1, 0)) in face and dd.to_reduced((0, 1)) in face:
                 g = restrict_to_face(f, dd, face)
                 assert sorted(g.exponents()) == [(0, 1), (1, 0)]
                 return
@@ -382,17 +383,15 @@ class TestFaces:
     def test_restriction_polytope_has_single_height_facet(self):
         f = poly(SPERBER)
         dd = newton_data(f)
-        face = dd.codim1_faces_no_origin()[0]
-        g = restrict_to_face(f, dd, face)
+        g = restrict_to_face(f, dd, dd.facets_height[0].points)
         dd2 = newton_data(g)
         assert len(dd2.facets_height) == 1
 
     def test_monomial_face(self):
         f = poly([(3,)], p=7)
         dd = newton_data(f)
-        faces = dd.codim1_faces_no_origin()
-        assert len(faces) == 1
-        g = restrict_to_face(f, dd, faces[0])
+        assert len(dd.facets_height) == 1
+        g = restrict_to_face(f, dd, dd.facets_height[0].points)
         assert g.exponents() == [(3,)]
 
     def test_closed_faces_sperber(self):
@@ -400,13 +399,13 @@ class TestFaces:
         faces = dd.closed_faces()
         # 3 edges + 3 vertices, none containing the interior origin
         assert len(faces) == 6
-        assert all(not f.contains_origin for f in faces)
+        assert all((0, 0) not in face for face in faces)
 
     def test_closed_faces_interval_with_origin_vertex(self):
         dd = DegreeData([(3,)], 1)
         faces = dd.closed_faces()
         assert len(faces) == 2
-        assert sum(f.contains_origin for f in faces) == 1
+        assert sum((0,) in face for face in faces) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -431,7 +430,41 @@ class TestFaces:
                 assert common_points(combo) == oracle_face_points(dd, combo)
 
 
+@st.composite
+def face_polys(draw):
+    """f over F_q, q = p^a <= 9, in n <= 2 variables, with 2 to 4 terms of
+    exponents in [-3, 4]^n and random unit coefficients."""
+    ctx = field_context(*draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)])))
+    n = draw(st.integers(1, 2))
+    exps = draw(st.lists(st.tuples(*[st.integers(-3, 4)] * n), min_size=2, max_size=4, unique=True))
+    return LaurentPoly.make(n, {e: ctx.decode(draw(st.integers(1, ctx.q - 1))) for e in exps}, ctx)
+
+
 class TestNondegeneracy:
+    @settings(max_examples=200, deadline=None)
+    @given(face_polys())
+    @example(poly([(2, 1), (1, 2)], p=3))
+    def test_certificate_passes_no_face_with_a_torus_zero(self, f):
+        # every face off the origin with no single-monomial partial: the
+        # exponent-row certificate (the search switched off, so a pass can
+        # only be its own) never passes a face whose gradient the
+        # exhaustive search finds a torus zero of; at the example the rows
+        # (2, 1), (1, 2) have rank 2 but determinant 3, and (1, 1) is a zero
+        try:
+            dd = newton_data(f)
+        except DomainError:
+            reject()
+        origin = dd.to_reduced((0,) * f.n)
+        with mock.patch.object(polytope, "NONDEGENERACY_SEARCH_DEGREE", 0):
+            for face in dd.closed_faces():
+                if origin in face:
+                    continue
+                g = restrict_to_face(f, dd, face)
+                if any(len(g.partial(i)) == 1 for i in range(f.n)):
+                    continue
+                if polytope._face_poly_verdict(f, dd, face)[0] == "pass":
+                    assert oracle_torus_zero(g) is None, (g.terms, face)
+
     def test_monomial_good(self):
         assert is_nondegenerate(poly([(4,)], p=3)) == "nondegenerate"
 
@@ -453,11 +486,13 @@ class TestNondegeneracy:
 
     @pytest.mark.parametrize("limit,rounds", [(15, []), (16, [1]), (576, [1, 2])])
     def test_search_rounds_stop_at_the_torus_limit(self, monkeypatch, limit, rounds):
-        # over F_5 the face x^-1*y^-3 + 2*x^2*y^2 has no certificate and no
-        # torus zero: round r walks (5^r - 1)^2 points, 16 then 576, and a
-        # round past the limit is not walked, leaving the face open
+        # over F_5 the edge g^3*x^-3 + g^3*y^-3 + x^-1*y^-2 has no
+        # certificate (three exponent rows in rank 2) and no torus zero:
+        # round r walks (5^r - 1)^2 points, 16 then 576, and a round past
+        # the limit is not walked, leaving the face open
         ctx = FieldContext(5, 1)
-        f = LaurentPoly.make(2, {(-1, -3): ctx.one(), (2, 2): ctx.generator}, ctx)
+        g3 = ctx.pow(ctx.generator, 3)
+        f = LaurentPoly.make(2, {(-3, 0): g3, (0, -3): g3, (-1, -2): ctx.one()}, ctx)
         walked = []
         ext = ctx.ext
         monkeypatch.setattr(ctx, "ext", lambda r: walked.append(r) or ext(r))

@@ -31,9 +31,9 @@ from tadic.errors import DomainError, PrecisionError
 from tadic.polytope import LaurentPoly
 from tadic.series import SSeries, TSeries
 from tadic.sums import (
-    SumJob,
     _trace_table,
     c_function,
+    check_sum,
     congruence_check,
     congruence_modulus,
     convert_l_to_c,
@@ -715,12 +715,12 @@ class TestTorusSums:
     def test_job_validation(self):
         f = poly([(1,)], p=3)
         with pytest.raises(DomainError):
-            SumJob(f, 0, 2, 4)
+            check_sum(f, 0, 2, 4)
         with pytest.raises(DomainError):
-            SumJob(f, 1, 2, 4, m=0)
+            check_sum(f, 1, 2, 4, m=0)
         big = poly([(1, 0), (0, 1)], p=3, a=4)
         with pytest.raises(DomainError, match="torus limit"):
-            SumJob(big, 2, 2, 4)
+            check_sum(big, 2, 2, 4)
 
     @pytest.mark.parametrize("p, L", [(2, 2), (3, 1), (5, 1)])
     def test_walk_precision_at_a_period_edge(self, p, L):
@@ -734,11 +734,11 @@ class TestTorusSums:
     def test_job_field_limit(self):
         # 2^21 - 1 points fit the torus limit but not the field-size limit
         f = poly([(1,)], p=2)
-        SumJob(f, 20, 2, 4)
+        check_sum(f, 20, 2, 4)
         with pytest.raises(DomainError, match="field-size limit"):
-            SumJob(f, 21, 2, 4)
+            check_sum(f, 21, 2, 4)
         with pytest.raises(DomainError, match="field-size limit"):
-            SumJob(f, 10**9, 2, 4)
+            check_sum(f, 10**9, 2, 4)
 
     def test_preflight_before_any_torus(self, monkeypatch):
         def refuse(*args):
