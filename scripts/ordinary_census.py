@@ -34,10 +34,11 @@ def simplex(p: int) -> LaurentPoly:
 def verdict_line(label: str, f: LaurentPoly, deg_s: int, M: int, N: int, K: int):
     rep = np_report(f, [1], deg_s, M, N)
     od = ordinariness_determinants(f, K, M)
-    dets = "".join("1" if v else "0" for v in od.verdicts)
+    dets = "".join("1" if v else "0" for v in od["verdicts"])
+    flags = rep["flags"]
     print(
-        f"{label:16s} flag={rep.flags['t_ordinary']:12s} "
-        f"pi-flag={rep.flags['ordinary']:12s} minors[0..{od.K}]={dets}"
+        f"{label:16s} flag={flags['t_ordinary']:12s} "
+        f"pi-flag={flags['ordinary']:12s} minors[0..{od['depth']}]={dets}"
     )
 
 

@@ -15,7 +15,6 @@ import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 from .arith import CycElement, binomial_period, field_context
 from .dwork import (
@@ -41,7 +40,7 @@ from .polytope import (
     newton_data,
     parse_laurent,
 )
-from .series import NewtonPolygon, SSeries
+from .series import NewtonPolygon, SSeries, TSeries
 from .sums import (
     TorusWalks,
     check_sum,
@@ -174,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
         "polygons, and the operator-side cross checks.",
     )
     sub = ap.add_subparsers(dest="command", metavar="command")
-    for name, cmd in COMMANDS.items():
-        sub.add_parser(name, help=cmd.help, description=cmd.help, parents=[shared])
+    for name, (_, text, _) in COMMANDS.items():
+        sub.add_parser(name, help=text, description=text, parents=[shared])
     return ap
 
 
@@ -261,8 +260,29 @@ def jcyc(c: CycElement) -> dict:
     }
 
 
-def jsseries(F: SSeries) -> list:
-    return [jcyc(c) if isinstance(c, CycElement) else jseries(c) for c in F.coeffs]
+def encode(x):
+    """A report value as JSON data, the one place that knows the output
+    format: dict keys become strings (before the dump sorts them, so "10"
+    sorts before "2"), tuples become lists, rationals, polygons, series and
+    cyclotomic elements take the forms above, and an s-series becomes the
+    list of its coefficients."""
+    kind = type(x)
+    if kind is dict:
+        return {str(k): encode(v) for k, v in x.items()}
+    if kind is list or kind is tuple:
+        return [encode(v) for v in x]
+    leaf = _LEAVES.get(kind)
+    return x if leaf is None else leaf(x)
+
+
+_LEAVES = {
+    Fraction: jfrac,
+    NewtonPolygon: jpolygon,
+    TSeries: jseries,
+    ZqPi: jseries,
+    CycElement: jcyc,
+    SSeries: lambda F: encode(F.coeffs),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +306,7 @@ def _prec_t(cfg: RunConfig) -> int:
     """An explicit --prec-t as given, else the command's default."""
     if cfg.prec_t is not None:
         return cfg.prec_t
-    return COMMANDS[cfg.command].prec_t
+    return COMMANDS[cfg.command][2]
 
 
 def cmd_hodge(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
@@ -299,8 +319,8 @@ def cmd_hodge(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
         "depth": K,
         "normalized_volume": dd.normalized_volume(),
         "weights": dd.weight_counts(K),
-        "polygon": jpolygon(hodge_polygon(dd, cfg.p, cfg.a, K)),
-        "polygon_absolute": jpolygon(hodge_polygon_absolute(dd, K)),
+        "polygon": hodge_polygon(dd, cfg.p, cfg.a, K),
+        "polygon_absolute": hodge_polygon_absolute(dd, K),
     }
 
 
@@ -316,31 +336,20 @@ def cmd_sum(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
         prec = max(cfg.prec_p + binomial_period(n_t, f.ctx.p), *cfg.m_list)
         walks = TorusWalks(f, ks, prec)
     for k in ks:
-        sums[str(k)] = jseries(s_f_T(f, k, cfg.prec_p, n_t, walks))
+        sums[k] = s_f_T(f, k, cfg.prec_p, n_t, walks)
         for m in cfg.m_list:
-            specialized.setdefault(str(m), {})[str(k)] = jcyc(s_f_psi(f, k, m, cfg.prec_p, walks))
+            specialized.setdefault(m, {})[k] = s_f_psi(f, k, m, cfg.prec_p, walks)
     return {**doc, "sums": sums, "specialized": specialized}
 
 
 def cmd_coeffs(series, cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
     """The s-coefficients of series(f, deg_s, M, N): l_function or c_function."""
     S = series(f, cfg.deg_s, cfg.prec_p, _prec_t(cfg))
-    return {**doc, "deg_s": cfg.deg_s, "coeffs": jsseries(S)}
+    return {**doc, "deg_s": cfg.deg_s, "coeffs": S}
 
 
 def cmd_np(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
-    rep = np_report(f, cfg.m_list, cfg.deg_s, cfg.prec_p, _prec_t(cfg))
-    return {
-        **doc,
-        "deg_s": rep.deg_s,
-        "np_t": jpolygon(rep.np_t),
-        "np_pi": {str(m): jpolygon(P) for m, P in rep.np_pi.items()},
-        "hp_q": jpolygon(rep.hp_q),
-        "hp_absolute": jpolygon(rep.hp_absolute),
-        "flags": dict(rep.flags),
-        "per_m": {str(m): dict(v) for m, v in rep.per_m.items()},
-        "nondegenerate": rep.nondegenerate,
-    }
+    return {**doc, **np_report(f, cfg.m_list, cfg.deg_s, cfg.prec_p, _prec_t(cfg))}
 
 
 def _refuse_negative_deg_s(cfg: RunConfig):
@@ -361,7 +370,7 @@ def cmd_dwork(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
         "dimension": Mx.dim,
         "certified_modulus": f"pi^{Fraction(Mx.cert_cap(), Mx.D)}",
         "deg_s": deg_s,
-        "char_series": jsseries(char_series(Mx, deg_s)),
+        "char_series": char_series(Mx, deg_s),
     }
 
 
@@ -381,27 +390,9 @@ def cmd_verify(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
         walks = torus_walks(f, ks, cfg.deg_s, cfg.prec_p, Mx.torus_cap())
     checks = []
     if cfg.what in ("trace", "all"):
-        for k in ks:
-            chk = verify_trace_formula(Mx, f, k, walks)
-            checks.append(
-                {
-                    "what": "trace",
-                    "k": k,
-                    "pass": chk.ok,
-                    "modulus": f"pi^{chk.pi_modulus}, p^{chk.p_modulus}",
-                }
-            )
+        checks += [verify_trace_formula(Mx, f, k, walks) for k in ks]
     if cfg.what in ("char", "all"):
-        cc = char_c_crosscheck(Mx, f, cfg.deg_s, walks)
-        checks.append(
-            {
-                "what": "char",
-                "deg_s": cc.deg_s,
-                "pass": cc.ok,
-                "modulus": f"pi^{cc.pi_modulus}, p^{cc.p_modulus}",
-                "mismatched_coefficients": list(cc.mismatches),
-            }
-        )
+        checks.append(char_c_crosscheck(Mx, f, cfg.deg_s, walks))
     doc = {**doc, "pass": all(c["pass"] for c in checks), "checks": checks}
     if len(checks) == 1:
         doc["modulus"] = checks[0]["modulus"]
@@ -409,22 +400,12 @@ def cmd_verify(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
 
 
 def cmd_congruence(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
-    reports = {}
-    for m in cfg.m_list or (1,):
-        rep = congruence_check(
+    reports = {
+        m: congruence_check(
             f, m, cfg.k_list or None, cfg.prec_p, _prec_t(cfg), cfg.override_nondegenerate
         )
-        reports[str(m)] = {
-            "degree_bound": rep.degree_bound,
-            "modulus_degree": rep.modulus_degree,
-            "tail_floor": rep.tail_floor,
-            "nondegenerate": rep.nondegenerate,
-            "override": rep.override,
-            "checks": [
-                {"k": c.k, "status": c.status, "proven_mod_exponent": c.proven_mod_exponent}
-                for c in rep.checks
-            ],
-        }
+        for m in cfg.m_list or (1,)
+    }
     return {**doc, "reports": reports}
 
 
@@ -440,70 +421,38 @@ def cmd_survey(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
         _prec_t(cfg),
     )
     del doc["poly"]  # the samples draw their own coefficients: echo the support
-    return {
-        **doc,
-        "support": [list(u) for u in rep.exponents],
-        "sample_count": rep.sample_count,
-        "seed": rep.seed,
-        "deg_s": rep.deg_s,
-        "t_ordinary": rep.t_ordinary,
-        "not_t_ordinary": rep.not_t_ordinary,
-        "uncertified": rep.uncertified,
-        "nondegenerate_failures": rep.nondegenerate_failures,
-        "histogram": [
-            {
-                "prefix": [[jfrac(x), jfrac(y)] for x, y in verts],
-                "count": count,
-            }
-            for verts, count in rep.histogram
-        ],
-    }
+    return {**doc, **rep}
 
 
 def cmd_faces(cfg: RunConfig, f: LaurentPoly, doc: dict) -> dict:
     K = cfg.hodge_depth if cfg.hodge_depth is not None else newton_data(f).D
     fr = facial_criterion(f, K, cfg.prec_p)
+    printed = ("label", "vertices", "depth", "denominator", "verdicts")
     return {
         **doc,
         "depth": K,
-        "denominator": fr.whole.D,
-        "whole": list(fr.whole.verdicts),
-        "conjunction": list(fr.conjunction),
-        "faces": [
-            {
-                "label": fv.label,
-                "vertices": [list(v) for v in fv.vertices],
-                "depth": fv.report.K,
-                "denominator": fv.report.D,
-                "verdicts": list(fv.report.verdicts),
-            }
-            for fv in fr.faces
-        ],
+        "denominator": fr["whole"]["denominator"],
+        "whole": fr["whole"]["verdicts"],
+        "conjunction": fr["conjunction"],
+        "faces": [{key: face[key] for key in printed} for face in fr["faces"]],
     }
 
 
-@dataclass(frozen=True)
-class Command:
-    """One row of the command table."""
-
-    handler: Callable  # (cfg, parsed polynomial, document header) -> document
-    help: str
-    prec_t: int  # --prec-t when it is not given
-
-
+# One row per command: (handler, help, --prec-t when it is not given); a
+# handler maps (cfg, parsed polynomial, document header) to the document.
 # The lfun and cfun rows look l_function and c_function up when they run, so
 # a wrapper later bound to those names in this module (the tracer's) is seen.
 COMMANDS = {
-    "hodge": Command(cmd_hodge, "combinatorial lower-bound polygon of the support", SUMS_PREC_T),
-    "sum": Command(cmd_sum, "T-adic torus sums, optionally specialized to a character order", SUMS_PREC_T),
-    "lfun": Command(lambda *a: cmd_coeffs(l_function, *a), "L-function coefficients", SUMS_PREC_T),
-    "cfun": Command(lambda *a: cmd_coeffs(c_function, *a), "C-function coefficients", SUMS_PREC_T),
-    "np": Command(cmd_np, "certified Newton polygons and ordinariness flags", SUMS_PREC_T),
-    "dwork": Command(cmd_dwork, "transfer-operator characteristic series", OPERATOR_PREC_T),
-    "verify": Command(cmd_verify, "cross-check the sum side against the operator side", OPERATOR_PREC_T),
-    "congruence": Command(cmd_congruence, "high-degree coefficient congruences of L", SUMS_PREC_T),
-    "survey": Command(cmd_survey, "seeded random-coefficient survey over one support", SUMS_PREC_T),
-    "faces": Command(cmd_faces, "per-face ordinariness determinants", SUMS_PREC_T),
+    "hodge": (cmd_hodge, "combinatorial lower-bound polygon of the support", SUMS_PREC_T),
+    "sum": (cmd_sum, "T-adic torus sums, optionally specialized to a character order", SUMS_PREC_T),
+    "lfun": (lambda *a: cmd_coeffs(l_function, *a), "L-function coefficients", SUMS_PREC_T),
+    "cfun": (lambda *a: cmd_coeffs(c_function, *a), "C-function coefficients", SUMS_PREC_T),
+    "np": (cmd_np, "certified Newton polygons and ordinariness flags", SUMS_PREC_T),
+    "dwork": (cmd_dwork, "transfer-operator characteristic series", OPERATOR_PREC_T),
+    "verify": (cmd_verify, "cross-check the sum side against the operator side", OPERATOR_PREC_T),
+    "congruence": (cmd_congruence, "high-degree coefficient congruences of L", SUMS_PREC_T),
+    "survey": (cmd_survey, "seeded random-coefficient survey over one support", SUMS_PREC_T),
+    "faces": (cmd_faces, "per-face ordinariness determinants", SUMS_PREC_T),
 }
 
 
@@ -522,14 +471,13 @@ def _emit(doc: dict, out_path: str):
 
 
 def run(cfg: RunConfig) -> dict:
-    cmd = COMMANDS.get(cfg.command)
-    if cmd is None:
+    if cfg.command not in COMMANDS:
         raise _UsageError(f"unknown command {cfg.command!r}; {_choose()}")
     if not cfg.poly:
         raise _UsageError("this command needs a polynomial")
     f = parse_laurent(cfg.poly, field_context(cfg.p, cfg.a))
     header = {"command": cfg.command, "p": cfg.p, "a": cfg.a, "poly": cfg.poly}
-    return cmd.handler(cfg, f, header)
+    return encode(COMMANDS[cfg.command][0](cfg, f, header))
 
 
 def main(argv=None) -> int:

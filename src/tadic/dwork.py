@@ -37,22 +37,14 @@ from .series import SSeries, TSeries, _SparseSeries, vp
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ArtinHasse:
-    """E(pi) = exp(sum_i pi^(p^i)/p^i) mod pi^cap, exact rational coefficients.
+def artin_hasse(p: int, N: int) -> tuple:
+    """E(pi) = exp(sum_i pi^(p^i)/p^i) mod pi^N as its N exact rational
+    coefficients, the j-th multiplying pi^j.
 
-    Every coefficient is p-integral; the constructor-side assertion makes a
-    denominator divisible by p a loud bug instead of a silent wrong answer.
-    """
-
-    p: int
-    cap: int
-    coeffs: tuple  # coeffs[j] multiplies pi^j
-
-
-def artin_hasse(p: int, N: int) -> ArtinHasse:
-    """The coefficients from E'(pi) = E(pi) * sum_i pi^(p^i - 1), that is
-    k*e_k = sum_{p^i <= k} e_{k - p^i}; Fraction absorbs the division by k."""
+    They come from E'(pi) = E(pi) * sum_i pi^(p^i - 1), that is
+    k*e_k = sum_{p^i <= k} e_{k - p^i}; Fraction absorbs the division by k.
+    Every coefficient is p-integral; the check below makes a denominator
+    divisible by p a loud bug instead of a silent wrong answer."""
     if N < 1:
         raise DomainError("need at least one kernel coefficient")
     powers = [p**i for i in range(N.bit_length()) if p**i < N]
@@ -62,7 +54,7 @@ def artin_hasse(p: int, N: int) -> ArtinHasse:
     for j, c in enumerate(e):
         if c.denominator % p == 0:
             raise IntegralityError(f"kernel coefficient {j} has denominator {c.denominator}")
-    return ArtinHasse(p=p, cap=N, coeffs=tuple(e))
+    return tuple(e)
 
 
 def _frac_mod(fr: Fraction, p: int, prec: int) -> int:
@@ -438,29 +430,31 @@ def _cutoff_dets(sc: _ZqScalars, mat, sizes):
     return {r: _det_mod(sc, [row[:r] for row in mat[:r]]) for r in set(sizes)}
 
 
-def e_factor(ah: ArtinHasse, ctx: FieldContext, c, prec: int, cap: int) -> ZqPi:
-    """E(pi*c) for a Z_q scalar c, as a pi-series on the integer grid; at
-    c = 1 every power c^m is 1 and no product is taken."""
-    if ah.cap < cap:
+def e_factor(ah: tuple, ctx: FieldContext, c, prec: int, cap: int) -> ZqPi:
+    """E(pi*c) for a Z_q scalar c, as a pi-series on the integer grid, from
+    E's coefficients ah over ctx.p; at c = 1 every power c^m is 1 and no
+    product is taken."""
+    if len(ah) < cap:
         raise PrecisionError("kernel expansion shorter than the requested cap")
     out = {}
     cm = embed_int(ctx, 1, prec)
     step = c != cm
     for m in range(cap):
-        lam = _frac_mod(ah.coeffs[m], ctx.p, prec)
+        lam = _frac_mod(ah[m], ctx.p, prec)
         out[m] = tuple(lam * x % ctx.p**prec for x in cm)
         if step and m + 1 < cap:
             cm = ctx.zq_mul(cm, c, prec)
     return ZqPi(ctx, prec, cap, out, den=1)
 
 
-def t_to_pi(ts: TSeries, ah: ArtinHasse, ctx: FieldContext, den: int = 1) -> ZqPi:
-    """Substitute T = E(pi) - 1 into a T-series over Z_p.
+def t_to_pi(ts: TSeries, ah: tuple, ctx: FieldContext, den: int = 1) -> ZqPi:
+    """Substitute T = E(pi) - 1 into a T-series over Z_p, E's coefficients
+    being ah.
 
     The substitution sends O(T^N) to O(pi^N), so the T-cap carries over as
     the pi-cap unchanged.
     """
-    cap = min(ts.cap, ah.cap)
+    cap = min(ts.cap, len(ah))
     prec = ts.prec
     e = e_factor(ah, ctx, embed_int(ctx, 1, prec), prec, cap)
     e_minus_1 = e.sub(e.one_like())
@@ -821,15 +815,7 @@ def operator_trace(Mx: DworkMatrix, k: int) -> ZqPi:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceCheck:
-    k: int
-    ok: bool
-    pi_modulus: Fraction  # comparison certified below pi^pi_modulus
-    p_modulus: int
-
-
-def verify_trace_formula(Mx: DworkMatrix, f: LaurentPoly, k: int, walks=None) -> TraceCheck:
+def verify_trace_formula(Mx: DworkMatrix, f: LaurentPoly, k: int, walks=None) -> dict:
     """Compare Tr(Mx^k) with the normalized torus sum of order k, for Mx
     = psi_a_matrix(f, B, M, N_pi) at the matrix's p-adic precision M.
 
@@ -838,6 +824,10 @@ def verify_trace_formula(Mx: DworkMatrix, f: LaurentPoly, k: int, walks=None) ->
     pushed through the uniformizer change T = E(pi) - 1.  A caller running
     several checks on one operator passes sums.torus_walks(f, ks, deg_s,
     M, Mx.torus_cap()) as `walks` to walk each torus once.
+
+    The report is one entry of the `verify` document's checks: what
+    ("trace"), k, pass, and modulus "pi^x, p^y", the comparison being
+    certified below pi^x and p^y.
     """
     from .sums import s_f_T
 
@@ -850,26 +840,23 @@ def verify_trace_formula(Mx: DworkMatrix, f: LaurentPoly, k: int, walks=None) ->
     inv = pow((f.ctx.q**k - 1) % pm, -1, pm)
     rhs_t = S.mul_int(pow(inv, f.n, pm))
     rhs = t_to_pi(rhs_t, artin_hasse(f.ctx.p, n_t + 1), f.ctx, den=Mx.D)
-    ok = lhs.agrees_with(rhs)
-    prec = min(lhs.prec, rhs.prec)
-    return TraceCheck(
-        k=k, ok=ok, pi_modulus=min(cap_pi, Fraction(rhs.cap, Mx.D)), p_modulus=prec
-    )
+    mod, prec = min(cap_pi, Fraction(rhs.cap, Mx.D)), min(lhs.prec, rhs.prec)
+    return {
+        "what": "trace",
+        "k": k,
+        "pass": lhs.agrees_with(rhs),
+        "modulus": f"pi^{mod}, p^{prec}",
+    }
 
 
-@dataclass(frozen=True)
-class CharCrossCheck:
-    ok: bool
-    deg_s: int
-    pi_modulus: Fraction
-    p_modulus: int
-    mismatches: tuple  # s-exponents where the routes disagree
-
-
-def char_c_crosscheck(Mx: DworkMatrix, f: LaurentPoly, deg_s: int, walks=None) -> CharCrossCheck:
+def char_c_crosscheck(Mx: DworkMatrix, f: LaurentPoly, deg_s: int, walks=None) -> dict:
     """The central two-path check: det(1 - Mx*s) against the torus-sum C,
     coefficient by coefficient after the uniformizer change.  `Mx` and
-    `walks` are as in verify_trace_formula."""
+    `walks` are as in verify_trace_formula.
+
+    The report is one entry of the `verify` document's checks: what
+    ("char"), deg_s, pass, modulus as in verify_trace_formula, and
+    mismatched_coefficients, the s-exponents where the routes disagree."""
     from .sums import c_function
 
     M = Mx.ring.prec
@@ -887,31 +874,18 @@ def char_c_crosscheck(Mx: DworkMatrix, f: LaurentPoly, deg_s: int, walks=None) -
             bad.append(j)
         prec = min(prec, lhs.prec, rhs.prec)
         mod = min(mod, Fraction(min(lhs.cap, rhs.cap), Mx.D))
-    return CharCrossCheck(
-        ok=not bad, deg_s=deg_s, pi_modulus=mod, p_modulus=prec, mismatches=tuple(bad)
-    )
+    return {
+        "what": "char",
+        "deg_s": deg_s,
+        "pass": not bad,
+        "modulus": f"pi^{mod}, p^{prec}",
+        "mismatched_coefficients": bad,
+    }
 
 
 # ---------------------------------------------------------------------------
 # sharpness criteria: determinants mod pi^(1/D)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OrdinarinessReport:
-    """Per-cutoff nonvanishing of the criterion determinants.
-
-    verdicts[k] speaks about the minor on basis points of degree <= k/D;
-    True means the determinant is a certified nonzero mod p^M, False that
-    it vanishes at working precision (the criterion fails there unless
-    more p-digits reveal a unit).
-    """
-
-    K: int
-    D: int
-    M: int
-    block_sizes: tuple
-    verdicts: tuple
 
 
 @dataclass(frozen=True)
@@ -1006,13 +980,13 @@ def _report(dd, crit: _Criterion, K: int, M: int):
     points of degree <= k/D are a prefix of the (degree, lex) order."""
     sizes = tuple(sum(1 for g in crit.grid if g <= k) for k in range(K + 1))
     dets = _cutoff_dets(crit.sc, crit.mat, sizes)
-    rep = OrdinarinessReport(
-        K=K,
-        D=dd.D,
-        M=M,
-        block_sizes=sizes,
-        verdicts=tuple(not crit.sc.is_zero(dets[r]) for r in sizes),
-    )
+    rep = {
+        "depth": K,
+        "denominator": dd.D,
+        "M": M,
+        "block_sizes": sizes,
+        "verdicts": tuple(not crit.sc.is_zero(dets[r]) for r in sizes),
+    }
     return rep, dets
 
 
@@ -1028,7 +1002,7 @@ def _whole_criterion(f: LaurentPoly, K: int, M: int):
     return (dd, crit, *_report(dd, crit, K, M))
 
 
-def ordinariness_determinants(f: LaurentPoly, K: int, M: int) -> OrdinarinessReport:
+def ordinariness_determinants(f: LaurentPoly, K: int, M: int) -> dict:
     """Nonvanishing mod pi^(1/D) of the degree-block minors.
 
     The k-th minor lives on cone points of degree <= k/D; its entry at
@@ -1036,25 +1010,18 @@ def ordinariness_determinants(f: LaurentPoly, K: int, M: int) -> OrdinarinessRep
     All minors being nonzero is the sharpness criterion for the T-adic
     polygon against the combinatorial bound; we can only test a prefix, so
     the verdicts are per-cutoff.
+
+    The report holds depth (K), denominator (D), M, block_sizes (the size
+    of each minor) and verdicts, one per cutoff k = 0..K.  verdicts[k]
+    speaks about the minor on basis points of degree <= k/D: True means
+    the determinant is a certified nonzero mod p^M, False that it vanishes
+    at working precision (the criterion fails there unless more p-digits
+    reveal a unit).
     """
     return _whole_criterion(f, K, M)[2]
 
 
-@dataclass(frozen=True)
-class FaceVerdict:
-    label: str  # the facet equality in ambient-free reduced coordinates
-    vertices: tuple  # ambient exponents of f on the face
-    report: OrdinarinessReport
-
-
-@dataclass(frozen=True)
-class FacialReport:
-    whole: OrdinarinessReport
-    faces: tuple  # FaceVerdict per closed codimension-1 face missing 0
-    conjunction: tuple  # bool per cutoff k on the whole polytope's grid
-
-
-def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
+def facial_criterion(f: LaurentPoly, K: int, M: int) -> dict:
     """Face-by-face sharpness with the decomposition identities asserted.
 
     Splits the criterion matrix by the relatively open facial cones, checks
@@ -1062,6 +1029,12 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
     asserts det(whole) = prod(det(blocks)) for every cutoff, and checks each
     closed face's own criterion determinant against the matching product of
     open-cone blocks.  Any mismatch is a theorem violation, i.e. a bug.
+
+    The report holds whole, the ordinariness_determinants report of f;
+    conjunction, a bool per cutoff k on the whole polytope's grid; and
+    faces, one per facet missing 0: its label (the facet equality in
+    reduced coordinates), vertices (f's ambient exponents on it) and the
+    keys of its own ordinariness_determinants report.
     """
     dd, crit, whole, dets = _whole_criterion(f, K, M)
     pts, grid, sc, mat = crit.pts, crit.grid, crit.sc, crit.mat
@@ -1123,7 +1096,7 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
     conjunction = []
     for k in range(K + 1):
         prod, blocks_ok = block_product(k)
-        if dets[whole.block_sizes[k]] != prod:
+        if dets[whole["block_sizes"][k]] != prod:
             raise TheoremViolation(
                 f"cutoff {k}: whole determinant differs from the product of "
                 "its facial blocks"
@@ -1131,7 +1104,7 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
         conjunction.append(blocks_ok)
         # a vanishing block forces the whole determinant to vanish; the
         # converse can fail mod p^M when nonzero blocks share p-divisibility
-        if not blocks_ok and whole.verdicts[k]:
+        if not blocks_ok and whole["verdicts"][k]:
             raise TheoremViolation(
                 f"cutoff {k}: a facial block vanishes but the whole "
                 "determinant does not"
@@ -1150,17 +1123,17 @@ def facial_criterion(f: LaurentPoly, K: int, M: int) -> FacialReport:
             if off_grid or k > K:
                 continue
             prod, _ = block_product(k, facet_index)
-            if dets_f[rep.block_sizes[k_face]] != prod:
+            if dets_f[rep["block_sizes"][k_face]] != prod:
                 raise TheoremViolation(
                     f"face {(facet.normal, facet.offset)}: criterion determinant at cutoff "
                     f"{k_face} (its grid) differs from the matching blocks "
                     "of the whole matrix"
                 )
         faces.append(
-            FaceVerdict(
-                label=f"<{facet.normal}, u> = {facet.offset}",
-                vertices=tuple(sorted(f_face.exponents())),
-                report=rep,
-            )
+            {
+                "label": f"<{facet.normal}, u> = {facet.offset}",
+                "vertices": tuple(sorted(f_face.exponents())),
+                **rep,
+            }
         )
-    return FacialReport(whole=whole, faces=tuple(faces), conjunction=tuple(conjunction))
+    return {"whole": whole, "faces": faces, "conjunction": tuple(conjunction)}

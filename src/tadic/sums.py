@@ -11,7 +11,6 @@ import itertools
 import math
 import random
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
@@ -590,26 +589,6 @@ def specialize(obj, m: int, prec_out: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NPReport:
-    """Certified polygons of C plus the tri-state verdicts derived from
-    them.  A 'false' flag is decisive (the proven floor of one polygon
-    clears the visible ceiling of the other somewhere); a 'true' flag
-    certifies equality on the shared window the data covers, no further;
-    polygons carry their own certified_upto."""
-
-    p: int
-    a: int
-    deg_s: int
-    np_t: NewtonPolygon
-    np_pi: dict  # m -> pi-adic polygon, ord(pi) = 1
-    hp_q: NewtonPolygon
-    hp_absolute: NewtonPolygon
-    flags: dict  # t_ordinary / rigid / ordinary -> true|false|uncertified
-    per_m: dict  # m -> {"rigid": ..., "ordinary": ...}
-    nondegenerate: str  # nondegenerate | degenerate | unknown
-
-
 def _verdict_label(verdict) -> str:
     if verdict == "nondegenerate":
         return "nondegenerate"
@@ -633,9 +612,18 @@ def _dominates_or_incomparable(P: NewtonPolygon, Q: NewtonPolygon) -> bool:
         return True
 
 
-def np_report(f: LaurentPoly, m_list, deg_s: int, M: int, N: int) -> NPReport:
+def np_report(f: LaurentPoly, m_list, deg_s: int, M: int, N: int) -> dict:
     """Certified Newton polygons of C for T and for each requested pi, the
     combinatorial bounds, and ordinariness/rigidity verdicts.
+
+    The report is the `np` command's document: deg_s; np_t; np_pi, m ->
+    pi-adic polygon with ord(pi) = 1; hp_q and hp_absolute; flags,
+    t_ordinary / rigid / ordinary -> true | false | uncertified; per_m,
+    m -> {"rigid": ..., "ordinary": ...}; and nondegenerate, one of
+    nondegenerate | degenerate | unknown.  A "false" flag is decisive: the
+    proven floor of one polygon clears the visible ceiling of the other
+    somewhere.  A "true" flag certifies equality on the shared window the
+    data covers, no further; polygons carry their own certified_upto.
 
     The combinatorial bound holds with no hypothesis on f, so it doubles as
     certification data: every coefficient of C obeys ord(c_k) >= HP_q(k),
@@ -693,18 +681,16 @@ def np_report(f: LaurentPoly, m_list, deg_s: int, M: int, N: int) -> NPReport:
             raise TheoremViolation(
                 f"certified pi-adic polygon (m={m}) dips below the combinatorial bound"
             )
-    return NPReport(
-        p=p,
-        a=a,
-        deg_s=deg_s,
-        np_t=np_t,
-        np_pi=np_pi,
-        hp_q=hp,
-        hp_absolute=hp_abs,
-        flags=flags,
-        per_m=per_m,
-        nondegenerate=nd,
-    )
+    return {
+        "deg_s": deg_s,
+        "np_t": np_t,
+        "np_pi": np_pi,
+        "hp_q": hp,
+        "hp_absolute": hp_abs,
+        "flags": flags,
+        "per_m": per_m,
+        "nondegenerate": nd,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -742,30 +728,17 @@ def _tail_ord_floor(g, start: int, p: int) -> int:
     return min(floors)
 
 
-@dataclass(frozen=True)
-class CongruenceCheck:
-    k: int
-    status: str  # pass | fail | skipped | inconclusive
-    proven_mod_exponent: int
-
-
-@dataclass(frozen=True)
-class CongruenceReport:
-    m: int
-    degree_bound: int
-    modulus_degree: int
-    tail_floor: int
-    checks: tuple
-    nondegenerate: str
-    override: bool
-
-
 def congruence_check(
     f: LaurentPoly, m: int, k_range, M: int, N: int, override_nondegenerate: bool = False
-) -> CongruenceReport:
+) -> dict:
     """Divisibility of the s^k coefficients of L^(+-1) by ((1+T)^(p^m)-1)/T
     for k past the degree bound n! * Vol * p^(n(m-1)); a k_range of None
     checks the two k just past the bound.
+
+    The report is one level's entry of the `congruence` document:
+    degree_bound, modulus_degree, tail_floor, nondegenerate, override, and
+    checks, one {"k", "status", "proven_mod_exponent"} per k in increasing
+    order, status one of pass | fail | skipped | inconclusive.
 
     A bound at or past FIELD_LIMIT is refused with a DomainError when k is
     given.  So is any bound whose factors' bit lengths add up past 2^16,
@@ -806,38 +779,35 @@ def congruence_check(
         )
     if ks is None:
         ks = [bound + 1, bound + 2]
-    applicable = [k for k in ks if k > bound]
-    tail = 0
-    checks = []
-    if applicable:
-        L = l_function(f, max(applicable), M, N)
+    tail = eff = 0
+    if ks[-1] > bound:
+        L = l_function(f, ks[-1], M, N)
         P = L if n % 2 else L.inverse()
         # p^m binomials: built only once l_function has passed its size checks
         g = congruence_modulus(p, m)
         tail = _tail_ord_floor(g, N, p)
         eff = min(M, tail)
         pm_eff = p**eff
-        for k in ks:
-            if k <= bound:
-                checks.append(CongruenceCheck(k, "skipped", 0))
-            elif eff == 0:
-                checks.append(CongruenceCheck(k, "inconclusive", 0))
-            else:
-                ts = P.coeffs[k]
-                rem = _reduce_mod([ts.coeff(j) for j in range(ts.cap)], g[:-1], p**M)
-                status = "pass" if all(c % pm_eff == 0 for c in rem) else "fail"
-                checks.append(CongruenceCheck(k, status, eff))
-    else:
-        checks = [CongruenceCheck(k, "skipped", 0) for k in ks]
-    return CongruenceReport(
-        m=m,
-        degree_bound=bound,
-        modulus_degree=p**m - 1,
-        tail_floor=tail,
-        checks=tuple(checks),
-        nondegenerate=nd,
-        override=override_nondegenerate,
-    )
+    checks = []
+    for k in ks:
+        if k <= bound:
+            status, proven = "skipped", 0
+        elif eff == 0:
+            status, proven = "inconclusive", 0
+        else:
+            ts = P.coeffs[k]
+            rem = _reduce_mod([ts.coeff(j) for j in range(ts.cap)], g[:-1], p**M)
+            status = "pass" if all(c % pm_eff == 0 for c in rem) else "fail"
+            proven = eff
+        checks.append({"k": k, "status": status, "proven_mod_exponent": proven})
+    return {
+        "degree_bound": bound,
+        "modulus_degree": p**m - 1,
+        "tail_floor": tail,
+        "checks": checks,
+        "nondegenerate": nd,
+        "override": override_nondegenerate,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -845,34 +815,25 @@ def congruence_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurveyReport:
-    p: int
-    a: int
-    exponents: tuple
-    sample_count: int
-    seed: int
-    deg_s: int
-    histogram: tuple  # ((certified NP_T prefix vertices, count), ...) by frequency
-    t_ordinary: int
-    not_t_ordinary: int
-    uncertified: int
-    nondegenerate_failures: int
-
-
 def _certified_prefix(P: NewtonPolygon):
-    hi = min(P.certified_upto, P.last_x)
-    verts = [v for v in P.vertices if v[0] < hi]
+    """The polygon's vertices up to its certified end, x and y Fractions."""
+    hi = Fraction(min(P.certified_upto, P.last_x))
+    verts = [(Fraction(x), y) for x, y in P.vertices if x < hi]
     verts.append((hi, P.value_at(hi)))
     return tuple(verts)
 
 
 def survey_family(
     exponents, p: int, a: int, sample_count: int, seed: int, deg_s: int, M: int, N: int
-) -> SurveyReport:
+) -> dict:
     """Seeded survey over one exponent support: coefficients drawn uniformly
     from the nonzero field elements, NP_T prefixes and T-ordinariness
-    tallied.  Same seed, same report."""
+    tallied.  Same seed, same report.
+
+    The report is the `survey` document past its header: the support, the
+    sample count, seed and deg_s, the T-ordinariness tallies, and the
+    histogram of certified NP_T prefixes, one {"prefix", "count"} per
+    prefix, most frequent first."""
     exps = tuple(tuple(int(e) for e in u) for u in exponents)
     if not exps:
         raise DomainError("empty support")
@@ -886,28 +847,26 @@ def survey_family(
     for _ in range(sample_count):
         f = LaurentPoly.make(n, {u: ctx.decode(rng.randrange(1, ctx.q)) for u in exps}, ctx)
         rep = np_report(f, [], deg_s, M, N)
-        if rep.nondegenerate != "nondegenerate":
+        if rep["nondegenerate"] != "nondegenerate":
             nd_fail += 1
-        flag = rep.flags["t_ordinary"]
+        flag = rep["flags"]["t_ordinary"]
         if flag == FLAG_TRUE:
             t_ord += 1
         elif flag == FLAG_FALSE:
             t_not += 1
         else:
             t_unc += 1
-        key = _certified_prefix(rep.np_t)
+        key = _certified_prefix(rep["np_t"])
         hist[key] = hist.get(key, 0) + 1
-    ordered = tuple(sorted(hist.items(), key=lambda kv: (-kv[1], kv[0])))
-    return SurveyReport(
-        p=p,
-        a=a,
-        exponents=exps,
-        sample_count=sample_count,
-        seed=seed,
-        deg_s=deg_s,
-        histogram=ordered,
-        t_ordinary=t_ord,
-        not_t_ordinary=t_not,
-        uncertified=t_unc,
-        nondegenerate_failures=nd_fail,
-    )
+    ordered = sorted(hist.items(), key=lambda kv: (-kv[1], kv[0]))
+    return {
+        "support": exps,
+        "sample_count": sample_count,
+        "seed": seed,
+        "deg_s": deg_s,
+        "histogram": [{"prefix": verts, "count": count} for verts, count in ordered],
+        "t_ordinary": t_ord,
+        "not_t_ordinary": t_not,
+        "uncertified": t_unc,
+        "nondegenerate_failures": nd_fail,
+    }

@@ -721,7 +721,7 @@ def pi_of_t(p: int, M: int, N: int) -> PiOfT:
     """
     if N < 2:
         raise DomainError("reversion needs at least the linear term")
-    E = artin_hasse(p, N).coeffs
+    E = artin_hasse(p, N)
     b = [Fraction(0)] * N
     b[1] = Fraction(1)
     # pw[m][t] = coefficient of T^t in (pi(T))^m, filled in step order

@@ -119,8 +119,8 @@ def test_gate_02_operator_char_series_matches_c():
             kw = _two_path_sizes(f)
             Mx = psi_a_matrix(f, kw["B"], kw["M"], kw["N_pi"])
             cc = char_c_crosscheck(Mx, f, kw["deg_s"])
-            if not cc.ok:
-                bad.append((name, p, cc.mismatches))
+            if not cc["pass"]:
+                bad.append((name, p, cc["mismatched_coefficients"]))
     gate("02 operator char series = C", not bad, bad)
 
 
@@ -133,7 +133,7 @@ def test_gate_03_trace_formula():
             Mx = psi_a_matrix(f, kw["B"], kw["M"], kw["N_pi"])
             for k in (1, 2):
                 chk = verify_trace_formula(Mx, f, k)
-                if not chk.ok:
+                if not chk["pass"]:
                     bad.append((name, p, k))
     gate("03 trace formula k=1,2", not bad, bad)
 
@@ -147,7 +147,7 @@ def test_gate_04_combinatorial_lower_bound():
     for i in range(50):
         f = sample_poly(rng)
         rep = np_report(f, [], 2, 3, 8)
-        if not polygon_dominates(rep.np_t, rep.hp_q):
+        if not polygon_dominates(rep["np_t"], rep["hp_q"]):
             bad.append((i, f.terms))
     gate("04 combinatorial lower bound x50", not bad, bad)
 
@@ -167,11 +167,11 @@ def test_gate_05_specialization_bound_and_transfer():
         f = poly(exps, p=p)
         rep = np_report(f, [1, 2], kw["deg_s"], kw["M"], kw["N"])
         for m in (1, 2):
-            if not polygon_dominates(rep.np_pi[m], rep.np_t):
+            if not polygon_dominates(rep["np_pi"][m], rep["np_t"]):
                 bad.append((exps, p, m, "dips below the T-polygon"))
-        if rep.per_m[1]["rigid"] == "true":
+        if rep["per_m"][1]["rigid"] == "true":
             certified += 1
-            if rep.per_m[2]["rigid"] != "true":
+            if rep["per_m"][2]["rigid"] != "true":
                 bad.append((exps, p, "equality at m=1 did not transfer"))
     if certified < 3:
         bad.append(("too few certified-equality instances", certified))
@@ -185,15 +185,15 @@ def test_gate_06_sharp_equality_cases():
         rep = np_report(f, [], 3, 4, 16)
         shared = [
             v
-            for v in rep.np_t.vertices
-            if v in rep.hp_q.vertices and v[0] <= rep.np_t.certified_upto
+            for v in rep["np_t"].vertices
+            if v in rep["hp_q"].vertices and v[0] <= rep["np_t"].certified_upto
         ]
-        if rep.flags["t_ordinary"] != "true" or len(shared) < 3:
-            bad.append((d, p, rep.flags["t_ordinary"], shared))
+        if rep["flags"]["t_ordinary"] != "true" or len(shared) < 3:
+            bad.append((d, p, rep["flags"]["t_ordinary"], shared))
     f = poly(SPERBER, p=3)
     rep = np_report(f, [1], 4, 4, 16)
-    if rep.per_m[1]["ordinary"] != "true":
-        bad.append(("simplex", 3, rep.per_m[1]))
+    if rep["per_m"][1]["ordinary"] != "true":
+        bad.append(("simplex", 3, rep["per_m"][1]))
     gate("06 sharp equality cases", not bad, bad)
 
 
@@ -228,7 +228,7 @@ def test_gate_08_slope_multiset_product():
     f = poly([(2,)], p=3)
     rep = np_report(f, [1], 4, 4, 16)
     unit = Fraction(1, 1 * (3 - 1))
-    Pc = polygon_rescale(rep.np_pi[1], unit)
+    Pc = polygon_rescale(rep["np_pi"][1], unit)
     Lm = specialize(l_function(f, 4, 4, 16), 1, 4)
     Pl = polygon_rescale(polygon_from_sseries(Lm), unit)
     # degree 2 = n!Vol, so the polynomial's slope multiset is complete
@@ -242,7 +242,7 @@ def test_gate_08_slope_multiset_product():
     # (no finite precision can tell a zero coefficient from one at the cap)
     f = poly(SPERBER, p=3)
     rep = np_report(f, [1], 4, 4, 16)
-    Pc = polygon_rescale(rep.np_pi[1], unit)
+    Pc = polygon_rescale(rep["np_pi"][1], unit)
     Linv = SSeries(l_function(f, 4, 4, 16).inverse().coeffs[:4])
     Pl = polygon_rescale(polygon_from_sseries(specialize(Linv, 1, 4)), unit)
     S_L = SlopeSeries(SlopeSeries.from_polygon(Pl, 3).items, None)
@@ -265,11 +265,11 @@ def test_gate_09_high_coefficient_congruence():
     for exps, p, m, ks, n_t in cases:
         f = poly(exps, p=p)
         rep = congruence_check(f, m, ks, 3, n_t)
-        if min(ks) != rep.degree_bound + 1:
+        if min(ks) != rep["degree_bound"] + 1:
             bad.append((exps, p, m, "window not anchored past the bound"))
-        for c in rep.checks:
-            if c.status != "pass" or c.proven_mod_exponent < 1:
-                bad.append((exps, p, m, c.k, c.status))
+        for c in rep["checks"]:
+            if c["status"] != "pass" or c["proven_mod_exponent"] < 1:
+                bad.append((exps, p, m, c["k"], c["status"]))
     gate("09 high-coefficient congruence", not bad, bad)
 
 
@@ -277,8 +277,8 @@ def test_gate_10_facial_decomposition():
     bad = []
     for exps, p in [(SPERBER, 3), ([(1, 0), (0, 1)], 3)]:
         fr = facial_criterion(poly(exps, p=p), 3, 4)
-        if tuple(fr.conjunction) != tuple(fr.whole.verdicts):
-            bad.append((exps, p, fr.conjunction, fr.whole.verdicts))
+        if tuple(fr["conjunction"]) != tuple(fr["whole"]["verdicts"]):
+            bad.append((exps, p, fr["conjunction"], fr["whole"]["verdicts"]))
     gate("10 facial decomposition", not bad, bad)
 
 
@@ -314,11 +314,11 @@ def test_gate_11_arithmetic_infrastructure():
     # kernel coefficients stay p-integral deep into the tail
     for p in (2, 3, 5, 7):
         ah = artin_hasse(p, 41)
-        if any(c.denominator % p == 0 for c in ah.coeffs):
+        if any(c.denominator % p == 0 for c in ah):
             bad.append(("kernel integrality", p))
     # uniformizer reversion round-trips through the kernel exactly
     for p in (2, 3, 5):
-        E = list(artin_hasse(p, 41).coeffs)
+        E = list(artin_hasse(p, 41))
         b = list(pi_of_t(p, 4, 41).coeffs)
         res = [Fraction(0)] * 41
         for c in reversed(E):

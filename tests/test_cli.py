@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 from pathlib import Path
@@ -451,7 +450,7 @@ class TestExitCodes:
         def boom(cfg, f, doc):
             raise TheoremViolation("forced")
 
-        monkeypatch.setitem(cli.COMMANDS, "hodge", dataclasses.replace(cli.COMMANDS["hodge"], handler=boom))
+        monkeypatch.setitem(cli.COMMANDS, "hodge", (boom, *cli.COMMANDS["hodge"][1:]))
         code, doc = run_json(["hodge", "x1", "--p", "2"], capsys)
         assert code == 3 and doc["error"]["type"] == "TheoremViolation"
 
@@ -474,7 +473,9 @@ class TestErrorCorpus:
     limit, config escape and bad precision, k = 0, three variables, a
     missing polynomial or command, a few successful hodge runs, and
     successful congruence, np and sum runs that reduce and specialize at
-    p = 2 and p = 3.  An entry with a `before_fix` field records what the
+    p = 2 and p = 3, and document shapes no golden pins (integer keys past
+    9, each verify target alone, the faces default depth, an empty survey).
+    An entry with a `before_fix` field records what the
     invocation did before its library-level refusal was added."""
 
     @pytest.mark.parametrize("entry", CORPUS, ids=CORPUS_IDS)

@@ -915,45 +915,45 @@ class TestNPReport:
     def test_linear_everything_ordinary(self):
         f = poly([(1,)], p=3)
         rep = np_report(f, [1], 3, 4, 10)
-        assert rep.nondegenerate == "nondegenerate"
-        assert rep.flags["t_ordinary"] == "true"
-        assert rep.flags["rigid"] == "true"
-        assert rep.flags["ordinary"] == "true"
-        assert rep.np_t.certified_upto >= 3
+        assert rep["nondegenerate"] == "nondegenerate"
+        assert rep["flags"]["t_ordinary"] == "true"
+        assert rep["flags"]["rigid"] == "true"
+        assert rep["flags"]["ordinary"] == "true"
+        assert rep["np_t"].certified_upto >= 3
 
     def test_cubic_sharp_prime(self):
         # p = 7 = 1 mod 3: the combinatorial bound is attained
         f = poly([(3,)], p=7)
         rep = np_report(f, [], 3, 3, 10)
-        assert rep.flags["t_ordinary"] == "true"
-        assert rep.np_t.certified_upto >= 3
-        assert rep.np_t.value_at(3) == rep.hp_q.value_at(3) == 6
+        assert rep["flags"]["t_ordinary"] == "true"
+        assert rep["np_t"].certified_upto >= 3
+        assert rep["np_t"].value_at(3) == rep["hp_q"].value_at(3) == 6
 
     def test_cubic_bad_prime_not_t_ordinary(self):
         # ord_T jumps are integers, but the Hodge slopes have denominator 3
         f = poly([(3,)], p=2)
         rep = np_report(f, [], 3, 4, 8)
-        assert rep.flags["t_ordinary"] == "false"
+        assert rep["flags"]["t_ordinary"] == "false"
 
     def test_sperber_ordinary(self):
         # the first nontrivial hull vertex sits at x = 1 + W(1) = 4, so the
         # window must reach it before equality with the bound can certify
         f = poly(SPERBER, p=3)
         rep = np_report(f, [1, 2], 4, 4, 16)
-        assert rep.nondegenerate == "nondegenerate"
-        assert rep.flags["ordinary"] == "true"
-        assert rep.flags["rigid"] == "true"
-        assert rep.per_m[1]["ordinary"] == "true"
-        assert rep.per_m[2]["ordinary"] == "true"
-        assert rep.np_pi[1].vertices[:3] == rep.hp_q.vertices[:3]
+        assert rep["nondegenerate"] == "nondegenerate"
+        assert rep["flags"]["ordinary"] == "true"
+        assert rep["flags"]["rigid"] == "true"
+        assert rep["per_m"][1]["ordinary"] == "true"
+        assert rep["per_m"][2]["ordinary"] == "true"
+        assert rep["np_pi"][1].vertices[:3] == rep["hp_q"].vertices[:3]
 
     def test_sperber_short_window_stays_uncertified(self):
         # with deg_s = 3 the x = 4 vertex is out of range and the tail ray
         # cuts the proven floor at x = 1: no verdict either way
         f = poly(SPERBER, p=3)
         rep = np_report(f, [1], 3, 4, 10)
-        assert rep.per_m[1]["ordinary"] == "uncertified"
-        assert rep.np_pi[1].floor_upto == 1
+        assert rep["per_m"][1]["ordinary"] == "uncertified"
+        assert rep["np_pi"][1].floor_upto == 1
 
     def test_quartic_bad_prime_decisive(self):
         # the true polygon is not pinned here (its x = 2 point hides above
@@ -961,15 +961,15 @@ class TestNPReport:
         # the half-integer Hodge vertex, which settles non-ordinariness
         f = poly([(4,)], p=7)
         rep = np_report(f, [], 4, 4, 12)
-        assert rep.flags["t_ordinary"] == "false"
-        assert rep.np_t.certified_upto < 2
-        assert rep.np_t.value_at(2) > rep.hp_q.value_at(2)
+        assert rep["flags"]["t_ordinary"] == "false"
+        assert rep["np_t"].certified_upto < 2
+        assert rep["np_t"].value_at(2) > rep["hp_q"].value_at(2)
 
     def test_hp_absolute_rescale(self):
         f = poly([(2,)], p=3)
         rep = np_report(f, [], 2, 3, 8)
         a_p = 1 * (3 - 1)
-        for (x1, y1), (x2, y2) in zip(rep.hp_q.vertices, rep.hp_absolute.vertices):
+        for (x1, y1), (x2, y2) in zip(rep["hp_q"].vertices, rep["hp_absolute"].vertices):
             assert x1 == x2 and y1 == a_p * y2
 
     def test_degenerate_keeps_combinatorial_bound(self):
@@ -979,9 +979,9 @@ class TestNPReport:
 
         f = poly([(3,), (1,)], p=3)
         rep = np_report(f, [], 2, 3, 8)
-        assert rep.nondegenerate == "degenerate"
-        assert 1 <= rep.np_t.certified_upto <= 2
-        assert polygon_dominates(rep.np_t, rep.hp_q)
+        assert rep["nondegenerate"] == "degenerate"
+        assert 1 <= rep["np_t"].certified_upto <= 2
+        assert polygon_dominates(rep["np_t"], rep["hp_q"])
 
     def test_repeat_scans_the_cone_once_per_depth(self, monkeypatch):
         # the Hodge polygon deepens its cone scan one depth at a time on the
@@ -1011,8 +1011,8 @@ class TestNPReport:
 
         f = poly(SPERBER, p=3)
         rep = np_report(f, [1, 2], 3, 3, 12)
-        assert polygon_dominates(rep.np_t, rep.hp_q)
-        assert polygon_dominates(rep.np_pi[1], rep.np_t)
+        assert polygon_dominates(rep["np_t"], rep["hp_q"])
+        assert polygon_dominates(rep["np_pi"][1], rep["np_t"])
 
 
 class TestCongruence:
@@ -1023,25 +1023,25 @@ class TestCongruence:
     def test_linear_f_passes(self):
         f = poly([(1,)], p=3)
         rep = congruence_check(f, 1, [1, 2, 3], 3, 12)
-        assert rep.degree_bound == 1
-        assert rep.modulus_degree == 2
-        by_k = {c.k: c for c in rep.checks}
-        assert by_k[1].status == "skipped"
-        assert by_k[2].status == "pass" and by_k[2].proven_mod_exponent >= 1
-        assert by_k[3].status == "pass"
+        assert rep["degree_bound"] == 1
+        assert rep["modulus_degree"] == 2
+        by_k = {c["k"]: c for c in rep["checks"]}
+        assert by_k[1]["status"] == "skipped"
+        assert by_k[2]["status"] == "pass" and by_k[2]["proven_mod_exponent"] >= 1
+        assert by_k[3]["status"] == "pass"
 
     def test_level_two_bound_grows(self):
         f = poly([(1,)], p=3)
         rep = congruence_check(f, 2, [2, 3], 2, 20)
         # bound is 1 * p^(n*(m-1)) = 3, so both ks are within the bound
-        assert rep.degree_bound == 3
-        assert all(c.status == "skipped" for c in rep.checks)
+        assert rep["degree_bound"] == 3
+        assert all(c["status"] == "skipped" for c in rep["checks"])
 
     def test_quadratic_level_one(self):
         f = poly([(2,)], p=3)
         rep = congruence_check(f, 1, [3, 4], 3, 12)
-        assert rep.degree_bound == 2
-        assert all(c.status == "pass" for c in rep.checks)
+        assert rep["degree_bound"] == 2
+        assert all(c["status"] == "pass" for c in rep["checks"])
 
     def test_perturbed_coefficient_fails(self, monkeypatch):
         # a unit at T^1, the top remainder coefficient mod a degree-2
@@ -1057,15 +1057,16 @@ class TestCongruence:
 
         monkeypatch.setattr(sums, "l_function", perturbed)
         rep = congruence_check(f, 1, [3, 4], 3, 12)
-        assert [(c.status, c.proven_mod_exponent) for c in rep.checks] == [("fail", 3), ("pass", 3)]
+        got = [(c["status"], c["proven_mod_exponent"]) for c in rep["checks"]]
+        assert got == [("fail", 3), ("pass", 3)]
 
     def test_degenerate_needs_override(self):
         f = poly([(3,), (1,)], p=3)
         with pytest.raises(DomainError):
             congruence_check(f, 1, [4], 2, 8)
         rep = congruence_check(f, 1, [4], 2, 8, override_nondegenerate=True)
-        assert rep.override is True
-        assert rep.nondegenerate == "degenerate"
+        assert rep["override"] is True
+        assert rep["nondegenerate"] == "degenerate"
 
     @pytest.mark.parametrize("m", [0, -1])
     def test_level_below_one_refused(self, m):
@@ -1079,7 +1080,7 @@ class TestCongruence:
         # 3^12 < 2^20 <= 3^13: the level-13 bound is reported, the level-14 one refused
         f = poly([(1,)], p=3)
         rep = congruence_check(f, 13, [1], 3, 12)
-        assert rep.degree_bound == 3**12 and rep.checks[0].status == "skipped"
+        assert rep["degree_bound"] == 3**12 and rep["checks"][0]["status"] == "skipped"
         with pytest.raises(DomainError, match=r"bound 1\*3\^13 exceeds the field-size limit 2\^20"):
             congruence_check(f, 14, [1], 3, 12)
         # with no k, the k past the bound meet the field-size limit itself
@@ -1096,7 +1097,7 @@ class TestCongruence:
     def test_default_window_is_just_past_the_bound(self):
         f = poly([(2,)], p=3)
         rep = congruence_check(f, 1, None, 3, 12)
-        assert [c.k for c in rep.checks] == [rep.degree_bound + 1, rep.degree_bound + 2]
+        assert [c["k"] for c in rep["checks"]] == [rep["degree_bound"] + 1, rep["degree_bound"] + 2]
         assert rep == congruence_check(f, 1, [3, 4], 3, 12)
 
     def test_tail_floor_grows_with_cap(self):
@@ -1125,14 +1126,14 @@ class TestSurvey:
 
     def test_sharp_family_all_t_ordinary(self):
         rep = survey_family([(2,)], 3, 1, 5, seed=1, deg_s=2, M=3, N=8)
-        assert rep.t_ordinary == 5
-        assert rep.not_t_ordinary == 0
-        assert rep.nondegenerate_failures == 0
+        assert rep["t_ordinary"] == 5
+        assert rep["not_t_ordinary"] == 0
+        assert rep["nondegenerate_failures"] == 0
 
     def test_empty(self):
         rep = survey_family([(1,)], 2, 1, 0, seed=0, deg_s=1, M=2, N=4)
-        assert rep.sample_count == 0
-        assert rep.histogram == ()
+        assert rep["sample_count"] == 0
+        assert rep["histogram"] == []
 
     def test_negative_count_refused(self):
         with pytest.raises(DomainError, match="sample_count >= 0"):
@@ -1140,7 +1141,7 @@ class TestSurvey:
 
     def test_histogram_counts_sum(self):
         rep = survey_family([(2,), (1,)], 3, 1, 6, seed=3, deg_s=2, M=3, N=8)
-        assert sum(c for _, c in rep.histogram) == 6
+        assert sum(entry["count"] for entry in rep["histogram"]) == 6
 
     @pytest.mark.parametrize("p, a", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (7, 1)])
     def test_draw_matches_a_choice_from_the_listed_units(self, monkeypatch, p, a):
