@@ -12,9 +12,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import CycElement, binomial_period, field_context
 from .dwork import (
@@ -62,8 +62,7 @@ VERIFY_TARGETS = ("trace", "char", "all")
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Resolved invocation: every knob a command may read.
 
     prec_t is the T-adic cap for sum-side series and doubles as the
@@ -99,16 +98,21 @@ def _parse_int_list(text: str) -> tuple:
 
 def read_config_file(path: str) -> dict:
     """key=value lines, '#' comments; keys use the flag spellings."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as err:
+        # read() decodes the whole file at once: err.start is its byte offset
+        raise ParseError(f"{path}: not UTF-8 text", err.start) from None
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise ParseError(f"{path}:{lineno}: expected key=value", 0)
-            key, val = (part.strip() for part in body.split("=", 1))
-            out[key.replace("-", "_")] = val
+    for lineno, line in enumerate(text.split("\n"), 1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise ParseError(f"{path}:{lineno}: expected key=value", 0)
+        key, val = (part.strip() for part in body.split("=", 1))
+        out[key.replace("-", "_")] = val
     return out
 
 
@@ -187,10 +191,10 @@ def _parser() -> argparse.ArgumentParser:
 def _given(ns: argparse.Namespace) -> dict:
     """The RunConfig fields a parsed argument list sets."""
     out = {}
-    for f in fields(RunConfig):
-        val = getattr(ns, f.name, None)
-        if f.name != "command" and val not in (None, ""):
-            out[f.name] = val
+    for name in RunConfig._fields[1:]:  # all but command
+        val = getattr(ns, name, None)
+        if val not in (None, ""):
+            out[name] = val
     if ns.m is not None:
         out["m_list"] = _parse_int_list(ns.m)
     if ns.k is not None:
@@ -483,7 +487,7 @@ def run(cfg: RunConfig) -> dict:
 def main(argv=None) -> int:
     try:
         cfg = build_config(argv if argv is not None else sys.argv[1:])
-        doc = run(cfg)
+        _emit(run(cfg), cfg.out)
     except (_UsageError, ParseError, DomainError, OSError) as err:
         kind = "UsageError" if isinstance(err, _UsageError) else type(err).__name__
         _emit({"error": {"type": kind, "message": str(err)}}, "")
@@ -494,7 +498,6 @@ def main(argv=None) -> int:
     except (TheoremViolation, IntegralityError) as err:
         _emit({"error": {"type": type(err).__name__, "message": str(err)}}, "")
         return 3
-    _emit(doc, cfg.out)
     return 0
 
 

@@ -23,8 +23,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import FieldContext, teichmuller_lift
 from .errors import DomainError, IntegralityError, PrecisionError, TheoremViolation
@@ -609,7 +609,6 @@ def _lifted_factors(f: LaurentPoly, dd, prec: int, power_of_p: int = 0):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class DworkMatrix:
     """Transfer operator on the weighted monomial basis pi^deg(u) x^u,
     deg(u) <= B, rows and columns sorted by (degree, lex).
@@ -624,17 +623,15 @@ class DworkMatrix:
     certified pi-modulus of spectral data is the requested N_pi itself.
     """
 
-    N_pi: int
-    D: int
-    ctx: FieldContext
-    basis: tuple  # reduced exponent tuples
-    degrees: tuple  # Fractions
-    ring: _PiSeries
-    rows: tuple  # tuple of tuples of ring elements
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+    def __init__(self, N_pi: int, D: int, ctx: FieldContext, basis, degrees, ring: _PiSeries, rows):
+        self.N_pi = N_pi
+        self.D = D
+        self.ctx = ctx
+        self.basis = basis  # reduced exponent tuples
+        self.dim = len(basis)
+        self.degrees = degrees  # Fractions
+        self.ring = ring
+        self.rows = rows  # tuple of tuples of ring elements
 
     def cert_cap(self) -> int:
         """Certified pi-modulus of spectral data, in 1/D units."""
@@ -888,8 +885,7 @@ def char_c_crosscheck(Mx: DworkMatrix, f: LaurentPoly, deg_s: int, walks=None) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Criterion:
+class _Criterion(NamedTuple):
     """The criterion matrix on cone points sorted by (degree, lex), with the
     grid data it was read from: height[i][k] = <grid normal k, pts[i]>,
     grid[i] = D*deg(pts[i]) = max(0, *height[i]), and defects[i][j]

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arith import TORUS_LIMIT, FieldContext
 from .errors import DomainError, ParseError
@@ -109,17 +109,26 @@ def _coordinates(basis, inverse, u):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class LaurentPoly:
     """Laurent polynomial over F_q: exponent vectors -> nonzero coefficients.
 
     Coefficients are field-element tuples of ``ctx``; a polynomial supported
-    only on the origin carries no geometry and is rejected.
+    only on the origin carries no geometry and is rejected.  Equality and
+    hashing read (n, terms), not the field.
     """
 
-    n: int
-    terms: tuple  # ((exps, coeff), ...) sorted by exps
-    ctx: object = field(compare=False)
+    __slots__ = ("n", "terms", "ctx")
+
+    def __init__(self, n: int, terms: tuple, ctx):
+        self.n = n
+        self.terms = terms  # ((exps, coeff), ...) sorted by exps
+        self.ctx = ctx
+
+    def __eq__(self, other):
+        return type(other) is LaurentPoly and (self.n, self.terms) == (other.n, other.terms)
+
+    def __hash__(self):
+        return hash((self.n, self.terms))
 
     @classmethod
     def make(cls, n, term_map, ctx):
@@ -293,8 +302,7 @@ def parse_laurent(text: str, ctx: FieldContext) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     normal: tuple  # primitive integer normal in reduced coordinates
     offset: int  # <normal, x> <= offset on Delta; offset >= 0, 0 = through origin
     points: tuple  # reduced points of the defining set lying on the facet
@@ -577,30 +585,23 @@ def _face_poly_verdict(f: LaurentPoly, dd: DegreeData, face):
     E, _, _, rank = column_echelon(g.exponents(), f.n)
     if rank == len(E) and all(E[i][i] % ctx.p for i in range(rank)):
         return "pass", None
-    # brute search over (F_{q^r}^x)^n
+    # brute search over (F_{q^r}^x)^n, each point (h^j1, ..., h^jn), h the
+    # generator, read as its dlog vector j: c*x^e there is h^(dlog c + <e, j>)
     for r in range(1, NONDEGENERACY_SEARCH_DEGREE + 1):
         if (ctx.q**r - 1) ** f.n > TORUS_LIMIT:
             break
         big = ctx.ext(r)
-        phi = ctx.embed_into(big)
-        lifted = [
-            {e: phi(c) for e, c in d.items()} for d in partials if d
-        ]
-        units = [big.decode(x) for x in big.subfield_logs(big.q)]
-        for point in itertools.product(units, repeat=f.n):
-            ok = True
-            for d in lifted:
-                acc = big.zero()
-                for e, c in d.items():
-                    mono = c
-                    for xi, ei in zip(point, e):
-                        mono = big.mul(mono, big.pow(xi, ei))
-                    acc = big.add(acc, mono)
-                if acc != big.zero():
-                    ok = False
+        codes = list(big.subfield_logs(big.q))  # codes[i] encodes g^i
+        units = [big.decode(x) for x in codes]
+        Q1, p = len(units), ctx.p
+        logged = [[(ctx.dlog_in(big, c), e) for e, c in d.items()] for d in partials if d]
+        for point in itertools.product(range(Q1), repeat=f.n):
+            for d in logged:
+                terms = [units[(lc + sum(map(operator.mul, e, point))) % Q1] for lc, e in d]
+                if any(sum(col) % p for col in zip(*terms)):
                     break
-            if ok:
-                return "degenerate", (tuple(big.encode(x) for x in point), r)
+            else:
+                return "degenerate", (tuple(codes[j] for j in point), r)
     return "open", None
 
 

@@ -34,10 +34,9 @@ import bisect
 import math
 import operator
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, IntegralityError, PrecisionError, TheoremViolation
 
@@ -465,8 +464,7 @@ def _at(grid, x):
     return _edge_value(L, xs, ys, bisect.bisect_right(xs, x) - 1, x)
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     """Lower convex hull, on the integer grid, plus the certification bound.
 
     floor_grid and upper_grid are hulls as (L, xs, ys) (see _grid);
@@ -497,11 +495,11 @@ class NewtonPolygon:
         x = grid[1][-1]
         return cls(grid, x, grid, x, x)
 
-    @cached_property
+    @property
     def vertices(self) -> tuple:
         return _vertices(self.floor_grid)
 
-    @cached_property
+    @property
     def upper(self) -> tuple:
         return _vertices(self.upper_grid)
 

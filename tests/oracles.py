@@ -415,23 +415,48 @@ def _unit_powers(big):
     return units, rows
 
 
+def _partials_in(g: LaurentPoly, big):
+    """The partial derivatives of g as (exponent, coefficient) lists, each
+    coefficient embedded into ``big``."""
+    ctx = g.ctx
+    phi = ctx.embed_into(big)
+    return [
+        [
+            (tuple(e - (j == i) for j, e in enumerate(u)), big.mul(phi(ctx.from_int(u[i])), phi(c)))
+            for u, c in g.terms
+            if u[i] % ctx.p
+        ]
+        for i in range(g.n)
+    ]
+
+
+def is_torus_zero(g: LaurentPoly, codes, r: int) -> bool:
+    """Whether the point of (F_{q^r}^x)^n with encodings ``codes`` is a
+    common zero of every partial derivative of g, by field products and
+    powers."""
+    big = g.ctx.ext(r)
+    point = [big.decode(c) for c in codes]
+    if big.zero() in point:
+        return False
+    for d in _partials_in(g, big):
+        acc = big.zero()
+        for e, c in d:
+            for x, ei in zip(point, e):
+                c = big.mul(c, big.pow(x, ei))
+            acc = big.add(acc, c)
+        if acc != big.zero():
+            return False
+    return True
+
+
 def oracle_torus_zero(g: LaurentPoly, max_r: int = 2):
     """(point, r): a common zero of every partial derivative of g on
     (F_{q^r}^x)^n for the least r <= max_r that has one, or None.  Every
     point is visited and every monomial is a product of field powers,
     with no discrete log and no certificate."""
-    ctx = g.ctx
     for r in range(1, max_r + 1):
-        big = ctx.ext(r)
-        phi = ctx.embed_into(big)
-        partials = [
-            [
-                (tuple(e - (j == i) for j, e in enumerate(u)), big.mul(phi(ctx.from_int(u[i])), phi(c)))
-                for u, c in g.terms
-                if u[i] % ctx.p
-            ]
-            for i in range(g.n)
-        ]
+        big = g.ctx.ext(r)
+        partials = _partials_in(g, big)
         units, rows = _unit_powers(big)
         Q1 = len(units)
         for point in product(range(Q1), repeat=g.n):

@@ -1,5 +1,7 @@
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -343,6 +345,19 @@ class TestExitCodes:
         code, doc = run_json(["np", "x1^0", "--p", "3"], capsys)
         assert code == 1
 
+    def test_unwritable_out_file_ends_in_json_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        code, doc = run_json(["sum", "x1", "--p", "3", "--out", str(out)], capsys)
+        assert code == 1 and doc["error"]["type"] == "FileNotFoundError"
+        assert not out.parent.exists()
+
+    def test_config_file_that_is_not_utf8_ends_in_json_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_bytes(b"p = 3\n\xff\xfe\n")
+        code, doc = run_json(["sum", "x1", "--config", str(cfgfile)], capsys)
+        assert code == 1 and doc["error"]["type"] == "ParseError"
+        assert doc["error"]["message"].endswith("not UTF-8 text (at byte 6)")
+
     def test_size_limits_fail_before_any_torus(self, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("torus walked before the size check")
@@ -474,8 +489,9 @@ class TestErrorCorpus:
     missing polynomial or command, a few successful hodge runs, and
     successful congruence, np and sum runs that reduce and specialize at
     p = 2 and p = 3, and document shapes no golden pins (integer keys past
-    9, each verify target alone, the faces default depth, an empty survey).
-    An entry with a `before_fix` field records what the
+    9, each verify target alone, the faces default depth, an empty survey),
+    and an np run whose nondegeneracy search walks the tori over F_25 and
+    F_625 and leaves a face open.  An entry with a `before_fix` field records what the
     invocation did before its library-level refusal was added."""
 
     @pytest.mark.parametrize("entry", CORPUS, ids=CORPUS_IDS)
@@ -506,3 +522,15 @@ class TestCommandTable:
         monkeypatch.setattr(cli, name, lambda *args: seen.append(args[1:]) or real(*args))
         doc = run(RunConfig(command=command, poly="x1", p=3, deg_s=1, prec_t=6))
         assert seen == [(1, 4, 6)] and doc["command"] == command and len(doc["coeffs"]) == 2
+
+
+def test_importing_the_package_leaves_dataclasses_out():
+    # dataclasses imports inspect, whose cost every fresh interpreter
+    # would pay on importing tadic
+    src = Path(cli.__file__).resolve().parent.parent
+    probe = "import sys, tadic, tadic.cli; print('dataclasses' in sys.modules)"
+    res = subprocess.run(
+        [sys.executable, "-c", probe], cwd=src, capture_output=True, text=True, timeout=60
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"

@@ -16,6 +16,7 @@ from oracles import (
     exponent_I,
     from_reduced,
     in_convex_hull,
+    is_torus_zero,
     oracle_closed_faces,
     oracle_degree,
     oracle_face_points,
@@ -464,6 +465,35 @@ class TestNondegeneracy:
                     continue
                 if polytope._face_poly_verdict(f, dd, face)[0] == "pass":
                     assert oracle_torus_zero(g) is None, (g.terms, face)
+
+    @settings(max_examples=200, deadline=None)
+    @given(face_polys())
+    @example(poly([(2, 1), (1, 2)], p=3))
+    def test_search_finds_a_witness_exactly_when_the_torus_has_a_zero(self, f):
+        # every face no certificate settles: the search by discrete logs
+        # calls it degenerate exactly when the exhaustive search by field
+        # products finds a zero in a round within the torus limit, in the
+        # same round, and its witness is a zero; the two visit the units
+        # in different orders, so the witnesses themselves may differ
+        try:
+            dd = newton_data(f)
+        except DomainError:
+            reject()
+        origin = dd.to_reduced((0,) * f.n)
+        rounds = range(1, polytope.NONDEGENERACY_SEARCH_DEGREE + 1)
+        max_r = sum((f.ctx.q**r - 1) ** f.n <= polytope.TORUS_LIMIT for r in rounds)
+        for face in dd.closed_faces():
+            if origin in face:
+                continue
+            with mock.patch.object(polytope, "NONDEGENERACY_SEARCH_DEGREE", 0):
+                if polytope._face_poly_verdict(f, dd, face)[0] != "open":
+                    continue
+            g = restrict_to_face(f, dd, face)
+            status, witness = polytope._face_poly_verdict(f, dd, face)
+            zero = oracle_torus_zero(g, max_r)
+            assert (status == "degenerate") == (zero is not None), (g.terms, face)
+            if zero is not None:
+                assert witness[1] == zero[1] and is_torus_zero(g, *witness), (g.terms, witness)
 
     def test_monomial_good(self):
         assert is_nondegenerate(poly([(4,)], p=3)) == "nondegenerate"
