@@ -24,8 +24,10 @@ from operator import mul
 from .errors import DomainError, IntegralityError, PrecisionError, TheoremViolation
 from .series import (
     TSeries,
-    _slot_codec,
+    _pack,
+    _packed_dot,
     _slot_width,
+    _unpack,
     divexact,
     power,
     vp,
@@ -114,8 +116,7 @@ def _reduction_rows(low, modulus):
         rows.append(cur)
     d = len(low)
     W = _slot_width(2 * d * (modulus - 1) ** 2)
-    pack = _slot_codec(W, d)[0]
-    return tuple(rows), W, tuple(int.from_bytes(pack(r), "little") for r in rows)
+    return tuple(rows), W, tuple(_pack(r, W) for r in rows)
 
 
 def _mulmod(x, y, low, modulus):
@@ -132,8 +133,8 @@ def _mul_rows(x, y, reduction, modulus):
     product whose 2d - 1 slots are the convolution, each at most
     d(m-1)^2.  The d - 1 slots past degree d - 1 are reduced mod m and
     folded in as scalar multiples of the packed rows, which adds at most
-    (d-1)(m-1)^2 to each low slot: 2d(m-1)^2 < 2^W keeps every slot from
-    carrying.  Below it, the same product and fold run coefficient by
+    (d-1)(m-1)^2 to each low slot: W is chosen with 2d(m-1)^2 < 2^W
+    (_packed_dot).  Below it, the same product and fold run coefficient by
     coefficient."""
     rows, W, packed = reduction
     d = len(rows)
@@ -152,14 +153,9 @@ def _mul_rows(x, y, reduction, modulus):
                 for j in range(d):
                     out[j] += c * row[j]
         return tuple(c % modulus for c in out)
-    pack, unpack = _slot_codec(W, d)
-    prod = int.from_bytes(pack([u % modulus for u in x]), "little") * int.from_bytes(
-        pack([u % modulus for u in y]), "little"
-    )
-    low = prod & ((1 << W * d) - 1)
-    high = _slot_codec(W, d - 1)[1](prod >> W * d)
-    low += sum(map(mul, [c % modulus for c in high], packed))
-    return tuple([c % modulus for c in unpack(low)])
+    prod = _pack([u % modulus for u in x], W) * _pack([u % modulus for u in y], W)
+    high = [c % modulus for c in _unpack(prod >> W * d, W, d - 1)]
+    return tuple([c % modulus for c in _packed_dot(high, packed, W, d, prod)])
 
 
 class FieldContext:
@@ -478,9 +474,7 @@ def _stepped_sum(counts, p: int, M: int, N: int) -> TSeries:
     Series are packed W bits a slot.  With C the sum of the reduced counts,
     slot j < N of the final sum is at most sum_l (j+1)(p^M-1) * (p^M-1)C_l
     <= N(p^M-1)^2 C, and every slot of Q_l is at most (p^M-1)C; W is
-    chosen so that N(p^M-1)^2 max(C, 1) < 2^W.  Slots hold nonnegative
-    values below 2^W, so no slot below N takes a carry; what the products
-    put at or past slot N is cut off.
+    chosen so that N(p^M-1)^2 max(C, 1) < 2^W (_packed_dot).
     """
     pm = p**M
     R = p ** (M + binomial_period(N, p))
@@ -492,8 +486,7 @@ def _stepped_sum(counts, p: int, M: int, N: int) -> TSeries:
     for t, c in zip(counts, cs):
         h, l = divmod(t % R, S)
         Q[l] += c * giant[h]
-    total = sum(map(mul, baby, Q)) & ((1 << W * N) - 1)
-    return TSeries(p, M, N, dict(enumerate(_slot_codec(W, N)[1](total))))
+    return TSeries(p, M, N, dict(enumerate(_packed_dot(baby, Q, W, N))))
 
 
 # step tables of _stepped_sum kept across calls, least recently used first;
@@ -519,11 +512,9 @@ def _step_tables(p: int, M: int, N: int, W: int) -> tuple:
         pm = p**M
         R = p ** (M + binomial_period(N, p))
         S = math.isqrt(R)
-        mask = (1 << W * N) - 1
-        pack, unpack = _slot_codec(W, N)
 
         def reduce(v):
-            return int.from_bytes(pack([x % pm for x in unpack(v & mask)]), "little")
+            return _pack([x % pm for x in _unpack(v, W, N)], W)
 
         baby = [1]
         for _ in range(1, S):

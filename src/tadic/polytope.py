@@ -391,7 +391,7 @@ class DegreeData:
                 los[i] = min(los[i], c * K)
                 his[i] = max(his[i], c * K)
         ranges = [range(-(-lo // D), hi // D + 1) for lo, hi in zip(los, his)]
-        box = math.prod(map(len, ranges))
+        box = math.prod(r.stop - r.start for r in ranges)
         if box > BOX_LIMIT:
             raise DomainError(
                 f"cone enumeration too large: the box scanned for degree <= {Fraction(K, D)} "

@@ -7,10 +7,10 @@ dwork.ZqPi (Z_q tuples, pi-exponents in (1/D)*Z) name their scalars on top
 of it.  TSeries multiplies by Kronecker substitution: a sum of products
 sum_i x_i*y_i packs each series into one integer, W bits a coefficient,
 takes one big-integer product per pair, cuts the sum to the smallest cap
-and reduces it once mod p^prec (_packed_sum).  Residues are nonnegative,
-so W with n*cap*(p^top - 1)^2 < 2^W, for n pairs and top the largest
-prec, keeps every slot below the cap from carrying; a product is the
-one-pair case and exp_generating's step the m-pair one.  No loop is kept
+and reduces it once mod p^prec (_packed_sum).  W puts n*cap*(p^top - 1)^2
+below 2^W, for n pairs and top the largest prec, so no slot below the cap
+carries (the one lemma is _packed_dot's); a product is the one-pair case
+and exp_generating's step the m-pair one.  No loop is kept
 below a crossover: at the caps and pair counts of the perfbench jobs
 (caps 16 and 24, up to 8 pairs) packing is the quicker, and a traced
 families round's exp recurrence takes 5.3 ms packed against 15.5 ms by
@@ -109,38 +109,46 @@ def _slot_width(bound: int) -> int:
     return next((w for w in _SLOT_CODES if bound >> w == 0), -(-bound.bit_length() // 8) * 8)
 
 
-@lru_cache(maxsize=256)
-def _slot_codec(W: int, B: int):
-    """(pack, unpack) for W-bit slots, lowest first (W a multiple of 8):
-    pack(xs) is the bytes of ints xs in [0, 2^W), one slot each, and
-    unpack(v) the B slots of an int v < 2^(W*B).  16-, 32- and 64-bit
-    slots go through struct, wider ones one slot at a time.  Codecs are
-    kept per (W, B)."""
-    n = W // 8
+def _pack(xs, W: int) -> int:
+    """sum_i xs[i] 2^(W*i) for ints xs in [0, 2^W), W a multiple of 8."""
     code = _SLOT_CODES.get(W)
     if code:
-        unpack = struct.Struct(f"<{B}{code}").unpack
-        return (
-            lambda xs: struct.pack(f"<{len(xs)}{code}", *xs),
-            lambda v: unpack(v.to_bytes(n * B, "little")),
-        )
+        return int.from_bytes(struct.pack(f"<{len(xs)}{code}", *xs), "little")
+    return int.from_bytes(b"".join(x.to_bytes(W // 8, "little") for x in xs), "little")
 
-    def pack(xs):
-        return b"".join(x.to_bytes(n, "little") for x in xs)
 
-    def slots(v):
-        buf = v.to_bytes(n * B, "little")
-        return [int.from_bytes(buf[i : i + n], "little") for i in range(0, n * B, n)]
+@lru_cache(maxsize=256)
+def _slot_unpacker(W: int, B: int):
+    """bytes -> their B W-bit slots: by struct up to 64 bits, else one by one."""
+    n = W // 8
+    if W in _SLOT_CODES:
+        return struct.Struct(f"<{B}{_SLOT_CODES[W]}").unpack
+    return lambda buf: [int.from_bytes(buf[i : i + n], "little") for i in range(0, n * B, n)]
 
-    return pack, slots
+
+def _unpack(v: int, W: int, B: int):
+    """The B lowest W-bit slots of an int v >= 0, lowest first; the slots
+    at and past B are dropped."""
+    if v.bit_length() > W * B:
+        v &= (1 << W * B) - 1
+    return _slot_unpacker(W, B)(v.to_bytes(W // 8 * B, "little"))
+
+
+def _packed_dot(xs, ys, W: int, B: int, plus: int = 0):
+    """The B lowest W-bit slots of plus + sum_i xs[i] * ys[i], over ints
+    packed W bits a slot (Kronecker substitution).
+
+    The no-carry lemma, which every packed site rests on: let plus and each
+    operand hold nonnegative slots.  If every true slot j < B of the sum
+    (plus's slot j and the products' slot-j convolution) is below 2^W, no
+    slot below B carries, so the result is those true slots whatever the
+    slots at or past B hold.  Callers pick W from their own slot bound."""
+    return _unpack(plus + sum(map(operator.mul, xs, ys)), W, B)
 
 
 def _packed(s: "TSeries", W: int) -> int:
     """sum_j c_j 2^(W*j) over the residues of a TSeries, all below its cap."""
-    dense = [0] * s.cap
-    for j, c in s.coeffs.items():
-        dense[j] = c
-    return int.from_bytes(_slot_codec(W, s.cap)[0](dense), "little")
+    return _pack([s.coeffs.get(j, 0) for j in range(s.cap)], W)
 
 
 def _packed_sum(p: int, prec: int, cap: int, W: int, xs, ys) -> "TSeries":
@@ -149,10 +157,8 @@ def _packed_sum(p: int, prec: int, cap: int, W: int, xs, ys) -> "TSeries":
 
     Residues are nonnegative, so slot j < cap of the sum is at most
     (number of pairs) * (j + 1) * (p^top - 1)^2, top the largest prec of
-    the operands; W must put that below 2^W.  Then no slot below the cap
-    takes a carry, whatever the slots at or past it hold."""
-    total = sum(map(operator.mul, xs, ys)) & ((1 << W * cap) - 1)
-    return TSeries(p, prec, cap, dict(enumerate(_slot_codec(W, cap)[1](total))))
+    the operands; W must put that below 2^W (_packed_dot)."""
+    return TSeries(p, prec, cap, dict(enumerate(_packed_dot(xs, ys, W, cap))))
 
 
 class _SparseSeries:

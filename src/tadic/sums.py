@@ -23,8 +23,6 @@ from .arith import (
     CycElement,
     FieldContext,
     _reduce_mod,
-    _slot_codec,
-    _slot_width,
     _times_x,
     binomial_guard,
     binomial_period,
@@ -46,6 +44,10 @@ from .series import (
     NewtonPolygon,
     SSeries,
     TSeries,
+    _pack,
+    _packed_dot,
+    _slot_width,
+    _unpack,
     exp_generating,
     polygon_dominates,
     polygon_from_sseries,
@@ -140,8 +142,8 @@ def _build_trace_table(big: FieldContext, prec: int) -> tuple:
     (Kronecker substitution), so a block is V = sum_i s_{k-d+i} col_i, d
     big-int products, and its entries are V's W-bit slots, each reduced
     mod p^prec.  Entries and column values lie in [0, p^prec), so a slot
-    holds at most d*(p^prec - 1)^2 < 2^W, W = _slot_width of that bound,
-    and no slot carries into the next.
+    holds at most d*(p^prec - 1)^2 < 2^W, W = _slot_width of that bound
+    (_packed_dot).
     B ~ sqrt((q-1)/d) balances the d*B recurrence steps that build the
     columns against the (q-1)/B block steps; the last block is cut at q-1.
     """
@@ -166,16 +168,16 @@ def _build_trace_table(big: FieldContext, prec: int) -> tuple:
         s.append(-(k * c[d - k] + sum(c[d - i] * s[k - i] for i in range(1, k))) % pm)
     neg_c = [-ci for ci in c]
     B = math.isqrt(Q1 // d)  # >= 1, as q - 1 >= d
-    pack, unpack = _slot_codec(_slot_width(d * (pm - 1) ** 2), B)
+    W = _slot_width(d * (pm - 1) ** 2)
     cols = []
     for i in range(d):
         u = [0] * d
         u[i] = 1
         for k in range(d, d + B):
             u.append(sum(map(mul, neg_c, u[k - d : k])) % pm)
-        cols.append(int.from_bytes(pack(u[d:]), "little"))
+        cols.append(_pack(u[d:], W))
     for k in range(len(s), Q1, B):
-        block = unpack(sum(map(mul, s[k - d : k], cols)))
+        block = _packed_dot(s[k - d : k], cols, W, B)
         s += [x % pm for x in block[: Q1 - k]]
     return tuple(s)
 
@@ -217,14 +219,14 @@ def _add_shifted(counts: dict, hist, shifts, pm: int) -> None:
                 t = (v + C) % pm
                 counts[t] = counts.get(t, 0) + c * w
         return
-    pack, unpack = _slot_codec(_slot_width(sum(hist.values()) * sum(shifts.values())), 2 * pm)
+    W = _slot_width(sum(hist.values()) * sum(shifts.values()))
     prod = 1
     for d in (hist, shifts):
         vec = [0] * pm
         for t, c in d.items():
             vec[t % pm] += c
-        prod *= int.from_bytes(pack(vec), "little")
-    prod = unpack(prod)
+        prod *= _pack(vec, W)
+    prod = _unpack(prod, W, 2 * pm)
     for t, c in enumerate(map(add, prod[:pm], prod[pm:])):
         if c:
             counts[t] = counts.get(t, 0) + c
@@ -246,12 +248,12 @@ def torus_trace_counts(f: LaurentPoly, k: int, prec: int) -> dict:
 
     Rows are big integers of W-bit slots (Kronecker packing).  A slot
     holds at most len(terms)*(p^prec - 1) < 2^W, so rows add as integers
-    and no slot carries into the next.  Reading at stride e stays in one
-    class r mod g = gcd(e, Q1) and repeats with period L = Q1/g, so the
-    row is a rotation of the copy table[(r + e*i) % Q1], i < L, repeated
-    g times.  Each (e, r) copy is packed twice end to end on first use, so
-    a slice of at most L slots never wraps; the negative stride e - Q1 is
-    read when it is shorter.  Two row classes skip the whole row:
+    (_packed_dot).  Reading at stride e stays in one class r mod g =
+    gcd(e, Q1) and repeats with period L = Q1/g, so the row is a rotation
+    of the copy table[(r + e*i) % Q1], i < L, repeated g times.  Each
+    (e, r) copy is packed twice end to end on first use, so a slice of at
+    most L slots never wraps; the negative stride e - Q1 is read when it
+    is shorter.  Two row classes skip the whole row:
     - One moving term: its copy runs over table[r::g] (e/g is a unit mod
       L), so the row is that slice shifted by C, g times.  C gets weight
       g*size in class (g, r); each class is shifted once, after the walk.
@@ -269,7 +271,6 @@ def torus_trace_counts(f: LaurentPoly, k: int, prec: int) -> dict:
     pm = f.ctx.p**prec
     W = _slot_width(len(f.terms) * (pm - 1))
     nb = W // 8
-    pack, unpack = _slot_codec(W, Q1)
     terms = []
     for u, c in f.terms:
         e = u[-1] % Q1
@@ -283,11 +284,10 @@ def torus_trace_counts(f: LaurentPoly, k: int, prec: int) -> dict:
     nm = sum(1 for t in terms if t[2]) or 1  # moving terms; at least one
     e, g, L, inv = terms[0][2:]
     # the all-ones row, for terms constant along the row
-    ones = int.from_bytes(pack([1] * Q1), "little") if nm < len(terms) else 0
+    ones = _pack([1] * Q1, W) if nm < len(terms) else 0
     mirror = nm == 2 and (e + terms[1][2]) % Q1 == 0
     H = L // 2  # slots counted per mirrored row
-    if mirror:
-        unpack_half, ones_half = _slot_codec(W, H)[1], ones >> W * (Q1 - H)
+    ones_half = ones >> W * (Q1 - H)
     copies = {}  # (e, r) -> packed copy, twice end to end
     counts = {}
     by_weight = defaultdict(Counter)  # weight -> unreduced row sums
@@ -303,7 +303,7 @@ def torus_trace_counts(f: LaurentPoly, k: int, prec: int) -> dict:
             shifts[g, b % g][const] += g * size
             continue
         # the whole row: L slots of each copy, g times over
-        start, span, weight, unpack_row, row = 0, 0, size, unpack, const * ones
+        start, span, weight, B, row = 0, 0, size, Q1, const * ones
         if mirror and (bases[1] - b) % g == 0:
             h = (bases[1] - b) // g * inv % L
             if L % 2 and h % 2:
@@ -313,16 +313,17 @@ def torus_trace_counts(f: LaurentPoly, k: int, prec: int) -> dict:
                     t = (2 * table[(b + e * i) % Q1] + const) % pm
                     counts[t] = counts.get(t, 0) + c
             start, span, weight = h // 2 + 1, H, 2 * g * size
-            unpack_row, row = unpack_half, const * ones_half
+            B, row = H, const * ones_half
         for bt, (_, _, et, gt, Lt, it) in zip(bases, terms[:nm]):
             r = bt % gt
             packed = copies.get((et, r))
             if packed is None:
-                packed = copies[et, r] = pack(_strided(table, r, et, Lt)) * 2
+                copy = _pack(_strided(table, r, et, Lt), W).to_bytes(Lt * nb, "little")
+                packed = copies[et, r] = copy * 2
             i = ((bt - r) // gt * it + start) % Lt
             piece = packed[i * nb : (i + (span or Lt)) * nb]
             row += int.from_bytes(piece if span else piece * gt, "little")
-        by_weight[weight].update(unpack_row(row))
+        by_weight[weight].update(_unpack(row, W, B))
     for w, raw in by_weight.items():
         for t, c in raw.items():
             t %= pm

@@ -321,8 +321,8 @@ class TestQuotientKernel:
         ctx = field_context(p, a)
         arith._reduction_rows(ctx.poly_low, p)
         packed = []
-        codec = arith._slot_codec
-        monkeypatch.setattr(arith, "_slot_codec", lambda W, B: packed.append(B) or codec(W, B))
+        pack = arith._pack
+        monkeypatch.setattr(arith, "_pack", lambda xs, W: packed.append(W) or pack(xs, W))
         sparse, dense = (0, 1) + (0,) * (a - 2), (1,) * a
         y = tuple(range(a))
         assert ctx.mul(sparse, y) == oracle_mulmod(sparse, y, ctx.poly_low, p)
@@ -675,11 +675,10 @@ class TestSteppedSum:
         R = p ** (M + binomial_period(N, p))
         S = math.isqrt(R)
         assert (len(baby), len(giant)) == (S, -(-R // S))
-        unpack = arith._slot_codec(W, N)[1]
         pm = p**M
         steps = list(enumerate(baby)) + [(S * h, g) for h, g in enumerate(giant)]
         for e, v in steps:
-            assert list(unpack(v)) == [math.comb(e, j) % pm for j in range(N)]
+            assert list(arith._unpack(v, W, N)) == [math.comb(e, j) % pm for j in range(N)]
 
     def test_step_tables_are_bounded_by_slots_least_recent_first(self, monkeypatch):
         monkeypatch.setattr(arith, "_STEPS", {})

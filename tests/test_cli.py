@@ -1,10 +1,16 @@
+import contextlib
+import importlib
+import io
 import json
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tadic import cli, dwork, polytope, sums
 from tadic.arith import FieldContext, field_context
@@ -534,3 +540,93 @@ def test_importing_the_package_leaves_dataclasses_out():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout == "False\n"
+
+
+def test_readme_names_resolve():
+    # every backticked `module.name`, `tadic.module.name` or `_private` in
+    # the README names something a module of tadic has, so a rename or a
+    # removal cannot leave the README behind
+    pkg = Path(cli.__file__).resolve().parent
+    modules = {
+        path.stem: importlib.import_module(f"tadic.{path.stem}")
+        for path in pkg.glob("*.py")
+        if path.stem not in ("__init__", "__main__")
+    }
+    readme = (pkg.parent.parent / "README.md").read_text()
+    missing = []
+    for name in sorted(set(re.findall(r"`([\w.]+?)(?:\(\))?`", readme))):
+        head, *attrs = name.removeprefix("tadic.").split(".")
+        if name.endswith(".py"):
+            continue
+        if name.startswith("_"):
+            found = any(hasattr(mod, name) for mod in modules.values())
+        elif name.startswith("tadic.") or (attrs and head in modules):
+            obj = modules.get(head)
+            for attr in attrs:
+                obj = getattr(obj, attr, None)
+            found = obj is not None
+        else:
+            continue
+        if not found:
+            missing.append(name)
+    assert missing == []
+
+
+# short argv over every command: p <= 7, a <= 3, n <= 2, up to three terms
+# with exponents in [-3, 4]^n, and flags drawn from small ranges
+SHORT_FLAGS = {
+    "--deg-s": st.integers(0, 4),
+    "--m": st.lists(st.integers(1, 2), min_size=1, max_size=2).map(lambda v: ",".join(map(str, v))),
+    "-k": st.lists(st.integers(1, 3), min_size=1, max_size=2).map(lambda v: ",".join(map(str, v))),
+    "--prec-t": st.integers(0, 24),
+    "--basis": st.integers(0, 6),
+    "--hodge-depth": st.integers(0, 8),
+    "--samples": st.integers(0, 3),
+    "--what": st.sampled_from(cli.VERIFY_TARGETS),
+}
+
+
+@st.composite
+def short_argv(draw):
+    n = draw(st.integers(1, 2))
+    exps = draw(st.lists(st.tuples(*[st.integers(-3, 4)] * n), min_size=1, max_size=3))
+    coeffs = st.sampled_from(["", "2*", "g^1*", "g^3*", "g^5*"])
+    poly = "+".join(draw(coeffs) + "*".join(f"x{i + 1}^{e}" for i, e in enumerate(u)) for u in exps)
+    argv = [draw(st.sampled_from(list(cli.COMMANDS))), poly]
+    argv += ["--p", str(draw(st.sampled_from([2, 3, 5, 7]))), "--a", str(draw(st.integers(1, 3)))]
+    for flag in draw(st.lists(st.sampled_from(list(SHORT_FLAGS)), max_size=4, unique=True)):
+        argv += [flag, str(draw(SHORT_FLAGS[flag]))]
+    return argv
+
+
+class _JobTimeout(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise _JobTimeout
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(short_argv())
+# box sizes past 2^63 (the cone box counted by len(range) raised OverflowError)
+@example(["hodge", "x1", "--p", "3", "--hodge-depth", "99999999999999999999"])
+@example(["np", "x1^99999999999999999999", "--p", "3"])
+def test_every_short_input_ends_in_one_document(argv):
+    # a certified answer (exit 0) or a documented refusal (exit 1 or 2),
+    # within 5 s, as one JSON document on stdout and nothing else
+    out = io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    except _JobTimeout:
+        pytest.fail(f"still running after 5 s: {argv}")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    text = out.getvalue()
+    assert code in (0, 1, 2), (argv, text)
+    assert text.count("\n") == 1 and text.endswith("\n"), (argv, text)
+    assert isinstance(json.loads(text), dict)

@@ -11,6 +11,9 @@ from tadic.series import (
     NewtonPolygon,
     SSeries,
     TSeries,
+    _pack,
+    _packed_dot,
+    _unpack,
     certified_polygon,
     exp_generating,
     lower_hull,
@@ -104,6 +107,62 @@ class TestTSeries:
     def test_inverse_round_trip(self, tail):
         a = ts(7, 2, 7, {**tail, 0: 1})
         assert a.mul(a.inverse()).is_one()
+
+
+WIDTHS = st.sampled_from([16, 32, 64, 72, 136])  # struct slots and whole-byte ones past 64
+
+
+def slot_lists(W, max_size=12):
+    return st.lists(st.integers(0, (1 << W) - 1), max_size=max_size)
+
+
+def true_slots(plus, pairs, B):
+    """Slot j < B of plus + sum x*y, the slots of each operand given as
+    lists, computed slot by slot with no carry between slots."""
+    out = (list(plus) + [0] * B)[:B]
+    for xs, ys in pairs:
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                if i + j < B:
+                    out[i + j] += x * y
+    return out
+
+
+class TestSlotCodec:
+    """_pack/_unpack/_packed_dot, the one Kronecker codec of the package."""
+
+    @given(WIDTHS, st.data())
+    def test_unpack_inverts_pack(self, W, data):
+        xs = data.draw(slot_lists(W))
+        assert list(_unpack(_pack(xs, W), W, len(xs))) == xs
+
+    @given(WIDTHS, st.data())
+    def test_unpack_drops_every_slot_at_and_past_B(self, W, data):
+        xs = data.draw(slot_lists(W))
+        B = data.draw(st.integers(0, len(xs)))
+        assert list(_unpack(_pack(xs, W), W, B)) == xs[:B]
+
+    @settings(deadline=None)
+    @given(WIDTHS, st.integers(1, 3), st.integers(1, 6), st.integers(1, 8), st.data())
+    def test_packed_dot_is_the_slotwise_sum_below_the_bound(self, W, n, L, B, data):
+        # every true slot below B is at most (n*L + 1)*m^2 < 2^W: at most
+        # n*L products of operands up to m, plus one slot of plus up to m^2
+        m = math.isqrt(((1 << W) - 1) // (n * L + 1))
+        operand = st.lists(st.integers(0, m), min_size=1, max_size=L)
+        pairs = data.draw(st.lists(st.tuples(operand, operand), min_size=n, max_size=n))
+        low = data.draw(st.lists(st.integers(0, m * m), max_size=B))
+        high = data.draw(slot_lists(W, 3))  # the slots of plus at and past B
+        plus = _pack(low + [0] * (B - len(low)) + high, W)
+        xs, ys = ([_pack(v, W) for v in side] for side in zip(*pairs))
+        assert list(_packed_dot(xs, ys, W, B, plus)) == true_slots(low, pairs, B)
+
+    @pytest.mark.parametrize("W", [16, 72])
+    def test_one_unit_past_the_bound_carries(self, W):
+        # slot 0 of x*y + plus is 2^W - 1 at the bound and 2^W one past it
+        x, y = 3, ((1 << W) - 1) // 3
+        for extra in (0, 1):
+            got = list(_packed_dot([_pack([x], W)], [_pack([y], W)], W, 2, _pack([extra], W)))
+            assert (got == true_slots([extra], [([x], [y])], 2)) == (extra == 0)
 
 
 @st.composite

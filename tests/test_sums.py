@@ -316,8 +316,8 @@ class TestTorusWalk:
     )
     def test_one_term_classes_on_both_branches(self, monkeypatch, exps, p, k, prec, packed):
         codecs = []
-        codec = sums._slot_codec
-        monkeypatch.setattr(sums, "_slot_codec", lambda w, B: codecs.append(B) or codec(w, B))
+        unpack = sums._unpack
+        monkeypatch.setattr(sums, "_unpack", lambda v, w, B: codecs.append(B) or unpack(v, w, B))
         f = walk(exps, [1] * len(exps), p)
         assert torus_trace_counts(f, k, prec) == oracle_torus_trace_counts(f, k, prec)
         assert (2 * p**prec in codecs) == packed
@@ -338,8 +338,10 @@ class TestTorusWalk:
     def test_every_slot_width_matches_every_point_walk(self, monkeypatch, exps, prec, W):
         f = poly(exps, p=2)  # 15^2 points over F_16
         codecs = []
-        codec = sums._slot_codec
-        monkeypatch.setattr(sums, "_slot_codec", lambda w, B: codecs.append((w, B)) or codec(w, B))
+        unpack = sums._unpack
+        monkeypatch.setattr(
+            sums, "_unpack", lambda v, w, B: codecs.append((w, B)) or unpack(v, w, B)
+        )
         assert torus_trace_counts(f, 4, prec) == oracle_torus_trace_counts(f, 4, prec)
         assert codecs[-1] == (W, 15)
 
