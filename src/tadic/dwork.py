@@ -9,12 +9,12 @@ two routes share no arithmetic beyond the ground field, which is what makes
 their agreement a meaningful end-to-end check.
 
 Conventions.  The inner uniformizer is written pi; series in pi^(1/D) carry
-Z_q coefficients at precision p^M.  They live in ZqPi, or as the bare pairs
-of _PiSeries in the transfer matrix and the determinant kernel, and
-ZqPi.mul is _PiSeries' product.  All lattice work happens in the reduced
-coordinates of DegreeData (exponents of f are mapped through dd.to_reduced),
-where degrees, cones and defects are exactly the same as in the ambient
-coordinates.
+Z_q coefficients at precision p^M.  They live in ZqPi, or in the transfer
+matrix and the determinant kernel as bare dicts mod pi^K (_PiSeries), and
+ZqPi.mul is their dot at its own cap.  All lattice work happens in the
+reduced coordinates of DegreeData (exponents of f are mapped through
+dd.to_reduced), where degrees, cones and defects are exactly the same as in
+the ambient coordinates.
 """
 
 from __future__ import annotations
@@ -75,9 +75,8 @@ class ZqPi(_SparseSeries):
 
     Coefficients are the tuple representation of FieldContext's Z_q layer;
     exponent keys are nonnegative integers in units of 1/den.  The store
-    and window rules are _SparseSeries'; the product is _PiSeries', whose
-    cap is sharper than TSeries' (see mul).  Implements the coefficient
-    protocol of SSeries.
+    and window rules are _SparseSeries'; the product's cap is sharper than
+    TSeries' (see mul).  Implements the coefficient protocol of SSeries.
     """
 
     __slots__ = ("ctx", "den")
@@ -114,11 +113,18 @@ class ZqPi(_SparseSeries):
         return ZqPi(self.ctx, prec, cap, coeffs, self.den)
 
     def mul(self, other: "ZqPi") -> "ZqPi":
-        """The product of _PiSeries at cap self.cap + other.cap, which no
-        product reaches, so its cap rule applies unclamped."""
+        """The product is known below min(capA + ordB, capB + ordA), a zero
+        operand's cap standing in for its ord: the unknown tail of one
+        factor only meets the other from its leading term on.  Below that
+        cap it is the truncated dot of the transfer matrix (_pi_dot)."""
         prec, _ = self._window(other)
-        ring = _PiSeries(self.ctx, prec, self.den, self.cap + other.cap)
-        return ring.to_zqpi(ring.dot([(ring.from_zqpi(self), ring.from_zqpi(other))]))
+        xs, ys = self.coeffs, other.coeffs
+        cap = min(self.cap + min(ys, default=other.cap), other.cap + min(xs, default=self.cap))
+        sc = _zq_scalars(self.ctx, prec)
+        ft, tt = sc.from_tuple, sc.to_tuple
+        pair = ({k: ft(t) for k, t in xs.items()}, {k: ft(t) for k, t in ys.items()})
+        out = _pi_dot(sc, cap, [pair])
+        return ZqPi(self.ctx, prec, cap, {k: tt(v) for k, v in out.items()}, self.den)
 
     def rescale_den(self, den: int) -> "ZqPi":
         """Re-grid from units 1/self.den to the finer 1/den."""
@@ -147,13 +153,12 @@ def embed_int(ctx: FieldContext, c: int, prec: int):
 class _ZqScalars:
     """Z_q mod p^prec as bare scalars: ints for a = 1, Z_q tuples otherwise.
 
-    The ring interface the determinant kernel uses is zero, one, neg,
-    is_zero and dot: dot(pairs, plus) is plus + sum of x*y over the pairs,
-    summed unreduced and reduced once (for a >= 3, which no operator job
-    reaches, per product).  zero absorbs products and vanishes from sums,
-    so the kernel may skip it.  Elimination adds mul, add, ord (the least
-    valuation over the coordinates, Z_q being unramified), shr (exact
-    division by p^k) and unit_inv.
+    The pi-series ring uses zero, one, neg, is_zero and dot: dot(pairs,
+    plus) is plus + sum of x*y over the pairs, summed unreduced and reduced
+    once (for a >= 3, which no operator job reaches, per product).
+    Elimination adds mul, add, ord (the least valuation over the
+    coordinates, Z_q being unramified), shr (exact division by p^k) and
+    unit_inv.
     """
 
     def __init__(self, ctx: FieldContext, prec: int):
@@ -233,86 +238,70 @@ class _ZqScalars:
 @functools.lru_cache(maxsize=256)
 def _zq_scalars(ctx: FieldContext, prec: int) -> _ZqScalars:
     """The one _ZqScalars per (ctx, prec), so that its closures are built
-    once, not once per ring or product (ZqPi.mul forms a ring per call)."""
+    once, not once per ring or product."""
     return _ZqScalars(ctx, prec)
 
 
-class _PiSeries:
-    """Truncated pi-series as bare (cap, {key: scalar}) pairs, every cap
-    clamped at K, scalars as in _ZqScalars.
+def _pi_dot(sc: _ZqScalars, K: int, pairs, plus=None):
+    """plus + sum of x*y over the (x, y) pairs of {key: scalar} dicts, mod
+    pi^K: each key below K is one scalar dot over every product that lands
+    on it, so each coefficient is reduced once.  Zeros are dropped."""
+    hits = {}
+    for xs, ys in pairs:
+        for i, s in xs.items():
+            for j, t in ys.items():
+                k = i + j
+                if k < K:
+                    if k in hits:
+                        hits[k].append((s, t))
+                    else:
+                        hits[k] = [(s, t)]
+    sdot, is_zero, zero = sc.dot, sc.is_zero, sc.zero
+    out = dict(plus) if plus else {}
+    for k, terms in hits.items():
+        v = sdot(terms, out.get(k, zero))
+        if is_zero(v):
+            out.pop(k, None)
+        else:
+            out[k] = v
+    return out
 
-    A product's cap is min(capA + ordB, capB + ordA), with a zero operand's
-    cap standing in for its ord: the unknown tail of one factor only meets
-    the other from its leading term on.  A sum's cap is the smaller one (as
-    in ZqPi.add), and keys >= cap and zero coefficients are dropped.  Both
-    rules are monotone in the caps, so working on operands clamped at K
-    gives the unclamped result clamped at K; ZqPi.mul is this product at a
-    K no product reaches.  Only the zero of cap K absorbs products and
-    vanishes from sums; a zero with a smaller cap still lowers the caps it
-    meets, so is_zero is false for it.
+
+class _PiSeries:
+    """The ring of the transfer matrix: pi-series mod pi^K as bare {key:
+    scalar} dicts, every key below K and every scalar (as in _ZqScalars)
+    nonzero, so the zero is the empty dict.
+
+    Every cell psi_a_matrix assembles is known to the spectral cap K, and a
+    product of two series known to K is known to K + ord >= K, so by
+    induction every value the determinant kernel and the traces form is
+    known to K, and plain truncation mod pi^K carries no per-entry cap.
+    ZqPi.mul, whose operands carry their own caps, finds its cap and takes
+    the same dot there.
     """
+
+    is_zero = staticmethod(operator.not_)
 
     def __init__(self, ctx: FieldContext, prec: int, den: int, K: int):
         self.ctx, self.prec, self.den, self.K = ctx, prec, den, K
         self.sc = sc = _zq_scalars(ctx, prec)
-        self.zero = (K, {})
-        self.one = (K, {0: sc.one})
-
-    def is_zero(self, x) -> bool:
-        return not x[1] and x[0] >= self.K
+        self.zero = {}
+        self.one = {0: sc.one}
 
     def dot(self, pairs, plus=None):
-        """plus + sum of x*y over the (x, y) pairs, as the products and sums
-        above would give it: the cap is the least product cap (and plus's),
-        and each key below it is one scalar dot over every product that
-        lands on it, so each coefficient is reduced once."""
-        cap, base = (self.K, {}) if plus is None else plus
-        live = []  # (ord x + ord y, x's terms, y's terms) of the pairs with terms
-        for (xc, xs), (yc, ys) in pairs:
-            ox = min(xs) if xs else xc
-            oy = min(ys) if ys else yc
-            c = min(xc + oy, yc + ox)
-            if c < cap:
-                cap = c
-            if xs and ys:
-                live.append((ox + oy, xs, ys))
-        hits = {}
-        for o, xs, ys in live:
-            if o >= cap:
-                continue
-            for i, s in xs.items():
-                for j, t in ys.items():
-                    k = i + j
-                    if k < cap:
-                        if k in hits:
-                            hits[k].append((s, t))
-                        else:
-                            hits[k] = [(s, t)]
-        sdot, is_zero, zero = self.sc.dot, self.sc.is_zero, self.sc.zero
-        out = {}
-        for k, v in base.items():
-            if k < cap:
-                out[k] = sdot(hits.pop(k), v) if k in hits else v
-        for k, terms in hits.items():
-            out[k] = sdot(terms, zero)
-        return cap, {k: v for k, v in out.items() if not is_zero(v)}
+        return _pi_dot(self.sc, self.K, pairs, plus)
 
     def neg(self, x):
         sneg = self.sc.neg
-        return x[0], {k: sneg(v) for k, v in x[1].items()}
-
-    def from_zqpi(self, z: ZqPi):
-        cap = min(z.cap, self.K)
-        ft = self.sc.from_tuple
-        return cap, {k: ft(t) for k, t in z.coeffs.items() if k < cap}
+        return {k: sneg(v) for k, v in x.items()}
 
     def to_zqpi(self, x) -> ZqPi:
         tt = self.sc.to_tuple
-        return ZqPi(self.ctx, self.prec, x[0], {k: tt(v) for k, v in x[1].items()}, self.den)
+        return ZqPi(self.ctx, self.prec, self.K, {k: tt(v) for k, v in x.items()}, self.den)
 
 
-def _berkowitz(ring, rows, keep: int):
-    """Division-free det(1 - A*s) over `ring`, one row at a time.
+def _berkowitz(ring: _PiSeries, rows, keep: int):
+    """Division-free det(1 - A*s) mod pi^K, one row at a time.
 
     Yields, after row r, the first min(r, keep) + 1 coefficients of
     det(1 - A_r*s) for the leading r x r block A_r: that vector is the
@@ -321,54 +310,56 @@ def _berkowitz(ring, rows, keep: int):
     because the convolution is lower triangular, and the step for row r
     reads the Toeplitz entries only up to index min(r, keep), so it forms
     min(r, keep) - 1 of the s_j.  Every entry of a Krylov vector and of the
-    convolution is one ring.dot.  Products with the ring's zero are not
-    passed to it, and rows are walked through their nonzero entries.
-    When the part of the row left of the diagonal or the part of the column
-    above it holds only that zero, every s_j is that zero, which the
-    convolution skips, so they are not formed.  Over _PiSeries clamped at
-    the spectral cap this drops every row w with (p-1)*deg(w) >= the cap.
+    convolution is one ring.dot over the pairs of nonzero entries, rows
+    walked through their nonzero entries, with one exception: a Krylov
+    entry is the zero, and is not formed, when its row's least key in the
+    block plus the least key of the vector it multiplies is >= K, since
+    every product lands at or past pi^K.  Keys never fall along the Krylov
+    sequence, so once s_j is such a zero, so is every later s, and the row
+    stops there.  Over the spectral cap this drops every row w with
+    (p-1)*deg(w) >= the cap, and the valuation pattern of the transfer
+    matrix prunes the Krylov entries of rows near it.
     """
-    dot, neg, is_zero = ring.dot, ring.neg, ring.is_zero
-    zero, one = ring.zero, ring.one
-    sparse = [[(j, x) for j, x in enumerate(row) if not is_zero(x)] for row in rows]
+    K, dot, neg, one = ring.K, ring.dot, ring.neg, ring.one
+    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+    lead = []  # lead[i]: least key of row i inside the current block, or K
 
-    def krylov(entries, col, width):
+    def krylov(i, col, lo, width):
+        if lead[i] + lo >= K:
+            return {}
         pairs = []
-        for j, x in entries:
+        for j, x in sparse[i]:
             if j >= width:
                 break
-            y = col[j]
-            if y is not None:
-                pairs.append((x, y))
+            if col[j]:
+                pairs.append((x, col[j]))
         return dot(pairs)
-
-    def nonzero(vec):
-        # the ring's zero as None, so the loops skip it by identity
-        return [None if is_zero(t) else t for t in vec]
 
     cv = [one]
     for r in range(1, len(rows) + 1):
         w = r - 1
+        for i in range(w):
+            if rows[i][w - 1]:
+                lead[i] = min(lead[i], min(rows[i][w - 1]))
+        lead.append(min((min(x) for j, x in sparse[w] if j < w), default=K))
         top = min(r, keep)
         toep = [one, neg(rows[w][w])]
-        col = nonzero(rows[i][w] for i in range(w))
-        if sparse[w] and sparse[w][0][0] < w and any(y is not None for y in col):
-            for j in range(top - 1):
-                toep.append(neg(krylov(sparse[w], col, w)))
-                if j + 2 < top:
-                    col = nonzero([krylov(sparse[i], col, w) for i in range(w)])
-        toep = nonzero(toep)
-        cv = nonzero(cv)
+        col = [rows[i][w] for i in range(w)]
+        for j in range(top - 1):
+            lo = min((min(y) for y in col if y), default=K)
+            if lead[w] + lo >= K:
+                break
+            toep.append(neg(krylov(w, col, lo, w)))
+            if j + 2 < top:
+                col = [krylov(i, col, lo, w) for i in range(w)]
         new = []
         for m in range(top + 1):
-            lo = max(0, m - len(toep) + 1)
             pairs = [
                 (cv[i], toep[m - i])
-                for i in range(lo, min(m, len(cv)))
-                if cv[i] is not None and toep[m - i] is not None
+                for i in range(max(0, m - len(toep) + 1), min(m, len(cv)))
+                if cv[i] and toep[m - i]
             ]
-            plus = cv[m] if m < len(cv) and cv[m] is not None else zero
-            new.append(dot(pairs, plus))
+            new.append(dot(pairs, cv[m] if m < len(cv) else None))
         cv = new
         yield cv
 
@@ -614,9 +605,10 @@ class DworkMatrix:
     deg(u) <= B, rows and columns sorted by (degree, lex).
 
     rows[w][u] multiplies the u-th basis vector's contribution to the w-th,
-    a pair of `ring` = _PiSeries(ctx, M, D, N_pi*D); every entry satisfies
-    ord_pi >= (p-1)*deg(row), which is asserted at assembly time and is what
-    makes the finite truncation certifiable.
+    a {key: scalar} dict of `ring` = _PiSeries(ctx, M, D, N_pi*D), known to
+    the spectral cap K = N_pi*D; every entry satisfies ord_pi >=
+    (p-1)*deg(row), which is asserted at assembly time and is what makes
+    the finite truncation certifiable.
 
     Basis points beyond degree B only touch terms above (p-1)(B + 1/D), and
     psi_a_matrix refuses B < N_pi/(p-1), so (p-1)(B*D + 1) > N_pi*D: the
@@ -759,7 +751,7 @@ def psi_a_matrix(f: LaurentPoly, B: int, M: int, N_pi: int) -> DworkMatrix:
             # budget[v]*D + e_u - e_w >= N_pi*D (e_w <= B*D), so the cell is
             # known to the cap K
             shift = eu - ew
-            row.append((K, {j * D + shift: t for j, t in ser.items() if j * D + shift < K}))
+            row.append({j * D + shift: t for j, t in ser.items() if j * D + shift < K})
         rows.append(tuple(row))
     return DworkMatrix(
         N_pi=N_pi,

@@ -109,29 +109,34 @@ def _slot_width(bound: int) -> int:
     return next((w for w in _SLOT_CODES if bound >> w == 0), -(-bound.bit_length() // 8) * 8)
 
 
-def _pack(xs, W: int) -> int:
-    """sum_i xs[i] 2^(W*i) for ints xs in [0, 2^W), W a multiple of 8."""
+def _pack_bytes(xs, W: int) -> bytes:
+    """Ints xs in [0, 2^W) as W-bit little-endian slots, W a multiple of 8."""
     code = _SLOT_CODES.get(W)
     if code:
-        return int.from_bytes(struct.pack(f"<{len(xs)}{code}", *xs), "little")
-    return int.from_bytes(b"".join(x.to_bytes(W // 8, "little") for x in xs), "little")
+        return struct.pack(f"<{len(xs)}{code}", *xs)
+    return b"".join(x.to_bytes(W // 8, "little") for x in xs)
+
+
+def _pack(xs, W: int) -> int:
+    """sum_i xs[i] 2^(W*i) for ints xs in [0, 2^W), W a multiple of 8."""
+    return int.from_bytes(_pack_bytes(xs, W), "little")
 
 
 @lru_cache(maxsize=256)
 def _slot_unpacker(W: int, B: int):
-    """bytes -> their B W-bit slots: by struct up to 64 bits, else one by one."""
-    n = W // 8
+    """(the mask of B W-bit slots, bytes -> their B W-bit slots): by struct
+    up to 64 bits, else one by one."""
+    mask, n = (1 << W * B) - 1, W // 8
     if W in _SLOT_CODES:
-        return struct.Struct(f"<{B}{_SLOT_CODES[W]}").unpack
-    return lambda buf: [int.from_bytes(buf[i : i + n], "little") for i in range(0, n * B, n)]
+        return mask, struct.Struct(f"<{B}{_SLOT_CODES[W]}").unpack
+    return mask, lambda buf: [int.from_bytes(buf[i : i + n], "little") for i in range(0, n * B, n)]
 
 
 def _unpack(v: int, W: int, B: int):
     """The B lowest W-bit slots of an int v >= 0, lowest first; the slots
     at and past B are dropped."""
-    if v.bit_length() > W * B:
-        v &= (1 << W * B) - 1
-    return _slot_unpacker(W, B)(v.to_bytes(W // 8 * B, "little"))
+    mask, unpack = _slot_unpacker(W, B)
+    return unpack((v & mask).to_bytes(W // 8 * B, "little"))
 
 
 def _packed_dot(xs, ys, W: int, B: int, plus: int = 0):

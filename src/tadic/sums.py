@@ -45,6 +45,7 @@ from .series import (
     SSeries,
     TSeries,
     _pack,
+    _pack_bytes,
     _packed_dot,
     _slot_width,
     _unpack,
@@ -318,8 +319,7 @@ def torus_trace_counts(f: LaurentPoly, k: int, prec: int) -> dict:
             r = bt % gt
             packed = copies.get((et, r))
             if packed is None:
-                copy = _pack(_strided(table, r, et, Lt), W).to_bytes(Lt * nb, "little")
-                packed = copies[et, r] = copy * 2
+                packed = copies[et, r] = _pack_bytes(_strided(table, r, et, Lt), W) * 2
             i = ((bt - r) // gt * it + start) % Lt
             piece = packed[i * nb : (i + (span or Lt)) * nb]
             row += int.from_bytes(piece if span else piece * gt, "little")

@@ -286,11 +286,23 @@ def oracle_det(ctx, prec, grid):
 
 def leading_minors(sc, rows):
     """det of every leading r x r block, r = 0..n, over _ZqScalars `sc`,
-    from one division-free Berkowitz pass: det(A_r) = (-1)^r [s^r]
+    from one division-free Berkowitz pass with nothing skipped: the vector
+    of det(1 - A_r*s) is the previous one convolved with (1, -a_rr, -s_0,
+    ..., -s_(r-2)), s_j = row*block^j*column, and det(A_r) = (-1)^r [s^r]
     det(1 - A_r*s)."""
-    dets = [sc.one]
-    for r, cv in enumerate(dwork._berkowitz(sc, rows, len(rows)), 1):
-        dets.append(sc.neg(cv[r]) if r % 2 else cv[r])
+
+    def dot(xs, ys):
+        return sc.dot(list(zip(xs, ys)), sc.zero)
+
+    dets, cv = [sc.one], [sc.one]
+    for w, row in enumerate(rows):
+        col = [rows[i][w] for i in range(w)]
+        toep = [sc.one, sc.neg(row[w])]
+        for _ in range(w):
+            toep.append(sc.neg(dot(row[:w], col)))
+            col = [dot(rows[i][:w], col) for i in range(w)]
+        cv = [dot(cv[: m + 1], toep[m::-1]) for m in range(w + 2)]
+        dets.append(sc.neg(cv[-1]) if w % 2 == 0 else cv[-1])
     return dets
 
 

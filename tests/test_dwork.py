@@ -1,3 +1,4 @@
+import copy
 import math
 from fractions import Fraction
 from unittest import mock
@@ -366,13 +367,15 @@ def zq_tuples(draw, ctx, M):
 
 
 @st.composite
-def sparse_operators(draw):
+def sparse_operators(draw, floors=False):
     """(Mx, entries): random sparse ZqPi entries, and a DworkMatrix whose rows
-    are those entries in its ring, clamped at the spectral cap K = N_pi*D.
-    Entries have den > 1, caps below, at and above K, and zeros of every
-    cap.  Some whole rows and columns, anywhere, are blanked with one zero:
-    of cap >= K (the kernel's absorbing zero) in some draws, of cap < K in
-    others."""
+    are those entries in its ring, truncated at the spectral cap K = N_pi*D.
+    Entries have den > 1, caps from K to K + 2 (every cell psi_a_matrix
+    builds is known to K) and keys below and past K.  Some whole rows and
+    columns, anywhere, are blanked with one zero.  With floors, every key in
+    row w is >= b_w for nondecreasing b_w in [0, K), the valuation pattern
+    ord >= (p-1)*deg(w) of the transfer matrix, with fewer blanks and no
+    empty draws, so some Krylov entries are provably past K."""
     ctx = CONTEXTS[draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2]))]
     M = 2
     D = draw(st.sampled_from([2, 3]))
@@ -380,32 +383,45 @@ def sparse_operators(draw):
     n = draw(st.integers(1, 5))
     top = N_pi * D + 2
     K = N_pi * D
-    blank_rows = draw(st.sets(st.integers(0, n - 1), max_size=n))
-    blank_cols = draw(st.sets(st.integers(0, n - 1), max_size=n))
-    blank_cap = top if draw(st.booleans()) else draw(st.integers(1, max(1, K - 1)))
+    blank_rows = draw(st.sets(st.integers(0, n - 1), max_size=n // 2 if floors else n))
+    blank_cols = draw(st.sets(st.integers(0, n - 1), max_size=n // 2 if floors else n))
+    floor = [0] * n
+    if floors:
+        lows = draw(st.lists(st.integers(0, K - 1), min_size=n, max_size=n))
+        floor = sorted(K - 1 - x for x in lows)  # near K, where skips happen
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
             if i in blank_rows or j in blank_cols:
-                row.append(ZqPi(ctx, M, blank_cap, {}, den=D))
+                row.append(ZqPi(ctx, M, top, {}, den=D))
                 continue
-            cap = draw(st.integers(1, top))
+            cap = draw(st.integers(K, top))
             coeffs = {}
-            if draw(st.booleans()):
-                keys = draw(st.lists(st.integers(0, top), max_size=3))
+            if floors or draw(st.booleans()):
+                keys = draw(st.lists(st.integers(floor[i], top), max_size=3))
                 coeffs = {k: draw(zq_tuples(ctx, M)) for k in keys}
             row.append(ZqPi(ctx, M, cap, coeffs, den=D))
         rows.append(tuple(row))
-    ring = _PiSeries(ctx, M, D, K)
+    return _operator(ctx, D, N_pi, rows)
+
+
+def _operator(ctx, D, N_pi, rows):
+    """(Mx, rows): a DworkMatrix at p-precision 2 whose rows are the ZqPi
+    `rows` truncated at K = N_pi*D."""
+    ring = _PiSeries(ctx, 2, D, N_pi * D)
+    ft = ring.sc.from_tuple
     Mx = DworkMatrix(
         N_pi=N_pi,
         D=D,
         ctx=ctx,
-        basis=tuple((i,) for i in range(n)),  # only entries and caps matter
-        degrees=(Fraction(0),) * n,
+        basis=tuple((i,) for i in range(len(rows))),  # only entries matter
+        degrees=(Fraction(0),) * len(rows),
         ring=ring,
-        rows=tuple(tuple(ring.from_zqpi(e) for e in row) for row in rows),
+        rows=tuple(
+            tuple({k: ft(t) for k, t in e.coeffs.items() if k < ring.K} for e in row)
+            for row in rows
+        ),
     )
     return Mx, rows
 
@@ -477,6 +493,46 @@ class TestBerkowitzKernel:
         zero = ZqPi(Mx.ctx, 2, Mx.N_pi * Mx.D, {}, den=Mx.D)
         want = oracle_trace(entries, zero, k)
         assert _bare(operator_trace(Mx, k)) == _bare(with_cap(want, min(want.cap, Mx.cert_cap())))
+
+    def test_krylov_entries_past_the_cap_are_skipped_exactly(self):
+        # on the valuation pattern the kernel skips Krylov entries whose row
+        # and vector start too late; the results still match the ZqPi
+        # oracle, and the same kernel with a K no key reaches for its skip
+        # test (the dots still truncate at K) yields the same vectors with
+        # no fewer dots, strictly more in some drawn case
+        skipped = []
+        ctx = CONTEXTS[3, 1]
+        # K = 2: s_0 of row 1 is pi^1 * pi^1, past the cap
+        pi = ZqPi(ctx, 2, 2, {1: (1,)}, den=2)
+        blank = pi.zero_like()
+
+        @settings(max_examples=150, deadline=None)
+        @given(sparse_operators(floors=True), st.integers(1, 3), st.integers(0, 5))
+        @example(_operator(ctx, 2, 1, [(blank, pi), (pi, blank)]), 1, 0)
+        def check(job, k, short):
+            Mx, entries = job
+            K = Mx.cert_cap()
+            zero = ZqPi(Mx.ctx, 2, K, {}, den=Mx.D)
+            keep = max(0, Mx.dim - short)
+            want = oracle_berkowitz(entries, zero, zero.one_like(), keep)
+            got = char_series(Mx, keep).coeffs
+            assert [_bare(c) for c in got] == [_bare(with_cap(c, min(c.cap, K))) for c in want]
+            trace = oracle_trace(entries, zero, k)
+            assert _bare(operator_trace(Mx, k)) == _bare(with_cap(trace, min(trace.cap, K)))
+            runs = []
+            for bound in (K, 10**9):
+                ring, calls = copy.copy(Mx.ring), []
+                ring.K = bound
+                ring.dot = lambda pairs, plus=None, calls=calls: (
+                    calls.append(1) or _PiSeries.dot(Mx.ring, pairs, plus)
+                )
+                runs.append((list(dwork._berkowitz(ring, Mx.rows, keep)), len(calls)))
+            (vecs, dots), (blind_vecs, blind_dots) = runs
+            assert vecs == blind_vecs and dots <= blind_dots
+            skipped.append(dots < blind_dots)
+
+        check()
+        assert any(skipped)
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(sorted(CONTEXTS)), st.integers(0, 5), st.data())
