@@ -6,9 +6,8 @@ characteristic series (`dwork`).  They agree by theorem, and the test
 suite holds them to it.
 """
 
-from .arith import CycContext, FieldContext, field_context, teichmuller_lift
+from .arith import CycContext, FieldContext, artin_hasse, field_context, teichmuller_lift
 from .dwork import (
-    artin_hasse,
     char_c_crosscheck,
     char_series,
     facial_criterion,

@@ -364,6 +364,14 @@ def field_context(p: int, a: int) -> FieldContext:
     return FieldContext(p, a)
 
 
+@lru_cache(maxsize=256)
+def _kept_lift(ctx: FieldContext, x: tuple) -> list:
+    """[prec, lift] of the most precise Teichmuller lift of x found so far
+    (empty before the first), one per (ctx, x), least recently used
+    dropped first as in field_context."""
+    return []
+
+
 def teichmuller_lift(ctx: FieldContext, x, prec: int):
     """The root-of-unity (or zero) lift of x to Z_q mod p^prec.
 
@@ -374,14 +382,119 @@ def teichmuller_lift(ctx: FieldContext, x, prec: int):
     ceil((prec-1)/a) + 1 rounds, the last one confirming the fixed point
     (10 rounds at p = 7, a = 1, prec = 10; 4 at p = 2, a = 13,
     prec = 40).  Convergence within prec+2 rounds is a hard invariant.
+
+    The lift is unique, so the one mod p^prec is any more precise one
+    reduced: each (ctx, x) keeps its most precise lift, iterated (and
+    checked) once, and a lower precision is read off it.
     """
-    t = tuple(x)
+    x = tuple(x)
+    kept = _kept_lift(ctx, x)
+    if kept and kept[0] >= prec:
+        if kept[0] == prec:
+            return kept[1]
+        pm = ctx.p**prec
+        return tuple(c % pm for c in kept[1])
+    t = x
     for _ in range(prec + 2):
         t2 = ctx.zq_pow(t, ctx.q, prec)
         if t2 == t:
+            kept[:] = prec, t
             return t
         t = t2
     raise TheoremViolation("Teichmuller iteration did not converge")
+
+
+# -- the Artin-Hasse exponential E and the series E(pi*c) ----------------------
+#
+# What the operator route's kernel reads of E depends only on the field: each
+# value is computed and checked once per process, grown to the longest
+# request, and a shorter request reads a prefix.
+
+
+@lru_cache(maxsize=256)
+def _kept_artin_hasse(p: int) -> list:
+    """E's coefficients over p found so far, grown in place by artin_hasse;
+    one list per p, least recently used dropped first as in field_context."""
+    return [Fraction(1)]
+
+
+def artin_hasse(p: int, N: int) -> tuple:
+    """E(pi) = exp(sum_i pi^(p^i)/p^i) mod pi^N as its N exact rational
+    coefficients, the j-th multiplying pi^j.
+
+    They come from E'(pi) = E(pi) * sum_i pi^(p^i - 1), that is
+    k*e_k = sum_{p^i <= k} e_{k - p^i}; Fraction absorbs the division by k.
+    Every coefficient is p-integral; the check below makes a denominator
+    divisible by p a loud bug instead of a silent wrong answer.
+
+    The first N coefficients do not depend on N, so each p keeps the
+    longest expansion asked for, each coefficient computed and checked
+    once, and a shorter one is its prefix."""
+    if N < 1:
+        raise DomainError("need at least one kernel coefficient")
+    e = _kept_artin_hasse(p)
+    if len(e) < N:
+        powers = [p**i for i in range(N.bit_length()) if p**i < N]
+        for k in range(len(e), N):
+            c = sum(e[k - q] for q in powers if q <= k) / k
+            if c.denominator % p == 0:
+                raise IntegralityError(f"kernel coefficient {k} has denominator {c.denominator}")
+            e.append(c)
+    return tuple(e[:N])
+
+
+def _frac_mod(fr: Fraction, p: int, prec: int) -> int:
+    pm = p**prec
+    if fr.denominator % p == 0:
+        raise IntegralityError(f"{fr} is not p-integral")
+    return fr.numerator * pow(fr.denominator, -1, pm) % pm
+
+
+@lru_cache(maxsize=256)
+def _kept_residues(p: int, prec: int) -> list:
+    """artin_hasse(p, N) mod p^prec for the longest N asked for, grown in
+    place by _artin_hasse_mod; one list per (p, prec)."""
+    return []
+
+
+def _artin_hasse_mod(p: int, prec: int, N: int) -> list:
+    """E's first N coefficients over p as residues mod p^prec, kept with
+    the coefficients."""
+    lam = _kept_residues(p, prec)
+    if len(lam) < N:
+        lam.extend(_frac_mod(x, p, prec) for x in artin_hasse(p, N)[len(lam) :])
+    return lam[:N]
+
+
+def _e_coeffs(lam, ctx: FieldContext, c, prec: int) -> tuple:
+    """E(pi*c)'s coefficients lam[m]*c^m mod p^prec, m < len(lam), as Z_q
+    tuples, zeros included; at c = 1 every power c^m is 1 and no product
+    is taken."""
+    pm = ctx.p**prec
+    cm = one = ctx.one()
+    out = []
+    for m, x in enumerate(lam):
+        if m and c != one:
+            cm = ctx.zq_mul(cm, c, prec)
+        out.append(tuple(x * y % pm for y in cm))
+    return tuple(out)
+
+
+@lru_cache(maxsize=256)
+def _kept_e(ctx: FieldContext, c, prec: int) -> list:
+    """[the longest E(pi*c) mod p^prec _e_series computed]; one per (ctx, c,
+    prec)."""
+    return [()]
+
+
+def _e_series(ctx: FieldContext, c, prec: int, cap: int) -> tuple:
+    """The coefficients of e_factor(artin_hasse(ctx.p, cap), ctx, c, prec,
+    cap) as _e_coeffs gives them.  Each (ctx, c, prec) keeps the longest
+    expansion asked for, and a shorter one is its prefix."""
+    kept = _kept_e(ctx, c, prec)
+    if len(kept[0]) < cap:
+        kept[0] = _e_coeffs(_artin_hasse_mod(ctx.p, prec, cap), ctx, c, prec)
+    return kept[0][:cap]
 
 
 def binomial_guard(N: int, p: int) -> int:

@@ -143,9 +143,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # the options every command takes, built once and shared by each
-    # subparser through parents=
+@lru_cache(maxsize=1)
+def _options() -> argparse.ArgumentParser:
+    """The options every command takes, built once and shared by each
+    subparser through parents=."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("poly", nargs="?", default="", help="polynomial text, e.g. 'x1^3 + g^1*x2'")
     shared.add_argument("--config", default="", help="key=value file; flags win")
@@ -171,21 +172,31 @@ def build_parser() -> argparse.ArgumentParser:
         help="attest nondegeneracy when the certificate search is inconclusive",
     )
     shared.add_argument("--out", help="write the JSON document here instead of stdout")
+    return shared
+
+
+def build_parser(commands=None) -> argparse.ArgumentParser:
+    """The top-level parser with a subparser for each of `commands`, every
+    command when None.  A subparser parses and reports errors the same in
+    either, so a job needs only its own; the full parser lists every
+    command in `--help` and in the refusal of an unknown one."""
     ap = _Parser(
         prog="tadic",
         description="Exact T-adic exponential sums, L/C-functions, Newton "
         "polygons, and the operator-side cross checks.",
     )
     sub = ap.add_subparsers(dest="command", metavar="command")
-    for name, (_, text, _) in COMMANDS.items():
-        sub.add_parser(name, help=text, description=text, parents=[shared])
+    for name in COMMANDS if commands is None else commands:
+        text = COMMANDS[name][1]
+        sub.add_parser(name, help=text, description=text, parents=[_options()])
     return ap
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    # parsing does not mutate the parser, so every call shares one
-    return build_parser()
+@lru_cache(maxsize=None)
+def _parser(command=None) -> argparse.ArgumentParser:
+    """build_parser for one command, or for all when None; parsing does
+    not mutate a parser, so every call shares one."""
+    return build_parser(None if command is None else (command,))
 
 
 def _given(ns: argparse.Namespace) -> dict:
@@ -207,13 +218,17 @@ def _choose() -> str:
 
 
 def build_config(argv) -> RunConfig:
-    ns = _parser().parse_args(argv)
+    argv = list(argv)
+    # the top-level parser takes no option, so a command comes first
+    ns = _parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     if not ns.command:
         raise _UsageError(_choose())
     given = {}
     if ns.config:
         try:
-            file_ns, unknown = _parser().parse_known_args([ns.command, *_config_argv(ns.config)])
+            file_ns, unknown = _parser(ns.command).parse_known_args(
+                [ns.command, *_config_argv(ns.config)]
+            )
         except _UsageError as err:
             raise _UsageError(f"{ns.config}: {err}") from None
         if file_ns.config:

@@ -26,42 +26,17 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import FieldContext, teichmuller_lift
+from .arith import (
+    FieldContext,
+    _e_coeffs,
+    _e_series,
+    _frac_mod,
+    artin_hasse,
+    teichmuller_lift,
+)
 from .errors import DomainError, IntegralityError, PrecisionError, TheoremViolation
 from .polytope import LaurentPoly, common_points, newton_data, restrict_to_face, saturated_span
 from .series import SSeries, TSeries, _SparseSeries, vp
-
-
-# ---------------------------------------------------------------------------
-# the splitting kernel, exact rationals
-# ---------------------------------------------------------------------------
-
-
-def artin_hasse(p: int, N: int) -> tuple:
-    """E(pi) = exp(sum_i pi^(p^i)/p^i) mod pi^N as its N exact rational
-    coefficients, the j-th multiplying pi^j.
-
-    They come from E'(pi) = E(pi) * sum_i pi^(p^i - 1), that is
-    k*e_k = sum_{p^i <= k} e_{k - p^i}; Fraction absorbs the division by k.
-    Every coefficient is p-integral; the check below makes a denominator
-    divisible by p a loud bug instead of a silent wrong answer."""
-    if N < 1:
-        raise DomainError("need at least one kernel coefficient")
-    powers = [p**i for i in range(N.bit_length()) if p**i < N]
-    e = [Fraction(1)]
-    for k in range(1, N):
-        e.append(sum(e[k - q] for q in powers if q <= k) / k)
-    for j, c in enumerate(e):
-        if c.denominator % p == 0:
-            raise IntegralityError(f"kernel coefficient {j} has denominator {c.denominator}")
-    return tuple(e)
-
-
-def _frac_mod(fr: Fraction, p: int, prec: int) -> int:
-    pm = p**prec
-    if fr.denominator % p == 0:
-        raise IntegralityError(f"{fr} is not p-integral")
-    return fr.numerator * pow(fr.denominator, -1, pm) % pm
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +286,16 @@ def _berkowitz(ring: _PiSeries, rows, keep: int):
     reads the Toeplitz entries only up to index min(r, keep), so it forms
     min(r, keep) - 1 of the s_j.  Every entry of a Krylov vector and of the
     convolution is one ring.dot over the pairs of nonzero entries, rows
-    walked through their nonzero entries, with one exception: a Krylov
-    entry is the zero, and is not formed, when its row's least key in the
-    block plus the least key of the vector it multiplies is >= K, since
-    every product lands at or past pi^K.  Keys never fall along the Krylov
-    sequence, so once s_j is such a zero, so is every later s, and the row
-    stops there.  Over the spectral cap this drops every row w with
-    (p-1)*deg(w) >= the cap, and the valuation pattern of the transfer
-    matrix prunes the Krylov entries of rows near it.
+    walked through their nonzero entries, with two exceptions.  A
+    convolution coefficient with no pair is the previous vector's own
+    coefficient, shared with no dot, since no dot mutates the value it
+    adds to.  A Krylov entry is the zero, and is not formed, when its row's
+    least key in the block plus the least key of the vector it multiplies
+    is >= K, since every product lands at or past pi^K.  Keys never fall
+    along the Krylov sequence, so once s_j is such a zero, so is every
+    later s, and the row stops there.  Over the spectral cap this drops
+    every row w with (p-1)*deg(w) >= the cap, and the valuation pattern of
+    the transfer matrix prunes the Krylov entries of rows near it.
     """
     K, dot, neg, one = ring.K, ring.dot, ring.neg, ring.one
     sparse = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
@@ -359,7 +336,8 @@ def _berkowitz(ring: _PiSeries, rows, keep: int):
                 for i in range(max(0, m - len(toep) + 1), min(m, len(cv)))
                 if cv[i] and toep[m - i]
             ]
-            new.append(dot(pairs, cv[m] if m < len(cv) else None))
+            plus = cv[m] if m < len(cv) else ring.zero
+            new.append(dot(pairs, plus) if pairs else plus)
         cv = new
         yield cv
 
@@ -423,31 +401,24 @@ def _cutoff_dets(sc: _ZqScalars, mat, sizes):
 
 def e_factor(ah: tuple, ctx: FieldContext, c, prec: int, cap: int) -> ZqPi:
     """E(pi*c) for a Z_q scalar c, as a pi-series on the integer grid, from
-    E's coefficients ah over ctx.p; at c = 1 every power c^m is 1 and no
-    product is taken."""
+    E's coefficients ah over ctx.p."""
     if len(ah) < cap:
         raise PrecisionError("kernel expansion shorter than the requested cap")
-    out = {}
-    cm = embed_int(ctx, 1, prec)
-    step = c != cm
-    for m in range(cap):
-        lam = _frac_mod(ah[m], ctx.p, prec)
-        out[m] = tuple(lam * x % ctx.p**prec for x in cm)
-        if step and m + 1 < cap:
-            cm = ctx.zq_mul(cm, c, prec)
-    return ZqPi(ctx, prec, cap, out, den=1)
+    lam = [_frac_mod(x, ctx.p, prec) for x in ah[:cap]]
+    return ZqPi(ctx, prec, cap, dict(enumerate(_e_coeffs(lam, ctx, c, prec))), den=1)
 
 
 def t_to_pi(ts: TSeries, ah: tuple, ctx: FieldContext, den: int = 1) -> ZqPi:
-    """Substitute T = E(pi) - 1 into a T-series over Z_p, E's coefficients
-    being ah.
+    """Substitute T = E(pi) - 1 into a T-series over Z_p, ah being E's
+    expansion over ctx.p (artin_hasse(ctx.p, n) for some n).
 
     The substitution sends O(T^N) to O(pi^N), so the T-cap carries over as
-    the pi-cap unchanged.
+    the pi-cap unchanged; ah's length bounds it too, and E(pi) itself is
+    read from the kept expansion (_e_series).
     """
     cap = min(ts.cap, len(ah))
     prec = ts.prec
-    e = e_factor(ah, ctx, embed_int(ctx, 1, prec), prec, cap)
+    e = ZqPi(ctx, prec, cap, dict(enumerate(_e_series(ctx, embed_int(ctx, 1, prec), prec, cap))))
     e_minus_1 = e.sub(e.one_like())
     res = e.zero_like()
     for j in range(cap - 1, -1, -1):
@@ -521,13 +492,12 @@ def _kernel_product(code: _LatticeCode, ctx: FieldContext, factors, prec: int, b
     assert (cap - 1) * _box(u for _, u in factors) <= code.bound, "states escape the code's box"
     sc = _zq_scalars(ctx, prec)
     mul, add, is_zero = sc.mul, sc.add, sc.is_zero
-    ah = artin_hasse(ctx.p, cap)
     # per factor, its terms (m, code of m*u, scalar), by m
     terms = []
     for c, u in factors:
         uc = code.enc(u)
-        series = sorted(e_factor(ah, ctx, c, prec, cap).coeffs.items())
-        terms.append([(m, m * uc, sc.from_tuple(t)) for m, t in series])
+        series = _e_series(ctx, c, prec, cap)
+        terms.append([(m, m * uc, sc.from_tuple(t)) for m, t in enumerate(series) if any(t)])
     # forward: the least pi-exponent of each state before each factor
     leads = [{0: 0}]
     for fac in terms[:-1]:
@@ -908,13 +878,15 @@ def _criterion_data(f: LaurentPoly, dd, K: int, M: int) -> _Criterion:
     grid = tuple(g for _, g in cone)
 
     def values(normals):
-        return [[sum(a * b for a, b in zip(nv, ur)) for nv in normals] for ur in pts]
+        return [[sum(map(operator.mul, nv, ur)) for nv in normals] for ur in pts]
 
     # <n, p*w - u> = p*<n, w> - <n, u>: the facet values of each point, once,
     # give the cone test (through-origin facets) and g (grid normals) of
-    # every cell
+    # every cell, a row at a time over all the columns
     height = values(dd.grid_normals)
     through = values([fc.normal for fc in dd.facets_origin])
+    height_cols = list(zip(*height))
+    through_cols = list(zip(*through))
     factors = _lifted_factors(f, dd, M)
     # a cofacial cell has g(p*w - u) = p*g(w) - g(u) <= p*K, so the kernel's
     # cap is at most p*K//D + 1 and its states have |coord| <= (p*K//D)*max|u|;
@@ -925,23 +897,23 @@ def _criterion_data(f: LaurentPoly, dd, K: int, M: int) -> _Criterion:
     cells = []  # (row, column, code of p*w - u) of the cofacial cells
     # a cofacial v off the 1/D grid has no digit at pi^(g(v)/D): zero cell
     budget = {}
+    columns = range(len(pts))
+    zeros = [0] * len(pts)
     for i, (cw, gw) in enumerate(zip(codes, grid)):
-        ph = [p * x for x in height[i]]
-        po = [p * x for x in through[i]]
-        row = []
-        for j, (hu, ou, gu) in enumerate(zip(height, through, grid)):
-            if any(map(operator.gt, po, ou)):
-                row.append(None)
-                continue
-            g = max(0, *map(operator.sub, ph, hu))
-            defect = g + gu - p * gw
-            assert defect >= 0
-            row.append(defect)
-            if defect == 0:
-                v = p * cw - codes[j]
-                cells.append((i, j, v))
-                if g % D == 0:
-                    budget[v] = g // D + 1
+        # g(p*w - u) = max(0, p*<n, w> - <n, u>) over the grid normals n (at
+        # least one), the defect g(p*w - u) + g(u) - p*g(w), and p*w - u is
+        # off the cone where p*<n, w> > <n, u> for a facet n through 0
+        g = map(max, zeros, *[map((p * x).__sub__, col) for x, col in zip(height[i], height_cols)])
+        row = list(map((p * gw).__rsub__, map(operator.add, g, grid)))
+        for x, col in zip(through[i], through_cols):
+            for j in itertools.compress(columns, map((p * x).__gt__, col)):
+                row[j] = None
+        assert all(d is None or d >= 0 for d in row)
+        for j in itertools.compress(columns, map(operator.eq, row, zeros)):
+            v, gv = p * cw - codes[j], p * gw - grid[j]  # gv = g(p*w - u)
+            cells.append((i, j, v))
+            if gv % D == 0:
+                budget[v] = gv // D + 1
         defects.append(tuple(row))
     digits = _kernel_product(code, ctx, factors, M, budget)
     sc = _zq_scalars(ctx, M)

@@ -12,6 +12,7 @@ from oracles import (
     oracle_binomial_sum,
     oracle_embedding_root,
     oracle_embedding_walk,
+    oracle_exp_fractions,
     oracle_find_poly,
     oracle_generator,
     oracle_is_irreducible,
@@ -25,6 +26,7 @@ from tadic.arith import (
     CycContext,
     CycElement,
     FieldContext,
+    artin_hasse,
     binomial_guard,
     binomial_period,
     binomial_sum,
@@ -381,6 +383,67 @@ class TestZq:
                 ) % pm
 
 
+def _residue(fr: Fraction, pm: int) -> int:
+    return fr.numerator * pow(fr.denominator, -1, pm) % pm
+
+
+def _lift_by_rounds(ctx, x, prec):
+    """The Teichmuller lift after prec + 2 rounds of t -> t^q, more than
+    the iteration needs."""
+    t = tuple(x)
+    for _ in range(prec + 2):
+        t = ctx.zq_pow(t, ctx.q, prec)
+    return t
+
+
+class TestKeptConstants:
+    """Artin-Hasse coefficients, their residues, the E(pi*c) series and the
+    Teichmuller lifts are kept per process; whatever was asked before, each
+    request returns what a fresh computation gives."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([(p, a) for p in (2, 3, 5, 7) for a in (1, 2)]),
+        st.integers(0, 48),
+        st.lists(st.tuples(st.integers(1, 24), st.integers(1, 6)), min_size=1, max_size=6),
+    )
+    # a shorter expansion and a lower precision after longer, higher ones
+    @example((3, 1), 2, [(8, 4), (5, 2)])
+    @example((2, 2), 3, [(24, 6), (3, 1), (12, 3)])
+    def test_kept_values_equal_fresh_ones(self, field, enc, requests):
+        p, a = field
+        # every request below grows the kept values from nothing
+        arith._kept_artin_hasse.cache_clear()
+        arith._kept_residues.cache_clear()
+        ctx = FieldContext(p, a)  # a context of its own keeps no series or lift
+        x = ctx.decode(enc % ctx.q)
+        g, q = [Fraction(0)] * 24, 1
+        while q < 24:
+            g[q] = Fraction(1, q)
+            q *= p
+        fresh = oracle_exp_fractions(g, 24)
+        for N, prec in requests:
+            pm = p**prec
+            assert artin_hasse(p, N) == tuple(fresh[:N])
+            assert arith._artin_hasse_mod(p, prec, N) == [_residue(c, pm) for c in fresh[:N]]
+            lift = teichmuller_lift(ctx, x, prec)
+            assert lift == _lift_by_rounds(ctx, x, prec)
+            for c in (ctx.one(), lift):
+                want = tuple(
+                    tuple(_residue(fresh[m], pm) * y % pm for y in ctx.zq_pow(c, m, prec))
+                    for m in range(N)
+                )
+                assert arith._e_series(ctx, c, prec, N) == want
+
+    def test_integrality_checked_on_each_first_computation(self):
+        # 4 is no prime: e_4 = (e_3 + e_0)/4 = 7/24.  The coefficients before
+        # it are kept, it never is, so every request reaching it is refused
+        for _ in range(2):
+            with pytest.raises(IntegralityError, match="coefficient 4 has denominator 24"):
+                artin_hasse(4, 6)
+        assert artin_hasse(4, 4) == (1, 1, Fraction(1, 2), Fraction(1, 6))
+
+
 class TestTeichmuller:
     def test_spec_values(self):
         ctx5 = FieldContext(5, 1)
@@ -418,6 +481,19 @@ class TestTeichmuller:
         monkeypatch.setattr(ctx, "zq_pow", lambda *args: calls.append(args) or zq_pow(*args))
         teichmuller_lift(ctx, ctx.generator, prec)
         assert len(calls) == rounds == -(-(prec - 1) // a) + 1
+
+    def test_kept_lift_serves_lower_precisions_only(self, monkeypatch):
+        # once t -> t^q no longer converges, the kept precision and lower
+        # ones are still read off the kept lift, while a higher precision,
+        # or another x, iterates again and is refused every time
+        ctx = FieldContext(3, 1)
+        assert teichmuller_lift(ctx, (2,), 2) == (8,)
+        monkeypatch.setattr(ctx, "zq_pow", lambda t, e, prec: tuple((c + 1) % 3**prec for c in t))
+        assert teichmuller_lift(ctx, (2,), 1) == (2,)
+        assert teichmuller_lift(ctx, (2,), 2) == (8,)
+        for x, prec in [((2,), 3), ((2,), 3), ((1,), 2)]:
+            with pytest.raises(TheoremViolation):
+                teichmuller_lift(ctx, x, prec)
 
     def test_generator_powers_enumerate_units(self):
         ctx = FieldContext(3, 2)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from tadic import dwork
+from tadic import arith, dwork
 from tadic.arith import (
     FieldContext,
     binomial_guard,
@@ -168,6 +168,10 @@ class TestSplittingKernel:
 
     def test_short_kernel_refused(self):
         ah = artin_hasse(3, 4)
+        with pytest.raises(PrecisionError):
+            e_factor(ah, CTX3, embed_int(CTX3, 1, 3), 3, 6)
+        # a longer series kept for the same (ctx, c, prec) does not lift it
+        assert len(arith._e_series(CTX3, embed_int(CTX3, 1, 3), 3, 8)) == 8
         with pytest.raises(PrecisionError):
             e_factor(ah, CTX3, embed_int(CTX3, 1, 3), 3, 6)
 
