@@ -24,8 +24,10 @@ from operator import mul
 from .errors import DomainError, IntegralityError, PrecisionError, TheoremViolation
 from .series import (
     TSeries,
+    _mod_width,
     _pack,
     _packed_dot,
+    _slot_reducer,
     _slot_width,
     _unpack,
     divexact,
@@ -587,12 +589,14 @@ def _stepped_sum(counts, p: int, M: int, N: int) -> TSeries:
     Series are packed W bits a slot.  With C the sum of the reduced counts,
     slot j < N of the final sum is at most sum_l (j+1)(p^M-1) * (p^M-1)C_l
     <= N(p^M-1)^2 C, and every slot of Q_l is at most (p^M-1)C; W is
-    chosen so that N(p^M-1)^2 max(C, 1) < 2^W (_packed_dot).
+    chosen so that N(p^M-1)^2 max(C, 1) < 2^W (_packed_dot), and at least
+    the _mod_width the step tables reduce their slots at.
     """
     pm = p**M
     R = p ** (M + binomial_period(N, p))
     cs = [c % pm for c in counts.values()]
-    W = _slot_width(N * (pm - 1) ** 2 * max(sum(cs), 1))
+    step = N * (pm - 1) ** 2
+    W = max(_slot_width(step * max(sum(cs), 1)), _mod_width(step, pm))
     baby, giant = _step_tables(p, M, N, W)
     S = len(baby)
     Q = [0] * S
@@ -617,7 +621,8 @@ def _step_tables(p: int, M: int, N: int, W: int) -> tuple:
     Tables depend only on (p, M, N, W) and are shared by every caller in
     the process, as tuples no caller can alter.  A baby step is one
     shift-add, (1+T) v = v + (v << W); a giant step is one product by
-    (1+T)^S; each is cut to N slots and reduced mod p^M slot by slot.
+    (1+T)^S; each is cut to N slots and reduced mod p^M by one
+    _slot_reducer call, for slots up to N(p^M-1)^2.
     """
     key = (p, M, N, W)
     tables = _STEPS.pop(key, None)
@@ -625,10 +630,7 @@ def _step_tables(p: int, M: int, N: int, W: int) -> tuple:
         pm = p**M
         R = p ** (M + binomial_period(N, p))
         S = math.isqrt(R)
-
-        def reduce(v):
-            return _pack([x % pm for x in _unpack(v, W, N)], W)
-
+        reduce = _slot_reducer(W, N, pm, (N * (pm - 1) ** 2).bit_length())[0]
         baby = [1]
         for _ in range(1, S):
             baby.append(reduce(baby[-1] + (baby[-1] << W)))

@@ -147,8 +147,54 @@ def _packed_dot(xs, ys, W: int, B: int, plus: int = 0):
     operand hold nonnegative slots.  If every true slot j < B of the sum
     (plus's slot j and the products' slot-j convolution) is below 2^W, no
     slot below B carries, so the result is those true slots whatever the
-    slots at or past B hold.  Callers pick W from their own slot bound."""
+    slots at or past B hold.  Callers pick W from their own slot bound.
+
+    The slot-parallel reduction (_slot_reducer) rests on the same lemma.
+    Let every slot x of v be below 2^k, mu = floor(2^k/m), and
+    (2^k - 1)*mu < 2^W: then no slot of v*mu carries, its slot j is
+    x_j*mu, and q_j = floor(x_j*mu / 2^k) is v*mu shifted right by k and
+    masked to the low W - k bits of each slot.  Barrett's bound gives
+    x_j - q_j*m in [0, 2m), so v - q*m borrows from no slot, and with
+    2m <= 2^W the top bit of each slot of (v - q*m) + (2^(W-1) - m) says
+    whether one more m comes off."""
     return _unpack(plus + sum(map(operator.mul, xs, ys)), W, B)
+
+
+def _mod_width(bound: int, m: int) -> int:
+    """The slot width to pack at so that _slot_reducer reduces slots up to
+    ``bound`` mod m by a few big-integer operations: the _slot_width of
+    (2^k - 1)*floor(2^k/m) and of bound, k = bound.bit_length(); or
+    _slot_width(bound) alone where that would pass 64 bits, since slots
+    past 64 bits unpack one at a time, and the reducer then reduces slot
+    by slot."""
+    k = bound.bit_length()
+    W = _slot_width(max(bound, ((1 << k) - 1) * ((1 << k) // m)))
+    return W if W <= 64 else _slot_width(bound)
+
+
+def _slot_reducer(W: int, B: int, m: int, k: int):
+    """(v -> the B lowest W-bit slots of v >= 0, each reduced mod m and
+    packed again; the same slots as a sequence), for slots below 2^k.
+
+    Where the bound in _packed_dot holds at W, that is Barrett's reduction
+    on every slot at once (Barrett 1986); elsewhere it is one % per slot."""
+    mask, unpack = _slot_unpacker(W, B)
+    mu = (1 << k) // m
+    if not (mu and ((1 << k) - 1) * mu >> W == 0 and 2 * m <= 1 << W):
+
+        def slots(v):
+            return [x % m for x in _unpack(v, W, B)]
+
+        return (lambda v: _pack(slots(v), W)), slots
+    ones = mask // ((1 << W) - 1)  # a 1 in every slot
+    low, top, lift = ones * ((1 << W - k) - 1), ones << W - 1, ones * ((1 << W - 1) - m)
+
+    def packed(v):
+        v &= mask
+        r = v - (v * mu >> k & low) * m
+        return r - ((r + lift & top) >> W - 1) * m
+
+    return packed, lambda v: unpack(packed(v).to_bytes(W // 8 * B, "little"))
 
 
 def _packed(s: "TSeries", W: int) -> int:

@@ -44,11 +44,13 @@ from .series import (
     NewtonPolygon,
     SSeries,
     TSeries,
+    _mod_width,
     _pack,
     _pack_bytes,
-    _packed_dot,
+    _slot_reducer,
     _slot_width,
     _unpack,
+    divexact,
     exp_generating,
     polygon_dominates,
     polygon_from_sseries,
@@ -130,56 +132,83 @@ def _trace_table(big: FieldContext, prec: int) -> tuple:
     return table
 
 
-def _build_trace_table(big: FieldContext, prec: int) -> tuple:
-    """The power sums of chi(x) = prod_{i<d} (x - w^(p^i)), the
-    characteristic polynomial of w = teich(g) over Z_p (d = [F:F_p]).
+def _low_traces(big: FieldContext, P: int) -> list:
+    """Tr(w^j) mod p^P for j = 0..d, w = teich(g), d = [F:F_p]: d - 1
+    zq_mul and the trace form Tr(y^i), i < d, which are the power sums of
+    the roots of the defining polynomial, by Newton's identities over Z."""
+    d, pP, low = big.a, big.p**P, big.poly_low
+    form = [d]
+    for k in range(1, d):
+        form.append(-(k * low[d - k] + sum(low[d - i] * form[k - i] for i in range(1, k))))
+    w = cur = teichmuller_lift(big, big.generator, P)
+    out = [d % pP]
+    for j in range(1, d + 1):
+        if j > 1:
+            cur = big.zq_mul(cur, w, P)
+        out.append(sum(map(mul, cur, form)) % pP)
+    return out
 
-    s_1..s_d come from Newton's identities and every later entry from the
-    order-d recurrence chi(w) = 0, a whole block of B entries at a time.
+
+def _chi_from_traces(s: list, p: int, P: int) -> list:
+    """c_0..c_(d-1) of chi(x) = x^d + sum_i c_i x^i from its power sums
+    s_1..s_d mod p^P, by Newton's identities
+    k*c_(d-k) = -(s_k + sum_(i<k) c_(d-i) s_(k-i)).  Each division by k is
+    exact, which divexact checks, and c is right mod p^(P - ord_p(d!))."""
+    d, pP = len(s) - 1, p**P
+    c = [0] * d
+    for k in range(1, d + 1):
+        num = -(s[k] + sum(c[d - i] * s[k - i] for i in range(1, k))) % pP
+        c[d - k] = divexact([num], k, p, P)[1][0]
+    return c
+
+
+def _build_trace_table(big: FieldContext, prec: int) -> tuple:
+    """The power sums s_j = Tr(w^j) of chi, the characteristic polynomial
+    of w = teich(g) over Z_p, of order d = [F:F_p], for j < q - 1.
+
+    s_0..s_d are traces (_low_traces), read at P = prec + ord_p(d!) digits
+    so that chi's coefficients, which Newton's identities divide by 1..d,
+    are right mod p^prec (_chi_from_traces).  Every later entry follows
+    from the recurrence chi(w) = 0, a whole block of B entries at a time.
     A block is a fixed linear image of the d entries before it,
-    s_{k+t} = sum_{i<d} M[t][i] s_{k-d+i} for t < B, where column i of M
-    is the recurrence run from the unit state e_i, mod p^prec (Fiduccia
-    1985).  Each column is packed into one integer, sum_t M[t][i] << W*t
-    (Kronecker substitution), so a block is V = sum_i s_{k-d+i} col_i, d
-    big-int products, and its entries are V's W-bit slots, each reduced
-    mod p^prec.  Entries and column values lie in [0, p^prec), so a slot
-    holds at most d*(p^prec - 1)^2 < 2^W, W = _slot_width of that bound
-    (_packed_dot).
-    B ~ sqrt((q-1)/d) balances the d*B recurrence steps that build the
-    columns against the (q-1)/B block steps; the last block is cut at q-1.
+    s_(j+t) = sum_(i<d) M[t][i] s_(j-d+i) for t < B (Fiduccia 1985).  Each
+    column of M is packed into one integer, sum_t M[t][i] << W*t
+    (Kronecker substitution), so a block is V = sum_i s_(j-d+i) col_i, d
+    big-integer products, and its entries are V's W-bit slots, reduced mod
+    p^prec by one _slot_reducer call.  Entries and column values lie in
+    [0, p^prec), so a slot holds at most d*(p^prec - 1)^2, and W is the
+    _mod_width of that bound (_packed_dot).  The columns start at the one
+    step B = 1 and double, d block steps per doubling: the B entries
+    after the first B of column i are the block the columns give from the
+    last d entries of e_i followed by column i.  They double until
+    128*B >= q - 1, so a table takes 64 to 128 blocks.
+
+    w^(q-1) = 1, so the table must close its period: it runs d + 1
+    entries past q - 1, and s_(q-1+j) = s_j for j <= d is checked.
     """
     p, d = big.p, big.a
-    pm = p**prec
-    Q1 = big.q - 1
-    conj = teichmuller_lift(big, big.generator, prec)
-    chi = [big.one()]  # Z_q coefficients, lowest first
-    for i in range(d):
-        if i:
-            conj = big.zq_pow(conj, p, prec)
-        nxt = [big.zero()] + chi
-        for e, c in enumerate(chi):
-            wc = big.zq_mul(conj, c, prec)
-            nxt[e] = tuple((u - v) % pm for u, v in zip(nxt[e], wc))
-        chi = nxt
-    if any(any(c[1:]) for c in chi):
-        raise TheoremViolation("characteristic polynomial of teich(g) is not over Z_p")
-    c = [co[0] for co in chi[:d]]
-    s = [d % pm]
-    for k in range(1, min(d, Q1 - 1) + 1):
-        s.append(-(k * c[d - k] + sum(c[d - i] * s[k - i] for i in range(1, k))) % pm)
-    neg_c = [-ci for ci in c]
-    B = math.isqrt(Q1 // d)  # >= 1, as q - 1 >= d
-    W = _slot_width(d * (pm - 1) ** 2)
-    cols = []
-    for i in range(d):
-        u = [0] * d
-        u[i] = 1
-        for k in range(d, d + B):
-            u.append(sum(map(mul, neg_c, u[k - d : k])) % pm)
-        cols.append(_pack(u[d:], W))
-    for k in range(len(s), Q1, B):
-        block = _packed_dot(s[k - d : k], cols, W, B)
-        s += [x % pm for x in block[: Q1 - k]]
+    pm, Q1 = p**prec, big.q - 1
+    P = prec + vp_factorial(d, p)
+    s = _low_traces(big, P)
+    neg_c = [-c % pm for c in _chi_from_traces(s, p, P)]
+    s = [x % pm for x in s]
+    end = Q1 + d + 1
+    bound = d * (pm - 1) ** 2
+    W, k = _mod_width(bound, pm), bound.bit_length()
+    cols, B = neg_c, 1
+    while B * 128 < Q1:
+        reduce = _slot_reducer(W, B, pm, k)[0]
+        # the last d entries of e_i followed by column i
+        tails = [_unpack((1 << W * i | c << W * d) >> W * B, W, d) for i, c in enumerate(cols)]
+        cols = [c | reduce(sum(map(mul, t, cols))) << W * B for c, t in zip(cols, tails)]
+        B *= 2
+    slots = _slot_reducer(W, B, pm, k)[1]
+    s += [0] * (end - d - 1)  # one list, grown once
+    for j in range(d + 1, end, B):
+        s[j : j + B] = slots(sum(map(mul, s[j - d : j], cols)))[: end - j]
+    if s[Q1:] != s[: d + 1]:
+        raise TheoremViolation("trace table does not close its period: s_(q-1+j) != s_j")
+    del s[Q1:]
     return tuple(s)
 
 

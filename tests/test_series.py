@@ -13,6 +13,7 @@ from tadic.series import (
     TSeries,
     _pack,
     _packed_dot,
+    _slot_reducer,
     _unpack,
     certified_polygon,
     exp_generating,
@@ -129,7 +130,8 @@ def true_slots(plus, pairs, B):
 
 
 class TestSlotCodec:
-    """_pack/_unpack/_packed_dot, the one Kronecker codec of the package."""
+    """_pack/_unpack/_packed_dot/_slot_reducer, the one Kronecker codec of
+    the package."""
 
     @given(WIDTHS, st.data())
     def test_unpack_inverts_pack(self, W, data):
@@ -155,6 +157,28 @@ class TestSlotCodec:
         plus = _pack(low + [0] * (B - len(low)) + high, W)
         xs, ys = ([_pack(v, W) for v in side] for side in zip(*pairs))
         assert list(_packed_dot(xs, ys, W, B, plus)) == true_slots(low, pairs, B)
+
+    @settings(deadline=None)
+    @given(WIDTHS, st.sampled_from([2, 3, 5, 7]), st.data())
+    def test_slot_reducer_is_the_slotwise_mod_below_the_bound(self, W, p, data):
+        # m = p^M below 2^(W-2), and the widest bound the reduction takes at
+        # W: slots below 2^k with (2^k - 1)*floor(2^k/m) < 2^W
+        m = p ** data.draw(st.integers(1, int((W - 2) / math.log2(p))))
+        ks = [k for k in range(m.bit_length(), W) if ((1 << k) - 1) * ((1 << k) // m) >> W == 0]
+        if not ks:
+            reject()
+        k = max(ks)
+        xs = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=8))
+        xs[data.draw(st.integers(0, len(xs) - 1))] = (1 << k) - 1  # the bound itself
+        packed, slots = _slot_reducer(W, len(xs), m, k)
+        v = _pack(xs, W)
+        assert list(slots(v)) == [x % m for x in xs]
+        assert packed(v) == _pack([x % m for x in xs], W)
+        # a slot one unit past the no-carry bound, x*mu >= 2^W, carries
+        mu = (1 << k) // m
+        past = -(-(1 << W) // mu)
+        if past < 1 << W:
+            assert list(_slot_reducer(W, 1, m, k)[1](past)) != [past % m]
 
     @pytest.mark.parametrize("W", [16, 72])
     def test_one_unit_past_the_bound_carries(self, W):

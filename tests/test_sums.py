@@ -27,7 +27,7 @@ from tadic.arith import (
     one_plus_T_pow,
     teichmuller_lift,
 )
-from tadic.errors import DomainError, PrecisionError
+from tadic.errors import DomainError, IntegralityError, PrecisionError, TheoremViolation
 from tadic.polytope import LaurentPoly
 from tadic.series import SSeries, TSeries
 from tadic.sums import (
@@ -226,6 +226,29 @@ class TestTraceTable:
         for prec in precs:
             table = sums._build_trace_table(big, prec)
             assert table == oracle_recurrence_trace_table(big, prec), (p, d, prec)
+
+    @pytest.mark.parametrize("p,d", [(2, 1), (2, 4), (3, 2), (3, 3), (5, 2), (7, 1)])
+    def test_a_wrong_recurrence_coefficient_breaks_the_period(self, monkeypatch, p, d):
+        chi = sums._chi_from_traces
+
+        def bumped(*args):  # c_0 + 1
+            return [c + (i == 0) for i, c in enumerate(chi(*args))]
+
+        monkeypatch.setattr(sums, "_chi_from_traces", bumped)
+        with pytest.raises(TheoremViolation, match="period"):
+            sums._build_trace_table(FieldContext(p, d), 2)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_traces_of_no_integral_element_fail_newtons_division(self, monkeypatch, d):
+        # s_1 + 1 flips the parity of 2*c_(d-2) = s_1^2 - s_2
+        low = sums._low_traces
+
+        def bumped(*args):
+            return [s + (j == 1) for j, s in enumerate(low(*args))]
+
+        monkeypatch.setattr(sums, "_low_traces", bumped)
+        with pytest.raises(IntegralityError):
+            sums._build_trace_table(FieldContext(2, d), 3)
 
     def test_cached_table_is_a_fresh_build_and_immutable(self):
         first = _trace_table(FieldContext(3, 4), 3)
